@@ -101,9 +101,9 @@ class Automorphism:
             alphas, columns, col_alpha = _generalized_eigenbasis(mat)
             r = len(mat)
             parts = []
-            for i in range(r):
-                e = [ONE if t == i else Scalar.zero() for t in range(r)]
-                coords = solve([[columns[c][t] for c in range(r)] for t in range(r)], e)
+            all_coords = solve([[columns[c][t] for c in range(r)]
+                                for t in range(r)], mat_identity(r))
+            for i, coords in enumerate(all_coords):
                 by_alpha = {}
                 for c, x in enumerate(coords):
                     if x.is_zero():
@@ -178,12 +178,6 @@ class Automorphism:
 
     def coset_of(self, vec: Vec) -> frozenset:
         return frozenset(self.alpha_decompose(vec))
-
-    def scale_by_alpha(self, vec: Vec, fn) -> Vec:
-        out = Vec.zero()
-        for al, part in self.alpha_decompose(vec).items():
-            out = out + part.scale(fn(al))
-        return out
 
     def semisimple_exp(self, vec: Vec, sign: int = 1) -> Vec:
         """e^{+-2 pi i S_g} applied pointwise."""
@@ -311,7 +305,7 @@ def _generalized_eigenbasis(mat):
 
 
 class BlockJordan:
-    """S and K = 2 pi i N matrices of one weight block, plus its spectrum."""
+    """K = 2 pi i N matrix of one weight block, plus its spectrum."""
 
     def __init__(self, basis, gmat):
         self.basis = basis
@@ -323,8 +317,6 @@ class BlockJordan:
         Cinv = _mat_inverse(C)
         diag = lambda vals: [[vals[j] if i == j else Scalar.zero()
                               for j in range(d)] for i in range(d)]
-        self.S = mat_mul(mat_mul(C, diag([Scalar.rational(a) for a in col_alpha])),
-                         Cinv)
         semi_inv = mat_mul(mat_mul(C, diag([Scalar.e(-2 * a) for a in col_alpha])),
                            Cinv)
         T = mat_mul(semi_inv, gmat)
@@ -337,13 +329,9 @@ class BlockJordan:
 
 def _mat_inverse(mat):
     d = len(mat)
-    cols = []
-    for j in range(d):
-        e = [ONE if i == j else Scalar.zero() for i in range(d)]
-        x = solve([row[:] for row in mat], e)
-        if x is None:
-            raise NonCyclotomicSpectrum("singular change of basis")
-        cols.append(x)
+    cols = solve(mat, mat_identity(d))
+    if cols is None:
+        raise NonCyclotomicSpectrum("singular change of basis")
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
@@ -405,7 +393,7 @@ class JordanData:
 
 
 def jordan_decompose(g: Automorphism, weight_cutoff) -> JordanData:
-    """Blockwise S_g, N_g and the spectrum P_V up to the weight cutoff."""
+    """Blockwise K = 2 pi i N_g and the spectrum P_V up to the weight cutoff."""
     V = g.V
     blocks = {}
     spectrum = set()

@@ -176,11 +176,11 @@ def _expand(registry, model_id, text, halfwidth, as_json):
 
 
 def _cmd_run(args, registry) -> int:
-    cfg = SuiteConfig(model=args.model, suite=args.suite,
-                      max_weight=Fraction(args.max_weight),
-                      halfwidth=args.window, log_bound=args.log_bound,
-                      jobs=args.jobs, basis_order=args.seed_order)
     try:
+        cfg = SuiteConfig(model=args.model, suite=args.suite,
+                          max_weight=Fraction(args.max_weight),
+                          halfwidth=args.window, log_bound=args.log_bound,
+                          jobs=args.jobs, basis_order=args.seed_order)
         report = run_suite(cfg, registry)
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -231,18 +231,13 @@ def _cmd_decompose(args, registry) -> int:
 def _cmd_dump_basis(args, registry) -> int:
     try:
         kind, obj = registry.resolve(args.model)
-    except KeyError as exc:
+        space = obj.algebra if kind == "algebra" else obj
+        keys = space.basis(Fraction(args.max_weight), args.seed_order)
+    except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if kind == "algebra":
-        V = obj.algebra
-        keys = V.basis(Fraction(args.max_weight), args.seed_order)
-        for i, k in enumerate(keys):
-            print("%d\t%s\t%s\t%s" % (i, V.weight(k), V.parity(k), k))
-    else:
-        keys = obj.basis(Fraction(args.max_weight), args.seed_order)
-        for i, k in enumerate(keys):
-            print("%d\t%s\t%s\t%s" % (i, obj.deg(k), obj.parity(k), k))
+    for i, k in enumerate(keys):
+        print("%d\t%s\t%s\t%s" % (i, space.deg(k), space.parity(k), k))
     return 0
 
 

@@ -114,11 +114,6 @@ def cyclo_inverse(s: Scalar) -> Scalar:
 
 # -- matrices over Scalar ----------------------------------------------------
 
-def mat_vec(mat, vec):
-    return [sum((m * v for m, v in zip(row, vec) if not (m.is_zero() or v.is_zero())),
-                Scalar.zero()) for row in mat]
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     out = [[Scalar.zero()] * m for _ in range(n)]
@@ -137,28 +132,21 @@ def mat_identity(n):
     return [[ONE if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
 
 
-def mat_add(a, b, sb=1):
-    c = Scalar.rational(sb)
-    return [[x + y * c for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def kernel_basis(mat):
-    """Basis of the kernel of a Scalar matrix, by exact Gaussian elimination."""
-    if not mat:
-        return []
-    rows = [list(r) for r in mat]
-    n, m = len(rows), len(rows[0])
+def _reduce(rows, ncols):
+    """Gauss-Jordan on the first ncols columns of rows, in place, exactly.
+
+    Returns the pivot columns; row i of the result leads with pivots[i].
+    """
+    n = len(rows)
     pivots = []
-    r = 0
-    for col in range(m):
+    for col in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
         piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
         if piv is None:
             continue
@@ -170,12 +158,20 @@ def kernel_basis(mat):
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    return pivots
+
+
+def kernel_basis(mat):
+    """Basis of the kernel of a Scalar matrix, by exact Gaussian elimination."""
+    if not mat:
+        return []
+    rows = [list(r) for r in mat]
+    m = len(rows[0])
+    pivots = _reduce(rows, m)
     out = []
-    for fc in free:
+    for fc in range(m):
+        if fc in pivots:
+            continue
         v = [Scalar.zero()] * m
         v[fc] = ONE
         for i, pc in enumerate(pivots):
@@ -184,29 +180,19 @@ def kernel_basis(mat):
     return out
 
 
-def solve(mat, rhs):
-    """Solve mat * x = rhs over the cyclotomic field; None if inconsistent."""
-    n, m = len(mat), len(mat[0])
-    rows = [list(r) + [rhs[i]] for i, r in enumerate(mat)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = cyclo_inverse(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if not rows[i][m].is_zero():
-            return None
-    x = [Scalar.zero()] * m
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][m]
-    return x
+def solve(mat, rhss):
+    """Solve mat * x = b over the cyclotomic field for every b in rhss, in
+    one elimination; the list of solutions, or None if some b is
+    inconsistent."""
+    m = len(mat[0])
+    rows = [list(r) + [b[i] for b in rhss] for i, r in enumerate(mat)]
+    pivots = _reduce(rows, m)
+    if any(not x.is_zero() for row in rows[len(pivots):] for x in row[m:]):
+        return None
+    out = []
+    for j in range(m, m + len(rhss)):
+        x = [Scalar.zero()] * m
+        for i, pc in enumerate(pivots):
+            x[pc] = rows[i][j]
+        out.append(x)
+    return out

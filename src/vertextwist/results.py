@@ -1,10 +1,12 @@
-"""Check outcomes in a uniform, JSON-serializable shape."""
+"""Check outcomes in a uniform, JSON-serializable shape, and the comparator
+that turns two expanded sides of an identity into one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .series import format_monomial
+from .series import (Series, TermSeries, format_monomial, series_mismatch,
+                     window_json)
 
 
 @dataclass
@@ -15,17 +17,6 @@ class CheckResult:
     window: dict = field(default_factory=dict)
     first_mismatch: dict = None
     time_ms: float = None
-
-    @staticmethod
-    def from_mismatch(identity, inputs, vars, window, mismatch) -> "CheckResult":
-        if mismatch is None:
-            return CheckResult(identity, True, inputs, window)
-        m, lhs, rhs = mismatch
-        return CheckResult(identity, False, inputs, window, {
-            "monomial": format_monomial(m, vars),
-            "lhs": repr(lhs),
-            "rhs": repr(rhs),
-        })
 
     def to_json(self):
         doc = {"identity": self.identity, "inputs": self.inputs,
@@ -38,6 +29,23 @@ class CheckResult:
         return doc
 
 
-def window_json(vars, box):
-    return {v: [str(lo), str(hi), cap] for v, lo, hi, cap in
-            zip(vars, box.lows, box.highs, box.logcaps)}
+def compare(identity, inputs, vars, box, lhs, rhs) -> CheckResult:
+    """Certify lhs == rhs coefficient by coefficient on the box.
+
+    Each side is a Series or a {monomial: coefficient} dict; a dict is read
+    on the box with its zero coefficients dropped.  A failure carries the
+    first differing monomial in canonical order and both coefficients there,
+    None standing for an absent term.
+    """
+    mismatch = series_mismatch(_as_series(lhs, vars), _as_series(rhs, vars),
+                               box)
+    window = window_json(vars, box)
+    if mismatch is None:
+        return CheckResult(identity, True, inputs, window)
+    m, a, b = mismatch
+    return CheckResult(identity, False, inputs, window, {
+        "monomial": format_monomial(m, vars), "lhs": repr(a), "rhs": repr(b)})
+
+
+def _as_series(side, vars) -> Series:
+    return side if isinstance(side, Series) else TermSeries(vars, side)

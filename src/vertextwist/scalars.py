@@ -183,6 +183,9 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a rational scalar equals its Fraction, so it hashes like one
+        if self.is_rational():
+            return hash(self.as_rational())
         return hash(frozenset(self.terms.items()))
 
     def is_rational(self) -> bool:
@@ -194,9 +197,6 @@ class Scalar:
         if not self.is_rational():
             raise ValueError("not a rational scalar: %s" % self)
         return self.terms[_RKEY]
-
-    def is_pi_free(self) -> bool:
-        return all(p == 0 for p, _ in self.terms)
 
     def iter_terms(self):
         """Yield ((pi_power, phase as Fraction in [0,1)), coeff)."""

@@ -67,9 +67,6 @@ class Box:
     def cube(nvars: int, lo, hi, logcap: int = 0) -> "Box":
         return Box((lo,) * nvars, (hi,) * nvars, (logcap,) * nvars)
 
-    def is_window(self) -> bool:
-        return None not in self.lows and None not in self.highs
-
     def contains(self, m) -> bool:
         for p, lo, hi in zip(m[0], self.lows, self.highs):
             if lo is not None and p < lo:
@@ -86,11 +83,6 @@ class Box:
         if logcap is not None:
             caps[idx] = logcap
         return Box(lows, highs, caps)
-
-    def drop_var(self, idx: int) -> "Box":
-        keep = [i for i in range(len(self.lows)) if i != idx]
-        return Box([self.lows[i] for i in keep], [self.highs[i] for i in keep],
-                   [self.logcaps[i] for i in keep])
 
     def shift(self, m) -> "Box":
         """Box translated by -m (the complementary box in a convolution)."""
@@ -301,21 +293,6 @@ class Product(Series):
             return out
         raise InfiniteConvolution(
             "cannot certify finite convolution for product on %r" % (box,))
-
-
-def series_add(a: Series, b: Series) -> Series:
-    return Sum([a, b])
-
-
-def series_mul(a: Series, b: Series) -> Series:
-    return Product(a, b)
-
-
-def product_of(factors) -> Series:
-    out = factors[0]
-    for f in factors[1:]:
-        out = Product(out, f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +748,11 @@ def series_to_json(terms: dict, vars, box: Box = None):
         })
     doc = {"variables": list(vars), "entries": entries}
     if box is not None:
-        doc["window"] = {
-            v: [str(lo), str(hi), cap]
-            for v, lo, hi, cap in zip(vars, box.lows, box.highs, box.logcaps)
-        }
+        doc["window"] = window_json(vars, box)
     return doc
+
+
+def window_json(vars, box: Box):
+    """Per variable: [low, high, log cap] of the box."""
+    return {v: [str(lo), str(hi), cap] for v, lo, hi, cap in
+            zip(vars, box.lows, box.highs, box.logcaps)}

@@ -17,11 +17,11 @@ from fractions import Fraction
 from .chains import ChainSeries, OpSlot, pair
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
-from .results import CheckResult, window_json
+from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, vec_of
 from .series import (BinomialKernel, Box, Product, Sum, TermSeries,
                      branch_shift, delta_iter, delta_prod, delta_prod_rev,
-                     derivative, mono, residue, scaled, series_mismatch)
+                     derivative, residue, scaled, window_json)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -262,11 +262,8 @@ def check_twisted_weak_commutativity(W, u, v, w, wprime, halfwidth) -> CheckResu
     lhs = Product(pref, W.chain(vars, [(0, u), (1, v)], w, wprime))
     sign = (-1) ** (W.algebra_parity(u) * W.algebra_parity(v))
     rhs = scaled(Product(pref, W.chain(vars, [(1, v), (0, u)], w, wprime)), sign)
-    box = _cube(vars, halfwidth)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "twisted-weak-commutativity", _inputs(u=u, v=v, w=w, M=M),
-        vars, window_json(vars, box), mm)
+    return compare("twisted-weak-commutativity", _inputs(u=u, v=v, w=w, M=M),
+                   vars, _cube(vars, halfwidth), lhs, rhs)
 
 
 def require_semisimple(W, identity):
@@ -310,11 +307,8 @@ def check_twisted_jacobi(W, u, v, w, wprime, halfwidth) -> CheckResult:
     # modes below r_min only produce x0-exponents above the window
     r_min = _ceil(-1 - Fraction(halfwidth))
     iterate = jacobi_iterate_side(W, u, v, w, wprime, vars, r_min)
-    box = _cube(vars, halfwidth)
-    mm = series_mismatch(lhs, iterate, box)
-    return CheckResult.from_mismatch(
-        "twisted-jacobi", _inputs(u=u, v=v, w=w),
-        vars, window_json(vars, box), mm)
+    return compare("twisted-jacobi", _inputs(u=u, v=v, w=w), vars,
+                   _cube(vars, halfwidth), lhs, iterate)
 
 
 def check_commutator_formula(W, u, v, w, wprime, halfwidth) -> CheckResult:
@@ -327,11 +321,8 @@ def check_commutator_formula(W, u, v, w, wprime, halfwidth) -> CheckResult:
     vars3 = ("x0", "x1", "x2")
     # only modes with r >= 0 can meet the x0^{-1} coefficient
     rhs = residue(jacobi_iterate_side(W, u, v, w, wprime, vars3, 0), 0)
-    box = _cube(vars, halfwidth)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "commutator-formula", _inputs(u=u, v=v, w=w),
-        vars, window_json(vars, box), mm)
+    return compare("commutator-formula", _inputs(u=u, v=v, w=w), vars,
+                   _cube(vars, halfwidth), lhs, rhs)
 
 
 def check_g_compatibility(W, u, w: Vec, halfwidth) -> CheckResult:
@@ -364,10 +355,8 @@ def check_equivariance(W, u, w, wprime, halfwidth) -> CheckResult:
     gu = W.g.apply(u)
     lhs = branch_shift(W.chain(vars, [(0, gu)], w, wprime), 0, 1)
     rhs = W.chain(vars, [(0, u)], w, wprime)
-    box = _cube(vars, halfwidth)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "equivariance", _inputs(u=u, w=w), vars, window_json(vars, box), mm)
+    return compare("equivariance", _inputs(u=u, w=w), vars,
+                   _cube(vars, halfwidth), lhs, rhs)
 
 
 def _ceil(x: Fraction) -> int:
@@ -379,51 +368,50 @@ def check_L_minus1_derivative_W(W, u, w, wprime, halfwidth) -> CheckResult:
     """d/dx <Y(u,x)w> = <Y(L(-1)u,x)w> = <[L(-1), Y(u,x)]w>."""
     vars = ("x",)
     box = _cube(vars, halfwidth)
-    dx = derivative(W.chain(vars, [(0, u)], w, wprime), 0)
-    lu = W.chain(vars, [(0, W.V.L_minus1(u))], w, wprime)
-    mm = series_mismatch(dx, lu, box)
-    if mm is not None:
-        return CheckResult.from_mismatch(
-            "L(-1)-derivative-W", _inputs(u=u, w=w), vars,
-            window_json(vars, box), mm)
-    # commutator form, compared with vector-valued coefficients
-    t_base = W.chain(vars, [(0, u)], w).terms_in(
-        box.with_var(0, box.lows[0], box.highs[0] + 1))
-    t_dx = derivative(W.chain(vars, [(0, u)], w), 0).terms_in(box)
-    t_luw = W.chain(vars, [(0, u)], W.L_minus1(w)).terms_in(box)
-    for m in sorted(set(t_dx) | {k for k in t_base if box.contains(k)}
-                    | set(t_luw)):
-        comm = W.L_minus1(t_base.get(m, Vec.zero())) - t_luw.get(m, Vec.zero())
-        want = t_dx.get(m, Vec.zero())
-        lhs_v = pair(wprime, comm) if wprime is not None else comm
-        rhs_v = pair(wprime, want) if wprime is not None else want
-        if lhs_v != rhs_v:
-            return CheckResult.from_mismatch(
-                "L(-1)-derivative-W", _inputs(u=u, w=w), vars,
-                window_json(vars, box), (m, lhs_v, rhs_v))
-    return CheckResult("L(-1)-derivative-W", True, _inputs(u=u, w=w),
-                       window_json(vars, box))
+    inputs = _inputs(u=u, w=w)
+    res = compare("L(-1)-derivative-W", inputs, vars, box,
+                  derivative(W.chain(vars, [(0, u)], w, wprime), 0),
+                  W.chain(vars, [(0, W.V.L_minus1(u))], w, wprime))
+    if not res.ok:
+        return res
+    comm, want = L_minus1_commutator_sides(
+        W, W.chain(vars, [(0, u)], w), W.chain(vars, [(0, u)], W.L_minus1(w)),
+        wprime, box)
+    return compare("L(-1)-derivative-W", inputs, vars, box, comm, want)
+
+
+def L_minus1_commutator_sides(W, me, lowered, wprime, box):
+    """Terms of both sides of L(-1) S(x) - S'(x) = d/dx S(x) on the box.
+
+    S (`me`) is a one-variable vector-valued series into W and S'
+    (`lowered`) is S with L(-1) applied to its right argument.  The
+    commutator is formed on vector coefficients; both sides are then paired
+    with wprime when one is given.
+    """
+    base = me.terms_in(box.with_var(0, box.lows[0], box.highs[0] + 1))
+    low = lowered.terms_in(box)
+    zero = Vec.zero()
+    comm = {m: W.L_minus1(base.get(m, zero)) - low.get(m, zero)
+            for m in {m for m in base if box.contains(m)} | set(low)}
+    want = derivative(me, 0).terms_in(box)
+    if wprime is None:
+        return comm, want
+    return ({m: pair(wprime, c) for m, c in comm.items()},
+            {m: pair(wprime, c) for m, c in want.items()})
 
 
 def check_y0_decomposition(W, u, w, wprime, halfwidth) -> CheckResult:
     """Y(u,x) = (Y)_0(x^{-N}u, x) and Y(u,x) = x^{-N}(Y)_0(u,x)x^{N}, exactly."""
     vars = ("x",)
-    cap = W.log_bound
-    box = Box.cube(1, -Fraction(halfwidth), Fraction(halfwidth), cap)
-    full = _full_me_terms(W, u, w, wprime, box)
-    lhs1 = _y0_of_dressed_terms(W, u, w, wprime, box, side="argument")
-    for m in sorted(set(full) | set(lhs1), key=lambda m: (m[0], m[1])):
-        if full.get(m, _zero_like(wprime)) != lhs1.get(m, _zero_like(wprime)):
-            return CheckResult.from_mismatch(
-                "log-decomposition-argument", _inputs(u=u, w=w), vars,
-                window_json(vars, box), (m, lhs1.get(m), full.get(m)))
-    lhs2 = _y0_of_dressed_terms(W, u, w, wprime, box, side="conjugated")
-    for m in sorted(set(full) | set(lhs2), key=lambda m: (m[0], m[1])):
-        if full.get(m, _zero_like(wprime)) != lhs2.get(m, _zero_like(wprime)):
-            return CheckResult.from_mismatch(
-                "log-decomposition-conjugated", _inputs(u=u, w=w), vars,
-                window_json(vars, box), (m, lhs2.get(m), full.get(m)))
-    return CheckResult("log-decomposition", True, _inputs(u=u, w=w),
+    box = Box.cube(1, -Fraction(halfwidth), Fraction(halfwidth), W.log_bound)
+    inputs = _inputs(u=u, w=w)
+    full = W.chain(vars, [(0, u)], w, wprime)
+    for side in ("argument", "conjugated"):
+        res = compare("log-decomposition-" + side, inputs, vars, box,
+                      _y0_of_dressed_terms(W, u, w, wprime, box, side), full)
+        if not res.ok:
+            return res
+    return CheckResult("log-decomposition", True, inputs,
                        window_json(vars, box))
 
 
@@ -431,12 +419,9 @@ def _zero_like(wprime):
     return Scalar.zero() if wprime is not None else Vec.zero()
 
 
-def _full_me_terms(W, u, w, wprime, box):
-    return W.chain(("x",), [(0, u)], w, wprime).terms_in(box)
-
-
 def _y0_of_dressed_terms(W, u, w, wprime, box, side):
-    """Terms of (Y)_0(x^{-N}u, x) or x^{-N}(Y)_0(u,x)x^{N} within the box."""
+    """Terms of (Y)_0(x^{-N}u, x) or x^{-N}(Y)_0(u,x)x^{N} over the box's
+    exponents; log powers are left for the comparator to clip."""
     from .automorphism import nilpotent_power_coeffs
     out = {}
     hw_lo, hw_hi = box.lows[0], box.highs[0]
@@ -449,10 +434,8 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
                 vec = W.y0_mode_vec(part.scale(sgn), -e - 1, w)
                 if vec:
                     val = pair(wprime, vec) if wprime is not None else vec
-                    if not val.is_zero():
-                        m = ((e,), (k,))
-                        if box.contains(m):
-                            out[m] = out.get(m, _zero_like(wprime)) + val
+                    m = ((e,), (k,))
+                    out[m] = out.get(m, _zero_like(wprime)) + val
                 e += FH
     else:
         # x^{-N} (Y)_0(u, x) x^{N} on the module side
@@ -462,17 +445,14 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
                 vec = W.y0_mode_vec(u, -e - 1, wpart)
                 if not vec:
                     continue
-                for k1, res in enumerate(_module_n_powers_vec(W, vec)):
-                    k = k1 + k2
+                for k1, res in enumerate(_module_n_powers(W, vec)):
                     sgn = Fraction((-1) ** k1)
                     val = pair(wprime, res.scale(sgn)) if wprime is not None \
                         else res.scale(sgn)
-                    if not val.is_zero():
-                        m = ((e,), (k,))
-                        if box.contains(m):
-                            out[m] = out.get(m, _zero_like(wprime)) + val
+                    m = ((e,), (k1 + k2,))
+                    out[m] = out.get(m, _zero_like(wprime)) + val
             e += FH
-    return {m: v for m, v in out.items() if not v.is_zero()}
+    return out
 
 
 def _module_n_powers(W, wvec: Vec):
@@ -481,40 +461,45 @@ def _module_n_powers(W, wvec: Vec):
         else [wvec]
 
 
-def _module_n_powers_vec(W, vec: Vec):
-    return _module_n_powers(W, vec)
-
-
-def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
-    """Prefactored k-fold products are Laurent polynomials: exponents confined
-    to the grading-predicted interval, verified by a window scan."""
+def prefactored_product(W, vs, order, w, wprime):
+    """<w'| Y(v_i, x_i) placed in `order` |w> times (x_i - x_j)^M_ij for
+    i < j and x_i^alpha_i; returns (variables, product, {(i, j): M_ij})."""
     from .vosa import weak_commutativity_order
     k = len(vs)
     vars = tuple("x%d" % (i + 1) for i in range(k))
-    alphas = [W.algebra_alpha(v) for v in vs]
-    factors = [W.chain(vars, list(enumerate(vs)), w, wprime)]
+    factors = [W.chain(vars, [(t, vs[t]) for t in order], w, wprime)]
     orders = {}
     for i in range(k):
         for j in range(i + 1, k):
             M = max(weak_commutativity_order(W.V, vs[i], vs[j]), 1)
             orders[(i, j)] = M
             factors.append(BinomialKernel(vars, M, i, j))
-    for i, al in enumerate(alphas):
+    for i, v in enumerate(vs):
+        al = W.algebra_alpha(v)
         if al:
             factors.append(TermSeries.monomial(
                 vars, [al if t == i else 0 for t in range(k)]))
     prod = factors[0]
     for f in factors[1:]:
         prod = Product(f, prod)
+    return vars, prod, orders
+
+
+def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
+    """Prefactored k-fold products are Laurent polynomials: exponents confined
+    to the grading-predicted interval, verified by a window scan."""
+    k = len(vs)
+    vars, prod, orders = prefactored_product(W, vs, range(k), w, wprime)
     box = _cube(vars, halfwidth)
     terms = prod.terms_in(box)
     wdeg = W._deg_of_vec(w)
     pdeg = W._deg_of_vec(wprime) if wprime is not None else None
     for i in range(k):
-        lo = alphas[i] - wdeg - W.V.algebra_weight(vs[i])
+        al = W.algebra_alpha(vs[i])
+        lo = al - wdeg - W.V.algebra_weight(vs[i])
         hi = None
         if pdeg is not None:
-            hi = alphas[i] + pdeg - W.V.algebra_weight(vs[i]) \
+            hi = al + pdeg - W.V.algebra_weight(vs[i]) \
                 + sum(orders[tuple(sorted((i, j)))] for j in range(k) if j != i)
         for m in terms:
             e = m[0][i]
@@ -530,40 +515,19 @@ def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
 
 def check_permutation_symmetry(W, vs, w, wprime, perm, halfwidth) -> CheckResult:
     """Prefactored products agree under reordering up to the parity sign."""
-    from .vosa import weak_commutativity_order
     k = len(vs)
-    vars = tuple("x%d" % (i + 1) for i in range(k))
     sign = 1
     for i in range(k):
         for j in range(i + 1, k):
             if perm[i] > perm[j]:
                 sign *= (-1) ** (W.algebra_parity(vs[perm[i]])
                                  * W.algebra_parity(vs[perm[j]]))
-
-    def prefactored(order):
-        fs = [W.chain(vars, [(order[t], vs[order[t]]) for t in range(k)], w,
-                      wprime)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                M = max(weak_commutativity_order(W.V, vs[i], vs[j]), 1)
-                fs.append(BinomialKernel(vars, M, i, j))
-        for i, v in enumerate(vs):
-            al = W.algebra_alpha(v)
-            if al:
-                fs.append(TermSeries.monomial(
-                    vars, [al if t == i else 0 for t in range(k)]))
-        out = fs[0]
-        for f in fs[1:]:
-            out = Product(f, out)
-        return out
-
-    box = _cube(vars, halfwidth)
-    lhs = prefactored(list(range(k)))
-    rhs = scaled(prefactored(list(perm)), Scalar.rational(sign))
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "permutation-symmetry", _inputs(w=w, perm=tuple(perm), sign=sign),
-        vars, window_json(vars, box), mm)
+    vars, lhs, _ = prefactored_product(W, vs, range(k), w, wprime)
+    _, rhs, _ = prefactored_product(W, vs, perm, w, wprime)
+    return compare("permutation-symmetry",
+                   _inputs(w=w, perm=tuple(perm), sign=sign), vars,
+                   _cube(vars, halfwidth), lhs,
+                   scaled(rhs, Scalar.rational(sign)))
 
 
 def _inputs(**kw):

@@ -14,13 +14,13 @@ from fractions import Fraction
 from math import ceil, factorial
 
 from .chains import ChainSeries, OpSlot, pair
-from .results import CheckResult, window_json
+from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, vec_of
-from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Sum,
-                     TermSeries, c_mul, delta_iter, delta_prod, delta_prod_rev,
-                     derivative, minus_convention, mono, mono_add, residue,
-                     scaled, series_mismatch)
-from .twisted import _inputs, require_semisimple
+from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
+                     Sum, TermSeries, c_mul, delta_iter, delta_prod,
+                     delta_prod_rev, derivative, minus_convention, mono,
+                     mono_add, residue, scaled, window_json)
+from .twisted import L_minus1_commutator_sides, _inputs, require_semisimple
 from .vosa import weak_commutativity_order
 
 F0 = Fraction(0)
@@ -172,48 +172,30 @@ def check_twist_vacuum_identity(W, w_arg: Vec, halfwidth) -> CheckResult:
     """T(w,x) vacuum = e^{x L(-1)} w, with vector-valued coefficients."""
     vars = ("x",)
     box = Box.cube(1, -Fraction(halfwidth), Fraction(halfwidth), W.log_bound)
-    one = Vec.basis(W.V.vac)
-    lhs = twist_matrix_element(W, w_arg, one).terms_in(box)
-    rhs = {m: c for m, c in _exp_L_terms(W, w_arg, vars, 0,
-                                         int(Fraction(halfwidth))).items()
-           if box.contains(m)}
-    for m in sorted(set(lhs) | set(rhs)):
-        if lhs.get(m, Vec.zero()) != rhs.get(m, Vec.zero()):
-            return CheckResult.from_mismatch(
-                "twist-vacuum-identity", _inputs(w=w_arg), vars,
-                window_json(vars, box), (m, lhs.get(m), rhs.get(m)))
-    return CheckResult("twist-vacuum-identity", True, _inputs(w=w_arg),
-                       window_json(vars, box))
+    lhs = twist_matrix_element(W, w_arg, Vec.basis(W.V.vac))
+    rhs = _exp_L_terms(W, w_arg, vars, 0, int(Fraction(halfwidth)))
+    return compare("twist-vacuum-identity", _inputs(w=w_arg), vars, box,
+                   lhs, rhs)
 
 
-class _AppliedSeries:
+class _AppliedSeries(Series):
     """Coefficients of an inner vector-valued series hit by one fixed mode."""
 
     def __init__(self, W, chain: ChainSeries, u: Vec, n, wprime):
+        super().__init__(chain.vars, chain.bounds, chain.cosets, chain.logmax)
         self.W = W
         self.inner = chain
         self.u = u
         self.n = Fraction(n)
         self.wprime = wprime
-        self.vars = chain.vars
-        self.bounds = chain.bounds
-        self.cosets = chain.cosets
-        self.logmax = chain.logmax
-        self._cache = {}
 
-    def terms_in(self, box):
-        key = box.key()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _terms_in(self, box):
         out = {}
         for m, vec in self.inner.terms_in(box).items():
             res = self.W.mode_vec(self.u, self.n, 0, vec)
             if res:
-                val = pair(self.wprime, res) if self.wprime is not None else res
-                if not val.is_zero():
-                    out[m] = val
-        self._cache[key] = out
+                out[m] = pair(self.wprime, res) if self.wprime is not None \
+                    else res
         return out
 
 
@@ -254,10 +236,8 @@ def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
                                               v, wprime)))
         m += 1
     rhs = Sum(rparts) if rparts else TermSeries.zero(vars)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "weak-associativity", _inputs(u=u, v=v, w=w_arg, M=M),
-        vars, window_json(vars, box), mm)
+    return compare("weak-associativity", _inputs(u=u, v=v, w=w_arg, M=M),
+                   vars, box, lhs, rhs)
 
 
 def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec, wprime,
@@ -291,11 +271,8 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec, wprime,
                                              v, wprime)))
         m += 1
     rhs = Sum(parts) if parts else TermSeries.zero(vars)
-    box = Box.cube(3, -hw, hw, W.log_bound)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "twist-jacobi", _inputs(u=u, v=v, w=w_arg),
-        vars, window_json(vars, box), mm)
+    return compare("twist-jacobi", _inputs(u=u, v=v, w=w_arg), vars,
+                   Box.cube(3, -hw, hw, W.log_bound), lhs, rhs)
 
 
 def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
@@ -332,11 +309,10 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
         k += 1
     rhs = residue(Sum(parts), 0) if parts else TermSeries.zero(vars)
     box = Box.cube(2, -hw, hw, W.log_bound)
-    mm = series_mismatch(lhs, rhs, box)
-    if mm is not None:
-        return CheckResult.from_mismatch(
-            "generalized-commutator", _inputs(u=u, v=v, w=w_arg), vars,
-            window_json(vars, box), mm)
+    res = compare("generalized-commutator", _inputs(u=u, v=v, w=w_arg), vars,
+                  box, lhs, rhs)
+    if not res.ok:
+        return res
     # delta-derivative form: sum over k < M of (1/k!) d^k delta kernels
     M = max(twist_commutativity_order(W, u, w_arg), 1)
     dparts = []
@@ -347,10 +323,8 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
             dparts.append(Product(kern, twist_chain(
                 W, vars, [(1, "twist", vecw)], v, wprime)))
     rhs2 = Sum(dparts) if dparts else TermSeries.zero(vars)
-    mm = series_mismatch(lhs, rhs2, box)
-    return CheckResult.from_mismatch(
-        "generalized-commutator-delta-form", _inputs(u=u, v=v, w=w_arg, M=M),
-        vars, window_json(vars, box), mm)
+    return compare("generalized-commutator-delta-form",
+                   _inputs(u=u, v=v, w=w_arg, M=M), vars, box, lhs, rhs2)
 
 
 def check_gen_weak_commutativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
@@ -371,11 +345,9 @@ def check_gen_weak_commutativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
                          twist_chain(W, vars, [(1, "twist", w_arg),
                                                (0, "alg", u)], v, wprime)),
                  sign)
-    box = Box.cube(2, -hw, hw, W.log_bound)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "generalized-weak-commutativity", _inputs(u=u, v=v, w=w_arg, M=M),
-        vars, window_json(vars, box), mm)
+    return compare("generalized-weak-commutativity",
+                   _inputs(u=u, v=v, w=w_arg, M=M), vars,
+                   Box.cube(2, -hw, hw, W.log_bound), lhs, rhs)
 
 
 def _t0_terms(W, w_arg, v, wprime, box):
@@ -399,13 +371,11 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
     hw = Fraction(halfwidth)
     npc = len(nilpotent_power_coeffs(W.g, v))
     box = Box.cube(1, -hw, hw, W.log_bound + npc)
-    full = twist_matrix_element(W, w_arg, v, wprime).terms_in(box)
-    t0 = _t0_terms(W, w_arg, v, wprime, box)
-    for m in t0:
+    inputs = _inputs(w=w_arg, v=v)
+    for m in _t0_terms(W, w_arg, v, wprime, box):
         if m[1][0] != 0:
             return CheckResult(
-                "twist-decomposition", False, _inputs(w=w_arg, v=v),
-                window_json(vars, box),
+                "twist-decomposition", False, inputs, window_json(vars, box),
                 {"monomial": str(m), "detail": "log term survives in T_0"})
     # reconstruct: T(w,x) v = sum_k T_0(w, x)(N^k v / k!)(-1)^k (log x)^k
     recon = {}
@@ -416,17 +386,8 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
             m = (powers, (logs[0] + k1,))
             prev = recon.get(m)
             recon[m] = c if prev is None else prev + c
-    recon = {m: c for m, c in recon.items()
-             if not c.is_zero() and box.contains(m)}
-    full = {m: c for m, c in full.items() if box.contains(m)}
-    for m in sorted(set(full) | set(recon)):
-        fa, fb = full.get(m), recon.get(m)
-        if fa is None or fb is None or fa != fb:
-            return CheckResult.from_mismatch(
-                "twist-decomposition", _inputs(w=w_arg, v=v), vars,
-                window_json(vars, box), (m, fa, fb))
-    return CheckResult("twist-decomposition", True, _inputs(w=w_arg, v=v),
-                       window_json(vars, box))
+    return compare("twist-decomposition", inputs, vars, box,
+                   twist_matrix_element(W, w_arg, v, wprime), recon)
 
 
 def check_L_minus1_twist(W, w_arg: Vec, v: Vec, wprime, halfwidth) -> CheckResult:
@@ -434,29 +395,16 @@ def check_L_minus1_twist(W, w_arg: Vec, v: Vec, wprime, halfwidth) -> CheckResul
     vars = ("x",)
     hw = Fraction(halfwidth)
     box = Box.cube(1, -hw, hw, W.log_bound)
-    dx = derivative(twist_matrix_element(W, w_arg, v, wprime), 0)
-    mid = twist_matrix_element(W, W.L_minus1(w_arg), v, wprime)
-    mm = series_mismatch(dx, mid, box)
-    if mm is not None:
-        return CheckResult.from_mismatch(
-            "L(-1)-twist", _inputs(w=w_arg, v=v), vars,
-            window_json(vars, box), mm)
-    base = twist_matrix_element(W, w_arg, v).terms_in(
-        box.with_var(0, box.lows[0], box.highs[0] + 1))
-    t_dx = derivative(twist_matrix_element(W, w_arg, v), 0).terms_in(box)
-    t_lv = twist_matrix_element(W, w_arg, W.V.L_minus1(v)).terms_in(box)
-    keys = set(t_dx) | {m for m in base if box.contains(m)} | set(t_lv)
-    for m in sorted(keys):
-        comm = W.L_minus1(base.get(m, Vec.zero())) - t_lv.get(m, Vec.zero())
-        want = t_dx.get(m, Vec.zero())
-        lhs_v = pair(wprime, comm) if wprime is not None else comm
-        rhs_v = pair(wprime, want) if wprime is not None else want
-        if lhs_v != rhs_v:
-            return CheckResult.from_mismatch(
-                "L(-1)-twist", _inputs(w=w_arg, v=v), vars,
-                window_json(vars, box), (m, lhs_v, rhs_v))
-    return CheckResult("L(-1)-twist", True, _inputs(w=w_arg, v=v),
-                       window_json(vars, box))
+    inputs = _inputs(w=w_arg, v=v)
+    res = compare("L(-1)-twist", inputs, vars, box,
+                  derivative(twist_matrix_element(W, w_arg, v, wprime), 0),
+                  twist_matrix_element(W, W.L_minus1(w_arg), v, wprime))
+    if not res.ok:
+        return res
+    comm, want = L_minus1_commutator_sides(
+        W, twist_matrix_element(W, w_arg, v),
+        twist_matrix_element(W, w_arg, W.V.L_minus1(v)), wprime, box)
+    return compare("L(-1)-twist", inputs, vars, box, comm, want)
 
 
 def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
@@ -587,35 +535,22 @@ def check_mixed_product(W, tw_vs, w_arg: Vec, alg_vs, v: Vec, wprime,
                               tw_idx + alg_idx, x_idx, k, halfwidth)
     box = Box.cube(len(vars), -Fraction(halfwidth), Fraction(halfwidth),
                    W.log_bound)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "mixed-product-recentred", _inputs(w=w_arg, v=v, k=k, l=l),
-        vars, window_json(vars, box), mm)
-
-
-def check_mixed_product_polynomiality(W, tw_vs, w_arg, alg_vs, v, wprime,
-                                      halfwidth) -> CheckResult:
-    res = check_mixed_product(W, tw_vs, w_arg, alg_vs, v, wprime, halfwidth)
-    res.identity = "mixed-product-polynomiality"
-    return res
+    return compare("mixed-product-recentred",
+                   _inputs(w=w_arg, v=v, k=k, l=l), vars, box, lhs, rhs)
 
 
 def check_mixed_permutation(W, ops, v: Vec, wprime, tau, halfwidth) -> CheckResult:
     """Adjacent-transposition symmetry of prefactored mixed products.
 
     ops is a list of ('tw', u) entries and exactly one ('twist', w); tau is
-    None (identity) or the left index of an adjacent transposition.
+    the left index of an adjacent transposition.
     """
+    if tau is None:
+        raise ValueError("mixed-permutation needs a transposition; the "
+                         "identity permutation compares nothing")
     vars = tuple("x%d" % (i + 1) for i in range(len(ops)))
     hw = Fraction(halfwidth)
     box = Box.cube(len(ops), -hw, hw, W.log_bound)
-    if tau is None:
-        lhs = twist_chain(W, vars, [(i, k, u) for i, (k, u) in enumerate(ops)],
-                          v, wprime)
-        mm = series_mismatch(lhs, lhs, box)
-        return CheckResult.from_mismatch("mixed-permutation",
-                                         {"tau": "identity"}, vars,
-                                         window_json(vars, box), mm)
     i = tau
     a_kind, a_vec = ops[i]
     b_kind, b_vec = ops[i + 1]
@@ -633,8 +568,7 @@ def check_mixed_permutation(W, ops, v: Vec, wprime, tau, halfwidth) -> CheckResu
         sign = (-1) ** (W.algebra_parity(a_vec) * W.algebra_parity(b_vec))
         rhs = scaled(Product(pref, twist_chain(W, vars, placed, v, wprime)),
                      sign)
-        mm = series_mismatch(lhs, rhs, box)
-        return CheckResult.from_mismatch(
-            "mixed-permutation", {"tau": str(tau), "sign": str(sign)}, vars,
-            window_json(vars, box), mm)
+        return compare("mixed-permutation",
+                       {"tau": str(tau), "sign": str(sign)}, vars, box, lhs,
+                       rhs)
     raise ValueError("unsupported transposition for %r" % ((a_kind, b_kind),))

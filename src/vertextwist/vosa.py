@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ChainSeries, OpSlot, pair
+from .chains import ChainSeries, OpSlot
 from .errors import DegenerateForm
 from .linalg import fraction_matrix_inverse
 from .modes import ModeOracle
-from .results import CheckResult, window_json
+from .results import CheckResult, compare
 from .scalars import Scalar, Vec
-from .series import BinomialKernel, Box, Product, scaled, series_mismatch
+from .series import BinomialKernel, Box, Product, scaled
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -445,8 +445,6 @@ def check_weak_commutativity(V, u: Vec, v: Vec, w: Vec, wprime, halfwidth,
     sign = Scalar.rational((-1) ** (V.algebra_parity(u) * V.algebra_parity(v)))
     rhs = scaled(Product(pref, ChainSeries(
         vars, [(1, OpSlot(V, v)), (0, OpSlot(V, u))], w, wdeg, wprime, pdeg)), sign)
-    box = Box.cube(2, -halfwidth, halfwidth)
-    mm = series_mismatch(lhs, rhs, box)
-    return CheckResult.from_mismatch(
-        "weak-commutativity-V", {"u": str(u), "v": str(v), "w": str(w), "M": M},
-        vars, window_json(vars, box), mm)
+    return compare("weak-commutativity-V",
+                   {"u": str(u), "v": str(v), "w": str(w), "M": M}, vars,
+                   Box.cube(2, -halfwidth, halfwidth), lhs, rhs)

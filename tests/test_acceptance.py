@@ -377,10 +377,7 @@ def test_a12_fault_sensitivity():
     fermion = build_free_fermion()
     located = 0
     for name, crit, run in FAULTS:
-        try:
-            mismatch = run(fermion)
-        except Exception as exc:
-            mismatch = {"error": repr(exc)}
+        mismatch = run(fermion)
         ok = mismatch is not None
         report("A12 fault '%s' breaks %s" % (name, crit), ok,
                "located %s" % mismatch)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -92,11 +93,24 @@ def test_report_determinism_modulo_timing():
     assert a == b
 
 
-def test_run_detects_fault(tmp_path):
-    reg = Registry(fault="twisted-seed-sign")
-    cfg = SuiteConfig(model="ramond", suite="twisted-jacobi", max_weight=1,
-                      halfwidth=3)
-    rep = run_suite(cfg, reg)
-    assert not rep.ok
-    bad = [r for r in rep.records if not r.ok]
-    assert bad and bad[0].first_mismatch
+def test_bad_max_weight_exit_2(capsys):
+    assert main(["run", "--model", "fermion", "--suite", "axioms",
+                 "--max-weight", "abc"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["dump-basis", "fermion", "--max-weight", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_detects_fault():
+    # (fault, suite, max weight, halfwidth, failed, total, L(-1)-twist fails)
+    for fault, suite, cut, hw, failed, total, lm1 in (
+            ("twisted-seed-sign", "twisted-jacobi", 1, 3, 4, 16, 0),
+            ("zero-mode-sector-sign", "twist-all", Fraction(1, 2), 2, 18, 46,
+             2)):
+        cfg = SuiteConfig(model="ramond", suite=suite, max_weight=cut,
+                          halfwidth=hw)
+        rep = run_suite(cfg, Registry(fault=fault))
+        bad = [r for r in rep.records if not r.ok]
+        assert (len(bad), len(rep.records)) == (failed, total), fault
+        assert all(r.first_mismatch["monomial"] for r in bad), fault
+        assert sum(r.identity == "L(-1)-twist" for r in bad) == lm1, fault

@@ -83,3 +83,13 @@ def test_vec_arithmetic():
     assert w == Vec.basis("b").scale(2)
     assert v.scale(0).is_zero()
     assert v.coeff("a") == Scalar.one()
+
+
+def test_hash_agrees_with_eq():
+    pairs = [(Scalar.one(), 1), (Scalar.zero(), 0),
+             (Scalar.rational(F(1, 2)), F(1, 2)), (Scalar.rational(-3), -3)]
+    for s, x in pairs:
+        assert s == x and hash(s) == hash(x)
+    assert len({Scalar.rational(F(1, 2)), F(1, 2), Scalar.one(), 1}) == 2
+    i = Scalar.e(F(1, 2))
+    assert hash(i * 2) == hash(i + i)

@@ -177,9 +177,9 @@ def test_mixed_product_k0_l0(fermion, ramond):
 
 def test_mixed_permutation(fermion, ramond):
     psi = fermion.gen_vector("psi")
-    r = check_mixed_permutation(ramond, [("tw", psi), ("twist", Vec.basis(VAC))],
+    with pytest.raises(ValueError):
+        check_mixed_permutation(ramond, [("tw", psi), ("twist", Vec.basis(VAC))],
                                 psi, None, None, 3)
-    assert r.ok
     r = check_mixed_permutation(ramond, [("tw", psi), ("twist", Vec.basis(VAC))],
                                 psi, None, 0, 3)
     assert r.ok, r.first_mismatch
