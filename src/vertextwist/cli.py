@@ -196,10 +196,11 @@ def _cmd_run(args, registry) -> int:
     if not report.ok:
         for rec in report.records:
             if not rec.ok:
-                print("FAIL %s %s %s" % (rec.identity, rec.inputs,
-                                         rec.first_mismatch))
+                print("%s %s %s %s" % ("ERROR" if rec.errored else "FAIL",
+                                       rec.identity, rec.inputs,
+                                       rec.first_mismatch))
                 break
-        return 1
+        return 2 if any(r.errored for r in report.records) else 1
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ class SuiteConfig:
                              % (self.suite, ", ".join(SUITES)))
         if self.max_weight <= 0 or self.halfwidth <= 0:
             raise ValueError("cutoff and window must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1, got %d" % self.jobs)
         if self.basis_order not in ("weight-lex", "weight-revlex"):
             raise ValueError("unknown basis order %r" % self.basis_order)
 
@@ -88,14 +91,15 @@ def _timed(fn):
     t0 = time.monotonic()
     try:
         res = fn()
-    except Exception as exc:   # a crashed check is a failed check, not a crash
+    except Exception as exc:   # a crashed check is an error, not a failure
         res = CheckResult("error", False, {},
-                          first_mismatch={"error": repr(exc)})
+                          first_mismatch={"error": repr(exc)}, errored=True)
     res.time_ms = (time.monotonic() - t0) * 1000.0
     return res
 
 
 def _run_all(tasks, jobs: int):
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [_timed(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -31,8 +31,6 @@ FH = Fraction(1, 2)
 
 
 def build_free_fermion(fault=None) -> FermionAlgebra:
-    if cyclotomic_level() < 8:
-        raise CyclotomicLevelError("free fermion models need level >= 8 for 2^(-1/2)")
     return FermionAlgebra(fault=fault)
 
 
@@ -207,8 +205,8 @@ def load_model_file(path_or_text, fault=None) -> ModelBundle:
     level = int(m.get("level", cyclotomic_level()))
     if level != cyclotomic_level():
         raise CyclotomicLevelError(
-            "model requires cyclotomic level %d but the engine is configured "
-            "at %d" % (level, cyclotomic_level()))
+            "model requires cyclotomic level %d but the engine works at "
+            "level %d" % (level, cyclotomic_level()))
     kind = m["kind"]
     if kind == "fermion":
         algebra = build_free_fermion(fault=fault)

@@ -14,6 +14,11 @@ all sums finite by lower truncation.  With alpha = 0 and s = 0 this is the
 ordinary iterate formula, so the same recursion serves the algebra acting on
 itself and a twisted module over it.  It applies verbatim only when the
 automorphism acts semisimply on the module (no log terms are generated).
+
+When u' is the vacuum its only nonzero mode is (Y)_(-1)(1) = 1, so each of
+the first two sums collapses to its one term m = n+t+1, kept when m lies in
+that sum's range; the corrections from a_(r)u' stay (a_(r)1 is nonzero for
+r <= -2).
 """
 
 from __future__ import annotations
@@ -92,33 +97,48 @@ class ModeOracle:
         t = alg.spec_mode(head)
         al = self.alpha(gidx)
         q = al + self.shift
-        sgn = -1 if (alg.gen_parity(gidx) and alg.parity(rest)) else 1
 
         acc = {}
-        # products: (Y)_m(a) acting after (Y)_(n+t-m)(u')
-        m_lo = n + t - (self.deg(wkey) + alg.weight(rest) - 1)
-        m = q + t
-        while m >= m_lo:
-            inner = self.apply(rest, n + t - m, wkey)
-            if inner:
-                j = q + t - m
-                c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
-                if c:
-                    acc_vec(acc, self._gen_on_vec(gidx, m, inner),
-                            Scalar.rational(c))
-            m -= 1
-        # reversed products: (Y)_m(a) acting first
-        m = q
         m_hi = self.deg(wkey) + alg.gen_weight(gidx) - 1
-        while m <= m_hi:
-            gw = self.gen_action(gidx, m, wkey)
-            if gw:
-                c = binomial(t, m - q) * (1 if int(t + q - m) % 2 == 0 else -1) * sgn
-                if c:
-                    part = self.apply_vec(Vec.basis(rest), n + t - m, gw)
-                    if part:
-                        acc_vec(acc, part, Scalar.rational(-c))
-            m += 1
+        if not rest:
+            # u' is the vacuum, whose only nonzero mode is (Y)_(-1)(1) = 1:
+            # each sum keeps its one term m = n+t+1, under its own range
+            m = n + t + 1
+            c = 0
+            if m <= q + t:
+                c += binomial(t, q + t - m)
+            if q <= m <= m_hi:
+                c -= binomial(t, m - q)
+            if c:
+                c *= 1 if int(q + t - m) % 2 == 0 else -1
+                acc_vec(acc, self.gen_action(gidx, m, wkey),
+                        Scalar.rational(c))
+        else:
+            sgn = -1 if (alg.gen_parity(gidx) and alg.parity(rest)) else 1
+            # products: (Y)_m(a) acting after (Y)_(n+t-m)(u')
+            m_lo = n + t - (self.deg(wkey) + alg.weight(rest) - 1)
+            m = q + t
+            while m >= m_lo:
+                inner = self.apply(rest, n + t - m, wkey)
+                if inner:
+                    j = q + t - m
+                    c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
+                    if c:
+                        acc_vec(acc, self._gen_on_vec(gidx, m, inner),
+                                Scalar.rational(c))
+                m -= 1
+            # reversed products: (Y)_m(a) acting first
+            m = q
+            while m <= m_hi:
+                gw = self.gen_action(gidx, m, wkey)
+                if gw:
+                    c = binomial(t, m - q) \
+                        * (1 if int(t + q - m) % 2 == 0 else -1) * sgn
+                    if c:
+                        part = self.apply_vec(Vec.basis(rest), n + t - m, gw)
+                        if part:
+                            acc_vec(acc, part, Scalar.rational(-c))
+                m += 1
         # corrections from lower-weight composites a_(r)u'
         r = t + 1
         r_hi = alg.weight(rest) + alg.gen_weight(gidx) - 1

@@ -17,11 +17,12 @@ class CheckResult:
     window: dict = field(default_factory=dict)
     first_mismatch: dict = None
     time_ms: float = None
+    errored: bool = False     # the check raised instead of reaching a verdict
 
     def to_json(self):
+        status = "error" if self.errored else "pass" if self.ok else "fail"
         doc = {"identity": self.identity, "inputs": self.inputs,
-               "window": self.window,
-               "status": "pass" if self.ok else "fail"}
+               "window": self.window, "status": status}
         if self.first_mismatch is not None:
             doc["first_mismatch"] = self.first_mismatch
         if self.time_ms is not None:

@@ -19,23 +19,11 @@ from math import factorial
 
 
 class CyclotomicLevelError(ValueError):
-    """Phase does not live on the configured cyclotomic lattice."""
+    """Phase does not live on the engine's cyclotomic lattice."""
 
 
-_LEVEL = 16
+_LEVEL = 16                 # fixed: stored scalars are keyed against it
 _RKEY = (0, 0)
-
-
-def set_cyclotomic_level(m: int) -> None:
-    """Set the global phase lattice to (1/m)Z; m must be a power of two.
-
-    Must be called before any scalars are built; stored scalars are keyed
-    against the level that was active when they were created.
-    """
-    global _LEVEL
-    if m < 1 or m & (m - 1):
-        raise CyclotomicLevelError("cyclotomic level must be a power of two, got %r" % (m,))
-    _LEVEL = m
 
 
 def cyclotomic_level() -> int:

@@ -39,7 +39,14 @@ def _coset_ceil(x, coset: Fraction) -> Fraction:
 
 
 class TwistOpSlot:
-    """Chain slot for T(w_arg, x): applies V vectors into the module."""
+    """Chain slot for T(w_arg, x): applies V vectors into the module.
+
+    The coefficient of x^e log^k x is sum_j L(-1)^j b_j / j!, where b_j
+    collects the modes of Y^g(v, y)w that e^{xL(-1)} lifts by j powers.  It
+    is evaluated by Horner's rule, out = b_j + L(-1)(out)/(j+1) from the top
+    j down, so L(-1) is applied max j times rather than once per power of
+    every base vector.
+    """
 
     def __init__(self, module, w_arg: Vec):
         self.module = module
@@ -78,7 +85,7 @@ class TwistOpSlot:
         W = self.module
         V = W.V
         sgn = Scalar.rational((-1) ** (V.parity(vkey) * self.parity))
-        acc = {}
+        bases = {}                    # j -> b_j as a {key: Scalar} dict
         for beta, piece in W.g.alpha_decompose_key(vkey).items():
             n = _coset_ceil(-e - 1, beta % 1)
             n_hi = self.wt + V.weight(vkey) - 1
@@ -90,13 +97,14 @@ class TwistOpSlot:
                         continue
                     phase = Scalar.e(-n - 1) * binomial(ksrc, k) \
                         * (Scalar.pi() ** (ksrc - k))
-                    out = base
-                    for _ in range(j):
-                        out = W.L_minus1(out)
-                    if out:
-                        acc_vec(acc, out, sgn * phase * Fraction(1, factorial(j)))
+                    acc_vec(bases.setdefault(j, {}), base, sgn * phase)
                 n += 1
-        return vec_of(acc)
+        out = Vec.zero()
+        for j in range(max(bases, default=-1), -1, -1):
+            if out:
+                out = W.L_minus1(out).scale(Fraction(1, j + 1))
+            out = out + vec_of(bases.get(j, {}))
+        return out
 
 
 def _parity_of_module_vec(module, wvec: Vec) -> int:

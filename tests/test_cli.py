@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vertextwist import harness
 from vertextwist.cli import main
 from vertextwist.harness import Report, SuiteConfig, run_suite
 from vertextwist.models import Registry
@@ -114,3 +115,26 @@ def test_run_detects_fault():
         assert (len(bad), len(rep.records)) == (failed, total), fault
         assert all(r.first_mismatch["monomial"] for r in bad), fault
         assert sum(r.identity == "L(-1)-twist" for r in bad) == lm1, fault
+
+
+def test_jobs_below_one_exit_2(capsys):
+    assert main(["run", "--model", "fermion", "--suite", "axioms",
+                 "--max-weight", "1", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_crashed_check_is_error_exit_2(monkeypatch, tmp_path, capsys):
+    def crash(*args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(harness, "check_axioms", crash)
+    path = tmp_path / "r.json"
+    assert main(["run", "--model", "fermion", "--suite", "axioms",
+                 "--max-weight", "1", "--window", "2",
+                 "--report", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ERROR error")
+    doc = json.loads(path.read_text())
+    assert doc["records"] == [{
+        "identity": "error", "inputs": {}, "window": {}, "status": "error",
+        "first_mismatch": {"error": "RuntimeError('boom')"},
+        "timing_ms": doc["records"][0]["timing_ms"]}]
+    assert doc["summary"] == {"total": 1, "passed": 0, "failed": 1}

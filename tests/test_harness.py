@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from vertextwist import harness
 from vertextwist.harness import SUITES, SuiteConfig, run_suite
 from vertextwist.models import Registry
+from vertextwist.results import CheckResult
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +58,29 @@ def test_report_schema(registry):
     assert {"engine_version", "config", "records", "summary"} <= set(doc)
     for rec in doc["records"]:
         assert {"identity", "inputs", "window", "status"} <= set(rec)
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    pools = []
+
+    class Recorder:
+        """Stands in for the pool: records its size, starts no thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+    tasks = [lambda: CheckResult("x", True)] * 3
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert [r.ok for r in harness._run_all(tasks, 10 ** 6)] == [True] * 3
+    assert harness._run_all(tasks, 2) and pools == [3, 2]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    assert len(harness._run_all(tasks, 10 ** 6)) == 3 and pools == [3, 2]
