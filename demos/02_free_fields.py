@@ -20,12 +20,12 @@ for key in fermion.basis(3):
 
 psi = fermion.gen_vector("psi")
 vac = Vec.basis(fermion.vac)
-me = fermion.vertex_me(psi, psi, wprime=vac)
+me = fermion.me(psi, psi, wprime=vac)
 print("<1', Y(psi,x) psi> =", format_series(me.terms_in(Box.cube(1, -4, 4)),
                                             ("x",)))
 
 h = boson.gen_vector("h")
-me = boson.vertex_me(h, h, wprime=Vec.basis(boson.vac))
+me = boson.me(h, h, wprime=Vec.basis(boson.vac))
 print("<1', Y(h,x) h>    =", format_series(me.terms_in(Box.cube(1, -4, 4)),
                                            ("x",)))
 

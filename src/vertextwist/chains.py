@@ -2,9 +2,15 @@
 
 A chain is <w', O_1(x_1) ... O_r(x_r) w> with one operator slot per variable.
 Slots are applied right to left; each slot maps a coefficient request
-(exponent, log power, incoming vector) to an outgoing vector.  Weight grading
-makes every requested coefficient a finite (usually single-term) sum, and when
-w' is supplied its weight pins the leftmost exponent outright.
+(exponent, log power, incoming vector) to an outgoing vector.  Each slot
+names the graded space it reads and the one it writes, so a chain reads the
+degree of w from its rightmost slot's source and that of w' from its
+leftmost slot's target.  Weight grading makes every requested coefficient a
+finite (usually single-term) sum, and when w' is supplied its degree pins
+the leftmost exponent outright.
+
+`Space` is the base of every graded space a chain runs over, the algebras
+and their twisted modules alike.
 """
 
 from __future__ import annotations
@@ -12,10 +18,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InfiniteConvolution
-from .scalars import Scalar, Vec
+from .scalars import Scalar, Vec, homogeneous_value
 from .series import Series, coset_range
 
 F0 = Fraction(0)
+
+
+class Space:
+    """A graded space with a basis: the degree and parity of basis keys, and
+    matrix elements of chains of its own vertex operators."""
+
+    def deg(self, key) -> Fraction:
+        raise NotImplementedError
+
+    def parity(self, key) -> int:
+        raise NotImplementedError
+
+    def vec_deg(self, vec: Vec) -> Fraction:
+        return homogeneous_value(vec, self.deg)
+
+    def vec_parity(self, vec: Vec) -> int:
+        return homogeneous_value(vec, self.parity)
+
+    def chain(self, vars, placed_ops, w: Vec, wprime: Vec = None):
+        """<w'| ops |w> with placed_ops a list of (var_index, u vector)."""
+        return ChainSeries(vars, [(i, OpSlot(self, u)) for i, u in placed_ops],
+                           w, wprime)
+
+    def me(self, u: Vec, w: Vec, wprime: Vec = None, var="x"):
+        return self.chain((var,), [(0, u)], w, wprime)
 
 
 def pair(wprime: Vec, vec: Vec) -> Scalar:
@@ -27,10 +58,11 @@ def pair(wprime: Vec, vec: Vec) -> Scalar:
 
 
 class OpSlot:
-    """Vertex-operator slot Y(u, x) over a module (twisted or plain)."""
+    """Vertex-operator slot Y(u, x) over a module (twisted or plain); it
+    reads and writes that module."""
 
     def __init__(self, module, uvec: Vec):
-        self.module = module
+        self.module = self.source = self.target = module
         self.uvec = uvec
         self.wt = module.algebra_weight(uvec)
         self.parity = module.algebra_parity(uvec)
@@ -54,8 +86,10 @@ class OpSlot:
 class ChainSeries(Series):
     """<w'| slots |w> as a series; wprime=None yields vector coefficients."""
 
-    def __init__(self, vars, slots, w0: Vec, w0_deg, wprime: Vec = None,
-                 wprime_deg=None):
+    def __init__(self, vars, slots, w0: Vec, wprime: Vec = None):
+        w0_deg = slots[-1][1].source.vec_deg(w0)
+        wprime_deg = None if wprime is None \
+            else slots[0][1].target.vec_deg(wprime)
         n = len(vars)
         bounds = [(F0, F0)] * n
         cosets = [frozenset((F0,))] * n

@@ -157,17 +157,8 @@ def _expand(registry, model_id, text, halfwidth, as_json):
     _validate_spaces(placed, space)
     box = Box.cube(len(vars), -Fraction(halfwidth), Fraction(halfwidth),
                    0 if W is None else W.log_bound)
-    if W is None:
-        from .chains import ChainSeries, OpSlot
-        slots = [(i, OpSlot(V, avec)) for i, _k, avec in placed]
-        series = ChainSeries(tuple(vars), slots, vec, V.algebra_weight(vec))
-    elif space == "V":
-        series = twist_chain(W, tuple(vars), placed, vec)
-    else:
-        from .chains import ChainSeries, OpSlot
-        slots = [(i, OpSlot(W if kindop == "tw" else V, avec))
-                 for i, kindop, avec in placed]
-        series = ChainSeries(tuple(vars), slots, vec, W._deg_of_vec(vec))
+    series = V.chain(tuple(vars), [(i, avec) for i, _k, avec in placed], vec) \
+        if W is None else twist_chain(W, tuple(vars), placed, vec)
     terms = series.terms_in(box)
     if as_json:
         return json.dumps(series_to_json(terms, tuple(vars), box),

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from . import __version__
 from .automorphism import (check_conjugation, check_derivation,
@@ -87,15 +90,33 @@ class Report:
         return json.dumps(self.to_json(with_timing), indent=2, sort_keys=True)
 
 
-def _timed(fn):
+def _timed(task):
     t0 = time.monotonic()
     try:
-        res = fn()
+        res = task()
     except Exception as exc:   # a crashed check is an error, not a failure
-        res = CheckResult("error", False, {},
+        res = CheckResult("error", False, _task_inputs(task),
                           first_mismatch={"error": repr(exc)}, errored=True)
+    if isinstance(res, list):  # check_axioms: one result per axiom
+        res = _merge(res, "axioms")
     res.time_ms = (time.monotonic() - t0) * 1000.0
     return res
+
+
+def _task_inputs(task: partial) -> dict:
+    """The checker a task calls and its vector, number and text arguments;
+    vectors as repr, the rest as str."""
+    out = {"check": task.func.__name__}
+    try:
+        args = inspect.signature(task.func).bind(*task.args, **task.keywords)
+    except TypeError:          # the arguments do not fit: the crash says so
+        return out
+    for name, value in args.arguments.items():
+        if isinstance(value, Vec):
+            out[name] = repr(value)
+        elif isinstance(value, (int, Fraction, str, list, tuple)):
+            out[name] = str(value)
+    return out
 
 
 def _run_all(tasks, jobs: int):
@@ -118,7 +139,7 @@ def _suite_tasks(cfg: SuiteConfig, registry):
 
     if cfg.suite == "axioms":
         V = obj.algebra if kind == "algebra" else obj.V
-        return [lambda: _merge(check_axioms(V, cut, hw), "axioms")]
+        return [partial(check_axioms, V, cut, hw)]
 
     if cfg.suite == "jordan":
         if kind != "algebra":
@@ -126,20 +147,12 @@ def _suite_tasks(cfg: SuiteConfig, registry):
         V = obj.algebra
         tasks = []
         for name, g in sorted(obj.automorphisms.items()):
-            def t(g=g, name=name):
-                jd = jordan_decompose(g, cut)
-                rec = CheckResult("jordan-decomposition", True,
-                                  {"automorphism": name,
-                                   "spectrum": [str(a) for a in jd.spectrum]})
-                return rec
-            tasks.append(t)
-            tasks.append(lambda g=g: check_homomorphism(V, g.apply, cut, hw))
-            tasks.append(lambda g=g: check_homomorphism(V, g.unipotent_exp,
-                                                        cut, hw))
-            tasks.append(lambda g=g: check_homomorphism(V, g.semisimple_exp,
-                                                        cut, hw))
-            tasks.append(lambda g=g: check_derivation(V, g, cut, hw))
-            tasks.append(lambda g=g: check_conjugation(V, g, cut, hw))
+            tasks += [partial(_jordan_record, g, name, cut),
+                      partial(check_homomorphism, V, g.apply, cut, hw),
+                      partial(check_homomorphism, V, g.unipotent_exp, cut, hw),
+                      partial(check_homomorphism, V, g.semisimple_exp, cut, hw),
+                      partial(check_derivation, V, g, cut, hw),
+                      partial(check_conjugation, V, g, cut, hw)]
         return tasks
 
     if kind != "twisted":
@@ -152,89 +165,58 @@ def _suite_tasks(cfg: SuiteConfig, registry):
     V = W.V
     us = _algebra_basis_vectors(V, cut, order)
     ws = [Vec.basis(k) for k in W.basis(cut, order)]
-    tasks = []
+    uvw = list(product(us, us, ws))
+    uw = list(product(us, ws))
 
     if cfg.suite == "twisted-jacobi":
-        for u in us:
-            for v in us:
-                for w in ws:
-                    tasks.append(lambda u=u, v=v, w=w:
-                                 check_twisted_jacobi(W, u, v, w, None, hw))
-    elif cfg.suite == "weak-comm":
-        for u in us:
-            for v in us:
-                for w in ws:
-                    tasks.append(lambda u=u, v=v, w=w:
-                                 check_twisted_weak_commutativity(
-                                     W, u, v, w, None, hw))
-        for u in us:
-            for w in ws:
-                tasks.append(lambda u=u, w=w:
-                             check_L_minus1_derivative_W(W, u, w, None, hw))
-    elif cfg.suite == "commutator":
-        for u in us:
-            for v in us:
-                for w in ws:
-                    tasks.append(lambda u=u, v=v, w=w:
-                                 check_commutator_formula(W, u, v, w, None, hw))
-    elif cfg.suite == "equivariance":
-        for u in us:
-            for w in ws:
-                tasks.append(lambda u=u, w=w:
-                             check_equivariance(W, u, w, None, hw))
-                tasks.append(lambda u=u, w=w:
-                             check_g_compatibility(W, u, w, hw))
-    elif cfg.suite == "polynomiality":
-        gens = [V.gen_vector(g.name) for g in V.gens]
+        return [partial(check_twisted_jacobi, W, u, v, w, None, hw)
+                for u, v, w in uvw]
+    if cfg.suite == "weak-comm":
+        return [partial(check_twisted_weak_commutativity, W, u, v, w, None, hw)
+                for u, v, w in uvw] \
+            + [partial(check_L_minus1_derivative_W, W, u, w, None, hw)
+               for u, w in uw]
+    if cfg.suite == "commutator":
+        return [partial(check_commutator_formula, W, u, v, w, None, hw)
+                for u, v, w in uvw]
+    if cfg.suite == "equivariance":
+        return [t for u, w in uw
+                for t in (partial(check_equivariance, W, u, w, None, hw),
+                          partial(check_g_compatibility, W, u, w, hw))]
+    gens = [V.gen_vector(g.name) for g in V.gens]
+    if cfg.suite == "polynomiality":
+        tasks = []
         for w in ws:
-            for wp in ws:
-                for u in gens:
-                    tasks.append(lambda u=u, w=w, wp=wp:
-                                 check_product_polynomiality(
-                                     W, [u, u], w, wp, hw))
-            tasks.append(lambda w=w: check_product_polynomiality(
-                W, [gens[0]] * 3, w, ws[0], hw))
-            tasks.append(lambda w=w: check_permutation_symmetry(
-                W, [gens[0], gens[0]], w, ws[0], [1, 0], hw))
-    elif cfg.suite == "twist-all":
-        for w in ws:
-            tasks.append(lambda w=w: check_twist_vacuum_identity(W, w, hw))
-        for u in us:
-            for v in us:
-                for w in ws:
-                    tasks.append(lambda u=u, v=v, w=w:
-                                 check_weak_associativity(W, u, v, w, None, hw))
-                    tasks.append(lambda u=u, v=v, w=w:
-                                 check_twist_jacobi(W, u, v, w, None, hw))
-                    tasks.append(lambda u=u, v=v, w=w:
-                                 check_gen_commutator(W, u, v, w, None, hw))
-                    tasks.append(lambda u=u, v=v, w=w:
-                                 check_gen_weak_commutativity(
-                                     W, u, v, w, None, hw))
-        for w in ws:
-            for v in us:
-                tasks.append(lambda w=w, v=v:
-                             check_twist_decomposition(W, w, v, None, hw))
-                tasks.append(lambda w=w, v=v:
-                             check_L_minus1_twist(W, w, v, None, hw))
-        for u in us:
-            for w in ws:
-                tasks.append(lambda u=u, w=w:
-                             check_y0_decomposition(W, u, w, None, hw))
-    elif cfg.suite == "mixed-products":
-        gens = [V.gen_vector(g.name) for g in V.gens]
+            tasks += [partial(check_product_polynomiality, W, [u, u], w, wp,
+                              hw) for wp in ws for u in gens]
+            tasks += [partial(check_product_polynomiality, W, [gens[0]] * 3,
+                              w, ws[0], hw),
+                      partial(check_permutation_symmetry, W,
+                              [gens[0], gens[0]], w, ws[0], [1, 0], hw)]
+        return tasks
+    if cfg.suite == "twist-all":
+        triples = (check_weak_associativity, check_twist_jacobi,
+                   check_gen_commutator, check_gen_weak_commutativity)
+        return [partial(check_twist_vacuum_identity, W, w, hw) for w in ws] \
+            + [partial(check, W, u, v, w, None, hw) for u, v, w in uvw
+               for check in triples] \
+            + [partial(check, W, w, v, None, hw) for w in ws for v in us
+               for check in (check_twist_decomposition, check_L_minus1_twist)] \
+            + [partial(check_y0_decomposition, W, u, w, None, hw)
+               for u, w in uw]
+    if cfg.suite == "mixed-products":
         one = Vec.basis(V.vac)
-        for w in ws:
-            for u in gens:
-                tasks.append(lambda u=u, w=w: check_mixed_product(
-                    W, [u], w, [], u, None, hw))
-                tasks.append(lambda u=u, w=w: check_mixed_product(
-                    W, [u], w, [u], one, None, hw))
-                tasks.append(lambda u=u, w=w: check_mixed_product(
-                    W, [], w, [], u, None, hw))
-    else:
-        raise ValueError("unhandled suite %r" % cfg.suite)
-    return tasks
+        return [partial(check_mixed_product, W, tw, w, alg, v, None, hw)
+                for w in ws for u in gens
+                for tw, alg, v in (([u], [], u), ([u], [u], one), ([], [], u))]
+    raise ValueError("unhandled suite %r" % cfg.suite)
+
+
+def _jordan_record(g, name, cutoff) -> CheckResult:
+    jd = jordan_decompose(g, cutoff)
+    return CheckResult("jordan-decomposition", True,
+                       {"automorphism": name,
+                        "spectrum": [str(a) for a in jd.spectrum]})
 
 
 def _merge(results, label) -> CheckResult:

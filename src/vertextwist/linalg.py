@@ -10,27 +10,6 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-# -- rational matrices -------------------------------------------------------
-
-def fraction_matrix_inverse(rows):
-    """Invert a square matrix of Fractions by Gauss-Jordan; None if singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] + [F1 if i == j else F0 for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 # -- cyclotomic arithmetic ---------------------------------------------------
 
 def _scalar_to_poly(s: Scalar):

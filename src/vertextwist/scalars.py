@@ -222,7 +222,6 @@ class Scalar:
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
-MINUS_ONE = Scalar.rational(-1)
 
 # 2^{-1/2} = (e^{pi i/4} - e^{3 pi i/4}) / 2, available at cyclotomic level >= 4
 HALF_SQRT2 = (Scalar.e(Fraction(1, 4)) - Scalar.e(Fraction(3, 4))) / 2
@@ -347,3 +346,13 @@ def acc_vec(acc: dict, vec: Vec, c: Scalar = None) -> None:
 
 def vec_of(acc: dict) -> Vec:
     return Vec({k: c for k, c in acc.items() if c.terms})
+
+
+def homogeneous_value(vec: Vec, key_fn):
+    """The one value of key_fn over the basis keys of vec, 0 for the zero
+    vector; ValueError when the keys disagree."""
+    vals = {key_fn(k) for k in vec.comps}
+    if len(vals) > 1:
+        raise ValueError("inhomogeneous vector: values %s"
+                         % ", ".join(map(str, sorted(vals))))
+    return vals.pop() if vals else 0

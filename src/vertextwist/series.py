@@ -84,13 +84,6 @@ class Box:
             caps[idx] = logcap
         return Box(lows, highs, caps)
 
-    def shift(self, m) -> "Box":
-        """Box translated by -m (the complementary box in a convolution)."""
-        lows = [None if lo is None else lo - p for lo, p in zip(self.lows, m[0])]
-        highs = [None if hi is None else hi - p for hi, p in zip(self.highs, m[0])]
-        caps = [c - k for c, k in zip(self.logcaps, m[1])]
-        return Box(lows, highs, caps)
-
     def minus_bounds(self, bounds, logmaxes) -> "Box":
         """Box that one convolution factor must cover, given the other's bounds."""
         lows, highs, caps = [], [], []
@@ -151,10 +144,6 @@ class Series:
 
     def _terms_in(self, box: Box) -> dict:
         raise NotImplementedError
-
-    def coeff(self, m):
-        box = Box(m[0], m[0], m[1])
-        return self.terms_in(box).get(m)
 
     # arithmetic sugar
     def __add__(self, other):

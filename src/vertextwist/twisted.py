@@ -13,8 +13,9 @@ on explicit windows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 
-from .chains import ChainSeries, OpSlot, pair
+from .chains import Space, pair
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
 from .results import CheckResult, compare
@@ -28,7 +29,7 @@ F1 = Fraction(1)
 FH = Fraction(1, 2)
 
 
-class ModuleBase:
+class ModuleBase(Space):
     """Shared surface of twisted modules: gradings, chains, conformal data."""
 
     name = "module"
@@ -38,12 +39,6 @@ class ModuleBase:
 
     # subclass responsibilities
     def basis(self, max_deg, order="weight-lex"):
-        raise NotImplementedError
-
-    def deg(self, key) -> Fraction:
-        raise NotImplementedError
-
-    def parity(self, key) -> int:
         raise NotImplementedError
 
     def g_apply(self, vec: Vec) -> Vec:
@@ -116,25 +111,6 @@ class ModuleBase:
                 return CheckResult("L0-grading-W", False, {"w": str(key)},
                                    first_mismatch={"w": str(key)})
         return CheckResult("L0-grading-W", True, {"max_deg": str(max_deg)})
-
-    # -- matrix elements ---------------------------------------------------------
-
-    def me(self, u: Vec, w: Vec, wprime: Vec = None, var="x") -> ChainSeries:
-        return self.chain((var,), [(0, u)], w, wprime)
-
-    def _deg_of_vec(self, wvec: Vec) -> Fraction:
-        ds = {self.deg(k) for k in wvec.comps}
-        if not ds:
-            return F0
-        if len(ds) != 1:
-            raise ValueError("inhomogeneous module vector")
-        return ds.pop()
-
-    def chain(self, vars, placed_ops, w: Vec, wprime: Vec = None) -> ChainSeries:
-        """<w'| ops |w> with placed_ops a list of (var_index, u vector)."""
-        slots = [(i, OpSlot(self, u)) for i, u in placed_ops]
-        wp = None if wprime is None else self._deg_of_vec(wprime)
-        return ChainSeries(vars, slots, w, self._deg_of_vec(w), wprime, wp)
 
     def spectrum(self, max_deg) -> list:
         return sorted({self.alpha_of_key(k) for k in self.basis(max_deg)})
@@ -276,22 +252,24 @@ def require_semisimple(W, identity):
                 "dressing of the kernel is not implemented" % identity)
 
 
+def mode_sum(vars, modes, kernel, chain):
+    """Sum over (n, v_n) in modes with v_n nonzero of
+    kernel() x0^{-n-1} chain(v_n), x0 being the first variable; kernel() is
+    called once per part, so no two parts share a kernel's term cache."""
+    parts = [Product(Product(kernel(), TermSeries.monomial(
+                 vars, [-n - 1] + [0] * (len(vars) - 1))), chain(vn))
+             for n, vn in modes if vn]
+    return Sum(parts) if parts else TermSeries.zero(vars)
+
+
 def jacobi_iterate_side(W, u, v, w, wprime, vars, r_min):
     """x1^{-1} d((x2+x0)/x1) ((x2+x0)/x1)^alpha Y(Y_V(u,x0)v, x2), split per
     mode of Y_V(u,x0)v so that each term has integral x0-powers."""
-    from math import floor
     al = W.algebra_alpha(u)
-    parts = []
-    r = floor(W.V.algebra_weight(u) + W.V.algebra_weight(v) - 1)
-    while r >= r_min:
-        uv = W.V.mode_vec(u, r, 0, v)
-        if uv:
-            kern = delta_iter(vars, 0, 1, 2, offset=al)
-            x0pow = TermSeries.monomial(vars, [-r - 1, 0, 0])
-            me = W.chain(vars, [(2, uv)], w, wprime)
-            parts.append(Product(Product(kern, x0pow), me))
-        r -= 1
-    return Sum(parts) if parts else TermSeries.zero(vars)
+    top = floor(W.V.algebra_weight(u) + W.V.algebra_weight(v) - 1)
+    modes = ((r, W.V.mode_vec(u, r, 0, v)) for r in range(top, r_min - 1, -1))
+    return mode_sum(vars, modes, lambda: delta_iter(vars, 0, 1, 2, offset=al),
+                    lambda uv: W.chain(vars, [(2, uv)], w, wprime))
 
 
 def check_twisted_jacobi(W, u, v, w, wprime, halfwidth) -> CheckResult:
@@ -305,7 +283,7 @@ def check_twisted_jacobi(W, u, v, w, wprime, halfwidth) -> CheckResult:
                           W.chain(vars, [(2, v), (1, u)], w, wprime)), sign)
     lhs = Sum([prod, scaled(revp, Scalar.rational(-1))])
     # modes below r_min only produce x0-exponents above the window
-    r_min = _ceil(-1 - Fraction(halfwidth))
+    r_min = ceil(-1 - Fraction(halfwidth))
     iterate = jacobi_iterate_side(W, u, v, w, wprime, vars, r_min)
     return compare("twisted-jacobi", _inputs(u=u, v=v, w=w), vars,
                    _cube(vars, halfwidth), lhs, iterate)
@@ -357,11 +335,6 @@ def check_equivariance(W, u, w, wprime, halfwidth) -> CheckResult:
     rhs = W.chain(vars, [(0, u)], w, wprime)
     return compare("equivariance", _inputs(u=u, w=w), vars,
                    _cube(vars, halfwidth), lhs, rhs)
-
-
-def _ceil(x: Fraction) -> int:
-    from math import ceil
-    return ceil(x)
 
 
 def check_L_minus1_derivative_W(W, u, w, wprime, halfwidth) -> CheckResult:
@@ -492,8 +465,8 @@ def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
     vars, prod, orders = prefactored_product(W, vs, range(k), w, wprime)
     box = _cube(vars, halfwidth)
     terms = prod.terms_in(box)
-    wdeg = W._deg_of_vec(w)
-    pdeg = W._deg_of_vec(wprime) if wprime is not None else None
+    wdeg = W.vec_deg(w)
+    pdeg = W.vec_deg(wprime) if wprime is not None else None
     for i in range(k):
         al = W.algebra_alpha(vs[i])
         lo = al - wdeg - W.V.algebra_weight(vs[i])

@@ -11,35 +11,24 @@ module data.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, factorial
+from math import factorial, floor
 
 from .chains import ChainSeries, OpSlot, pair
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
-                     Sum, TermSeries, c_mul, delta_iter, delta_prod,
-                     delta_prod_rev, derivative, minus_convention, mono,
-                     mono_add, residue, scaled, window_json)
-from .twisted import L_minus1_commutator_sides, _inputs, require_semisimple
+                     Sum, TermSeries, c_mul, coset_range, delta_iter,
+                     delta_prod, delta_prod_rev, derivative, minus_convention,
+                     mono, mono_add, residue, scaled, window_json)
+from .twisted import (L_minus1_commutator_sides, _inputs, mode_sum,
+                      require_semisimple)
 from .vosa import weak_commutativity_order
 
 F0 = Fraction(0)
-F1 = Fraction(1)
-FH = Fraction(1, 2)
-
-
-def _coset_floor(x, coset: Fraction) -> Fraction:
-    """Largest element of coset + Z that is <= x."""
-    from math import floor
-    return coset + floor(Fraction(x) - coset)
-
-
-def _coset_ceil(x, coset: Fraction) -> Fraction:
-    return coset + ceil(Fraction(x) - coset)
 
 
 class TwistOpSlot:
-    """Chain slot for T(w_arg, x): applies V vectors into the module.
+    """Chain slot for T(w_arg, x): reads vectors of W.V, writes into W.
 
     The coefficient of x^e log^k x is sum_j L(-1)^j b_j / j!, where b_j
     collects the modes of Y^g(v, y)w that e^{xL(-1)} lifts by j powers.  It
@@ -49,12 +38,12 @@ class TwistOpSlot:
     """
 
     def __init__(self, module, w_arg: Vec):
-        self.module = module
+        self.module = self.target = module
+        self.source = module.V
         self.w_arg = w_arg
-        self.wt = module._deg_of_vec(w_arg)
-        self.parity = _parity_of_module_vec(module, w_arg)
+        self.wt = module.vec_deg(w_arg)
+        self.parity = module.vec_parity(w_arg)
         self.logmax = module.log_bound
-        self._memo = {}
 
     def ecosets_meta(self) -> frozenset:
         return frozenset(((-b - 1) % 1) for b in _coset_universe(self.module))
@@ -73,10 +62,7 @@ class TwistOpSlot:
     def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
         acc = {}
         for key, c in vec.items():
-            hit = self._memo.get((e, k, key))
-            if hit is None:
-                hit = self._apply_key(e, k, key)
-                self._memo[(e, k, key)] = hit
+            hit = self._apply_key(e, k, key)
             if hit:
                 acc_vec(acc, hit, c)
         return vec_of(acc)
@@ -86,10 +72,9 @@ class TwistOpSlot:
         V = W.V
         sgn = Scalar.rational((-1) ** (V.parity(vkey) * self.parity))
         bases = {}                    # j -> b_j as a {key: Scalar} dict
+        n_hi = self.wt + V.weight(vkey) - 1
         for beta, piece in W.g.alpha_decompose_key(vkey).items():
-            n = _coset_ceil(-e - 1, beta % 1)
-            n_hi = self.wt + V.weight(vkey) - 1
-            while n <= n_hi:
+            for n in coset_range(-e - 1, n_hi, beta % 1):
                 j = int(e + n + 1)
                 for ksrc in range(k, W.log_bound + 1):
                     base = W.mode_vec(piece, n, ksrc, self.w_arg)
@@ -98,22 +83,12 @@ class TwistOpSlot:
                     phase = Scalar.e(-n - 1) * binomial(ksrc, k) \
                         * (Scalar.pi() ** (ksrc - k))
                     acc_vec(bases.setdefault(j, {}), base, sgn * phase)
-                n += 1
         out = Vec.zero()
         for j in range(max(bases, default=-1), -1, -1):
             if out:
                 out = W.L_minus1(out).scale(Fraction(1, j + 1))
             out = out + vec_of(bases.get(j, {}))
         return out
-
-
-def _parity_of_module_vec(module, wvec: Vec) -> int:
-    ps = {module.parity(k) for k in wvec.comps}
-    if not ps:
-        return 0
-    if len(ps) != 1:
-        raise ValueError("inhomogeneous module vector parity")
-    return ps.pop()
 
 
 def _coset_universe(module) -> frozenset:
@@ -140,8 +115,7 @@ def twist_chain(W, vars, placed, v: Vec, wprime: Vec = None) -> ChainSeries:
             slots.append((idx, TwistOpSlot(W, vec)))
         else:
             raise ValueError(kind)
-    wp = None if wprime is None else W._deg_of_vec(wprime)
-    return ChainSeries(vars, slots, v, W.V.algebra_weight(v), wprime, wp)
+    return ChainSeries(vars, slots, v, wprime)
 
 
 def twist_matrix_element(W, w_arg: Vec, v: Vec, wprime: Vec = None,
@@ -152,12 +126,10 @@ def twist_matrix_element(W, w_arg: Vec, v: Vec, wprime: Vec = None,
 def twist_commutativity_order(W, u: Vec, w: Vec) -> int:
     """Minimal M >= 0 with x^(alpha+M) (Y)_0(u,x)w a power series."""
     al = W.algebra_alpha(u)
-    top = _coset_floor(W._deg_of_vec(w) + W.algebra_weight(u) - 1, al)
-    k = int(top - al)
-    while k >= 0:
-        if W.y0_mode_vec(u, al + k, w):
-            return k + 1
-        k -= 1
+    top = W.vec_deg(w) + W.algebra_weight(u) - 1
+    for n in reversed(list(coset_range(al, top, al))):
+        if W.y0_mode_vec(u, n, w):
+            return int(n - al) + 1
     return 0
 
 
@@ -215,35 +187,24 @@ def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     hw = Fraction(halfwidth)
     box = Box.cube(2, -hw, hw, W.log_bound)
     al = W.algebra_alpha(u)
-    wdeg = W._deg_of_vec(w_arg)
-    vwt = W.V.algebra_weight(v)
+    wdeg = W.vec_deg(w_arg)
+    uwt = W.V.algebra_weight(u)
 
     # left side, mode by mode in Y(u, x0+x2); each kernel exponent M-n-1 is
     # expanded in x2 and multiplies the twist series hit by (Y)_n(u)
-    parts = []
-    n = _coset_ceil(M - 1 - 2 * hw - wdeg - vwt - W.V.algebra_weight(u) - 1, al)
-    n_hi = _coset_floor(M - 1 + hw, al)
-    while n <= n_hi:
-        kern = BinomialKernel(vars, M - n - 1, 0, 1, sign=1)
-        chain = twist_chain(W, vars, [(1, "twist", w_arg)], v, None)
-        parts.append(Product(kern, _AppliedSeries(W, chain, u, n, wprime)))
-        n += 1
-    lhs = Sum(parts)
+    lo = M - 1 - 2 * hw - wdeg - W.V.algebra_weight(v) - uwt - 1
+    lhs = Sum([Product(BinomialKernel(vars, M - n - 1, 0, 1, sign=1),
+                       _AppliedSeries(W, twist_chain(
+                           W, vars, [(1, "twist", w_arg)], v), u, n, wprime))
+               for n in coset_range(lo, M - 1 + hw, al)])
 
     # right side, mode by mode in Y(u, x0) w
-    rparts = []
-    m = _coset_ceil(-hw - M - 1, al)
-    m_hi = W.V.algebra_weight(u) + wdeg - 1
-    while m <= m_hi:
-        vecw = W.mode_vec(u, m, 0, w_arg)
-        if vecw:
-            kern = BinomialKernel(vars, M, 0, 1, sign=1)
-            x0 = TermSeries.monomial(vars, [-m - 1, 0])
-            rparts.append(Product(Product(kern, x0),
-                                  twist_chain(W, vars, [(1, "twist", vecw)],
-                                              v, wprime)))
-        m += 1
-    rhs = Sum(rparts) if rparts else TermSeries.zero(vars)
+    modes = ((m, W.mode_vec(u, m, 0, w_arg))
+             for m in coset_range(-hw - M - 1, uwt + wdeg - 1, al))
+    rhs = mode_sum(vars, modes,
+                   lambda: BinomialKernel(vars, M, 0, 1, sign=1),
+                   lambda vecw: twist_chain(W, vars, [(1, "twist", vecw)], v,
+                                            wprime))
     return compare("weak-associativity", _inputs(u=u, v=v, w=w_arg, M=M),
                    vars, box, lhs, rhs)
 
@@ -255,7 +216,7 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     vars = ("x0", "x1", "x2")
     hw = Fraction(halfwidth)
     al = W.algebra_alpha(u)
-    pw = _parity_of_module_vec(W, w_arg)
+    pw = W.vec_parity(w_arg)
     pu = W.V.algebra_parity(u)
     term1 = Product(delta_prod(vars, 0, 1, 2, offset=al),
                     twist_chain(W, vars, [(1, "tw", u), (2, "twist", w_arg)],
@@ -266,19 +227,12 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec, wprime,
                             v, wprime)),
         Scalar.rational((-1) ** (pu * pw)))
     lhs = Sum([term1, scaled(term2, Scalar.rational(-1))])
-    parts = []
-    m = _coset_ceil(-2 * hw - 2, al)
-    m_hi = W.V.algebra_weight(u) + W._deg_of_vec(w_arg) - 1
-    while m <= m_hi:
-        vecw = W.mode_vec(u, m, 0, w_arg)
-        if vecw:
-            kern = delta_iter(vars, 0, 1, 2)
-            x0 = TermSeries.monomial(vars, [-m - 1, 0, 0])
-            parts.append(Product(Product(kern, x0),
-                                 twist_chain(W, vars, [(2, "twist", vecw)],
-                                             v, wprime)))
-        m += 1
-    rhs = Sum(parts) if parts else TermSeries.zero(vars)
+    m_hi = W.V.algebra_weight(u) + W.vec_deg(w_arg) - 1
+    modes = ((m, W.mode_vec(u, m, 0, w_arg))
+             for m in coset_range(-2 * hw - 2, m_hi, al))
+    rhs = mode_sum(vars, modes, lambda: delta_iter(vars, 0, 1, 2),
+                   lambda vecw: twist_chain(W, vars, [(2, "twist", vecw)], v,
+                                            wprime))
     return compare("twist-jacobi", _inputs(u=u, v=v, w=w_arg), vars,
                    Box.cube(3, -hw, hw, W.log_bound), lhs, rhs)
 
@@ -290,7 +244,7 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     vars = ("x1", "x2")
     hw = Fraction(halfwidth)
     al = W.algebra_alpha(u)
-    pw = _parity_of_module_vec(W, w_arg)
+    pw = W.vec_parity(w_arg)
     pu = W.V.algebra_parity(u)
     sign = Scalar.rational((-1) ** (pu * pw))
     lhs = Sum([
@@ -303,19 +257,15 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
                -sign)])
     # residue form of the right side
     vars3 = ("x0", "x1", "x2")
-    parts = []
-    k = 0
-    k_hi = W._deg_of_vec(w_arg) + W.V.algebra_weight(u) - 1 - al
-    while k <= k_hi:
-        vecw = W.y0_mode_vec(u, al + k, w_arg)
-        if vecw:
-            kern = delta_iter(vars3, 0, 1, 2)
-            x0 = TermSeries.monomial(vars3, [-k - 1, 0, 0])
-            parts.append(Product(Product(kern, x0),
-                                 twist_chain(W, vars3, [(2, "twist", vecw)],
-                                             v, wprime)))
-        k += 1
-    rhs = residue(Sum(parts), 0) if parts else TermSeries.zero(vars)
+    k_hi = W.vec_deg(w_arg) + W.V.algebra_weight(u) - 1 - al
+    modes = ((k, W.y0_mode_vec(u, al + k, w_arg))
+             for k in range(floor(k_hi) + 1))
+    iterate = mode_sum(vars3, modes, lambda: delta_iter(vars3, 0, 1, 2),
+                       lambda vecw: twist_chain(W, vars3, [(2, "twist", vecw)],
+                                                v, wprime))
+    # with no mode left the side is zero; no residue pass is made over it
+    rhs = residue(iterate, 0) if isinstance(iterate, Sum) \
+        else TermSeries.zero(vars)
     box = Box.cube(2, -hw, hw, W.log_bound)
     res = compare("generalized-commutator", _inputs(u=u, v=v, w=w_arg), vars,
                   box, lhs, rhs)
@@ -343,7 +293,7 @@ def check_gen_weak_commutativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     hw = Fraction(halfwidth)
     al = W.algebra_alpha(u)
     M = max(twist_commutativity_order(W, u, w_arg), 1)
-    pw = _parity_of_module_vec(W, w_arg)
+    pw = W.vec_parity(w_arg)
     pu = W.V.algebra_parity(u)
     sign = Scalar.rational((-1) ** (pu * pw))
     lhs = Product(BinomialKernel(vars, al + M, 0, 1),
@@ -426,7 +376,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
     nv = len(vars)
     box = Box.cube(nv, -hw, hw, W.log_bound)
     sign = Scalar.rational(
-        (-1) ** (_parity_of_module_vec(W, w_arg)
+        (-1) ** (W.vec_parity(w_arg)
                  * ((W.V.algebra_parity(v)
                      + sum(W.V.algebra_parity(u) for u in vs)) % 2)))
     own_box = [Box(
@@ -477,7 +427,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
                 prev = out.get(m)
                 out[m] = cv if prev is None else prev + cv
 
-    wdeg = W._deg_of_vec(w_arg)
+    wdeg = W.vec_deg(w_arg)
     # every coefficient within the window has degree at most this, and modes
     # only matter while the running vector stays below it (L only raises)
     degmax = wdeg + W.algebra_weight(v) + sum(W.algebra_weight(u) for u in vs) \
@@ -490,28 +440,20 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
             emit(chosen, n_v, cur)
             return
         u = vs[pos]
-        al = W.algebra_alpha(u)
         wt = W.algebra_weight(u)
-        n = _coset_ceil(wt - 1 + cur_deg - degmax, al)
-        if pos < k_tw:
-            # (x_i - x)^{-n-1} expanded in x never reaches the window above
-            n_hi = _coset_floor(hw - 1, al)
-        else:
-            n_hi = _coset_floor(cur_deg + wt - 1, al)
-        while n <= n_hi:
+        # (x_i - x)^{-n-1} expanded in x never reaches the window above
+        n_hi = hw - 1 if pos < k_tw else cur_deg + wt - 1
+        for n in coset_range(wt - 1 + cur_deg - degmax, n_hi,
+                             W.algebra_alpha(u)):
             rec(pos - 1, W.mode_vec(u, n, 0, cur), cur_deg + wt - n - 1,
                 n_v, [n] + chosen)
-            n += 1
 
-    al_v = W.algebra_alpha(v)
     wtv = W.algebra_weight(v)
-    n_v = _coset_ceil(max(-hw - 1, wtv - 1 + wdeg - degmax), al_v)
-    nv_hi = wdeg + wtv - 1
-    while n_v <= nv_hi:
+    for n_v in coset_range(max(-hw - 1, wtv - 1 + wdeg - degmax),
+                           wdeg + wtv - 1, W.algebra_alpha(v)):
         cur0 = W.mode_vec(v, n_v, 0, w_arg)
         if cur0:
             rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [])
-        n_v += 1
     return TermSeries(vars, out)
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ChainSeries, OpSlot
+from .chains import Space
 from .errors import DegenerateForm
-from .linalg import fraction_matrix_inverse
+from .linalg import mat_identity, solve
 from .modes import ModeOracle
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec
@@ -33,7 +33,7 @@ class Gen:
     parity: int
 
 
-class FreeFieldAlgebra:
+class FreeFieldAlgebra(Space):
     """Common machinery; subclasses supply the generator Fock action."""
 
     kind = None
@@ -113,21 +113,8 @@ class FreeFieldAlgebra:
         return self.oracle.apply_vec(uvec, n, wvec)
 
     # module-protocol views of vectors in the first tensor slot
-    def algebra_weight(self, uvec: Vec) -> Fraction:
-        wts = {self.weight(k) for k in uvec.comps}
-        if not wts:
-            return F0     # the zero vector is harmlessly weight-0
-        if len(wts) != 1:
-            raise ValueError("inhomogeneous vector: weights %s" % sorted(wts))
-        return wts.pop()
-
-    def algebra_parity(self, uvec: Vec) -> int:
-        ps = {self.parity(k) for k in uvec.comps}
-        if not ps:
-            return 0
-        if len(ps) != 1:
-            raise ValueError("inhomogeneous vector parity")
-        return ps.pop()
+    algebra_weight = Space.vec_deg
+    algebra_parity = Space.vec_parity
 
     def algebra_coset(self, uvec: Vec) -> frozenset:
         return frozenset((F0,))
@@ -164,13 +151,6 @@ class FreeFieldAlgebra:
     @property
     def omega(self) -> Vec:
         raise NotImplementedError
-
-    # -- matrix elements ---------------------------------------------------------
-
-    def vertex_me(self, u: Vec, w: Vec, wprime: Vec = None) -> ChainSeries:
-        wp_deg = None if wprime is None else self.algebra_weight(wprime)
-        return ChainSeries(("x",), [(0, OpSlot(self, u))], w,
-                           self.algebra_weight(w), wprime, wp_deg)
 
 
 class FermionAlgebra(FreeFieldAlgebra):
@@ -260,8 +240,11 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         super().__init__([Gen(nm, 1, 0) for nm in names], fault)
-        self.gram_inv = fraction_matrix_inverse(self.gram)
-        self.degenerate = self.gram_inv is None
+        cols = solve([[Scalar.rational(x) for x in row] for row in self.gram],
+                     mat_identity(rank))
+        self.degenerate = cols is None
+        self.gram_inv = None if cols is None else \
+            [[c[i].as_rational() for c in cols] for i in range(rank)]
 
     def gen_index(self, factor):
         return factor[1]
@@ -430,21 +413,16 @@ def weak_commutativity_order(V, u: Vec, v: Vec) -> int:
     return 0
 
 
-def check_weak_commutativity(V, u: Vec, v: Vec, w: Vec, wprime, halfwidth,
-                             clamp=True) -> CheckResult:
+def check_weak_commutativity(V, u: Vec, v: Vec, w: Vec, wprime,
+                             halfwidth) -> CheckResult:
     """(x1-x2)^M <Y(u,x1)Y(v,x2)> = +/- (x1-x2)^M <Y(v,x2)Y(u,x1)> exactly."""
-    M = weak_commutativity_order(V, u, v)
-    if clamp:
-        M = max(M, 1)
+    M = max(weak_commutativity_order(V, u, v), 1)
     vars = ("x1", "x2")
-    wdeg = V.algebra_weight(w)
-    pdeg = None if wprime is None else V.algebra_weight(wprime)
     pref = BinomialKernel(vars, M, 0, 1)
-    lhs = Product(pref, ChainSeries(vars, [(0, OpSlot(V, u)), (1, OpSlot(V, v))],
-                                    w, wdeg, wprime, pdeg))
+    lhs = Product(pref, V.chain(vars, [(0, u), (1, v)], w, wprime))
     sign = Scalar.rational((-1) ** (V.algebra_parity(u) * V.algebra_parity(v)))
-    rhs = scaled(Product(pref, ChainSeries(
-        vars, [(1, OpSlot(V, v)), (0, OpSlot(V, u))], w, wdeg, wprime, pdeg)), sign)
+    rhs = scaled(Product(pref, V.chain(vars, [(1, v), (0, u)], w, wprime)),
+                 sign)
     return compare("weak-commutativity-V",
                    {"u": str(u), "v": str(v), "w": str(w), "M": M}, vars,
                    Box.cube(2, -halfwidth, halfwidth), lhs, rhs)

@@ -124,17 +124,20 @@ def test_jobs_below_one_exit_2(capsys):
 
 
 def test_crashed_check_is_error_exit_2(monkeypatch, tmp_path, capsys):
-    def crash(*args):
+    def check_axioms(V, max_weight, halfwidth=4):
+        """Stands in for the checker, with its name and signature."""
         raise RuntimeError("boom")
-    monkeypatch.setattr(harness, "check_axioms", crash)
+    monkeypatch.setattr(harness, "check_axioms", check_axioms)
     path = tmp_path / "r.json"
     assert main(["run", "--model", "fermion", "--suite", "axioms",
                  "--max-weight", "1", "--window", "2",
                  "--report", str(path)]) == 2
-    assert capsys.readouterr().out.splitlines()[-1].startswith("ERROR error")
+    inputs = {"check": "check_axioms", "max_weight": "1", "halfwidth": "2"}
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "ERROR error %s {'error': \"RuntimeError('boom')\"}" % inputs
     doc = json.loads(path.read_text())
     assert doc["records"] == [{
-        "identity": "error", "inputs": {}, "window": {}, "status": "error",
+        "identity": "error", "inputs": inputs, "window": {}, "status": "error",
         "first_mismatch": {"error": "RuntimeError('boom')"},
         "timing_ms": doc["records"][0]["timing_ms"]}]
     assert doc["summary"] == {"total": 1, "passed": 0, "failed": 1}

@@ -59,6 +59,20 @@ def test_report_schema(registry):
     for rec in doc["records"]:
         assert {"identity", "inputs", "window", "status"} <= set(rec)
 
+def test_errored_record_names_check_and_vectors(monkeypatch, registry):
+    def check_twisted_jacobi(W, u, v, w, wprime, halfwidth):
+        """Stands in for the checker, with its name and signature."""
+        raise RuntimeError("boom")
+    monkeypatch.setattr(harness, "check_twisted_jacobi", check_twisted_jacobi)
+    rep = run_suite(SuiteConfig("ramond", "twisted-jacobi", 1, 3), registry)
+    first = rep.records[0]
+    assert first.errored and first.identity == "error"
+    # the module object and the absent wprime are left out
+    assert first.inputs == {"check": "check_twisted_jacobi",
+                            "u": "(1)*|()>", "v": "(1)*|()>",
+                            "w": "(1)*|(0, ())>", "halfwidth": "3"}
+
+
 def test_jobs_capped_at_cpu_count(monkeypatch):
     pools = []
 

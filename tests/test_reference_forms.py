@@ -8,7 +8,7 @@ rule), which must give equal vectors.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial
 
 import pytest
 
@@ -19,7 +19,7 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, build_free_fermion,
                                 build_unipotent_toy, build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import Scalar, Vec, acc_vec, binomial, vec_of
-from vertextwist.twistop import TwistOpSlot, _coset_ceil
+from vertextwist.twistop import TwistOpSlot
 
 
 class LoopModeOracle(ModeOracle):
@@ -80,7 +80,7 @@ def loop_apply_key(slot, e, k, vkey) -> Vec:
     sgn = Scalar.rational((-1) ** (V.parity(vkey) * slot.parity))
     acc = {}
     for beta, piece in W.g.alpha_decompose_key(vkey).items():
-        n = _coset_ceil(-e - 1, beta % 1)
+        n = beta % 1 + ceil(-e - 1 - beta % 1)
         n_hi = slot.wt + V.weight(vkey) - 1
         while n <= n_hi:
             j = int(e + n + 1)

@@ -63,6 +63,27 @@ def test_twist_me_leading_term(fermion, ramond):
     assert t[mono([-FH])] == Scalar.e(-FH) * HALF_SQRT2
 
 
+def test_vec_deg_and_parity_on_ramond(ramond):
+    vacs = Vec.basis(VAC) + Vec.basis(ODD)     # sector 0 plus sector 1
+    assert ramond.vec_deg(vacs) == 0
+    with pytest.raises(ValueError):
+        ramond.vec_parity(vacs)
+    with pytest.raises(ValueError):
+        ramond.vec_deg(Vec.basis(VAC) + Vec.basis((0, (1,))))
+    assert (ramond.vec_deg(Vec.zero()), ramond.vec_parity(Vec.zero())) == (0, 0)
+
+
+def test_chain_reads_end_degrees_from_its_slots(fermion, ramond):
+    # the twist slot reads V and writes the module: psi has weight 1/2 in V,
+    # and the module vector (0, (1,)) has degree 1
+    psi = fermion.gen_vector("psi")
+    s = twist_matrix_element(ramond, Vec.basis(VAC), psi,
+                             wprime=Vec.basis((0, (1,))))
+    assert (s.w0_deg, s.wprime_deg) == (FH, 1)
+    s = ramond.chain(("x",), [(0, psi)], Vec.basis((0, (1,))))
+    assert (s.w0_deg, s.wprime_deg) == (1, None)
+
+
 def test_twist_me_parity(fermion, ramond):
     psi = fermion.gen_vector("psi")
     s = twist_matrix_element(ramond, Vec.basis(VAC), psi)

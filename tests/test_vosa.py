@@ -48,20 +48,20 @@ def test_boson_basis_counts(boson, heis3):
 
 
 def test_vacuum_matrix_element(fermion):
-    s = fermion.vertex_me(Vec.basis(fermion.vac), Vec.basis(fermion.vac),
-                          wprime=Vec.basis(fermion.vac))
+    s = fermion.me(Vec.basis(fermion.vac), Vec.basis(fermion.vac),
+                   wprime=Vec.basis(fermion.vac))
     assert s.terms_in(Box.cube(1, -4, 4)) == {mono([0]): ONE}
 
 
 def test_fermion_two_point(fermion):
     psi = fermion.gen_vector("psi")
-    s = fermion.vertex_me(psi, psi, wprime=Vec.basis(fermion.vac))
+    s = fermion.me(psi, psi, wprime=Vec.basis(fermion.vac))
     assert s.terms_in(Box.cube(1, -4, 4)) == {mono([-1]): ONE}
 
 
 def test_boson_two_point(boson):
     h = boson.gen_vector("h")
-    s = boson.vertex_me(h, h, wprime=Vec.basis(boson.vac))
+    s = boson.me(h, h, wprime=Vec.basis(boson.vac))
     assert s.terms_in(Box.cube(1, -4, 4)) == {mono([-2]): ONE}
 
 
@@ -71,8 +71,8 @@ def test_weight_conservation_single_monomial(fermion):
     for u in basis[:4]:
         for w in basis[:4]:
             for vp in basis:
-                s = fermion.vertex_me(Vec.basis(u), Vec.basis(w),
-                                      wprime=Vec.basis(vp))
+                s = fermion.me(Vec.basis(u), Vec.basis(w),
+                               wprime=Vec.basis(vp))
                 t = s.terms_in(Box.cube(1, -6, 6))
                 assert len(t) <= 1
                 for m in t:
@@ -86,8 +86,8 @@ def test_fermion_number_conservation(fermion):
         for w in basis:
             for vp in basis:
                 if (fermion.parity(u) + fermion.parity(w)) % 2 != fermion.parity(vp):
-                    s = fermion.vertex_me(Vec.basis(u), Vec.basis(w),
-                                          wprime=Vec.basis(vp))
+                    s = fermion.me(Vec.basis(u), Vec.basis(w),
+                                   wprime=Vec.basis(vp))
                     assert s.terms_in(Box.cube(1, -5, 5)) == {}
 
 
@@ -112,6 +112,16 @@ def test_weak_commutativity_boson_composite(boson):
     hh = boson.mode_vec(h, -1, 0, h)  # h(-1)h
     r = check_weak_commutativity(boson, h, hh, Vec.basis(boson.vac), None, 5)
     assert r.ok, r.first_mismatch
+
+
+def test_vec_deg_and_parity_need_homogeneous_vectors(fermion):
+    psi = fermion.gen_vector("psi")
+    assert (fermion.vec_deg(psi), fermion.vec_parity(psi)) == (FH, 1)
+    mixed = Vec.basis(fermion.vac) + psi
+    for read in (fermion.vec_deg, fermion.vec_parity):
+        with pytest.raises(ValueError):
+            read(mixed)
+        assert read(Vec.zero()) == 0
 
 
 def test_axioms_small(fermion, boson):
