@@ -10,7 +10,8 @@ from vertextwist.scalars import Scalar
 from vertextwist.series import (Box, Product, Sum, TermSeries, binomial_expand,
                                 branch_shift, delta_iter, delta_prod,
                                 delta_prod_rev, format_series, log_substitute,
-                                minus_convention, scaled, series_mismatch)
+                                minus_convention, mono, scaled,
+                                series_mismatch)
 
 X12 = ("x1", "x2")
 X012 = ("x0", "x1", "x2")
@@ -38,12 +39,12 @@ print("delta identity on |exp| <= 3:",
       series_mismatch(lhs, rhs, Box.cube(3, -3, 3)) is None)
 
 # branches: one full turn multiplies x^n by e^{2 pi i n} and shifts log x
-s = TermSeries(("x",), {((F(1, 2),), (1,)): Scalar.one()})
+s = TermSeries(("x",), {mono([F(1, 2)], [1]): Scalar.one()})
 shifted = branch_shift(s, 0, 1)
 print("branch shift of x^(1/2) log x:",
       format_series(shifted.terms_in(Box.cube(1, -1, 1, 1)), ("x",)))
 
 # the substitution behind twist operators: y -> -x
-y = TermSeries(("y",), {((F(-1, 2),), (0,)): Scalar.one()})
+y = TermSeries(("y",), {mono([F(-1, 2)]): Scalar.one()})
 print("y^(-1/2) at y = -x:",
       format_series(log_substitute(y, 0).terms_in(Box.cube(1, -1, 1)), ("x",)))

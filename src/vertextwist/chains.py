@@ -19,9 +19,7 @@ from fractions import Fraction
 
 from .errors import InfiniteConvolution
 from .scalars import Scalar, Vec, homogeneous_value
-from .series import Series, coset_range
-
-F0 = Fraction(0)
+from .series import Series, exponent, lattice, lattice_coset
 
 
 class Space:
@@ -79,9 +77,6 @@ class OpSlot:
     def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
         return self.module.mode_vec(self.uvec, -e - 1, k, vec)
 
-    def wshift(self, e: Fraction) -> Fraction:
-        return self.wt + e
-
 
 class ChainSeries(Series):
     """<w'| slots |w> as a series; wprime=None yields vector coefficients."""
@@ -91,19 +86,19 @@ class ChainSeries(Series):
         wprime_deg = None if wprime is None \
             else slots[0][1].target.vec_deg(wprime)
         n = len(vars)
-        bounds = [(F0, F0)] * n
-        cosets = [frozenset((F0,))] * n
+        bounds = [(0, 0)] * n
+        cosets = [frozenset((0,))] * n
         logmax = [0] * n
         slot_idx = [i for i, _ in slots]
         for pos, (i, s) in enumerate(slots):
             lo = hi = None
             if pos == len(slots) - 1:
                 # rightmost operator acts on w directly
-                lo = -w0_deg - s.wt
+                lo = lattice(-w0_deg - s.wt)
             if pos == 0 and wprime_deg is not None:
-                hi = wprime_deg - s.wt
+                hi = lattice(wprime_deg - s.wt)
             bounds[i] = (lo, hi)
-            cosets[i] = s.ecosets_meta()
+            cosets[i] = frozenset(lattice(c) for c in s.ecosets_meta())
             logmax[i] = s.logmax
         super().__init__(vars, bounds, cosets, logmax)
         self.slots = list(slots)
@@ -120,16 +115,18 @@ class ChainSeries(Series):
             if (lo is not None and lo > 0) or (hi is not None and hi < 0):
                 return {}
         out = {}
-        order = list(reversed(self.slots))
+        # (variable, slot, lattice weight), rightmost slot first
+        order = [(i, s, lattice(s.wt)) for i, s in reversed(self.slots)]
         pinned = self.wprime_deg is not None
         total = None
         if pinned:
-            total = self.wprime_deg - self.w0_deg - sum(s.wt for _, s in self.slots)
+            total = lattice(self.wprime_deg - self.w0_deg
+                            - sum(s.wt for _, s in self.slots))
 
         nv = len(self.vars)
 
         def emit(assign, vec):
-            powers = [F0] * nv
+            powers = [0] * nv
             logs = [0] * nv
             for i, (e, k) in assign.items():
                 powers[i] = e
@@ -143,10 +140,12 @@ class ChainSeries(Series):
             prev = out.get(m)
             out[m] = val if prev is None else prev + val
 
+        # exponents, degrees and weights below are lattice ints; a slot is
+        # handed the rational exponent
         def rec(pos, vec, deg, esum, assign):
             if vec.is_zero():
                 return
-            idx, slot = order[pos]
+            idx, slot, wt = order[pos]
             last = pos == len(order) - 1
             caps = min(slot.logmax, box.logcaps[idx])
             if last and pinned:
@@ -154,30 +153,33 @@ class ChainSeries(Series):
                 lo, hi = box.lows[idx], box.highs[idx]
                 if (lo is not None and e < lo) or (hi is not None and e > hi):
                     return
-                if not any((e - ec).denominator == 1 for ec in slot.ecosets(vec)):
+                q = exponent(e)
+                if not any((q - ec).denominator == 1
+                           for ec in slot.ecosets(vec)):
                     return
                 for k in range(caps + 1):
-                    res = slot.apply(e, k, vec)
+                    res = slot.apply(q, k, vec)
                     if res:
                         emit({**assign, idx: (e, k)}, res)
                 return
-            lo = -deg - slot.wt
+            lo = -deg - wt
             if box.lows[idx] is not None:
                 lo = max(lo, box.lows[idx])
             hi = box.highs[idx]
             if hi is None:
                 raise InfiniteConvolution(
                     "chain enumeration unbounded in %s" % self.vars[idx])
-            for ec in sorted(slot.ecosets(vec)):
-                for e in coset_range(lo, hi, ec):
+            for r in sorted(lattice(c) for c in slot.ecosets(vec)):
+                for e in lattice_coset(lo, hi, r):
+                    q = exponent(e)
                     for k in range(caps + 1):
-                        res = slot.apply(e, k, vec)
+                        res = slot.apply(q, k, vec)
                         if res:
                             if last:
                                 emit({**assign, idx: (e, k)}, res)
                             else:
-                                rec(pos + 1, res, deg + slot.wshift(e), esum + e,
+                                rec(pos + 1, res, deg + wt + e, esum + e,
                                     {**assign, idx: (e, k)})
 
-        rec(0, self.w0, self.w0_deg, F0, {})
+        rec(0, self.w0, lattice(self.w0_deg), 0, {})
         return out

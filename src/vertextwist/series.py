@@ -6,6 +6,12 @@ any box.  A box is a per-variable exponent interval (sides may be unbounded)
 plus a log-power cap; a fully bounded box is a window.  Materialization must
 either be certifiably finite or raise InfiniteConvolution.
 
+Exponents are stored as ints p standing for p/M on the lattice (1/M)Z, M the
+cyclotomic level: the lattice the phases e^{pi i q} of the scalar ring live
+on.  Monomial exponents, box bounds and support bounds are such ints, and a
+coset is an int residue mod M.  Rationals enter through `mono`, `Box.cube`
+and `lattice`, and are read back through `exponent`.
+
 Coefficients are Scalar, or Vec for operator-valued series; a product may mix
 the two as long as at most one factor is vector-valued.
 """
@@ -13,16 +19,28 @@ the two as long as at most one factor is vector-valued.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
+from operator import add
 
 from .errors import InfiniteConvolution, NonMeromorphicVariable
-from .scalars import ONE, Scalar, Vec, binomial
+from .scalars import (ONE, CyclotomicLevelError, Scalar, Vec, binomial,
+                      cyclotomic_level)
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+D = cyclotomic_level()          # lattice scale: exponent p stands for p/D
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def lattice(q) -> int:
+    """The lattice int of the rational exponent q."""
+    p = Fraction(q) * D
+    if p.denominator != 1:
+        raise CyclotomicLevelError(
+            "exponent %s not on the (1/%d)Z lattice" % (q, D))
+    return p.numerator
+
+
+def exponent(p: int) -> Fraction:
+    """The rational exponent of the lattice int p."""
+    return Fraction(p, D)
 
 
 def c_mul(a, b):
@@ -38,15 +56,14 @@ def c_mul(a, b):
 # ---------------------------------------------------------------------------
 
 def mono(powers, logs=None):
-    powers = tuple(_frac(p) for p in powers)
+    powers = tuple(lattice(p) for p in powers)
     if logs is None:
         logs = (0,) * len(powers)
     return (powers, tuple(int(k) for k in logs))
 
 
 def mono_add(m1, m2):
-    return (tuple(a + b for a, b in zip(m1[0], m2[0])),
-            tuple(a + b for a, b in zip(m1[1], m2[1])))
+    return (tuple(map(add, m1[0], m2[0])), tuple(map(add, m1[1], m2[1])))
 
 
 def mono_sort_key(m):
@@ -54,18 +71,21 @@ def mono_sort_key(m):
 
 
 class Box:
-    """Per-variable exponent interval (None = unbounded side) plus log caps."""
+    """Per-variable lattice-int exponent interval (None = unbounded side)
+    plus log caps."""
 
     __slots__ = ("lows", "highs", "logcaps")
 
     def __init__(self, lows, highs, logcaps):
-        self.lows = tuple(None if x is None else _frac(x) for x in lows)
-        self.highs = tuple(None if x is None else _frac(x) for x in highs)
-        self.logcaps = tuple(int(k) for k in logcaps)
+        self.lows = tuple(lows)
+        self.highs = tuple(highs)
+        self.logcaps = tuple(logcaps)
 
     @staticmethod
     def cube(nvars: int, lo, hi, logcap: int = 0) -> "Box":
-        return Box((lo,) * nvars, (hi,) * nvars, (logcap,) * nvars)
+        """The box lo <= p <= hi in every variable, lo and hi rational."""
+        return Box((lattice(lo),) * nvars, (lattice(hi),) * nvars,
+                   (int(logcap),) * nvars)
 
     def contains(self, m) -> bool:
         for p, lo, hi in zip(m[0], self.lows, self.highs):
@@ -98,25 +118,26 @@ class Box:
         return (self.lows, self.highs, self.logcaps)
 
     def __repr__(self):
-        rng = ",".join("[%s,%s]" % (lo, hi) for lo, hi in zip(self.lows, self.highs))
+        rng = ",".join("[%s,%s]" % tuple(None if p is None else exponent(p)
+                                         for p in side)
+                       for side in zip(self.lows, self.highs))
         return "Box(%s; logs<=%s)" % (rng, self.logcaps)
 
 
-def _irange(lo: Fraction, hi: Fraction):
-    """Integers n with lo <= n <= hi."""
-    import math
-    n = math.ceil(lo)
-    while n <= hi:
-        yield n
-        n += 1
+def lattice_coset(lo: int, hi: int, r: int) -> range:
+    """Lattice ints p = r mod D with lo <= p <= hi (either side may be None)."""
+    if lo is None or hi is None:
+        raise InfiniteConvolution("unbounded coset enumeration")
+    return range(lo + (r - lo) % D, hi + 1, D)
 
 
 def coset_range(lo, hi, offset: Fraction):
-    """Exponents p in offset+Z with lo <= p <= hi (either side may be None)."""
+    """Exponents p in offset+Z with lo <= p <= hi (either side may be None):
+    the rational view of `lattice_coset`."""
     if lo is None or hi is None:
         raise InfiniteConvolution("unbounded coset enumeration")
-    for n in _irange(lo - offset, hi - offset):
-        yield offset + n
+    return map(exponent, lattice_coset(ceil(lo * D), floor(hi * D),
+                                       lattice(offset)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +194,11 @@ class TermSeries(Series):
             bounds = [(min(m[0][i] for m in terms), max(m[0][i] for m in terms))
                       for i in range(n)]
             logmax = [max(m[1][i] for m in terms) for i in range(n)]
-            cosets = [frozenset(m[0][i] % 1 for m in terms) for i in range(n)]
+            cosets = [frozenset(m[0][i] % D for m in terms) for i in range(n)]
         else:
-            bounds = [(F0, F0)] * n
+            bounds = [(0, 0)] * n
             logmax = [0] * n
-            cosets = [frozenset((F0,))] * n
+            cosets = [frozenset((0,))] * n
         super().__init__(vars, bounds, cosets, logmax)
         self.terms = terms
 
@@ -250,7 +271,7 @@ class Product(Series):
             blo, bhi = b.bounds[i]
             bounds.append((None if alo is None or blo is None else alo + blo,
                            None if ahi is None or bhi is None else ahi + bhi))
-            cosets.append(frozenset((x + y) % 1 for x in a.cosets[i]
+            cosets.append(frozenset((x + y) % D for x in a.cosets[i]
                           for y in b.cosets[i]))
             logmax.append(a.logmax[i] + b.logmax[i])
         super().__init__(a.vars, bounds, cosets, logmax)
@@ -295,27 +316,24 @@ class BinomialKernel(Series):
     """
 
     def __init__(self, vars, A, lead: int, exp: int, sign: int = -1, scale=ONE):
-        A = _frac(A)
+        A = Fraction(A)
+        a = lattice(A)
         n = len(vars)
-        bounds = [(F0, F0)] * n
-        cosets = [frozenset((F0,))] * n
-        if A.denominator == 1 and A >= 0:
-            # polynomial case: the expansion terminates on its own
-            bounds[lead] = (F0, A)
-            bounds[exp] = (F0, A)
-        else:
-            bounds[lead] = (None, A)
-            bounds[exp] = (F0, None)
-        cosets[lead] = frozenset((A % 1,))
+        bounds = [(0, 0)] * n
+        cosets = [frozenset((0,))] * n
+        # polynomial case: the expansion terminates on its own
+        self.poly = A.denominator == 1 and A >= 0
+        bounds[lead] = (0 if self.poly else None, a)
+        bounds[exp] = (0, a if self.poly else None)
+        cosets[lead] = frozenset((a % D,))
         super().__init__(vars, bounds, cosets, [0] * n)
-        self.A, self.lead, self.exp, self.sign, self.scale = A, lead, exp, sign, scale
+        self.A, self.a, self.lead, self.exp, self.sign, self.scale = \
+            A, a, lead, exp, sign, scale
 
     def _terms_in(self, box):
-        A = self.A
-        lo_n = F0
-        hi_n = None
-        if A.denominator == 1 and A >= 0:
-            hi_n = A
+        A, a = self.A, self.a
+        lo_n = 0
+        hi_n = a if self.poly else None
         blo, bhi = box.lows[self.exp], box.highs[self.exp]
         if blo is not None:
             lo_n = max(lo_n, blo)
@@ -323,16 +341,17 @@ class BinomialKernel(Series):
             hi_n = bhi if hi_n is None else min(hi_n, bhi)
         llo = box.lows[self.lead]
         if llo is not None:
-            cap = A - llo
+            cap = a - llo
             hi_n = cap if hi_n is None else min(hi_n, cap)
         if hi_n is None:
             raise InfiniteConvolution("binomial expansion unbounded on %r" % (box,))
         out = {}
         n = len(self.vars)
-        for k in _irange(lo_n, hi_n):
-            powers = [F0] * n
-            powers[self.lead] = A - k
-            powers[self.exp] = _frac(k)
+        for p in lattice_coset(lo_n, hi_n, 0):
+            k = p // D
+            powers = [0] * n
+            powers[self.lead] = a - p
+            powers[self.exp] = p
             m = (tuple(powers), (0,) * n)
             if not box.contains(m):
                 continue
@@ -349,7 +368,6 @@ def binomial_expand(vars, A, lead: int, exp: int) -> Series:
 
 def minus_convention(vars, A, lead: int, exp: int) -> Series:
     """(-x_exp + x_lead)^A = e^{pi i A} (x_exp - x_lead)^A, expanded in x_lead."""
-    A = _frac(A)
     return BinomialKernel(vars, A, exp, lead, sign=-1, scale=Scalar.e(A))
 
 
@@ -363,20 +381,20 @@ class DeltaKernel(Series):
     """
 
     def __init__(self, vars, den: int, a: int, b: int, b_sign: int = 1,
-                 offset=F0, minus_phase: bool = False, scale=ONE):
-        offset = _frac(offset)
+                 offset=0, minus_phase: bool = False, scale=ONE):
+        r = lattice(offset)
         n = len(vars)
-        bounds = [(F0, F0)] * n
-        cosets = [frozenset((F0,))] * n
+        bounds = [(0, 0)] * n
+        cosets = [frozenset((0,))] * n
         bounds[den] = (None, None)
         bounds[a] = (None, None)
-        bounds[b] = (F0, None)
-        cosets[den] = frozenset(((-offset - 1) % 1,))
-        cosets[a] = frozenset((offset % 1,))
+        bounds[b] = (0, None)
+        cosets[den] = frozenset(((-r - D) % D,))
+        cosets[a] = frozenset((r % D,))
         super().__init__(vars, bounds, cosets, [0] * n)
         self.den, self.va, self.vb = den, a, b
-        self.b_sign, self.offset, self.minus_phase, self.scale = \
-            b_sign, offset, minus_phase, scale
+        self.r, self.b_sign, self.minus_phase, self.scale = \
+            r, b_sign, minus_phase, scale
 
     def _terms_in(self, box):
         dlo, dhi = box.lows[self.den], box.highs[self.den]
@@ -385,8 +403,9 @@ class DeltaKernel(Series):
                                       "denominator variable")
         out = {}
         nv = len(self.vars)
-        for dm in coset_range(dlo, dhi, (-self.offset - 1) % 1):
-            m = -dm - 1        # in offset+Z
+        for dm in lattice_coset(dlo, dhi, -self.r - D):
+            m = -dm - D        # in offset+Z
+            mq = exponent(m)
             j_hi = box.highs[self.vb]
             alo = box.lows[self.va]
             if alo is not None:
@@ -394,38 +413,39 @@ class DeltaKernel(Series):
                 j_hi = cap if j_hi is None else min(j_hi, cap)
             if j_hi is None:
                 raise InfiniteConvolution("delta kernel expansion unbounded")
-            j_lo = max(F0, box.lows[self.vb] if box.lows[self.vb] is not None else F0)
+            j_lo = max(0, box.lows[self.vb] if box.lows[self.vb] is not None else 0)
             ahi = box.highs[self.va]
             if ahi is not None:
                 j_lo = max(j_lo, m - ahi)
-            for j in _irange(j_lo, j_hi):
-                powers = [F0] * nv
+            for jp in lattice_coset(j_lo, j_hi, 0):
+                j = jp // D
+                powers = [0] * nv
                 powers[self.den] = dm
-                powers[self.va] = m - j
-                powers[self.vb] = _frac(j)
+                powers[self.va] = m - jp
+                powers[self.vb] = jp
                 mn = (tuple(powers), (0,) * nv)
                 if not box.contains(mn):
                     continue
-                c = self.scale * (binomial(m, j) * Fraction(self.b_sign) ** j)
+                c = self.scale * (binomial(mq, j) * Fraction(self.b_sign) ** j)
                 if self.minus_phase:
-                    c = c * Scalar.e(m)
+                    c = c * Scalar.e(mq)
                 if not c.is_zero():
                     out[mn] = c
         return out
 
 
-def delta_prod(vars, x0: int, x1: int, x2: int, offset=F0) -> Series:
+def delta_prod(vars, x0: int, x1: int, x2: int, offset=0) -> Series:
     """x0^{-1} delta((x1 - x2)/x0), optionally dressed by ((x1-x2)/x0)^offset."""
     return DeltaKernel(vars, den=x0, a=x1, b=x2, b_sign=-1, offset=offset)
 
 
-def delta_prod_rev(vars, x0: int, x1: int, x2: int, offset=F0) -> Series:
+def delta_prod_rev(vars, x0: int, x1: int, x2: int, offset=0) -> Series:
     """x0^{-1} delta((-x2 + x1)/x0) under the minus convention, dressed."""
     return DeltaKernel(vars, den=x0, a=x2, b=x1, b_sign=-1, offset=offset,
                        minus_phase=True)
 
 
-def delta_iter(vars, x0: int, x1: int, x2: int, offset=F0) -> Series:
+def delta_iter(vars, x0: int, x1: int, x2: int, offset=0) -> Series:
     """x1^{-1} delta((x2 + x0)/x1), optionally dressed by ((x2+x0)/x1)^offset."""
     return DeltaKernel(vars, den=x1, a=x2, b=x0, b_sign=1, offset=offset)
 
@@ -435,8 +455,8 @@ class DeltaDerivKernel(Series):
 
     def __init__(self, vars, den: int, num: int, k: int):
         n = len(vars)
-        bounds = [(F0, F0)] * n
-        cosets = [frozenset((F0,))] * n
+        bounds = [(0, 0)] * n
+        cosets = [frozenset((0,))] * n
         bounds[den] = (None, None)
         bounds[num] = (None, None)
         super().__init__(vars, bounds, cosets, [0] * n)
@@ -448,15 +468,15 @@ class DeltaDerivKernel(Series):
             nlo, nhi = box.lows[self.num], box.highs[self.num]
             if nlo is None or nhi is None:
                 raise InfiniteConvolution("delta derivative needs one bounded axis")
-            ms = [n + self.k for n in _irange(nlo, nhi)]
+            ms = [p // D + self.k for p in lattice_coset(nlo, nhi, 0)]
         else:
-            ms = [-d - 1 for d in _irange(dlo, dhi)]
+            ms = [-(p // D) - 1 for p in lattice_coset(dlo, dhi, 0)]
         out = {}
         nv = len(self.vars)
         for m in ms:
-            powers = [F0] * nv
-            powers[self.den] = _frac(-m - 1)
-            powers[self.num] = _frac(m - self.k)
+            powers = [0] * nv
+            powers[self.den] = (-m - 1) * D
+            powers[self.num] = (m - self.k) * D
             mn = (tuple(powers), (0,) * nv)
             if not box.contains(mn):
                 continue
@@ -471,9 +491,9 @@ class PlainDelta(Series):
 
     def __init__(self, vars, idx: int):
         n = len(vars)
-        bounds = [(F0, F0)] * n
+        bounds = [(0, 0)] * n
         bounds[idx] = (None, None)
-        super().__init__(vars, bounds, [frozenset((F0,))] * n, [0] * n)
+        super().__init__(vars, bounds, [frozenset((0,))] * n, [0] * n)
         self.idx = idx
 
     def _terms_in(self, box):
@@ -482,9 +502,9 @@ class PlainDelta(Series):
             raise InfiniteConvolution("delta(x) has unbounded support")
         out = {}
         n = len(self.vars)
-        for k in _irange(lo, hi):
-            powers = [F0] * n
-            powers[self.idx] = _frac(k)
+        for p in lattice_coset(lo, hi, 0):
+            powers = [0] * n
+            powers[self.idx] = p
             out[(tuple(powers), (0,) * n)] = ONE
         return out
 
@@ -501,7 +521,7 @@ class _PhaseShift(Series):
         if rename is not None:
             vars[idx] = rename
         super().__init__(vars, base.bounds, base.cosets, base.logmax)
-        self.base, self.idx, self.h = base, idx, _frac(half_turns)
+        self.base, self.idx, self.h = base, idx, Fraction(half_turns)
 
     def _terms_in(self, box):
         src = Box(box.lows, box.highs,
@@ -510,7 +530,8 @@ class _PhaseShift(Series):
         out = {}
         i = self.idx
         for m, c in self.base.terms_in(src).items():
-            phase = Scalar.e(self.h * m[0][i]) if (self.h * m[0][i]) % 2 else ONE
+            q = self.h * exponent(m[0][i])
+            phase = Scalar.e(q) if q % 2 else ONE
             k = m[1][i]
             # (log x + h*PI)^k expands over lower log powers
             for j in range(0, k + 1):
@@ -543,7 +564,7 @@ class _Derivative(Series):
     def __init__(self, base: Series, idx: int):
         bounds = list(base.bounds)
         lo, hi = bounds[idx]
-        bounds[idx] = (None if lo is None else lo - 1, None if hi is None else hi - 1)
+        bounds[idx] = (None if lo is None else lo - D, None if hi is None else hi - D)
         super().__init__(base.vars, bounds, base.cosets, base.logmax)
         self.base, self.idx = base, idx
 
@@ -551,13 +572,13 @@ class _Derivative(Series):
         # d/dx x^n (log x)^k = n x^(n-1) (log x)^k + k x^(n-1) (log x)^(k-1)
         i = self.idx
         lo, hi = box.lows[i], box.highs[i]
-        src = box.with_var(i, None if lo is None else lo + 1,
-                           None if hi is None else hi + 1,
+        src = box.with_var(i, None if lo is None else lo + D,
+                           None if hi is None else hi + D,
                            min(self.base.logmax[i], box.logcaps[i] + 1))
         out = {}
         for m, c in self.base.terms_in(src).items():
-            n, k = m[0][i], m[1][i]
-            powers = tuple(p - 1 if t == i else p for t, p in enumerate(m[0]))
+            n, k = exponent(m[0][i]), m[1][i]
+            powers = tuple(p - D if t == i else p for t, p in enumerate(m[0]))
             targets = [((powers, m[1]), n)]
             if k:
                 logs = tuple(v - 1 if t == i else v for t, v in enumerate(m[1]))
@@ -577,7 +598,7 @@ def derivative(s: Series, idx: int) -> Series:
 
 class _Residue(Series):
     def __init__(self, base: Series, idx: int):
-        if base.cosets[idx] - {F0} or base.logmax[idx] > 0:
+        if base.cosets[idx] - {0} or base.logmax[idx] > 0:
             raise NonMeromorphicVariable(
                 "residue in %s: fractional exponents or logs remain" % base.vars[idx])
         keep = [i for i in range(len(base.vars)) if i != idx]
@@ -591,8 +612,8 @@ class _Residue(Series):
         lows = list(box.lows)
         highs = list(box.highs)
         caps = list(box.logcaps)
-        lows.insert(self.idx, Fraction(-1))
-        highs.insert(self.idx, Fraction(-1))
+        lows.insert(self.idx, -D)
+        highs.insert(self.idx, -D)
         caps.insert(self.idx, 0)
         out = {}
         for m, c in self.base.terms_in(Box(lows, highs, caps)).items():
@@ -615,7 +636,7 @@ def residue(s: Series, idx: int) -> Series:
 
 def _positive_valuation_var(base: Series):
     for i, (lo, _hi) in enumerate(base.bounds):
-        if lo is not None and lo >= 1:
+        if lo is not None and lo >= D:
             return i, lo
     raise InfiniteConvolution("base series has no strictly positive valuation")
 
@@ -674,8 +695,8 @@ def nilpotent_binomial(vars, order: int, lead: int, exp: int, box: Box,
         vars, [(-1 if i == lead else (1 if i == exp else 0)) for i in range(len(vars))],
         coeff=Scalar.rational(-1))
     tail = log1p_of(ratio, box)
-    logterm = TermSeries(vars, {
-        (tuple(F0 for _ in vars), tuple(1 if i == lead else 0 for i in range(len(vars)))): ONE})
+    logterm = TermSeries.monomial(
+        vars, [0] * len(vars), [1 if i == lead else 0 for i in range(len(vars))])
     L = Sum([logterm, tail])
     if minus:
         L = Sum([L, TermSeries.constant(vars, Scalar.pi())])
@@ -709,7 +730,7 @@ def format_monomial(m, vars) -> str:
     parts = []
     for v, p, k in zip(vars, m[0], m[1]):
         if p:
-            parts.append("%s^%s" % (v, p))
+            parts.append("%s^%s" % (v, exponent(p)))
         if k == 1:
             parts.append("log(%s)" % v)
         elif k:
@@ -731,7 +752,7 @@ def series_to_json(terms: dict, vars, box: Box = None):
     for m in sorted(terms, key=mono_sort_key):
         c = terms[m]
         entries.append({
-            "powers": {v: str(p) for v, p in zip(vars, m[0]) if p},
+            "powers": {v: str(exponent(p)) for v, p in zip(vars, m[0]) if p},
             "log_powers": {v: k for v, k in zip(vars, m[1]) if k},
             "scalar": c.to_json() if isinstance(c, Scalar) else repr(c),
         })
@@ -743,5 +764,5 @@ def series_to_json(terms: dict, vars, box: Box = None):
 
 def window_json(vars, box: Box):
     """Per variable: [low, high, log cap] of the box."""
-    return {v: [str(lo), str(hi), cap] for v, lo, hi, cap in
+    return {v: [str(exponent(lo)), str(exponent(hi)), cap] for v, lo, hi, cap in
             zip(vars, box.lows, box.highs, box.logcaps)}

@@ -22,7 +22,8 @@ from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, vec_of
 from .series import (BinomialKernel, Box, Product, Sum, TermSeries,
                      branch_shift, delta_iter, delta_prod, delta_prod_rev,
-                     derivative, residue, scaled, window_json)
+                     derivative, exponent, format_monomial, lattice, mono,
+                     residue, scaled, window_json)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -361,7 +362,7 @@ def L_minus1_commutator_sides(W, me, lowered, wprime, box):
     commutator is formed on vector coefficients; both sides are then paired
     with wprime when one is given.
     """
-    base = me.terms_in(box.with_var(0, box.lows[0], box.highs[0] + 1))
+    base = me.terms_in(box.with_var(0, box.lows[0], box.highs[0] + lattice(1)))
     low = lowered.terms_in(box)
     zero = Vec.zero()
     comm = {m: W.L_minus1(base.get(m, zero)) - low.get(m, zero)
@@ -397,7 +398,7 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
     exponents; log powers are left for the comparator to clip."""
     from .automorphism import nilpotent_power_coeffs
     out = {}
-    hw_lo, hw_hi = box.lows[0], box.highs[0]
+    hw_lo, hw_hi = exponent(box.lows[0]), exponent(box.highs[0])
     if side == "argument":
         parts = nilpotent_power_coeffs(W.g, u)   # N^k u / k!, V side
         for k, part in enumerate(parts):
@@ -407,7 +408,7 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
                 vec = W.y0_mode_vec(part.scale(sgn), -e - 1, w)
                 if vec:
                     val = pair(wprime, vec) if wprime is not None else vec
-                    m = ((e,), (k,))
+                    m = mono((e,), (k,))
                     out[m] = out.get(m, _zero_like(wprime)) + val
                 e += FH
     else:
@@ -422,7 +423,7 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
                     sgn = Fraction((-1) ** k1)
                     val = pair(wprime, res.scale(sgn)) if wprime is not None \
                         else res.scale(sgn)
-                    m = ((e,), (k1 + k2,))
+                    m = mono((e,), (k1 + k2,))
                     out[m] = out.get(m, _zero_like(wprime)) + val
             e += FH
     return out
@@ -475,12 +476,12 @@ def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
             hi = al + pdeg - W.V.algebra_weight(vs[i]) \
                 + sum(orders[tuple(sorted((i, j)))] for j in range(k) if j != i)
         for m in terms:
-            e = m[0][i]
+            e = exponent(m[0][i])
             if e < lo or (hi is not None and e > hi):
                 return CheckResult(
                     "product-polynomiality", False, _inputs(w=w, k=k),
                     window_json(vars, box),
-                    {"monomial": str(m), "variable": vars[i],
+                    {"monomial": format_monomial(m, vars), "variable": vars[i],
                      "bound": "[%s, %s]" % (lo, hi)})
     return CheckResult("product-polynomiality", True, _inputs(w=w, k=k),
                        window_json(vars, box))

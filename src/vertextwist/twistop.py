@@ -18,8 +18,9 @@ from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
                      Sum, TermSeries, c_mul, coset_range, delta_iter,
-                     delta_prod, delta_prod_rev, derivative, minus_convention,
-                     mono, mono_add, residue, scaled, window_json)
+                     delta_prod, delta_prod_rev, derivative, exponent,
+                     format_monomial, lattice, minus_convention, mono,
+                     mono_add, residue, scaled, window_json)
 from .twisted import (L_minus1_commutator_sides, _inputs, mode_sum,
                       require_semisimple)
 from .vosa import weak_commutativity_order
@@ -55,9 +56,6 @@ class TwistOpSlot:
             return out or frozenset((F0,))
         except ValueError:
             return self.ecosets_meta()
-
-    def wshift(self, e: Fraction) -> Fraction:
-        return self.wt + e
 
     def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
         acc = {}
@@ -141,9 +139,8 @@ def _exp_L_terms(W, w_arg: Vec, vars, var_idx, max_j) -> dict:
     for j in range(max_j + 1):
         if not cur:
             break
-        powers = [F0] * nv
-        powers[var_idx] = Fraction(j)
-        out[(tuple(powers), (0,) * nv)] = cur.scale(Fraction(1, factorial(j)))
+        out[mono([j if i == var_idx else 0 for i in range(nv)])] = \
+            cur.scale(Fraction(1, factorial(j)))
         cur = W.L_minus1(cur)
     return out
 
@@ -182,6 +179,7 @@ class _AppliedSeries(Series):
 def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
                              halfwidth) -> CheckResult:
     """(x0+x2)^M Y(u,x0+x2) T(w,x2) v = (x0+x2)^M T(Y(u,x0)w, x2) v."""
+    require_semisimple(W, "weak-associativity")
     M = max(weak_commutativity_order(W.V, u, v), 1)
     vars = ("x0", "x2")
     hw = Fraction(halfwidth)
@@ -334,7 +332,8 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
         if m[1][0] != 0:
             return CheckResult(
                 "twist-decomposition", False, inputs, window_json(vars, box),
-                {"monomial": str(m), "detail": "log term survives in T_0"})
+                {"monomial": format_monomial(m, vars),
+                 "detail": "log term survives in T_0"})
     # reconstruct: T(w,x) v = sum_k T_0(w, x)(N^k v / k!)(-1)^k (log x)^k
     recon = {}
     for k1, part in enumerate(nilpotent_power_coeffs(W.g, v)):
@@ -375,13 +374,14 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
     hw = Fraction(hw)
     nv = len(vars)
     box = Box.cube(nv, -hw, hw, W.log_bound)
+    lo, hi = lattice(-hw), lattice(hw)
     sign = Scalar.rational(
         (-1) ** (W.vec_parity(w_arg)
                  * ((W.V.algebra_parity(v)
                      + sum(W.V.algebra_parity(u) for u in vs)) % 2)))
     own_box = [Box(
-        [None if i != v_idx[pos] else -hw for i in range(nv)],
-        [None if i != v_idx[pos] else hw for i in range(nv)],
+        [None if i != v_idx[pos] else lo for i in range(nv)],
+        [None if i != v_idx[pos] else hi for i in range(nv)],
         [0] * nv) for pos in range(len(vs))]
     out = {}
 
@@ -402,7 +402,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
             for m1, c1 in terms.items():
                 for m2, c2 in kt.items():
                     m = mono_add(m1, m2)
-                    if m[0][v_idx[pos]] < -hw or m[0][v_idx[pos]] > hw:
+                    if not lo <= m[0][v_idx[pos]] <= hi:
                         continue
                     c = c1 * c2
                     prev = nxt.get(m)
@@ -412,7 +412,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
             return
         # only L-powers that can pull the shared variable back into the
         # window contribute
-        jneed = int(hw - min(m[0][x_idx] for m in terms))
+        jneed = int(hw - exponent(min(m[0][x_idx] for m in terms)))
         if jneed < 0:
             return
         for m1, vecv in _exp_L_terms(W, cur, vars, x_idx, jneed).items():
@@ -468,6 +468,7 @@ def check_mixed_product(W, tw_vs, w_arg: Vec, alg_vs, v: Vec, wprime,
     is lost: for the remaining slots the re-centering is the definition of
     the twist operator itself.
     """
+    require_semisimple(W, "mixed-product-recentred")
     k, l = len(tw_vs), len(alg_vs)
     if l > 1:
         raise ValueError("at most one algebra operator right of the twist "

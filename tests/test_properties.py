@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from vertextwist.models import Registry
 from vertextwist.scalars import Scalar, Vec
-from vertextwist.series import Box, Product, Sum, TermSeries, mono, \
-    series_mismatch
+from vertextwist.series import (Box, Product, Sum, TermSeries, exponent,
+                                lattice, mono, mono_add, mono_sort_key,
+                                series_mismatch)
 
 F = Fraction
 
@@ -76,3 +77,25 @@ def test_series_product_associative_and_distributive(a, b, c):
                            Product(a, Product(b, c)), box) is None
     assert series_mismatch(Product(a, Sum([b, c])),
                            Sum([Product(a, b), Product(a, c)]), box) is None
+
+
+# exponents on the (1/16)Z lattice, as rationals
+lattice_exponents = st.integers(-48, 48).map(lambda p: F(p, 16))
+
+
+@given(st.lists(st.tuples(lattice_exponents, lattice_exponents,
+                          st.integers(0, 2)), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_lattice_monomials_agree_with_fractions(rows):
+    monos = [mono([a, b], [k, 0]) for a, b, k in rows]
+    for (a, b, k), m in zip(rows, monos):
+        assert exponent(lattice(a)) == a
+        assert [exponent(p) for p in m[0]] == [a, b]
+    for (a1, b1, k1), (a2, b2, k2), m1, m2 in zip(rows, rows[1:], monos,
+                                                  monos[1:]):
+        assert mono_add(m1, m2) == mono([a1 + a2, b1 + b2], [k1 + k2, 0])
+    # the canonical order, hence the first mismatch reported, is the order
+    # of the rational exponents
+    by_fraction = sorted(rows, key=lambda r: ((r[0], r[1]), (r[2], 0)))
+    assert sorted(monos, key=mono_sort_key) == \
+        [mono([a, b], [k, 0]) for a, b, k in by_fraction]

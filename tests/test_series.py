@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vertextwist.errors import InfiniteConvolution, NonMeromorphicVariable
-from vertextwist.scalars import ONE, Scalar
+from vertextwist.scalars import ONE, CyclotomicLevelError, Scalar
 from vertextwist.series import (Box, PlainDelta, Product, Sum, TermSeries,
                                 binomial_expand, binomial_of, branch_shift,
                                 delta_iter, delta_prod, delta_prod_rev,
                                 derivative, log_substitute, log1p_of,
                                 minus_convention, mono, nilpotent_binomial,
-                                residue, series_mismatch, series_to_json)
+                                residue, series_mismatch, series_to_json,
+                                window_json)
 
 F = Fraction
 X = ("x",)
@@ -213,3 +214,18 @@ def test_json_roundtrip_shape():
     assert doc["variables"] == ["x1", "x2"]
     assert doc["entries"][0]["powers"] == {"x1": "1/2", "x2": "-1"}
     assert doc["entries"][0]["log_powers"] == {"x2": 1}
+
+
+def test_off_lattice_exponents_are_refused():
+    # exponents share the (1/16)Z lattice of the phases; 1/3 is off it
+    with pytest.raises(CyclotomicLevelError):
+        mono([F(1, 3)])
+    with pytest.raises(CyclotomicLevelError):
+        Box.cube(1, F(-1, 3), 1)
+
+
+def test_window_json_reads_rational_bounds():
+    assert window_json(X12, Box.cube(2, -3, 3, 1)) == {
+        "x1": ["-3", "3", 1], "x2": ["-3", "3", 1]}
+    assert window_json(X, Box.cube(1, F(-1, 2), F(3, 16))) == {
+        "x": ["-1/2", "3/16", 0]}

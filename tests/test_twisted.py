@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from vertextwist import twisted
 from vertextwist.errors import ExtensionInconsistent
 from vertextwist.models import (build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_unipotent_toy,
@@ -9,7 +10,7 @@ from vertextwist.models import (build_free_fermion, build_heisenberg,
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
 from vertextwist.scalars import HALF_SQRT2, ONE, Scalar, Vec
-from vertextwist.series import Box, mono
+from vertextwist.series import Box, TermSeries, mono
 from vertextwist.twisted import (check_commutator_formula, check_equivariance,
                                  check_g_compatibility,
                                  check_L_minus1_derivative_W,
@@ -242,6 +243,20 @@ def test_product_polynomiality_two(fermion, ramond):
     r = check_product_polynomiality(ramond, [psi, psi], vac,
                                     Vec.basis((0, ())), 5)
     assert r.ok, r.first_mismatch
+
+
+def test_polynomiality_failure_names_the_monomial(monkeypatch, fermion,
+                                                  ramond):
+    # a term below the predicted x1 interval [0, 1] stands in for the product
+    psi = fermion.gen_vector("psi")
+    vac = Vec.basis((0, ()))
+    vars = ("x1", "x2")
+    bad = TermSeries(vars, {mono([F(-5, 2), 1]): ONE})
+    monkeypatch.setattr(twisted, "prefactored_product",
+                        lambda *args: (vars, bad, {(0, 1): 1}))
+    r = check_product_polynomiality(ramond, [psi, psi], vac, vac, 3)
+    assert not r.ok
+    assert r.first_mismatch["monomial"] == "x1^-5/2*x2^1"
 
 
 def test_permutation_symmetry_swap(fermion, ramond):

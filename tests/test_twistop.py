@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from vertextwist import twistop
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
 from vertextwist.models import (GRAM3, UNIPOTENT3, build_free_fermion,
                                 build_heisenberg, build_ramond_module,
                                 build_unipotent_toy, build_z2_twisted_boson)
-from vertextwist.scalars import HALF_SQRT2, Scalar, Vec
+from vertextwist.scalars import HALF_SQRT2, ONE, Scalar, Vec
 from vertextwist.series import Box, mono
 from vertextwist.twistop import (check_gen_commutator,
                                  check_gen_weak_commutativity,
@@ -166,6 +167,26 @@ def test_twist_decomposition_shipped_and_toy(fermion, ramond, toy):
     a = toy.V.gen_vector("a")
     r = check_twist_decomposition(toy, a, b, None, 2)
     assert r.ok, r.first_mismatch
+
+
+def test_twist_decomposition_failure_names_the_monomial(monkeypatch, fermion,
+                                                        ramond):
+    # a log term surviving in T_0 is reported on the monomial it sits on
+    psi = fermion.gen_vector("psi")
+    monkeypatch.setattr(twistop, "_t0_terms",
+                        lambda *args: {mono([F(-1, 2)], [1]): ONE})
+    r = check_twist_decomposition(ramond, Vec.basis(VAC), psi, None, 3)
+    assert not r.ok
+    assert r.first_mismatch["monomial"] == "x^-1/2*log(x)"
+
+
+def test_weak_associativity_and_mixed_product_refuse_unipotent(toy):
+    b = toy.V.gen_vector("b")
+    w = Vec.basis(toy.basis(0)[0])
+    with pytest.raises(ValueError, match="semisimple"):
+        check_weak_associativity(toy, b, b, w, None, 2)
+    with pytest.raises(ValueError, match="semisimple"):
+        check_mixed_product(toy, [b], w, [], b, None, 2)
 
 
 def test_L_minus1_twist(fermion, ramond):
