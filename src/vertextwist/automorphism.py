@@ -1,12 +1,16 @@
 """Automorphisms of free-field algebras and their exact Jordan data.
 
-An automorphism is given by its action on the generator space and extended
-multiplicatively to PBW monomials.  Blockwise on each weight space it is
-decomposed as g = e^{2 pi i S} e^{K} with S semisimple (acting as a rational
-alpha on each generalized eigenspace) and K = 2 pi i N nilpotent, computed by
-the finite logarithm series.  K is the stored primitive; N itself only ever
-appears multiplied by logs, contributing PI^{-1} factors that the scalar ring
-carries exactly.
+An automorphism g is given by its action on the generator space and extended
+multiplicatively to PBW monomials.  Its Jordan parts g = e^{2 pi i S} e^{K},
+with K = 2 pi i N, are split once, on the generator block: S acts by a
+rational alpha on each generalized eigenspace of that block, and K on a
+generator is the finite logarithm series of e^{-2 pi i S} g there.  Since g is
+an automorphism, S acts multiplicatively on PBW monomials and K acts as a
+derivation, by the Leibniz rule over their factors.  `jordan_decompose`
+certifies both on every basis vector of each weight block: e^{K} e^{2 pi i S}
+v = g v, e^{2 pi i S} K v = K e^{2 pi i S} v, and K v reaches zero.  K is the
+stored primitive; N itself only ever appears multiplied by logs,
+contributing PI^{-1} factors that the scalar ring carries exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .scalars import ONE, Scalar, Vec, acc_vec, cyclotomic_level, vec_of
 from .vosa import FreeFieldAlgebra
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 NILPOTENCY_CAP = 24
 
@@ -37,6 +40,7 @@ class Automorphism:
         self._apply_memo = {}
         self._alpha_memo = {}
         self._K_memo = {}
+        self._K_gens = {}
         self._semi_memo = {}
         self._gen_block = None
         self._gen_parts = None
@@ -98,7 +102,7 @@ class Automorphism:
         """Per generator, its components in the generalized eigenspaces of g."""
         if self._gen_parts is None:
             mat = self.gen_block()
-            alphas, columns, col_alpha = _generalized_eigenbasis(mat)
+            columns, col_alpha = _generalized_eigenbasis(mat)
             r = len(mat)
             parts = []
             all_coords = solve([[columns[c][t] for c in range(r)]
@@ -208,31 +212,54 @@ class Automorphism:
         return vec_of(acc)
 
     def _K_key(self, key) -> Vec:
+        """K(a_(-n) rest) = (K a)_(-n) rest + a_(-n) K(rest), K being a
+        derivation of V."""
+        if not key:
+            return Vec.zero()
+        head, rest = key[0], key[1:]
+        gi = self.V.gen_index(head)
+        n = self.V.factor_weight(head)
+        rest_vec = Vec.basis(rest)
+        acc = {}
+        for gkey, c in self.gen_K(gi).items():
+            j = self.V.gen_index(gkey[0])
+            acc_vec(acc, self._create(j, n, rest_vec), c)
+        acc_vec(acc, self._create(gi, n, self.K_apply(rest_vec)))
+        return vec_of(acc)
+
+    def gen_K(self, gidx) -> Vec:
+        """K on one generator: the log series of e^{-2 pi i S} g there."""
+        hit = self._K_gens.get(gidx)
+        if hit is not None:
+            return hit
         out = Vec.zero()
-        cur = Vec.basis(key)
+        cur = Vec.basis(self.V.gen_key(gidx))
         j = 1
         while True:
             cur = self.semisimple_exp(self.apply(cur), sign=-1) - cur
             if not cur:
-                return out
+                break
             if j > NILPOTENCY_CAP:
                 raise NotNilpotent("log series did not terminate")
             out = out + cur.scale(Fraction((-1) ** (j + 1), j))
             j += 1
+        self._K_gens[gidx] = out
+        return out
+
+    def exp_terms(self, vec: Vec) -> list:
+        """[K^k v / k!] for k = 0, 1, ... up to the last nonzero term."""
+        out = [vec]
+        while True:
+            cur = self.K_apply(out[-1]).scale(Fraction(1, len(out)))
+            if not cur:
+                return out
+            if len(out) > NILPOTENCY_CAP:
+                raise NotNilpotent("exponential series did not terminate")
+            out.append(cur)
 
     def unipotent_exp(self, vec: Vec) -> Vec:
         """e^{2 pi i N_g} = e^{K} applied pointwise."""
-        from math import factorial
-        out = Vec.zero()
-        cur = vec
-        j = 0
-        while cur:
-            out = out + cur.scale(Fraction(1, factorial(j)))
-            cur = self.K_apply(cur)
-            j += 1
-            if j > NILPOTENCY_CAP:
-                raise NotNilpotent("exponential series did not terminate")
-        return out
+        return sum(self.exp_terms(vec), Vec.zero())
 
 
 def parity_automorphism(V) -> Automorphism:
@@ -276,10 +303,10 @@ def _alpha_candidates():
 
 
 def _generalized_eigenbasis(mat):
-    """(sorted alphas, list of basis columns, alpha per column) for a block."""
+    """(basis columns, alpha per column) of the generalized eigenspaces of
+    a square matrix whose eigenvalues are e^{2 pi i alpha}."""
     d = len(mat)
-    found, columns, col_alpha = [], [], []
-    total = 0
+    columns, col_alpha = [], []
     for al in _alpha_candidates():
         shifted = [[mat[i][j] - (Scalar.e(2 * al) if i == j else Scalar.zero())
                     for j in range(d)] for i in range(d)]
@@ -288,92 +315,42 @@ def _generalized_eigenbasis(mat):
         power = mat_identity(d)
         for _ in range(d):
             power = mat_mul(power, shifted)
-        ker = kernel_basis(power)
-        if ker:
-            found.append(al)
-            for v in ker:
-                columns.append(v)
-                col_alpha.append(al)
-            total += len(ker)
-        if total == d:
+        for v in kernel_basis(power):
+            columns.append(v)
+            col_alpha.append(al)
+        if len(columns) == d:
             break
-    if total != d:
+    if len(columns) != d:
         raise NonCyclotomicSpectrum(
             "eigenvalues are not roots of unity of order dividing %d"
             % (2 * cyclotomic_level()))
-    return found, columns, col_alpha
+    return columns, col_alpha
 
 
 class BlockJordan:
-    """K = 2 pi i N matrix of one weight block, plus its spectrum."""
+    """K = 2 pi i N matrix of one weight block, its spectrum and nilpotency
+    index, read from g pointwise and certified on every basis vector."""
 
-    def __init__(self, basis, gmat):
+    def __init__(self, g: Automorphism, basis):
         self.basis = basis
-        self.g = gmat
-        d = len(gmat)
-        alphas, columns, col_alpha = _generalized_eigenbasis(gmat)
-        self.alphas = alphas
-        C = [[columns[c][i] for c in range(d)] for i in range(d)]
-        Cinv = _mat_inverse(C)
-        diag = lambda vals: [[vals[j] if i == j else Scalar.zero()
-                              for j in range(d)] for i in range(d)]
-        semi_inv = mat_mul(mat_mul(C, diag([Scalar.e(-2 * a) for a in col_alpha])),
-                           Cinv)
-        T = mat_mul(semi_inv, gmat)
-        self.K = _nilpotent_log_matrix(T)
-        self.nilpotency_index = _nilpotency_index(self.K)
-        semi = mat_mul(mat_mul(C, diag([Scalar.e(2 * a) for a in col_alpha])), Cinv)
-        if not mat_eq(mat_mul(semi, _mat_exp(self.K)), gmat):
-            raise NonCyclotomicSpectrum("exp(2 pi i (S+N)) failed to reproduce g")
-
-
-def _mat_inverse(mat):
-    d = len(mat)
-    cols = solve(mat, mat_identity(d))
-    if cols is None:
-        raise NonCyclotomicSpectrum("singular change of basis")
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _nilpotent_log_matrix(T):
-    d = len(T)
-    A = [[T[i][j] - (ONE if i == j else Scalar.zero()) for j in range(d)]
-         for i in range(d)]
-    out = [[Scalar.zero()] * d for _ in range(d)]
-    power = mat_identity(d)
-    for j in range(1, d + 1):
-        power = mat_mul(power, A)
-        if all(x.is_zero() for row in power for x in row):
-            return out
-        out = [[o + p * Fraction((-1) ** (j + 1), j) for o, p in zip(ro, rp)]
-               for ro, rp in zip(out, power)]
-    if not all(x.is_zero() for row in mat_mul(power, A) for x in row):
-        raise NotNilpotent("unipotent part is not nilpotent on the block")
-    return out
-
-
-def _nilpotency_index(K) -> int:
-    d = len(K)
-    power = mat_identity(d)
-    for j in range(0, d + 2):
-        if all(x.is_zero() for row in power for x in row):
-            return j
-        power = mat_mul(power, K)
-    raise NotNilpotent("no nilpotency index within block dimension")
-
-
-def _mat_exp(K):
-    from math import factorial
-    d = len(K)
-    out = mat_identity(d)
-    power = mat_identity(d)
-    for j in range(1, d + 2):
-        power = mat_mul(power, K)
-        if all(x.is_zero() for row in power for x in row):
-            return out
-        out = [[o + p * Fraction(1, factorial(j)) for o, p in zip(ro, rp)]
-               for ro, rp in zip(out, power)]
-    return out
+        index = {k: i for i, k in enumerate(basis)}
+        self.K = [[Scalar.zero()] * len(basis) for _ in basis]
+        alphas = set()
+        self.nilpotency_index = 0
+        for j, key in enumerate(basis):
+            v = Vec.basis(key)
+            Kv = g.K_apply(v)
+            for kk, c in Kv.items():
+                self.K[index[kk]][j] = c
+            alphas |= g.coset_of(v)
+            self.nilpotency_index = max(self.nilpotency_index,
+                                        len(g.exp_terms(v)))
+            Sv = g.semisimple_exp(v)
+            if g.unipotent_exp(Sv) != g.apply_key(key) \
+                    or g.semisimple_exp(Kv) != g.K_apply(Sv):
+                raise NonCyclotomicSpectrum(
+                    "exp(2 pi i (S+N)) failed to reproduce g")
+        self.alphas = sorted(alphas)
 
 
 class JordanData:
@@ -394,22 +371,11 @@ class JordanData:
 
 def jordan_decompose(g: Automorphism, weight_cutoff) -> JordanData:
     """Blockwise K = 2 pi i N_g and the spectrum P_V up to the weight cutoff."""
-    V = g.V
-    blocks = {}
-    spectrum = set()
     by_weight = {}
-    for key in V.basis(weight_cutoff):
-        by_weight.setdefault(V.weight(key), []).append(key)
-    for w, keys in sorted(by_weight.items()):
-        mat = [[Scalar.zero() for _ in keys] for _ in keys]
-        index = {k: i for i, k in enumerate(keys)}
-        for j, k in enumerate(keys):
-            img = g.apply_key(k)
-            for kk, c in img.items():
-                mat[index[kk]][j] = c
-        blk = BlockJordan(keys, mat)
-        blocks[w] = blk
-        spectrum.update(blk.alphas)
+    for key in g.V.basis(weight_cutoff):
+        by_weight.setdefault(g.V.weight(key), []).append(key)
+    blocks = {w: BlockJordan(g, keys) for w, keys in sorted(by_weight.items())}
+    spectrum = set().union(*(b.alphas for b in blocks.values()))
     return JordanData(blocks, spectrum)
 
 
@@ -459,17 +425,7 @@ def check_derivation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckRes
 def nilpotent_power_coeffs(g: Automorphism, vec: Vec):
     """[N^k v / k!] for k = 0,1,... until zero; the (log x)^k coefficients of x^N v."""
     half = Scalar.pi(-1) * Fraction(1, 2)   # N = K/(2 PI)
-    out = [vec]
-    cur = vec
-    k = 1
-    while True:
-        cur = g.K_apply(cur).scale(half * Fraction(1, k))
-        if not cur:
-            return out
-        out.append(cur)
-        k += 1
-        if k > NILPOTENCY_CAP:
-            raise NotNilpotent("x^N expansion did not terminate")
+    return [t.scale(half ** k) for k, t in enumerate(g.exp_terms(vec))]
 
 
 def check_conjugation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckResult:

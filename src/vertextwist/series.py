@@ -486,29 +486,6 @@ class DeltaDerivKernel(Series):
         return out
 
 
-class PlainDelta(Series):
-    """delta(x) = sum over all integers n of x^n in one designated variable."""
-
-    def __init__(self, vars, idx: int):
-        n = len(vars)
-        bounds = [(0, 0)] * n
-        bounds[idx] = (None, None)
-        super().__init__(vars, bounds, [frozenset((0,))] * n, [0] * n)
-        self.idx = idx
-
-    def _terms_in(self, box):
-        lo, hi = box.lows[self.idx], box.highs[self.idx]
-        if lo is None or hi is None:
-            raise InfiniteConvolution("delta(x) has unbounded support")
-        out = {}
-        n = len(self.vars)
-        for p in lattice_coset(lo, hi, 0):
-            powers = [0] * n
-            powers[self.idx] = p
-            out[(tuple(powers), (0,) * n)] = ONE
-        return out
-
-
 # ---------------------------------------------------------------------------
 # variable transforms
 # ---------------------------------------------------------------------------
@@ -628,86 +605,6 @@ class _Residue(Series):
 def residue(s: Series, idx: int) -> Series:
     """Coefficient of x_idx^{-1}; the variable must carry only integral, log-free powers."""
     return _Residue(s, idx)
-
-
-# ---------------------------------------------------------------------------
-# composite expansions (series in a small-valuation base)
-# ---------------------------------------------------------------------------
-
-def _positive_valuation_var(base: Series):
-    for i, (lo, _hi) in enumerate(base.bounds):
-        if lo is not None and lo >= D:
-            return i, lo
-    raise InfiniteConvolution("base series has no strictly positive valuation")
-
-
-def truncated_powers(base: Series, box: Box, max_power=None):
-    """Yield (n, base^n materialized on box) while base^n can still meet box."""
-    i, lo = _positive_valuation_var(base)
-    hi = box.highs[i]
-    if hi is None:
-        raise InfiniteConvolution("power series needs a bounded window")
-    cur = TermSeries.constant(base.vars, ONE)
-    n = 0
-    while (max_power is None or n <= max_power) and n * lo <= hi:
-        yield n, cur
-        cur = TermSeries(base.vars, Product(cur, base).terms_in(box))
-        n += 1
-
-
-def binomial_of(base: Series, A, box: Box) -> TermSeries:
-    """(1 + base)^A on the box; base must have a positive-valuation variable."""
-    out = {}
-    for n, p in truncated_powers(base, box):
-        c = binomial(A, n)
-        if not c:
-            continue
-        for m, v in p.terms_in(box).items():
-            s = out.get(m, None)
-            cv = c_mul(Scalar.rational(c), v)
-            out[m] = cv if s is None else s + cv
-    return TermSeries(base.vars, out)
-
-
-def log1p_of(base: Series, box: Box) -> TermSeries:
-    """log(1 + base) on the box."""
-    out = {}
-    for n, p in truncated_powers(base, box):
-        if n == 0:
-            continue
-        c = Fraction((-1) ** (n + 1), n)
-        for m, v in p.terms_in(box).items():
-            s = out.get(m)
-            cv = c_mul(Scalar.rational(c), v)
-            out[m] = cv if s is None else s + cv
-    return TermSeries(base.vars, out)
-
-
-def nilpotent_binomial(vars, order: int, lead: int, exp: int, box: Box,
-                       minus: bool = False):
-    """Coefficient series of N^k, k < order, in (x_lead - x_exp)^N = e^{N log(x_lead - x_exp)}.
-
-    log(x_lead - x_exp) is taken as log x_lead + log(1 - x_exp/x_lead); with
-    minus=True an extra PI is added per the (-x_exp + x_lead) convention
-    (callers swap lead/exp themselves).
-    """
-    ratio = TermSeries.monomial(
-        vars, [(-1 if i == lead else (1 if i == exp else 0)) for i in range(len(vars))],
-        coeff=Scalar.rational(-1))
-    tail = log1p_of(ratio, box)
-    logterm = TermSeries.monomial(
-        vars, [0] * len(vars), [1 if i == lead else 0 for i in range(len(vars))])
-    L = Sum([logterm, tail])
-    if minus:
-        L = Sum([L, TermSeries.constant(vars, Scalar.pi())])
-    out = []
-    cur = TermSeries.constant(vars, ONE)
-    from math import factorial
-    for k in range(order):
-        out.append(TermSeries(vars, {m: c / factorial(k)
-                                     for m, c in cur.terms.items()}))
-        cur = TermSeries(vars, Product(cur, L).terms_in(box))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .modes import ModeOracle
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, vec_of
 from .series import (BinomialKernel, Box, Product, Sum, TermSeries,
-                     branch_shift, delta_iter, delta_prod, delta_prod_rev,
-                     derivative, exponent, format_monomial, lattice, mono,
-                     residue, scaled, window_json)
+                     branch_shift, coset_range, delta_iter, delta_prod,
+                     delta_prod_rev, derivative, exponent, format_monomial,
+                     lattice, mono, residue, scaled, window_json)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -309,8 +309,7 @@ def check_g_compatibility(W, u, w: Vec, halfwidth) -> CheckResult:
     gu = W.g.apply(u)
     gw = W.g_apply(w)
     pu = W.algebra_parity(u)
-    e = -Fraction(halfwidth)
-    while e <= halfwidth:
+    for e in _exponents_of(W, u, -halfwidth, halfwidth):
         n = -e - 1
         for k in range(W.log_bound + 1):
             lhs = W.g_apply(W.mode_vec(u, n, k, w))
@@ -324,8 +323,14 @@ def check_g_compatibility(W, u, w: Vec, halfwidth) -> CheckResult:
                         return CheckResult(
                             "fermion-compatibility", False, _inputs(u=u, w=w),
                             first_mismatch={"monomial": "x^%s" % e})
-        e += FH
     return CheckResult("g-compatibility", True, _inputs(u=u, w=w))
+
+
+def _exponents_of(W, u, lo, hi) -> list:
+    """Exponents e in [lo, hi] that Y(u, x) can carry: e = -n-1 with each
+    mode n in alpha + Z for an alpha in the g-decomposition of u."""
+    return sorted(e for al in W.g.coset_of(u)
+                  for e in coset_range(lo, hi, -al))
 
 
 def check_equivariance(W, u, w, wprime, halfwidth) -> CheckResult:
@@ -398,23 +403,20 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
     exponents; log powers are left for the comparator to clip."""
     from .automorphism import nilpotent_power_coeffs
     out = {}
-    hw_lo, hw_hi = exponent(box.lows[0]), exponent(box.highs[0])
+    exps = _exponents_of(W, u, exponent(box.lows[0]), exponent(box.highs[0]))
     if side == "argument":
         parts = nilpotent_power_coeffs(W.g, u)   # N^k u / k!, V side
         for k, part in enumerate(parts):
             sgn = Fraction((-1) ** k)
-            e = hw_lo
-            while e <= hw_hi:
+            for e in exps:
                 vec = W.y0_mode_vec(part.scale(sgn), -e - 1, w)
                 if vec:
                     val = pair(wprime, vec) if wprime is not None else vec
                     m = mono((e,), (k,))
                     out[m] = out.get(m, _zero_like(wprime)) + val
-                e += FH
     else:
         # x^{-N} (Y)_0(u, x) x^{N} on the module side
-        e = hw_lo
-        while e <= hw_hi:
+        for e in exps:
             for k2, wpart in enumerate(_module_n_powers(W, w)):
                 vec = W.y0_mode_vec(u, -e - 1, wpart)
                 if not vec:
@@ -425,7 +427,6 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
                         else res.scale(sgn)
                     m = mono((e,), (k1 + k2,))
                     out[m] = out.get(m, _zero_like(wprime)) + val
-            e += FH
     return out
 
 

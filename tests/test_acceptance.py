@@ -113,14 +113,15 @@ def test_a2_jordan(fermion, heis3, registry):
     report("A2 parity decomposition (S reproduces g, N = 0, P_V = {0, 1/2})", ok)
 
     unip = registry.algebra("heis3").automorphisms["unipotent"]
-    jd = jordan_decompose(unip, 1)
+    # jordan_decompose certifies e^{2 pi i (S+N)} = g on every basis vector
+    jd = jordan_decompose(unip, 3)
     blk = jd.blocks[F(1)]
     a, b, c = (heis3.gen_vector(n) for n in "abc")
     ok = (jd.spectrum == [0] and blk.nilpotency_index == 3
           and unip.K_apply(b) == -c and unip.K_apply(c) == a
           and unip.K_apply(a).is_zero())
-    # e^{2 pi i (S+N)} = g, exactly, on the weight-2 block as well
-    for key in heis3.basis(2):
+    # e^{2 pi i (S+N)} = g, exactly, on the weight-2 and weight-3 blocks too
+    for key in heis3.basis(3):
         ok = ok and unip.unipotent_exp(unip.semisimple_exp(Vec.basis(key))) \
             == unip.apply_key(key)
     report("A2 unipotent decomposition (2 pi i N: b -> -c -> ... , exp = g)", ok)

@@ -8,7 +8,7 @@ from vertextwist.automorphism import (Automorphism, check_conjugation,
                                       nilpotent_power_coeffs,
                                       orthogonal_automorphism,
                                       parity_automorphism)
-from vertextwist.errors import NotIsometry
+from vertextwist.errors import NonCyclotomicSpectrum, NotIsometry
 from vertextwist.scalars import Scalar, Vec
 from vertextwist.vosa import FermionAlgebra, HeisenbergAlgebra
 
@@ -100,13 +100,54 @@ def test_jordan_idempotent(unip, heis3):
 
 
 def test_blockwise_matches_pointwise(unip, heis3):
-    jd = jordan_decompose(unip, 2)
-    for w, blk in jd.blocks.items():
-        for j, key in enumerate(blk.basis):
-            got = unip.K_apply(Vec.basis(key))
-            want = Vec({blk.basis[i]: blk.K[i][j] for i in range(len(blk.basis))
-                        if not blk.K[i][j].is_zero()})
-            assert got == want, (w, key)
+    # K_apply against K read off the matrix of g on each weight block
+    from test_reference_forms import blockwise_reference
+    by_weight = {}
+    for key in heis3.basis(2):
+        by_weight.setdefault(heis3.weight(key), []).append(key)
+    for w, keys in by_weight.items():
+        _alphas, K, _nil = blockwise_reference(unip, keys)
+        for j, key in enumerate(keys):
+            want = Vec({keys[i]: K[i][j] for i in range(len(keys))
+                        if not K[i][j].is_zero()})
+            assert unip.K_apply(Vec.basis(key)) == want, (w, key)
+
+
+def test_doubled_K_on_generators_is_refused(heis3):
+    g = orthogonal_automorphism(heis3, UNIP, name="unipotent")
+    gen_K = g.gen_K
+    g.gen_K = lambda gidx: gen_K(gidx).scale(2)
+    with pytest.raises(NonCyclotomicSpectrum):
+        jordan_decompose(g, 1)
+
+
+def test_leibniz_rule_without_its_rest_term_is_refused(heis3):
+    g = orthogonal_automorphism(heis3, UNIP, name="unipotent")
+
+    def head_term_only(key):
+        if not key:
+            return Vec.zero()
+        n = heis3.factor_weight(key[0])
+        out = Vec.zero()
+        for gkey, c in g.gen_K(heis3.gen_index(key[0])).items():
+            out = out + g._create(heis3.gen_index(gkey[0]), n,
+                                  Vec.basis(key[1:])).scale(c)
+        return out
+    g._K_key = head_term_only
+    jordan_decompose(g, 1)   # one factor per key: the rest term is K(vacuum)
+    with pytest.raises(NonCyclotomicSpectrum):
+        jordan_decompose(g, 2)
+
+
+def test_non_skew_K_on_generators_fails_the_derivation_check(heis3):
+    # K b = -c, K c = 0 is nilpotent but not skew for the Gram form
+    g = orthogonal_automorphism(heis3, UNIP, name="unipotent")
+    b_index = [gen.name for gen in heis3.gens].index("b")
+    g.gen_K = lambda gidx: -heis3.gen_vector("c") if gidx == b_index \
+        else Vec.zero()
+    r = check_derivation(heis3, g, 2, 3)
+    assert not r.ok
+    assert r.first_mismatch["monomial"].startswith("x^"), r.first_mismatch
 
 
 def test_alpha_decompose(fermion, heis3, unip):

@@ -1,10 +1,15 @@
-"""The mode recursion and the twist slot against their plain loop forms.
+"""Engine shortcuts against the plain forms they replace.
 
 `LoopModeOracle._compute` walks both coset sums of the mode recursion in
 full, also when the tail u' is the vacuum; `loop_apply_key` applies L(-1)
-j times to every base vector separately.  Both are kept here only as
-references for the engine's shortcuts (the vacuum collapse and Horner's
-rule), which must give equal vectors.
+j times to every base vector separately.  `log_series_K` sums the
+logarithm series of e^{-2 pi i S} g on every PBW key of V, and
+`blockwise_reference` splits the matrix of g on a weight block through a
+generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
+g), certified by S e^K = g.  All are kept here only as references for the
+engine's shortcuts (the vacuum collapse, Horner's rule, and the Jordan parts
+split once on the generator block, with K a derivation), which must give
+equal results.
 """
 
 from fractions import Fraction
@@ -12,13 +17,18 @@ from math import ceil, factorial
 
 import pytest
 
-from vertextwist.automorphism import orthogonal_automorphism, \
-    parity_automorphism
-from vertextwist.models import (GRAM3, UNIPOTENT3, build_free_fermion,
-                                build_heisenberg, build_ramond_module,
-                                build_unipotent_toy, build_z2_twisted_boson)
+from vertextwist.automorphism import (NILPOTENCY_CAP,
+                                      _generalized_eigenbasis,
+                                      jordan_decompose,
+                                      orthogonal_automorphism,
+                                      parity_automorphism)
+from vertextwist.linalg import mat_eq, mat_identity, mat_mul, solve
+from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
+                                build_free_fermion, build_heisenberg,
+                                build_ramond_module, build_unipotent_toy,
+                                build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
-from vertextwist.scalars import Scalar, Vec, acc_vec, binomial, vec_of
+from vertextwist.scalars import ONE, Scalar, Vec, acc_vec, binomial, vec_of
 from vertextwist.twistop import TwistOpSlot
 
 
@@ -97,6 +107,97 @@ def loop_apply_key(slot, e, k, vkey) -> Vec:
                     acc_vec(acc, out, sgn * phase * Fraction(1, factorial(j)))
             n += 1
     return vec_of(acc)
+
+
+def log_series_K(g, key) -> Vec:
+    """K on one PBW key: the logarithm series of e^{-2 pi i S} g run on V."""
+    out = Vec.zero()
+    cur = Vec.basis(key)
+    for j in range(1, NILPOTENCY_CAP + 2):
+        cur = g.semisimple_exp(g.apply(cur), sign=-1) - cur
+        if not cur:
+            return out
+        out = out + cur.scale(Fraction((-1) ** (j + 1), j))
+    raise AssertionError("log series did not terminate on %r" % (key,))
+
+
+def _is_zero(mat) -> bool:
+    return all(x.is_zero() for row in mat for x in row)
+
+
+def _mat_series(A, coeff):
+    """sum over j >= 1 of coeff(j) A^j for a nilpotent matrix A."""
+    d = len(A)
+    out = [[Scalar.zero()] * d for _ in range(d)]
+    power = mat_identity(d)
+    for j in range(1, d + 1):
+        power = mat_mul(power, A)
+        if _is_zero(power):
+            return out
+        out = [[o + p * coeff(j) for o, p in zip(ro, rp)]
+               for ro, rp in zip(out, power)]
+    assert _is_zero(mat_mul(power, A)), "matrix is not nilpotent"
+    return out
+
+
+def blockwise_reference(g, keys):
+    """(alphas, K matrix, nilpotency index) of g on the span of `keys`, from
+    the matrix of g there."""
+    d = len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    gmat = [[Scalar.zero()] * d for _ in range(d)]
+    for j, k in enumerate(keys):
+        for kk, c in g.apply_key(k).items():
+            gmat[index[kk]][j] = c
+    columns, col_alpha = _generalized_eigenbasis(gmat)
+    C = [[columns[c][i] for c in range(d)] for i in range(d)]
+    inv_cols = solve(C, mat_identity(d))
+    Cinv = [[inv_cols[j][i] for j in range(d)] for i in range(d)]
+
+    def semi(sign):
+        diag = [[Scalar.e(sign * 2 * col_alpha[j]) if i == j else Scalar.zero()
+                 for j in range(d)] for i in range(d)]
+        return mat_mul(mat_mul(C, diag), Cinv)
+    T = mat_mul(semi(-1), gmat)
+    A = [[T[i][j] - (ONE if i == j else Scalar.zero()) for j in range(d)]
+         for i in range(d)]
+    K = _mat_series(A, lambda j: Fraction((-1) ** (j + 1), j))
+    expK = _mat_series(K, lambda j: Fraction(1, factorial(j)))
+    expK = [[x + (ONE if i == j else Scalar.zero()) for j, x in enumerate(row)]
+            for i, row in enumerate(expK)]
+    assert mat_eq(mat_mul(semi(1), expK), gmat), "S e^K does not reproduce g"
+    power, nil = mat_identity(d), 0
+    while not _is_zero(power):
+        power, nil = mat_mul(power, K), nil + 1
+    return sorted(set(col_alpha)), K, nil
+
+
+JORDAN_CASES = [("heis3", "unipotent", 4),
+                ("fermion", "parity", Fraction(9, 2)),
+                ("boson1", "minus1", 4)]
+
+
+@pytest.fixture(scope="module")
+def registry():
+    return Registry()
+
+
+@pytest.mark.parametrize("model,gname,cut", JORDAN_CASES)
+def test_leibniz_K_matches_log_series(registry, model, gname, cut):
+    g = registry.algebra(model).automorphisms[gname]
+    for key in g.V.basis(cut):
+        assert g.K_apply(Vec.basis(key)) == log_series_K(g, key), key
+
+
+@pytest.mark.parametrize("model,gname,cut", JORDAN_CASES)
+def test_jordan_blocks_match_blockwise_matrix_path(registry, model, gname,
+                                                   cut):
+    g = registry.algebra(model).automorphisms[gname]
+    for w, blk in jordan_decompose(g, cut).blocks.items():
+        alphas, K, nil = blockwise_reference(g, blk.basis)
+        assert blk.alphas == alphas, w
+        assert blk.K == K, w
+        assert blk.nilpotency_index == nil, w
 
 
 @pytest.fixture(scope="module")

@@ -212,6 +212,27 @@ def test_y0_decomposition_trivial_and_log(fermion, ramond, toy):
     assert r.ok, r.first_mismatch
 
 
+@pytest.mark.parametrize("name", ["ramond", "z2"])
+def test_y0_decomposition_reads_modes_only_on_the_coset_of_u(
+        request, monkeypatch, name):
+    # every mode call of the decomposition sides has n in alpha(u) + Z
+    W = request.getfixturevalue(name)
+    on_coset = []
+    y0_mode_vec = W.y0_mode_vec
+
+    def counted(uvec, n, wvec):
+        on_coset.append(any((n - al) % 1 == 0 for al in W.g.coset_of(uvec)))
+        return y0_mode_vec(uvec, n, wvec)
+    monkeypatch.setattr(W, "y0_mode_vec", counted)
+    for ukey in W.V.basis(F(3, 2)):
+        for wkey in W.basis(1):
+            r = check_y0_decomposition(W, Vec.basis(ukey), Vec.basis(wkey),
+                                       None, 3)
+            assert r.ok, (ukey, wkey, r.first_mismatch)
+    assert on_coset and on_coset.count(False) == 0, \
+        (on_coset.count(False), len(on_coset))
+
+
 def test_toy_log_machinery(toy):
     # the unipotent view satisfies equivariance and weak commutativity with
     # genuine log terms in play, and the dressed checkers refuse it
