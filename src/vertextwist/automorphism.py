@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import NonCyclotomicSpectrum, NotIsometry, NotNilpotent
 from .linalg import kernel_basis, mat_eq, mat_identity, mat_mul, solve
-from .results import CheckResult
+from .results import CheckResult, Modes, first_failure
 from .scalars import ONE, Scalar, Vec, acc_vec, cyclotomic_level, vec_of
 from .vosa import FreeFieldAlgebra
 
@@ -383,43 +383,40 @@ def jordan_decompose(g: Automorphism, weight_cutoff) -> JordanData:
 # property checks
 # ---------------------------------------------------------------------------
 
+def _pair_sweep(identity, V, weight_cutoff, halfwidth, sides):
+    """First failure of an identity stated mode by mode on every basis pair
+    (u, v), sides(u, v) giving its (lhs, rhs, logcap)."""
+    basis = V.basis(weight_cutoff)
+    windows = {}                 # logcap -> Modes on the window exponents
+
+    def check_pair(u, v):
+        lhs, rhs, logcap = sides(u, v)
+        if logcap not in windows:
+            windows[logcap] = Modes(range(-halfwidth, halfwidth + 1), logcap)
+        return windows[logcap].compare(identity, {"u": str(u), "v": str(v)},
+                                       lhs, rhs)
+    return first_failure(identity,
+                         {"basis": len(basis), "halfwidth": halfwidth},
+                         (check_pair(u, v) for u in basis for v in basis))
+
+
 def check_homomorphism(V, fn, weight_cutoff, halfwidth=3) -> CheckResult:
     """fn(u_(n) v) = fn(u)_(n) fn(v) on all basis pairs and window modes."""
-    basis = V.basis(weight_cutoff)
-    for u in basis:
-        fu = fn(Vec.basis(u))
-        for v in basis:
-            fv = fn(Vec.basis(v))
-            for e in range(-halfwidth, halfwidth + 1):
-                n = -e - 1
-                lhs = fn(V.mode_apply(u, n, v))
-                rhs = V.mode_vec(fu, n, 0, fv)
-                if lhs != rhs:
-                    return CheckResult("automorphism-homomorphism", False,
-                                       {"u": str(u), "v": str(v)},
-                                       first_mismatch={"monomial": "x^%d" % e})
-    return CheckResult("automorphism-homomorphism", True,
-                       {"basis": len(basis), "halfwidth": halfwidth})
+    image = {key: fn(Vec.basis(key)) for key in V.basis(weight_cutoff)}
+    return _pair_sweep(
+        "automorphism-homomorphism", V, weight_cutoff, halfwidth,
+        lambda u, v: (lambda n, k: fn(V.mode_apply(u, n, v)),
+                      lambda n, k: V.mode_vec(image[u], n, 0, image[v]), 0))
 
 
 def check_derivation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckResult:
     """[K, Y(u,x)]v = Y(Ku,x)v with K = 2 pi i N_g, coefficientwise."""
-    basis = V.basis(weight_cutoff)
-    for u in basis:
-        Ku = g.K_apply(Vec.basis(u))
-        for v in basis:
-            Kv = g.K_apply(Vec.basis(v))
-            for e in range(-halfwidth, halfwidth + 1):
-                n = -e - 1
-                unv = V.mode_apply(u, n, v)
-                lhs = g.K_apply(unv) - V.mode_vec(Vec.basis(u), n, 0, Kv)
-                rhs = V.mode_vec(Ku, n, 0, Vec.basis(v))
-                if lhs != rhs:
-                    return CheckResult("nilpotent-derivation", False,
-                                       {"u": str(u), "v": str(v)},
-                                       first_mismatch={"monomial": "x^%d" % e})
-    return CheckResult("nilpotent-derivation", True,
-                       {"basis": len(basis), "halfwidth": halfwidth})
+    K = {key: g.K_apply(Vec.basis(key)) for key in V.basis(weight_cutoff)}
+    return _pair_sweep(
+        "nilpotent-derivation", V, weight_cutoff, halfwidth,
+        lambda u, v: (lambda n, k: g.K_apply(V.mode_apply(u, n, v))
+                      - V.mode_vec(Vec.basis(u), n, 0, K[v]),
+                      lambda n, k: V.mode_vec(K[u], n, 0, Vec.basis(v)), 0))
 
 
 def nilpotent_power_coeffs(g: Automorphism, vec: Vec):
@@ -429,28 +426,23 @@ def nilpotent_power_coeffs(g: Automorphism, vec: Vec):
 
 
 def check_conjugation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckResult:
-    """x0^{N} Y(u,x) v = Y(x0^{N} u, x) x0^{N} v, exactly in x, log x0 and PI."""
-    basis = V.basis(weight_cutoff)
-    for u in basis:
-        nu = nilpotent_power_coeffs(g, Vec.basis(u))
-        for v in basis:
-            nv = nilpotent_power_coeffs(g, Vec.basis(v))
-            for e in range(-halfwidth, halfwidth + 1):
-                n = -e - 1
-                lhs_base = nilpotent_power_coeffs(g, V.mode_apply(u, n, v))
-                kmax = max(len(lhs_base), len(nu) + len(nv)) - 1
-                for k in range(kmax + 1):
-                    lhs = lhs_base[k] if k < len(lhs_base) else Vec.zero()
-                    rhs = Vec.zero()
-                    for k1 in range(min(k, len(nu) - 1) + 1):
-                        k2 = k - k1
-                        if k2 >= len(nv):
-                            continue
-                        rhs = rhs + V.mode_vec(nu[k1], n, 0, nv[k2])
-                    if lhs != rhs:
-                        return CheckResult(
-                            "nilpotent-conjugation", False,
-                            {"u": str(u), "v": str(v)},
-                            first_mismatch={"monomial": "x^%d*log(x0)^%d" % (e, k)})
-    return CheckResult("nilpotent-conjugation", True,
-                       {"basis": len(basis), "halfwidth": halfwidth})
+    """x0^{N} Y(u,x) v = Y(x0^{N} u, x) x0^{N} v, exactly in x, log x0 and PI;
+    the log(x0)^k coefficients sit on log power k of the mode monomials."""
+    N = {key: nilpotent_power_coeffs(g, Vec.basis(key))
+         for key in V.basis(weight_cutoff)}
+    zero = Vec.zero()
+
+    def sides(u, v):
+        nu, nv = N[u], N[v]
+        lhs = {n: nilpotent_power_coeffs(g, V.mode_apply(u, n, v))
+               for n in range(-halfwidth - 1, halfwidth)}
+
+        def rhs(n, k):
+            out = zero
+            for k1 in range(max(0, k - len(nv) + 1), min(k, len(nu) - 1) + 1):
+                out = out + V.mode_vec(nu[k1], n, 0, nv[k - k1])
+            return out
+        return (lambda n, k: lhs[n][k] if k < len(lhs[n]) else zero, rhs,
+                max(len(nu) + len(nv) - 2, max(map(len, lhs.values())) - 1))
+    return _pair_sweep("nilpotent-conjugation", V, weight_cutoff, halfwidth,
+                       sides)

@@ -15,7 +15,7 @@ from itertools import product
 from . import __version__
 from .automorphism import (check_conjugation, check_derivation,
                            check_homomorphism, jordan_decompose)
-from .results import CheckResult
+from .results import CheckResult, first_failure
 from .scalars import Vec
 from .twisted import (check_commutator_formula, check_equivariance,
                       check_g_compatibility, check_L_minus1_derivative_W,
@@ -98,7 +98,7 @@ def _timed(task):
         res = CheckResult("error", False, _task_inputs(task),
                           first_mismatch={"error": repr(exc)}, errored=True)
     if isinstance(res, list):  # check_axioms: one result per axiom
-        res = _merge(res, "axioms")
+        res = first_failure("axioms", {"checks": len(res)}, res)
     res.time_ms = (time.monotonic() - t0) * 1000.0
     return res
 
@@ -217,13 +217,6 @@ def _jordan_record(g, name, cutoff) -> CheckResult:
     return CheckResult("jordan-decomposition", True,
                        {"automorphism": name,
                         "spectrum": [str(a) for a in jd.spectrum]})
-
-
-def _merge(results, label) -> CheckResult:
-    bad = [r for r in results if not r.ok]
-    if bad:
-        return bad[0]
-    return CheckResult(label, True, {"checks": len(results)})
 
 
 def run_suite(cfg: SuiteConfig, registry) -> Report:

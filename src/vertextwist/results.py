@@ -1,12 +1,19 @@
-"""Check outcomes in a uniform, JSON-serializable shape, and the comparator
-that turns two expanded sides of an identity into one."""
+"""Check outcomes in a uniform, JSON-serializable shape, and the one verdict
+path every checker ends in.
+
+`compare` is the only place that decides a verdict: it certifies two sides
+of an identity coefficient by coefficient on a box, and a failure carries the
+box as its window and the first differing monomial with both coefficients.
+`Modes` states an identity mode by mode, as sides side(n, k) giving the
+coefficient of x^{-n-1} log(x)^k.  `first_failure` folds the records of a
+sweep into its first failure, or one pass record for the whole sweep.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .series import (Series, TermSeries, format_monomial, series_mismatch,
-                     window_json)
+from .series import Box, format_monomial, lattice, series_mismatch, window_json
 
 
 @dataclass
@@ -38,8 +45,7 @@ def compare(identity, inputs, vars, box, lhs, rhs) -> CheckResult:
     first differing monomial in canonical order and both coefficients there,
     None standing for an absent term.
     """
-    mismatch = series_mismatch(_as_series(lhs, vars), _as_series(rhs, vars),
-                               box)
+    mismatch = series_mismatch(lhs, rhs, box)
     window = window_json(vars, box)
     if mismatch is None:
         return CheckResult(identity, True, inputs, window)
@@ -48,5 +54,31 @@ def compare(identity, inputs, vars, box, lhs, rhs) -> CheckResult:
         "monomial": format_monomial(m, vars), "lhs": repr(a), "rhs": repr(b)})
 
 
-def _as_series(side, vars) -> Series:
-    return side if isinstance(side, Series) else TermSeries(vars, side)
+class Modes:
+    """The modes n = -e-1 of Y(u, x) at the exponents e of a sweep, with the
+    log powers k <= logcap: monomials built once from lattice ints, and the
+    box they span, so that no mode is clipped."""
+
+    vars = ("x",)
+
+    def __init__(self, exponents, logcap=0):
+        ps = [lattice(e) for e in exponents]
+        self.box = Box((min(ps),), (max(ps),), (logcap,))
+        self.rows = [(-e - 1, k, ((p,), (k,))) for e, p in zip(exponents, ps)
+                     for k in range(logcap + 1)]
+
+    def compare(self, identity, inputs, lhs, rhs) -> CheckResult:
+        """`compare` of the sides lhs(n, k) and rhs(n, k), each giving the
+        coefficient of x^{-n-1} log(x)^k."""
+        return compare(identity, inputs, self.vars, self.box,
+                       {m: lhs(n, k) for n, k, m in self.rows},
+                       {m: rhs(n, k) for n, k, m in self.rows})
+
+
+def first_failure(identity, inputs, records) -> CheckResult:
+    """The first failing record of a sweep, or one pass record for it all;
+    records may be a generator, which is read no further than a failure."""
+    for r in records:
+        if not r.ok:
+            return r
+    return CheckResult(identity, True, inputs)

@@ -611,11 +611,19 @@ def residue(s: Series, idx: int) -> Series:
 # comparison and display
 # ---------------------------------------------------------------------------
 
-def series_mismatch(a: Series, b: Series, box: Box):
-    """First differing (monomial, lhs, rhs) in canonical order, or None."""
-    ta = a.terms_in(box)
-    tb = b.terms_in(box)
-    for m in sorted(set(ta) | set(tb), key=mono_sort_key):
+def series_mismatch(a, b, box: Box):
+    """First differing (monomial, lhs, rhs) in canonical order, or None.
+
+    Each side is a Series or a {monomial: coefficient} dict, read directly
+    on the box with its zero coefficients dropped.  Equal sides return at
+    once; only a mismatch pays for the sort.
+    """
+    ta, tb = (s.terms_in(box) if isinstance(s, Series) else
+              {m: c for m, c in s.items() if c and box.contains(m)}
+              for s in (a, b))
+    if ta == tb:
+        return None
+    for m in sorted(ta.keys() | tb.keys(), key=mono_sort_key):
         ca = ta.get(m)
         cb = tb.get(m)
         if ca is None or cb is None or ca != cb:

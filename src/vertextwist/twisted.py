@@ -18,12 +18,12 @@ from math import ceil, floor
 from .chains import Space, pair
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
-from .results import CheckResult, compare
+from .results import CheckResult, Modes, compare, first_failure
 from .scalars import Scalar, Vec, acc_vec, vec_of
-from .series import (BinomialKernel, Box, Product, Sum, TermSeries,
+from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
                      branch_shift, coset_range, delta_iter, delta_prod,
-                     delta_prod_rev, derivative, exponent, format_monomial,
-                     lattice, mono, residue, scaled, window_json)
+                     delta_prod_rev, derivative, exponent, lattice, mono,
+                     residue, scaled, window_json)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -105,13 +105,15 @@ class ModuleBase(Space):
         return self._h_vac
 
     def check_L0_grading(self, max_deg) -> CheckResult:
+        """L(0) = omega_(1) acts on each basis vector by h + its degree."""
         h = self.vacuum_weight()
-        for key in self.basis(max_deg):
-            want = Vec.basis(key).scale(Fraction(h + self.deg(key)))
-            if self.L0(Vec.basis(key)) != want:
-                return CheckResult("L0-grading-W", False, {"w": str(key)},
-                                   first_mismatch={"w": str(key)})
-        return CheckResult("L0-grading-W", True, {"max_deg": str(max_deg)})
+        modes = Modes((-2,))
+        return first_failure("L0-grading-W", {"max_deg": str(max_deg)}, (
+            modes.compare("L0-grading-W", {"w": str(key)},
+                          lambda n, k: self.L0(Vec.basis(key)),
+                          lambda n, k: Vec.basis(key).scale(
+                              Fraction(h + self.deg(key))))
+            for key in self.basis(max_deg)))
 
     def spectrum(self, max_deg) -> list:
         return sorted({self.alpha_of_key(k) for k in self.basis(max_deg)})
@@ -305,25 +307,25 @@ def check_commutator_formula(W, u, v, w, wprime, halfwidth) -> CheckResult:
 
 
 def check_g_compatibility(W, u, w: Vec, halfwidth) -> CheckResult:
-    """g Y(u,x)w = Y(gu,x) gw and parity additivity, coefficientwise."""
+    """g Y(u,x)w = Y(gu,x) gw and parity additivity, coefficientwise: every
+    coefficient of Y(u,x)w equals its part of parity |u| + |w|."""
     gu = W.g.apply(u)
     gw = W.g_apply(w)
     pu = W.algebra_parity(u)
-    for e in _exponents_of(W, u, -halfwidth, halfwidth):
-        n = -e - 1
-        for k in range(W.log_bound + 1):
-            lhs = W.g_apply(W.mode_vec(u, n, k, w))
-            rhs = W.mode_vec(gu, n, k, gw)
-            if lhs != rhs:
-                return CheckResult("g-compatibility", False, _inputs(u=u, w=w),
-                                   first_mismatch={"monomial": "x^%s" % e})
-            for key in W.mode_vec(u, n, k, w).comps:
-                for wkey in w.comps:
-                    if W.parity(key) != (pu + W.parity(wkey)) % 2:
-                        return CheckResult(
-                            "fermion-compatibility", False, _inputs(u=u, w=w),
-                            first_mismatch={"monomial": "x^%s" % e})
-    return CheckResult("g-compatibility", True, _inputs(u=u, w=w))
+    wparities = {W.parity(key) for key in w.comps}
+    modes = Modes(_exponents_of(W, u, -halfwidth, halfwidth), W.log_bound)
+    Y = {(n, k): W.mode_vec(u, n, k, w) for n, k, _ in modes.rows}
+    inputs = _inputs(u=u, w=w)
+
+    def additive(n, k):
+        return Vec({key: c for key, c in Y[n, k].items()
+                    if wparities <= {(W.parity(key) - pu) % 2}})
+    return first_failure("g-compatibility", inputs, (
+        modes.compare("g-compatibility", inputs,
+                      lambda n, k: W.g_apply(Y[n, k]),
+                      lambda n, k: W.mode_vec(gu, n, k, gw)),
+        modes.compare("fermion-compatibility", inputs,
+                      lambda n, k: Y[n, k], additive)))
 
 
 def _exponents_of(W, u, lo, hi) -> list:
@@ -461,31 +463,24 @@ def prefactored_product(W, vs, order, w, wprime):
 
 
 def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
-    """Prefactored k-fold products are Laurent polynomials: exponents confined
-    to the grading-predicted interval, verified by a window scan."""
+    """Prefactored k-fold products are Laurent polynomials: on the window the
+    product equals its own restriction to the grading-predicted exponents."""
     k = len(vs)
     vars, prod, orders = prefactored_product(W, vs, range(k), w, wprime)
     box = _cube(vars, halfwidth)
-    terms = prod.terms_in(box)
     wdeg = W.vec_deg(w)
     pdeg = W.vec_deg(wprime) if wprime is not None else None
-    for i in range(k):
-        al = W.algebra_alpha(vs[i])
-        lo = al - wdeg - W.V.algebra_weight(vs[i])
-        hi = None
-        if pdeg is not None:
-            hi = al + pdeg - W.V.algebra_weight(vs[i]) \
-                + sum(orders[tuple(sorted((i, j)))] for j in range(k) if j != i)
-        for m in terms:
-            e = exponent(m[0][i])
-            if e < lo or (hi is not None and e > hi):
-                return CheckResult(
-                    "product-polynomiality", False, _inputs(w=w, k=k),
-                    window_json(vars, box),
-                    {"monomial": format_monomial(m, vars), "variable": vars[i],
-                     "bound": "[%s, %s]" % (lo, hi)})
-    return CheckResult("product-polynomiality", True, _inputs(w=w, k=k),
-                       window_json(vars, box))
+    lows, highs = [], []
+    for i, v in enumerate(vs):
+        shift = W.algebra_alpha(v) - W.V.algebra_weight(v)
+        lows.append(ceil((shift - wdeg) * D))
+        highs.append(None if pdeg is None else floor(
+            (shift + pdeg + sum(orders[tuple(sorted((i, j)))]
+                                for j in range(k) if j != i)) * D))
+    predicted = Box(lows, highs, box.logcaps)
+    return compare("product-polynomiality", _inputs(w=w, k=k), vars, box,
+                   prod, {m: c for m, c in prod.terms_in(box).items()
+                          if predicted.contains(m)})
 
 
 def check_permutation_symmetry(W, vs, w, wprime, perm, halfwidth) -> CheckResult:

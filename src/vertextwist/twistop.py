@@ -19,8 +19,8 @@ from .scalars import Scalar, Vec, acc_vec, binomial, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
                      Sum, TermSeries, c_mul, coset_range, delta_iter,
                      delta_prod, delta_prod_rev, derivative, exponent,
-                     format_monomial, lattice, minus_convention, mono,
-                     mono_add, residue, scaled, window_json)
+                     lattice, minus_convention, mono, mono_add, residue,
+                     scaled)
 from .twisted import (L_minus1_commutator_sides, _inputs, mode_sum,
                       require_semisimple)
 from .vosa import weak_commutativity_order
@@ -328,12 +328,11 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
     npc = len(nilpotent_power_coeffs(W.g, v))
     box = Box.cube(1, -hw, hw, W.log_bound + npc)
     inputs = _inputs(w=w_arg, v=v)
-    for m in _t0_terms(W, w_arg, v, wprime, box):
-        if m[1][0] != 0:
-            return CheckResult(
-                "twist-decomposition", False, inputs, window_json(vars, box),
-                {"monomial": format_monomial(m, vars),
-                 "detail": "log term survives in T_0"})
+    t0 = _t0_terms(W, w_arg, v, wprime, box)
+    res = compare("twist-decomposition", inputs, vars, box, t0,
+                  {m: c for m, c in t0.items() if not m[1][0]})
+    if not res.ok:
+        return res
     # reconstruct: T(w,x) v = sum_k T_0(w, x)(N^k v / k!)(-1)^k (log x)^k
     recon = {}
     for k1, part in enumerate(nilpotent_power_coeffs(W.g, v)):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
 from .chains import Space
 from .errors import DegenerateForm
 from .linalg import mat_identity, solve
 from .modes import ModeOracle
-from .results import CheckResult, compare
+from .results import CheckResult, Modes, compare, first_failure
 from .scalars import Scalar, Vec
 from .series import BinomialKernel, Box, Product, scaled
 
@@ -324,87 +325,66 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
 # axiom checks
 # ---------------------------------------------------------------------------
 
-def creation_check(V, ukey) -> bool:
-    """u_(n) vac = 0 for n >= 0 and u_(-1) vac = u."""
-    if V.mode_apply(ukey, -1, V.vac) != Vec.basis(ukey):
-        return False
-    top = V.weight(ukey)
-    n = F0
-    while n <= top:
-        if V.mode_apply(ukey, n, V.vac):
-            return False
-        n += 1
-    return True
-
-
 def check_axioms(V, max_weight, halfwidth=4) -> list:
     """Identity, creation, L(0)-grading and both L(-1) properties, basiswise.
 
-    Returns one CheckResult per axiom, carrying the first failing basis tuple
-    and monomial if any.
+    Returns one CheckResult per axiom, the first failing basis tuple's if
+    any; each axiom is stated mode by mode on the modes it reads.
     """
-    results = []
     basis = V.basis(max_weight)
     try:
         omega = V.omega
     except DegenerateForm:
         omega = None
+    results = []
 
-    def scan(identity, failure):
-        fail = failure()
-        results.append(CheckResult(identity, fail is None,
-                                   fail or {"basis": len(basis)},
-                                   first_mismatch=fail))
-        return fail is None
+    def scan(identity, exponents, lhs, rhs, name="u"):
+        """lhs(key, n) = rhs(key, n) at exponents(key), key over the basis."""
+        results.append(first_failure(identity, {"basis": len(basis)}, (
+            Modes(exponents(key)).compare(identity, {name: str(key)},
+                                          lambda n, k: lhs(key, n),
+                                          lambda n, k: rhs(key, n))
+            for key in basis)))
 
-    def vacuum_fail():
-        for w in basis:
-            if V.mode_apply((), -1, w) != Vec.basis(w) or V.mode_apply((), 0, w):
-                return {"w": str(w), "monomial": "x^-1"}
-    scan("vacuum-identity", vacuum_fail)
-
-    def creation_fail():
-        for u in basis:
-            if not creation_check(V, u):
-                return {"u": str(u)}
-    scan("creation", creation_fail)
-
+    def unit(key, n):
+        return Vec.basis(key) if n == -1 else Vec.zero()
+    # vac_(-1) w = w, vac_(0) w = 0; u_(-1) vac = u, u_(n) vac = 0 for n >= 0
+    scan("vacuum-identity", lambda w: (-1, 0),
+         lambda w, n: V.mode_apply((), n, w), unit, "w")
+    scan("creation", lambda u: range(-floor(V.weight(u)) - 1, 1),
+         lambda u, n: V.mode_apply(u, n, V.vac), unit)
     if omega is not None:
-        def grading_fail():
-            for u in basis:
-                got = V.mode_vec(omega, 1, 0, Vec.basis(u))
-                if got != Vec.basis(u).scale(Fraction(V.weight(u))):
-                    return {"u": str(u), "lhs": repr(got)}
-        scan("L0-grading", grading_fail)
+        # L(0) = omega_(1) acts by the weight, and L(-1) = omega_(0)
+        scan("L0-grading", lambda u: (-2,),
+             lambda u, n: V.mode_vec(omega, n, 0, Vec.basis(u)),
+             lambda u, n: Vec.basis(u).scale(Fraction(V.weight(u))))
+        scan("L(-1)-from-omega", lambda u: (-1,),
+             lambda u, n: V.mode_vec(omega, n, 0, Vec.basis(u)),
+             lambda u, n: V.L_minus1(Vec.basis(u)))
 
-        def translation_fail():
-            for u in basis:
-                if V.mode_vec(omega, 0, 0, Vec.basis(u)) != V.L_minus1(Vec.basis(u)):
-                    return {"u": str(u)}
-        scan("L(-1)-from-omega", translation_fail)
+    # (L(-1)u)_(n) v = -n u_(n-1) v = [L(-1), u_(n)] v
+    modes = Modes(range(-halfwidth - 1, halfwidth))
+    lowered = {key: V.L_minus1(Vec.basis(key)) for key in basis}
 
-    def derivative_fail():
-        for u in basis:
-            lu = V.L_minus1(Vec.basis(u))
-            for v in basis:
-                vv = Vec.basis(v)
-                lv = V.L_minus1(vv)
-                for n in range(-halfwidth, halfwidth + 1):
-                    # (L(-1)u)_(n) v = -n u_(n-1) v = [L(-1), u_(n)] v
-                    want = V.mode_apply(u, n - 1, v).scale(Fraction(-n))
-                    got = V.mode_vec(lu, n, 0, vv)
-                    comm = V.L_minus1(V.mode_apply(u, n, v)) - V.mode_vec(
-                        Vec.basis(u), n, 0, lv)
-                    if got != want or comm != want:
-                        return {"u": str(u), "v": str(v),
-                                "monomial": "x^%s" % (-n - 1)}
-    scan("L(-1)-derivative", derivative_fail)
+    def derivative(u, v):
+        inputs = {"u": str(u), "v": str(v)}
+
+        def want(n, k):
+            return V.mode_apply(u, n - 1, v).scale(Fraction(-n))
+        yield modes.compare(
+            "L(-1)-derivative", inputs,
+            lambda n, k: V.mode_vec(lowered[u], n, 0, Vec.basis(v)), want)
+        yield modes.compare(
+            "L(-1)-derivative", inputs,
+            lambda n, k: V.L_minus1(V.mode_apply(u, n, v))
+            - V.mode_vec(Vec.basis(u), n, 0, lowered[v]), want)
+    results.append(first_failure("L(-1)-derivative", {"basis": len(basis)}, (
+        r for u in basis for v in basis for r in derivative(u, v))))
     return results
 
 
 def weak_commutativity_order(V, u: Vec, v: Vec) -> int:
     """Minimal M >= 0 with x^M Y(u,x)v a power series."""
-    from math import floor
     n = floor(V.algebra_weight(u) + V.algebra_weight(v) - 1)
     while n >= 0:
         if V.mode_vec(u, n, 0, v):

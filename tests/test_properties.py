@@ -99,3 +99,45 @@ def test_lattice_monomials_agree_with_fractions(rows):
     by_fraction = sorted(rows, key=lambda r: ((r[0], r[1]), (r[2], 0)))
     assert sorted(monos, key=mono_sort_key) == \
         [mono([a, b], [k, 0]) for a, b, k in by_fraction]
+
+
+def sorted_scan_mismatch(ta, tb):
+    """The first differing (monomial, lhs, rhs) by a full sorted scan."""
+    for m in sorted(set(ta) | set(tb), key=mono_sort_key):
+        ca, cb = ta.get(m), tb.get(m)
+        if ca is None or cb is None or ca != cb:
+            return m, ca, cb
+    return None
+
+
+lattice_monomials = st.tuples(
+    st.tuples(st.integers(-48, 48), st.integers(-48, 48)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)))
+nonzero_scalars = st.tuples(st.integers(-3, 3).filter(bool),
+                            st.integers(0, 7)).map(
+    lambda t: Scalar.rational(t[0]) * Scalar.e(F(t[1], 4)))
+
+
+@given(st.dictionaries(lattice_monomials, nonzero_scalars, min_size=1,
+                       max_size=8),
+       st.sampled_from(["equal", "coefficient", "one-sided"]),
+       st.integers(0, 7), lattice_monomials, nonzero_scalars)
+@settings(max_examples=80, deadline=None)
+def test_series_mismatch_matches_sorted_scan(ta, change, pick, extra, c):
+    tb = dict(ta)
+    m = sorted(ta, key=mono_sort_key)[pick % len(ta)]
+    if change == "coefficient":
+        tb[m] = tb[m] + c
+        if not tb[m]:
+            del tb[m]
+    elif change == "one-sided":
+        if extra in tb:
+            del tb[extra]
+        else:
+            tb[extra] = c
+    box = Box((-48, -48), (48, 48), (2, 2))
+    got = series_mismatch(ta, tb, box)
+    assert got == sorted_scan_mismatch(ta, tb)
+    assert (got is None) == (change == "equal")
+    # a term dict and its TermSeries are the same side
+    assert series_mismatch(TermSeries(("x1", "x2"), ta), tb, box) == got

@@ -2,14 +2,17 @@
 
 `LoopModeOracle._compute` walks both coset sums of the mode recursion in
 full, also when the tail u' is the vacuum; `loop_apply_key` applies L(-1)
-j times to every base vector separately.  `log_series_K` sums the
-logarithm series of e^{-2 pi i S} g on every PBW key of V, and
+j times to every base vector separately.  The `loop_*` verdicts judge an
+identity basis pair by basis pair and mode by mode with their own loop, as
+the checkers did before they stated two sides for `results.compare`.
+`log_series_K` sums the logarithm series of e^{-2 pi i S} g on every PBW
+key of V, and
 `blockwise_reference` splits the matrix of g on a weight block through a
 generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
 g), certified by S e^K = g.  All are kept here only as references for the
-engine's shortcuts (the vacuum collapse, Horner's rule, and the Jordan parts
-split once on the generator block, with K a derivation), which must give
-equal results.
+engine's shortcuts (the vacuum collapse, Horner's rule, the Jordan parts
+split once on the generator block, with K a derivation, and the one verdict
+path), which must give equal results.
 """
 
 from fractions import Fraction
@@ -19,7 +22,9 @@ import pytest
 
 from vertextwist.automorphism import (NILPOTENCY_CAP,
                                       _generalized_eigenbasis,
-                                      jordan_decompose,
+                                      check_conjugation, check_derivation,
+                                      check_homomorphism, jordan_decompose,
+                                      nilpotent_power_coeffs,
                                       orthogonal_automorphism,
                                       parity_automorphism)
 from vertextwist.linalg import mat_eq, mat_identity, mat_mul, solve
@@ -30,6 +35,9 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import ONE, Scalar, Vec, acc_vec, binomial, vec_of
 from vertextwist.twistop import TwistOpSlot
+from vertextwist.vosa import check_axioms
+
+from test_verdicts import non_skew
 
 
 class LoopModeOracle(ModeOracle):
@@ -269,3 +277,127 @@ def test_twist_slot_matches_repeated_L_minus1(modules, name):
     if W.log_bound:
         # the log-carrying module runs the ksrc > k branch with its PI powers
         assert with_pi
+
+
+# ---------------------------------------------------------------------------
+# hand-judged verdict loops: each returns the first failing basis pair
+# (u, v), or None when the identity holds on the whole sweep
+# ---------------------------------------------------------------------------
+
+def loop_homomorphism(V, fn, weight_cutoff, halfwidth):
+    basis = V.basis(weight_cutoff)
+    for u in basis:
+        fu = fn(Vec.basis(u))
+        for v in basis:
+            fv = fn(Vec.basis(v))
+            for e in range(-halfwidth, halfwidth + 1):
+                n = -e - 1
+                if fn(V.mode_apply(u, n, v)) != V.mode_vec(fu, n, 0, fv):
+                    return u, v
+
+
+def loop_derivation(V, g, weight_cutoff, halfwidth):
+    basis = V.basis(weight_cutoff)
+    for u in basis:
+        Ku = g.K_apply(Vec.basis(u))
+        for v in basis:
+            Kv = g.K_apply(Vec.basis(v))
+            for e in range(-halfwidth, halfwidth + 1):
+                n = -e - 1
+                lhs = g.K_apply(V.mode_apply(u, n, v)) \
+                    - V.mode_vec(Vec.basis(u), n, 0, Kv)
+                if lhs != V.mode_vec(Ku, n, 0, Vec.basis(v)):
+                    return u, v
+
+
+def loop_conjugation(V, g, weight_cutoff, halfwidth):
+    basis = V.basis(weight_cutoff)
+    for u in basis:
+        nu = nilpotent_power_coeffs(g, Vec.basis(u))
+        for v in basis:
+            nv = nilpotent_power_coeffs(g, Vec.basis(v))
+            for e in range(-halfwidth, halfwidth + 1):
+                n = -e - 1
+                lhs_base = nilpotent_power_coeffs(g, V.mode_apply(u, n, v))
+                kmax = max(len(lhs_base), len(nu) + len(nv)) - 1
+                for k in range(kmax + 1):
+                    lhs = lhs_base[k] if k < len(lhs_base) else Vec.zero()
+                    rhs = Vec.zero()
+                    for k1 in range(min(k, len(nu) - 1) + 1):
+                        k2 = k - k1
+                        if k2 < len(nv):
+                            rhs = rhs + V.mode_vec(nu[k1], n, 0, nv[k2])
+                    if lhs != rhs:
+                        return u, v
+
+
+def loop_L_minus1_derivative(V, weight_cutoff, halfwidth):
+    basis = V.basis(weight_cutoff)
+    for u in basis:
+        lu = V.L_minus1(Vec.basis(u))
+        for v in basis:
+            vv = Vec.basis(v)
+            lv = V.L_minus1(vv)
+            for n in range(-halfwidth, halfwidth + 1):
+                want = V.mode_apply(u, n - 1, v).scale(Fraction(-n))
+                got = V.mode_vec(lu, n, 0, vv)
+                comm = V.L_minus1(V.mode_apply(u, n, v)) \
+                    - V.mode_vec(Vec.basis(u), n, 0, lv)
+                if got != want or comm != want:
+                    return u, v
+
+
+def _heis3_unipotent(fault=None):
+    V = build_heisenberg(GRAM3, fault=fault)
+    return V, orthogonal_automorphism(V, UNIPOTENT3, "unipotent")
+
+
+def _fermion_parity(fault=None):
+    V = build_free_fermion(fault=fault)
+    return V, parity_automorphism(V)
+
+
+def _non_skew_K():
+    V, g = _heis3_unipotent()
+    return V, non_skew(V, g)
+
+
+VERDICT_CASES = {
+    "heis3": _heis3_unipotent,
+    "fermion": _fermion_parity,
+    "fermion-clifford-sign": lambda: _fermion_parity("clifford-sign"),
+    "fermion-creation-sign": lambda: _fermion_parity("creation-sign"),
+    "heis3-bracket-sign": lambda: _heis3_unipotent("bracket-sign"),
+    "heis3-non-skew-K": _non_skew_K,
+}
+
+
+# the checks each fault is known to break; the rest hold under it
+KILLED_BY = {"fermion-creation-sign": {"automorphism-homomorphism",
+                                       "L(-1)-derivative"},
+             "heis3-non-skew-K": {"automorphism-homomorphism",
+                                  "nilpotent-derivation",
+                                  "nilpotent-conjugation"}}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_verdict_path_matches_loop_verdicts(case):
+    V, g = VERDICT_CASES[case]()
+    cut, hw = 2, 2
+    verdicts = [(check_homomorphism(V, fn, cut, hw),
+                 loop_homomorphism(V, fn, cut, hw))
+                for fn in (g.apply, g.unipotent_exp, g.semisimple_exp)]
+    verdicts += [(check(V, g, cut, hw), loop(V, g, cut, hw))
+                 for check, loop in ((check_derivation, loop_derivation),
+                                     (check_conjugation, loop_conjugation))]
+    scan = {r.identity: r for r in check_axioms(V, cut, hw)}
+    verdicts.append((scan["L(-1)-derivative"],
+                     loop_L_minus1_derivative(V, cut, hw)))
+    for record, failing_pair in verdicts:
+        assert record.ok == (failing_pair is None), record.to_json()
+        if failing_pair is not None:
+            u, v = failing_pair
+            assert (record.inputs["u"], record.inputs["v"]) == \
+                (str(u), str(v)), record.to_json()
+    assert {r.identity for r, _ in verdicts if not r.ok} == \
+        KILLED_BY.get(case, set())

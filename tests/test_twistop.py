@@ -5,11 +5,14 @@ import pytest
 from vertextwist import twistop
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
-from vertextwist.models import (GRAM3, UNIPOTENT3, build_free_fermion,
-                                build_heisenberg, build_ramond_module,
-                                build_unipotent_toy, build_z2_twisted_boson)
-from vertextwist.scalars import HALF_SQRT2, ONE, Scalar, Vec
-from vertextwist.series import Box, mono
+from vertextwist.harness import SuiteConfig, run_suite
+from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
+                                build_free_fermion, build_heisenberg,
+                                build_ramond_module, build_unipotent_toy,
+                                build_z2_twisted_boson)
+from vertextwist.scalars import (HALF_SQRT2, ONE, Scalar, Vec, acc_vec,
+                                 binomial, vec_of)
+from vertextwist.series import Box, coset_range, mono
 from vertextwist.twistop import (check_gen_commutator,
                                  check_gen_weak_commutativity,
                                  check_L_minus1_twist, check_mixed_permutation,
@@ -19,6 +22,8 @@ from vertextwist.twistop import (check_gen_commutator,
                                  check_weak_associativity,
                                  twist_commutativity_order,
                                  twist_matrix_element)
+
+from test_verdicts import assert_located
 
 F = Fraction
 FH = F(1, 2)
@@ -229,3 +234,57 @@ def test_mixed_permutation(fermion, ramond):
         ramond, [("tw", psi), ("tw", psi), ("twist", Vec.basis(VAC))],
         Vec.basis(fermion.vac), None, 0, 2)
     assert r.ok, r.first_mismatch
+
+
+def faulty_apply_key(horner_shift=1, phase=True):
+    """TwistOpSlot._apply_key with Horner's divisor 1/(j + horner_shift)
+    and, unless phase, the phase e^{-pi i (n+1)} of y^n = e^{pi i n} x^n
+    dropped."""
+    def _apply_key(self, e, k, vkey):
+        W = self.module
+        V = W.V
+        sgn = Scalar.rational((-1) ** (V.parity(vkey) * self.parity))
+        bases = {}
+        n_hi = self.wt + V.weight(vkey) - 1
+        for beta, piece in W.g.alpha_decompose_key(vkey).items():
+            for n in coset_range(-e - 1, n_hi, beta % 1):
+                j = int(e + n + 1)
+                for ksrc in range(k, W.log_bound + 1):
+                    base = W.mode_vec(piece, n, ksrc, self.w_arg)
+                    if not base:
+                        continue
+                    c = binomial(ksrc, k) * (Scalar.pi() ** (ksrc - k))
+                    if phase:
+                        c = Scalar.e(-n - 1) * c
+                    acc_vec(bases.setdefault(j, {}), base, sgn * c)
+        out = Vec.zero()
+        for j in range(max(bases, default=-1), -1, -1):
+            if out:
+                out = W.L_minus1(out).scale(F(1, j + horner_shift))
+            out = out + vec_of(bases.get(j, {}))
+        return out
+    return _apply_key
+
+
+def test_twist_slot_copy_without_faults_is_the_slot(z2):
+    clean = faulty_apply_key()
+    compared = 0
+    for wkey in z2.basis(1):
+        slot = twistop.TwistOpSlot(z2, Vec.basis(wkey))
+        for vkey in z2.V.basis(1):
+            for e in (F(-3, 2), F(-1, 2), F(1, 2), F(3, 2)):
+                got = slot._apply_key(e, 0, vkey)
+                assert clean(slot, e, 0, vkey) == got, (wkey, vkey, e)
+                compared += bool(got)
+    assert compared
+
+
+@pytest.mark.parametrize("fault", [{"horner_shift": 2}, {"phase": False}])
+def test_twist_slot_faults_are_located(monkeypatch, fault):
+    monkeypatch.setattr(twistop.TwistOpSlot, "_apply_key",
+                        faulty_apply_key(**fault))
+    rep = run_suite(SuiteConfig("z2boson", "twist-all", 1, 2), Registry())
+    bad = [r for r in rep.records if not r.ok]
+    assert bad, fault
+    for r in bad:
+        assert_located(r, r.identity)

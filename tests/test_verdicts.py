@@ -1,0 +1,216 @@
+"""Kill test: an injected fault makes every converted identity fail with a
+located mismatch.
+
+Each identity that used to be judged by its own loop now ends in
+`results.compare`.  For each, a fault (a registry fault where one kills it,
+otherwise a monkeypatch) must produce a failing record that carries a
+window and a first mismatching monomial in `format_monomial` form, with
+both coefficients there.  A checker that no fault kills could pass
+vacuously: this is mutation analysis aimed at the checkers.  The last test
+parses `src/` and finds no verdict decided outside `compare` (or the error
+record of a crashed check) and no hand-written monomial format.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from vertextwist import automorphism, vosa
+from vertextwist.automorphism import (check_conjugation, check_derivation,
+                                      check_homomorphism,
+                                      orthogonal_automorphism,
+                                      parity_automorphism)
+from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
+                                build_free_fermion, build_heisenberg,
+                                build_ramond_module, build_unipotent_toy,
+                                build_z2_twisted_boson)
+from vertextwist.scalars import Vec
+from vertextwist.twisted import (check_g_compatibility,
+                                 check_product_polynomiality)
+from vertextwist.twistop import check_twist_decomposition
+
+_VAR = r"[a-z]\w*"
+_FACTOR = r"(%s\^-?\d+(/\d+)?|log\(%s\)(\^\d+)?)" % (_VAR, _VAR)
+MONOMIAL = re.compile(r"1|%s(\*%s)*" % (_FACTOR, _FACTOR))
+
+
+def assert_located(r, identity):
+    """r fails `identity` on a window, at a monomial over its variables."""
+    assert not r.ok and r.identity == identity, r.to_json()
+    assert r.window, r.to_json()
+    m = r.first_mismatch["monomial"]
+    assert MONOMIAL.fullmatch(m), m
+    assert set(re.findall(_VAR + r"(?=\^|\))", m)) <= set(r.window), m
+    assert {"lhs", "rhs"} <= set(r.first_mismatch)
+
+
+def axiom(V, identity, cut=2):
+    rs = {r.identity: r for r in vosa.check_axioms(V, cut, halfwidth=3)}
+    return rs[identity]
+
+
+def unipotent():
+    heis3 = build_heisenberg(GRAM3)
+    return heis3, orthogonal_automorphism(heis3, UNIPOTENT3, "unipotent")
+
+
+def non_skew(heis3, g):
+    # K b = -c, K c = 0: nilpotent, but not skew for the Gram form
+    b_index = [gen.name for gen in heis3.gens].index("b")
+    g.gen_K = lambda gidx: -heis3.gen_vector("c") if gidx == b_index \
+        else Vec.zero()
+    return g
+
+
+def ramond():
+    fermion = build_free_fermion()
+    return build_ramond_module(fermion, parity_automorphism(fermion))
+
+
+def z2boson():
+    boson = build_heisenberg([[1]])
+    return build_z2_twisted_boson(
+        boson, orthogonal_automorphism(boson, [[-1]], "minus1"))
+
+
+def test_vacuum_identity_killed(monkeypatch):
+    V = build_free_fermion()
+    apply = V.mode_apply
+    # vac_(0) w = w: the vacuum acts as a first-order pole
+    monkeypatch.setattr(V, "mode_apply", lambda u, n, w: Vec.basis(w)
+                        if not u and n == 0 else apply(u, n, w))
+    assert_located(axiom(V, "vacuum-identity"), "vacuum-identity")
+
+
+def test_creation_killed(monkeypatch):
+    V = build_free_fermion()
+    apply = V.mode_apply
+    # u_(-1) vac = -u for composite u
+    monkeypatch.setattr(V, "mode_apply", lambda u, n, w: apply(u, n, w).scale(
+        -1) if len(u) > 1 and n == -1 and w == V.vac else apply(u, n, w))
+    assert_located(axiom(V, "creation"), "creation")
+
+
+@pytest.mark.parametrize("identity", ["L0-grading", "L(-1)-from-omega"])
+def test_conformal_vector_identities_killed(identity):
+    assert_located(axiom(build_free_fermion(fault="omega-scale"), identity),
+                   identity)
+
+
+def test_L_minus1_derivative_killed():
+    V = build_free_fermion(fault="creation-sign")
+    assert_located(axiom(V, "L(-1)-derivative"), "L(-1)-derivative")
+
+
+def test_homomorphism_killed(monkeypatch):
+    heis3, g = unipotent()
+    apply_key = g.apply_key
+    # no longer multiplicative: a sign on every composite key
+    monkeypatch.setattr(g, "apply_key", lambda key: apply_key(key).scale(-1)
+                        if len(key) > 1 else apply_key(key))
+    assert_located(check_homomorphism(heis3, g.apply, 2, 2),
+                   "automorphism-homomorphism")
+
+
+def test_derivation_killed():
+    heis3, g = unipotent()
+    assert_located(check_derivation(heis3, non_skew(heis3, g), 2, 2),
+                   "nilpotent-derivation")
+
+
+def test_conjugation_killed():
+    heis3, g = unipotent()
+    assert_located(check_conjugation(heis3, non_skew(heis3, g), 2, 2),
+                   "nilpotent-conjugation")
+
+
+def test_g_compatibility_killed(monkeypatch):
+    W = ramond()
+    # g acts trivially on the module, but as parity on psi
+    monkeypatch.setattr(W, "g_apply", lambda vec: vec)
+    psi = W.V.gen_vector("psi")
+    assert_located(check_g_compatibility(W, psi, Vec.basis((0, ())), 2),
+                   "g-compatibility")
+
+
+def test_fermion_compatibility_killed(monkeypatch):
+    W = ramond()
+    parity = W.parity
+    # psi_n maps the even vacuum into a key read as even
+    monkeypatch.setattr(W, "parity", lambda key: 0 if key == (1, ())
+                        else parity(key))
+    psi = W.V.gen_vector("psi")
+    assert_located(check_g_compatibility(W, psi, Vec.basis((0, ())), 2),
+                   "fermion-compatibility")
+
+
+def test_L0_grading_W_killed():
+    W = Registry(fault="omega-scale").twisted("z2boson")
+    assert_located(W.check_L0_grading(2), "L0-grading-W")
+
+
+def test_product_polynomiality_killed(monkeypatch):
+    W = z2boson()
+    # a prefactor (x1 - x2)^1 too low for h, h: the product keeps a pole
+    monkeypatch.setattr(vosa, "weak_commutativity_order", lambda V, u, v: 0)
+    h = W.V.gen_vector("h")
+    w = Vec.basis(W.basis(0)[0])
+    assert_located(check_product_polynomiality(W, [h, h], w, w, 3),
+                   "product-polynomiality")
+
+
+def test_twist_decomposition_log_free_half_killed(monkeypatch):
+    heis3, g = unipotent()
+    W = build_unipotent_toy(heis3, g)
+    # T_0 without its x^{N_g}: the logs of T(w, x) survive in it
+    monkeypatch.setattr(automorphism, "nilpotent_power_coeffs",
+                        lambda g, vec: [vec])
+    r = check_twist_decomposition(W, heis3.gen_vector("a"),
+                                  heis3.gen_vector("b"), None, 2)
+    assert_located(r, "twist-decomposition")
+    assert "log(x)" in r.first_mismatch["monomial"]
+    assert r.first_mismatch["rhs"] == "None"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vertextwist"
+# (module, function) of the only CheckResult(...) calls that may decide a
+# verdict other than a pass: the comparator and the error record of a crash
+VERDICT_SITES = {("results.py", "compare"), ("harness.py", "_timed")}
+
+
+def _verdict_calls(tree):
+    """(enclosing function, line) of every CheckResult(...) whose verdict
+    is not the constant True."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, func or child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) \
+                    == "CheckResult":
+                ok = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "ok"), None)
+                if not (isinstance(ok, ast.Constant) and ok.value is True):
+                    out.append((func, child.lineno))
+            visit(child, func)
+    visit(tree, None)
+    return out
+
+
+def test_compare_is_the_only_verdict_in_src():
+    sites, monomial_formats = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites |= {(path.name, func, line)
+                  for func, line in _verdict_calls(tree)}
+        monomial_formats += [
+            (path.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.search(r"x\^%", node.value)]
+    assert {(name, func) for name, func, _ in sites} == VERDICT_SITES, sites
+    assert not monomial_formats, monomial_formats
