@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import NonCyclotomicSpectrum, NotIsometry, NotNilpotent
 from .linalg import kernel_basis, mat_eq, mat_identity, mat_mul, solve
 from .results import CheckResult, Modes, first_failure
-from .scalars import ONE, Scalar, Vec, acc_vec, cyclotomic_level, vec_of
+from .scalars import Scalar, Vec, acc_vec, cyclotomic_level, exact, vec_of
 from .vosa import FreeFieldAlgebra
 
 F0 = Fraction(0)
@@ -90,7 +90,7 @@ class Automorphism:
         """Matrix of g on the generator space, columns indexed by generators."""
         if self._gen_block is None:
             r = len(self.V.gens)
-            mat = [[Scalar.zero()] * r for _ in range(r)]
+            mat = [[0] * r for _ in range(r)]
             for j in range(r):
                 img = self.images[self.V.gens[j].name]
                 for gkey, c in img.items():
@@ -110,9 +110,9 @@ class Automorphism:
             for i, coords in enumerate(all_coords):
                 by_alpha = {}
                 for c, x in enumerate(coords):
-                    if x.is_zero():
+                    if not x:
                         continue
-                    comp = by_alpha.setdefault(col_alpha[c], [Scalar.zero()] * r)
+                    comp = by_alpha.setdefault(col_alpha[c], [0] * r)
                     for t in range(r):
                         comp[t] = comp[t] + x * columns[c][t]
                 parts.append(sorted(by_alpha.items()))
@@ -121,9 +121,8 @@ class Automorphism:
             # the pointwise alpha decomposition a grading, not an expansion
             diag = []
             for i, p in enumerate(parts):
-                if len(p) == 1 and all(
-                        (p[0][1][t] == (ONE if t == i else Scalar.zero()))
-                        for t in range(r)):
+                if len(p) == 1 and all(p[0][1][t] == (1 if t == i else 0)
+                                       for t in range(r)):
                     diag.append(p[0][0])
                 else:
                     diag = None
@@ -160,7 +159,7 @@ class Automorphism:
                 for be, wvec in self.alpha_decompose_key(rest).items():
                     made = Vec.zero()
                     for j, c in enumerate(comp):
-                        if c.is_zero():
+                        if not c:
                             continue
                         r = self._create(j, n, wvec)
                         if r:
@@ -263,7 +262,7 @@ class Automorphism:
 
 
 def parity_automorphism(V) -> Automorphism:
-    images = {g.name: Vec.basis(V.gen_key(i)).scale(Scalar.rational((-1) ** g.parity))
+    images = {g.name: Vec.basis(V.gen_key(i)).scale((-1) ** g.parity)
               for i, g in enumerate(V.gens)}
     return Automorphism(V, images, name="parity")
 
@@ -271,15 +270,13 @@ def parity_automorphism(V) -> Automorphism:
 def orthogonal_automorphism(V, matrix, name="g") -> Automorphism:
     """Automorphism of a Heisenberg algebra from a Gram-preserving matrix."""
     r = len(V.gens)
-    cols = [[_as_scalar(matrix[i][j]) for i in range(r)] for j in range(r)]
-    # exact isometry check: M^T G M = G
-    m = [[_as_scalar(matrix[i][j]) for j in range(r)] for i in range(r)]
-    g = [[Scalar.rational(V.gram[i][j]) for j in range(r)] for i in range(r)]
+    m = [[exact(matrix[i][j]) for j in range(r)] for i in range(r)]
     mt = [[m[j][i] for j in range(r)] for i in range(r)]
-    if not mat_eq(mat_mul(mat_mul(mt, g), m), g):
+    # exact isometry check: M^T G M = G
+    if not mat_eq(mat_mul(mat_mul(mt, V.gram), m), V.gram):
         raise NotIsometry("matrix does not preserve the Gram form")
-    images = {V.gens[j].name: Vec({V.gen_key(i): c for i, c in enumerate(cols[j])
-                                   if not c.is_zero()})
+    images = {V.gens[j].name: Vec({V.gen_key(i): c for i, c in enumerate(mt[j])
+                                   if c})
               for j in range(r)}
     return Automorphism(V, images, name=name)
 
@@ -287,10 +284,6 @@ def orthogonal_automorphism(V, matrix, name="g") -> Automorphism:
 def identity_automorphism(V) -> Automorphism:
     images = {g.name: Vec.basis(V.gen_key(i)) for i, g in enumerate(V.gens)}
     return Automorphism(V, images, name="id")
-
-
-def _as_scalar(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar.rational(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +301,7 @@ def _generalized_eigenbasis(mat):
     d = len(mat)
     columns, col_alpha = [], []
     for al in _alpha_candidates():
-        shifted = [[mat[i][j] - (Scalar.e(2 * al) if i == j else Scalar.zero())
+        shifted = [[mat[i][j] - (Scalar.e(2 * al) if i == j else 0)
                     for j in range(d)] for i in range(d)]
         if not kernel_basis(shifted):
             continue   # not an eigenvalue, no generalized eigenspace
@@ -334,7 +327,7 @@ class BlockJordan:
     def __init__(self, g: Automorphism, basis):
         self.basis = basis
         index = {k: i for i, k in enumerate(basis)}
-        self.K = [[Scalar.zero()] * len(basis) for _ in basis]
+        self.K = [[0] * len(basis) for _ in basis]
         alphas = set()
         self.nilpotency_index = 0
         for j, key in enumerate(basis):
@@ -364,7 +357,7 @@ class JordanData:
             "blocks": {str(w): {
                 "dim": len(b.basis),
                 "nilpotency_index": b.nilpotency_index,
-                "K": [[repr(x) for x in row] for row in b.K],
+                "K": [[str(x) for x in row] for row in b.K],
             } for w, b in sorted(self.blocks.items())},
         }
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InfiniteConvolution
-from .scalars import Scalar, Vec, homogeneous_value
+from .scalars import Vec, homogeneous_value
 from .series import Series, exponent, lattice, lattice_coset
 
 
@@ -47,9 +47,9 @@ class Space:
         return self.chain((var,), [(0, u)], w, wprime)
 
 
-def pair(wprime: Vec, vec: Vec) -> Scalar:
+def pair(wprime: Vec, vec: Vec):
     """Pairing against the orthonormal dual of the basis."""
-    out = Scalar.zero()
+    out = 0
     for key, c in wprime.items():
         out = out + c * vec.coeff(key)
     return out
@@ -135,7 +135,7 @@ class ChainSeries(Series):
             if not box.contains(m):
                 return
             val = pair(self.wprime, vec) if self.wprime is not None else vec
-            if val.is_zero():
+            if not val:
                 return
             prev = out.get(m)
             out[m] = val if prev is None else prev + val
@@ -143,7 +143,7 @@ class ChainSeries(Series):
         # exponents, degrees and weights below are lattice ints; a slot is
         # handed the rational exponent
         def rec(pos, vec, deg, esum, assign):
-            if vec.is_zero():
+            if not vec:
                 return
             idx, slot, wt = order[pos]
             last = pos == len(order) - 1

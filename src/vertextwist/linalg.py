@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, Scalar, cyclotomic_level
+from .scalars import Scalar, cyclotomic_level, terms_of
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -12,20 +12,20 @@ F1 = Fraction(1)
 
 # -- cyclotomic arithmetic ---------------------------------------------------
 
-def _scalar_to_poly(s: Scalar):
+def _scalar_to_poly(s):
     """Coefficients of s on the basis zeta^k, zeta = e(1/M), for pi-free s."""
     m = cyclotomic_level()
     out = [F0] * m
-    for (p, k), c in s.terms.items():
+    for (p, k), c in terms_of(s).items():
         if p != 0:
             raise ValueError("scalar involves PI, not a cyclotomic number: %r" % s)
         out[k] += c
     return out
 
 
-def _poly_to_scalar(coeffs) -> Scalar:
+def _poly_to_scalar(coeffs):
     m = cyclotomic_level()
-    out = Scalar.zero()
+    out = 0
     for k, c in enumerate(coeffs):
         if c:
             out = out + Scalar.e(Fraction(k, m)) * c
@@ -68,13 +68,13 @@ def _trim(a):
     return a
 
 
-def cyclo_inverse(s: Scalar) -> Scalar:
-    """Inverse in Q(zeta_2M) via extended Euclid mod x^M + 1 (irreducible for M a power of two)."""
-    if s.is_rational():
-        r = s.as_rational()
-        if not r:
+def cyclo_inverse(s):
+    """Inverse in Q(zeta_2M) via extended Euclid mod x^M + 1 (irreducible for
+    M a power of two); a rational's inverse is the exact Fraction."""
+    if not isinstance(s, Scalar):
+        if not s:
             raise ZeroDivisionError("cyclotomic inverse of zero")
-        return Scalar.rational(1 / r)
+        return F1 / s
     m = cyclotomic_level()
     modulus = [F1] + [F0] * (m - 1) + [F1]
     old_r, r = _trim(_scalar_to_poly(s)), modulus
@@ -91,24 +91,24 @@ def cyclo_inverse(s: Scalar) -> Scalar:
     return _poly_to_scalar(res[:m])
 
 
-# -- matrices over Scalar ----------------------------------------------------
+# -- matrices over the scalar ring -------------------------------------------
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Scalar.zero()] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         for t in range(k):
             x = a[i][t]
-            if x.is_zero():
+            if not x:
                 continue
             for j in range(m):
-                if not b[t][j].is_zero():
+                if b[t][j]:
                     out[i][j] = out[i][j] + x * b[t][j]
     return out
 
 
 def mat_identity(n):
-    return [[ONE if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_eq(a, b):
@@ -126,14 +126,14 @@ def _reduce(rows, ncols):
         r = len(pivots)
         if r == n:
             break
-        piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = cyclo_inverse(rows[r][col])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(n):
-            if i != r and not rows[i][col].is_zero():
+            if i != r and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
@@ -141,7 +141,7 @@ def _reduce(rows, ncols):
 
 
 def kernel_basis(mat):
-    """Basis of the kernel of a Scalar matrix, by exact Gaussian elimination."""
+    """Basis of the kernel of a matrix, by exact Gaussian elimination."""
     if not mat:
         return []
     rows = [list(r) for r in mat]
@@ -151,8 +151,8 @@ def kernel_basis(mat):
     for fc in range(m):
         if fc in pivots:
             continue
-        v = [Scalar.zero()] * m
-        v[fc] = ONE
+        v = [0] * m
+        v[fc] = 1
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][fc]
         out.append(v)
@@ -166,11 +166,11 @@ def solve(mat, rhss):
     m = len(mat[0])
     rows = [list(r) + [b[i] for b in rhss] for i, r in enumerate(mat)]
     pivots = _reduce(rows, m)
-    if any(not x.is_zero() for row in rows[len(pivots):] for x in row[m:]):
+    if any(x for row in rows[len(pivots):] for x in row[m:]):
         return None
     out = []
     for j in range(m, m + len(rhss)):
-        x = [Scalar.zero()] * m
+        x = [0] * m
         for i, pc in enumerate(pivots):
             x[pc] = rows[i][j]
         out.append(x)

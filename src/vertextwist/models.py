@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .automorphism import Automorphism, orthogonal_automorphism, \
     parity_automorphism
-from .scalars import (HALF_SQRT2, CyclotomicLevelError, Scalar, Vec,
-                      cyclotomic_level)
+from .scalars import HALF_SQRT2, CyclotomicLevelError, Vec, cyclotomic_level
 from .twisted import TwistedModule, UnipotentViewModule
 from .vosa import FermionAlgebra, HeisenbergAlgebra
 
@@ -81,25 +80,24 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
                 return Vec.zero()
             pos = occ.index(p)
             return Vec.basis((sector, occ[:pos] + occ[pos + 1:])).scale(
-                Scalar.rational((-1) ** pos * sgn))
+                (-1) ** pos * sgn)
         if p < 0:
             c = -p
             if c in occ:
                 return Vec.zero()
             pos = sum(1 for f in occ if f > c)
             return Vec.basis((sector, occ[:pos] + (c,) + occ[pos:])).scale(
-                Scalar.rational((-1) ** pos))
+                (-1) ** pos)
         # zero mode: anticommute through occ, then flip the vacuum pair
         z = zscale
         if fault == "zero-mode-sector-sign" and sector == 1:
             z = -zscale   # breaks psi_0^2 = 1/2
         flip = Vec.basis((1 - sector, occ)).scale(z)
-        return flip.scale(Fraction((-1) ** len(occ)))
+        return flip.scale((-1) ** len(occ))
 
     deg = lambda key: sum(key[1])
-    flip = 1 if fault == "vacuum-parity" else 0
-    par = lambda key: (key[0] + len(key[1]) + flip) % 2
-    gsc = lambda key: Scalar.rational((-1) ** par(key))
+    par = lambda key: (key[0] + len(key[1])) % 2
+    gsc = lambda key: (-1) ** par(key)
     return TwistedModule("ramond", fermion, parity, gen_action,
                          _fermion_twisted_basis, deg, par, gsc,
                          crosscheck=crosscheck)
@@ -155,12 +153,11 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
         if not count:
             return Vec.zero()
         pos = key.index(o)
-        return Vec.basis(key[:pos] + key[pos + 1:]).scale(
-            Scalar.rational(k * count))
+        return Vec.basis(key[:pos] + key[pos + 1:]).scale(k * count)
 
     deg = lambda key: Fraction(sum(key), 2)
     par = lambda key: 0
-    gsc = lambda key: Scalar.rational((-1) ** len(key))
+    gsc = lambda key: (-1) ** len(key)
     return TwistedModule("z2boson", boson, minus1, gen_action,
                          _boson_twisted_basis, deg, par, gsc,
                          crosscheck=crosscheck)

@@ -26,10 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExtensionInconsistent
-from .scalars import Scalar, Vec, acc_vec, binomial, vec_of
-
-F0 = Fraction(0)
-F1 = Fraction(1)
+from .scalars import Vec, acc_vec, binomial, vec_of
 
 
 class ModeOracle:
@@ -111,8 +108,7 @@ class ModeOracle:
                 c -= binomial(t, m - q)
             if c:
                 c *= 1 if int(q + t - m) % 2 == 0 else -1
-                acc_vec(acc, self.gen_action(gidx, m, wkey),
-                        Scalar.rational(c))
+                acc_vec(acc, self.gen_action(gidx, m, wkey), c)
         else:
             sgn = -1 if (alg.gen_parity(gidx) and alg.parity(rest)) else 1
             # products: (Y)_m(a) acting after (Y)_(n+t-m)(u')
@@ -124,8 +120,7 @@ class ModeOracle:
                     j = q + t - m
                     c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
                     if c:
-                        acc_vec(acc, self._gen_on_vec(gidx, m, inner),
-                                Scalar.rational(c))
+                        acc_vec(acc, self._gen_on_vec(gidx, m, inner), c)
                 m -= 1
             # reversed products: (Y)_m(a) acting first
             m = q
@@ -137,7 +132,7 @@ class ModeOracle:
                     if c:
                         part = self.apply_vec(Vec.basis(rest), n + t - m, gw)
                         if part:
-                            acc_vec(acc, part, Scalar.rational(-c))
+                            acc_vec(acc, part, -c)
                 m += 1
         # corrections from lower-weight composites a_(r)u'
         r = t + 1
@@ -149,7 +144,7 @@ class ModeOracle:
                 if c:
                     part = self.apply_vec(comp, n + t - r, Vec.basis(wkey))
                     if part:
-                        acc_vec(acc, part, Scalar.rational(-c))
+                        acc_vec(acc, part, -c)
             r += 1
         return vec_of(acc)
 

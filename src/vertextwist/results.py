@@ -51,7 +51,7 @@ def compare(identity, inputs, vars, box, lhs, rhs) -> CheckResult:
         return CheckResult(identity, True, inputs, window)
     m, a, b = mismatch
     return CheckResult(identity, False, inputs, window, {
-        "monomial": format_monomial(m, vars), "lhs": repr(a), "rhs": repr(b)})
+        "monomial": format_monomial(m, vars), "lhs": str(a), "rhs": str(b)})
 
 
 class Modes:

@@ -6,10 +6,16 @@ with q rational.  Phases q live on the lattice (1/M)Z for a fixed cyclotomic
 level M; M must be a power of two so that {e(k/M) : 0 <= k < M} is a basis of
 the degree-M cyclotomic field and canonical forms compare exactly.
 
-Internally a term is keyed by (p, k) with k = q*M an integer in [0, M); the
-identity e(q+1) = -e(q) folds the upper half of the lattice into the sign of
-the rational coefficient.  Keys are pure integer pairs, which keeps the dict
-operations in the innermost loops cheap.
+A value is in canonical form as a plain int or Fraction while it is rational,
+and as a Scalar only when it carries a phase or a PI power: every Scalar
+operation folds a result that reduces to its rational part back to that
+number, so rational arithmetic never pays for the box and a Scalar never
+equals a number.
+
+Internally a Scalar term is keyed by (p, k) with k = q*M an integer in
+[0, M); the identity e(q+1) = -e(q) folds the upper half of the lattice into
+the sign of the rational coefficient.  Keys are pure integer pairs, which
+keeps the dict operations in the innermost loops cheap.
 """
 
 from __future__ import annotations
@@ -30,26 +36,60 @@ def cyclotomic_level() -> int:
     return _LEVEL
 
 
+def exact(c):
+    """c checked as a ring element and canonical: an integral Fraction
+    becomes its int; TypeError for anything but an int, Fraction or Scalar,
+    a float above all, whose value is not the exact one meant."""
+    if isinstance(c, (int, Scalar)):
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError("not an exact scalar: %r" % (c,))
+
+
+def _fold(terms: dict):
+    """The canonical value of a term dict: 0, the number of a lone (0, 0)
+    term, or a Scalar."""
+    if not terms:
+        return 0
+    if len(terms) == 1 and _RKEY in terms:
+        return terms[_RKEY]
+    return Scalar(terms)
+
+
+def terms_of(c) -> dict:
+    """The {(pi_power, phase numerator): rational} terms of any value."""
+    if isinstance(c, Scalar):
+        return c.terms
+    return {_RKEY: c} if c else {}
+
+
+def iter_terms(c):
+    """Yield ((pi_power, phase as Fraction in [0,1)), coeff) of any value."""
+    for (p, k), x in terms_of(c).items():
+        yield (p, Fraction(k, _LEVEL)), x
+
+
+def scalar_json(c):
+    """Terms of any value in a sorted, JSON-serializable list."""
+    return [{"pi_power": p, "phase": str(q), "coeff": str(x)}
+            for (p, q), x in sorted(iter_terms(c))]
+
+
 class Scalar:
-    """Element of Q(zeta_2M)[PI, PI^-1], kept in canonical form."""
+    """Element of Q(zeta_2M)[PI, PI^-1] that is not rational, kept in
+    canonical form; built only by `e`, `pi` and the ring operations."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms):
         # terms: {(pi_power, phase_numerator): coeff}, canonical; internal only
-        self.terms = terms or {}
+        self.terms = terms
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def rational(c) -> "Scalar":
-        # ints participate in the numeric tower exactly; keep them unboxed
-        if not isinstance(c, int):
-            c = Fraction(c)
-        return Scalar({_RKEY: c} if c else {})
-
-    @staticmethod
-    def e(q) -> "Scalar":
+    def e(q):
         """e^{pi i q} for rational q on the lattice (1/M)Z."""
         q = Fraction(q) * _LEVEL
         if q.denominator != 1:
@@ -57,42 +97,34 @@ class Scalar:
                 "phase %s not on the (1/%d)Z lattice" % (q / _LEVEL, _LEVEL))
         k = int(q) % (2 * _LEVEL)
         if k >= _LEVEL:
-            return Scalar({(0, k - _LEVEL): -1})
-        return Scalar({(0, k): 1})
+            return _fold({(0, k - _LEVEL): -1})
+        return _fold({(0, k): 1})
 
     @staticmethod
-    def pi(power: int = 1) -> "Scalar":
+    def pi(power: int = 1):
         """PI^power, PI standing for pi*i."""
-        return Scalar({(int(power), 0): 1})
-
-    @staticmethod
-    def zero() -> "Scalar":
-        return Scalar({})
-
-    @staticmethod
-    def one() -> "Scalar":
-        return Scalar({_RKEY: 1})
+        return _fold({(int(power), 0): 1})
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
+        if isinstance(other, Scalar):
+            ot = other.terms
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            ot = {_RKEY: other}
+        else:
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
         terms = dict(self.terms)
-        for key, c in other.terms.items():
+        for key, c in ot.items():
             s = terms.get(key)
             s = c if s is None else s + c
             if s:
                 terms[key] = s
             else:
                 del terms[key]
-        return Scalar(terms)
+        return _fold(terms)
 
     __radd__ = __add__
 
@@ -100,29 +132,23 @@ class Scalar:
         return Scalar({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Scalar.zero()
+                return 0
             return Scalar({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, Scalar):
             return NotImplemented
-        st, ot = self.terms, other.terms
-        if len(st) == 1 and _RKEY in st:
-            return other * st[_RKEY]
-        if len(ot) == 1 and _RKEY in ot:
-            return self * ot[_RKEY]
         L = _LEVEL
         L2 = 2 * L
         terms = {}
-        for (p1, k1), c1 in st.items():
-            for (p2, k2), c2 in ot.items():
+        for (p1, k1), c1 in self.terms.items():
+            for (p2, k2), c2 in other.terms.items():
                 k = (k1 + k2) % L2
                 c = c1 * c2
                 if k >= L:
@@ -135,18 +161,19 @@ class Scalar:
                     terms[key] = s
                 else:
                     del terms[key]
-        return Scalar(terms)
+        return _fold(terms)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Division by a nonzero rational."""
         other = Fraction(other)
         return Scalar({k: c / other for k, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative Scalar powers are not defined")
-        out = Scalar.one()
+        out = 1
         base = self
         while n:
             if n & 1:
@@ -157,50 +184,24 @@ class Scalar:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.terms == other.terms
+            return False        # a canonical Scalar is never rational
+        return NotImplemented
 
     def __hash__(self):
-        # a rational scalar equals its Fraction, so it hashes like one
-        if self.is_rational():
-            return hash(self.as_rational())
         return hash(frozenset(self.terms.items()))
-
-    def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _RKEY in self.terms)
-
-    def as_rational(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError("not a rational scalar: %s" % self)
-        return self.terms[_RKEY]
-
-    def iter_terms(self):
-        """Yield ((pi_power, phase as Fraction in [0,1)), coeff)."""
-        for (p, k), c in self.terms.items():
-            yield (p, Fraction(k, _LEVEL)), c
 
     # -- display ------------------------------------------------------------
 
-    def _sorted(self):
-        return sorted(self.iter_terms())
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for (p, q), c in self._sorted():
+        for (p, q), c in sorted(iter_terms(self)):
             factors = []
             if c != 1 or (p == 0 and q == 0):
                 factors.append(str(c))
@@ -213,15 +214,6 @@ class Scalar:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    def to_json(self):
-        return [
-            {"pi_power": p, "phase": str(q), "coeff": str(c)}
-            for (p, q), c in self._sorted()
-        ]
-
-
-ZERO = Scalar.zero()
-ONE = Scalar.one()
 
 # 2^{-1/2} = (e^{pi i/4} - e^{3 pi i/4}) / 2, available at cyclotomic level >= 4
 HALF_SQRT2 = (Scalar.e(Fraction(1, 4)) - Scalar.e(Fraction(3, 4))) / 2
@@ -242,7 +234,8 @@ def binomial(a, k):
 
 
 class Vec:
-    """Formal linear combination of basis keys with Scalar coefficients."""
+    """Formal linear combination of basis keys with nonzero coefficients
+    in canonical form."""
 
     __slots__ = ("comps",)
 
@@ -251,7 +244,7 @@ class Vec:
 
     @staticmethod
     def basis(key) -> "Vec":
-        return Vec({key: ONE})
+        return Vec({key: 1})
 
     @staticmethod
     def zero() -> "Vec":
@@ -265,13 +258,7 @@ class Vec:
         if not other.comps:
             return self
         comps = dict(self.comps)
-        for key, c in other.comps.items():
-            s = comps.get(key)
-            s = c if s is None else s + c
-            if s.terms:
-                comps[key] = s
-            else:
-                del comps[key]
+        acc_vec(comps, other)
         return Vec(comps)
 
     def __neg__(self):
@@ -281,18 +268,12 @@ class Vec:
         return self + (-other)
 
     def scale(self, c) -> "Vec":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.rational(c)
-        if not c.terms:
+        c = exact(c)
+        if not c:
             return Vec.zero()
-        if c.terms.get(_RKEY) == 1 and len(c.terms) == 1:
+        if c == 1:
             return self
-        out = {}
-        for key, x in self.comps.items():
-            s = x * c
-            if s.terms:
-                out[key] = s
-        return Vec(out)
+        return Vec({key: x * c for key, x in self.comps.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Vec):
@@ -302,50 +283,44 @@ class Vec:
     def __hash__(self):
         return hash(frozenset((k, c) for k, c in self.comps.items()))
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
     def __bool__(self):
         return bool(self.comps)
 
     def items(self):
         return self.comps.items()
 
-    def coeff(self, key) -> Scalar:
-        return self.comps.get(key, ZERO)
+    def coeff(self, key):
+        return self.comps.get(key, 0)
 
     def __repr__(self):
         if not self.comps:
             return "0"
-        return " + ".join("(%r)*|%s>" % (c, k) for k, c in sorted(
+        return " + ".join("(%s)*|%s>" % (c, k) for k, c in sorted(
             self.comps.items(), key=lambda kv: repr(kv[0])))
 
 
-def acc_vec(acc: dict, vec: Vec, c: Scalar = None) -> None:
-    """Accumulate c * vec into a mutable {key: Scalar} dict."""
-    if c is None:
-        for key, x in vec.comps.items():
-            s = acc.get(key)
-            s = x if s is None else s + x
-            if s.terms:
-                acc[key] = s
-            else:
-                del acc[key]
-    else:
-        for key, x in vec.comps.items():
-            y = x * c
-            if not y.terms:
-                continue
-            s = acc.get(key)
-            s = y if s is None else s + y
-            if s.terms:
-                acc[key] = s
-            else:
-                del acc[key]
+def acc_vec(acc: dict, vec: Vec, c=1) -> None:
+    """Accumulate c * vec into a mutable {key: coefficient} dict."""
+    c = exact(c)
+    if not c:
+        return
+    scale = c != 1
+    for key, x in vec.comps.items():
+        if scale:
+            x = x * c
+        s = acc.get(key)
+        if s is None:
+            acc[key] = x
+            continue
+        s = s + x
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
 
 
 def vec_of(acc: dict) -> Vec:
-    return Vec({k: c for k, c in acc.items() if c.terms})
+    return Vec({k: c for k, c in acc.items() if c})
 
 
 def homogeneous_value(vec: Vec, key_fn):

@@ -12,8 +12,10 @@ on.  Monomial exponents, box bounds and support bounds are such ints, and a
 coset is an int residue mod M.  Rationals enter through `mono`, `Box.cube`
 and `lattice`, and are read back through `exponent`.
 
-Coefficients are Scalar, or Vec for operator-valued series; a product may mix
-the two as long as at most one factor is vector-valued.
+Coefficients are scalars in canonical form (an int or Fraction while
+rational, a Scalar once a phase or PI appears), or Vec for operator-valued
+series; a product may mix the two as long as at most one factor is
+vector-valued.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from math import ceil, floor
 from operator import add
 
 from .errors import InfiniteConvolution, NonMeromorphicVariable
-from .scalars import (ONE, CyclotomicLevelError, Scalar, Vec, binomial,
-                      cyclotomic_level)
+from .scalars import (CyclotomicLevelError, Scalar, Vec, binomial,
+                      cyclotomic_level, exact, scalar_json)
 
 D = cyclotomic_level()          # lattice scale: exponent p stands for p/D
 
@@ -158,8 +160,7 @@ class Series:
         key = box.key()
         hit = self._cache.get(key)
         if hit is None:
-            hit = {m: c for m, c in self._terms_in(box).items()
-                   if not c.is_zero()}
+            hit = {m: c for m, c in self._terms_in(box).items() if c}
             self._cache[key] = hit
         return hit
 
@@ -171,7 +172,7 @@ class Series:
         return Sum([self, other])
 
     def __sub__(self, other):
-        return Sum([self, scaled(other, Scalar.rational(-1))])
+        return Sum([self, scaled(other, -1)])
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -181,14 +182,14 @@ class Series:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return scaled(self, Scalar.rational(-1))
+        return scaled(self, -1)
 
 
 class TermSeries(Series):
     """Finite explicit Laurent polynomial (possibly with logs)."""
 
     def __init__(self, vars, terms=None):
-        terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+        terms = {m: c for m, c in (terms or {}).items() if c}
         n = len(vars)
         if terms:
             bounds = [(min(m[0][i] for m in terms), max(m[0][i] for m in terms))
@@ -206,7 +207,7 @@ class TermSeries(Series):
         return {m: c for m, c in self.terms.items() if box.contains(m)}
 
     @staticmethod
-    def monomial(vars, powers, logs=None, coeff=ONE) -> "TermSeries":
+    def monomial(vars, powers, logs=None, coeff=1) -> "TermSeries":
         return TermSeries(vars, {mono(powers, logs): coeff})
 
     @staticmethod
@@ -219,13 +220,11 @@ class TermSeries(Series):
 
 
 def scaled(s: Series, c) -> Series:
-    if isinstance(c, (int, Fraction)):
-        c = Scalar.rational(c)
-    return _Scaled(s, c)
+    return _Scaled(s, exact(c))
 
 
 class _Scaled(Series):
-    def __init__(self, base: Series, c: Scalar):
+    def __init__(self, base: Series, c):
         super().__init__(base.vars, base.bounds, base.cosets, base.logmax)
         self.base, self.c = base, c
 
@@ -315,7 +314,7 @@ class BinomialKernel(Series):
     Terms:  scale * C(A, n) * sign^n * x_lead^(A-n) * x_exp^n,  n >= 0.
     """
 
-    def __init__(self, vars, A, lead: int, exp: int, sign: int = -1, scale=ONE):
+    def __init__(self, vars, A, lead: int, exp: int, sign: int = -1, scale=1):
         A = Fraction(A)
         a = lattice(A)
         n = len(vars)
@@ -355,9 +354,9 @@ class BinomialKernel(Series):
             m = (tuple(powers), (0,) * n)
             if not box.contains(m):
                 continue
-            c = self.scale * (binomial(A, k) * Fraction(self.sign) ** k)
-            if not c.is_zero():
-                out[m] = c
+            c = binomial(A, k) * self.sign ** k
+            if c:
+                out[m] = c * self.scale
         return out
 
 
@@ -381,7 +380,7 @@ class DeltaKernel(Series):
     """
 
     def __init__(self, vars, den: int, a: int, b: int, b_sign: int = 1,
-                 offset=0, minus_phase: bool = False, scale=ONE):
+                 offset=0, minus_phase: bool = False, scale=1):
         r = lattice(offset)
         n = len(vars)
         bounds = [(0, 0)] * n
@@ -406,6 +405,8 @@ class DeltaKernel(Series):
         for dm in lattice_coset(dlo, dhi, -self.r - D):
             m = -dm - D        # in offset+Z
             mq = exponent(m)
+            phase = self.scale * Scalar.e(mq) if self.minus_phase \
+                else self.scale
             j_hi = box.highs[self.vb]
             alo = box.lows[self.va]
             if alo is not None:
@@ -426,11 +427,9 @@ class DeltaKernel(Series):
                 mn = (tuple(powers), (0,) * nv)
                 if not box.contains(mn):
                     continue
-                c = self.scale * (binomial(mq, j) * Fraction(self.b_sign) ** j)
-                if self.minus_phase:
-                    c = c * Scalar.e(mq)
-                if not c.is_zero():
-                    out[mn] = c
+                c = binomial(mq, j) * self.b_sign ** j
+                if c:
+                    out[mn] = c * phase
         return out
 
 
@@ -482,7 +481,7 @@ class DeltaDerivKernel(Series):
                 continue
             c = binomial(m, self.k)
             if c:
-                out[mn] = Scalar.rational(c)
+                out[mn] = c
         return out
 
 
@@ -508,7 +507,7 @@ class _PhaseShift(Series):
         i = self.idx
         for m, c in self.base.terms_in(src).items():
             q = self.h * exponent(m[0][i])
-            phase = Scalar.e(q) if q % 2 else ONE
+            phase = Scalar.e(q)
             k = m[1][i]
             # (log x + h*PI)^k expands over lower log powers
             for j in range(0, k + 1):
@@ -563,7 +562,7 @@ class _Derivative(Series):
             for mn, fac in targets:
                 if fac == 0 or not box.contains(mn):
                     continue
-                cc = c_mul(Scalar.rational(fac), c)
+                cc = c_mul(fac, c)
                 prev = out.get(mn)
                 out[mn] = cc if prev is None else prev + cc
         return out
@@ -648,7 +647,7 @@ def format_series(terms: dict, vars) -> str:
         return "0"
     out = []
     for m in sorted(terms, key=mono_sort_key):
-        out.append("(%r)*%s" % (terms[m], format_monomial(m, vars)))
+        out.append("(%s)*%s" % (terms[m], format_monomial(m, vars)))
     return " + ".join(out)
 
 
@@ -659,7 +658,7 @@ def series_to_json(terms: dict, vars, box: Box = None):
         entries.append({
             "powers": {v: str(exponent(p)) for v, p in zip(vars, m[0]) if p},
             "log_powers": {v: k for v, k in zip(vars, m[1]) if k},
-            "scalar": c.to_json() if isinstance(c, Scalar) else repr(c),
+            "scalar": repr(c) if isinstance(c, Vec) else scalar_json(c),
         })
     doc = {"variables": list(vars), "entries": entries}
     if box is not None:

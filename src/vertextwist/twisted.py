@@ -19,7 +19,7 @@ from .chains import Space, pair
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
-from .scalars import Scalar, Vec, acc_vec, vec_of
+from .scalars import Vec, acc_vec, iter_terms, vec_of
 from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
                      branch_shift, coset_range, delta_iter, delta_prod,
                      delta_prod_rev, derivative, exponent, lattice, mono,
@@ -98,7 +98,7 @@ class ModuleBase(Space):
                 c = got.coeff(key)
                 if got != Vec.basis(key).scale(c):
                     raise ExtensionInconsistent("L(0) is not diagonal on degree 0")
-                vals.add(c.as_rational())
+                vals.add(c)
             if len(vals) != 1:
                 raise ExtensionInconsistent("twisted vacuum weight is ambiguous")
             self._h_vac = vals.pop()
@@ -135,7 +135,7 @@ class TwistedModule(ModuleBase):
         self._basis_fn = basis_fn
         self._deg = deg_fn
         self._parity = parity_fn
-        self._g_scale = g_scale_fn     # module_key -> Scalar, the action of g
+        self._g_scale = g_scale_fn     # module_key -> scalar, the action of g
         self.log_bound = 0             # semisimple case: no log terms
         self.oracle = ModeOracle(V, gen_action, deg_fn,
                                  lambda gi: g.gen_alpha(gi))
@@ -159,7 +159,7 @@ class TwistedModule(ModuleBase):
 
     def alpha_of_key(self, key) -> Fraction:
         """g-weight of a basis vector, read from the eigenvalue of g."""
-        for (p, q), c in self._g_scale(key).iter_terms():
+        for (p, q), c in iter_terms(self._g_scale(key)):
             # the canonical form folds e^{pi i} into the sign of c
             return (q / 2 + (FH if c < 0 else F0)) % 1
         return F0
@@ -284,7 +284,7 @@ def check_twisted_jacobi(W, u, v, w, wprime, halfwidth) -> CheckResult:
     sign = (-1) ** (W.algebra_parity(u) * W.algebra_parity(v))
     revp = scaled(Product(delta_prod_rev(vars, 0, 1, 2),
                           W.chain(vars, [(2, v), (1, u)], w, wprime)), sign)
-    lhs = Sum([prod, scaled(revp, Scalar.rational(-1))])
+    lhs = Sum([prod, scaled(revp, -1)])
     # modes below r_min only produce x0-exponents above the window
     r_min = ceil(-1 - Fraction(halfwidth))
     iterate = jacobi_iterate_side(W, u, v, w, wprime, vars, r_min)
@@ -397,7 +397,7 @@ def check_y0_decomposition(W, u, w, wprime, halfwidth) -> CheckResult:
 
 
 def _zero_like(wprime):
-    return Scalar.zero() if wprime is not None else Vec.zero()
+    return 0 if wprime is not None else Vec.zero()
 
 
 def _y0_of_dressed_terms(W, u, w, wprime, box, side):
@@ -497,7 +497,7 @@ def check_permutation_symmetry(W, vs, w, wprime, perm, halfwidth) -> CheckResult
     return compare("permutation-symmetry",
                    _inputs(w=w, perm=tuple(perm), sign=sign), vars,
                    _cube(vars, halfwidth), lhs,
-                   scaled(rhs, Scalar.rational(sign)))
+                   scaled(rhs, sign))
 
 
 def _inputs(**kw):

@@ -68,8 +68,8 @@ class TwistOpSlot:
     def _apply_key(self, e, k, vkey) -> Vec:
         W = self.module
         V = W.V
-        sgn = Scalar.rational((-1) ** (V.parity(vkey) * self.parity))
-        bases = {}                    # j -> b_j as a {key: Scalar} dict
+        sgn = (-1) ** (V.parity(vkey) * self.parity)
+        bases = {}                    # j -> b_j as a {key: scalar} dict
         n_hi = self.wt + V.weight(vkey) - 1
         for beta, piece in W.g.alpha_decompose_key(vkey).items():
             for n in coset_range(-e - 1, n_hi, beta % 1):
@@ -223,8 +223,8 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec, wprime,
         Product(delta_prod_rev(vars, 0, 1, 2, offset=al),
                 twist_chain(W, vars, [(2, "twist", w_arg), (1, "alg", u)],
                             v, wprime)),
-        Scalar.rational((-1) ** (pu * pw)))
-    lhs = Sum([term1, scaled(term2, Scalar.rational(-1))])
+        (-1) ** (pu * pw))
+    lhs = Sum([term1, scaled(term2, -1)])
     m_hi = W.V.algebra_weight(u) + W.vec_deg(w_arg) - 1
     modes = ((m, W.mode_vec(u, m, 0, w_arg))
              for m in coset_range(-2 * hw - 2, m_hi, al))
@@ -244,7 +244,7 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     al = W.algebra_alpha(u)
     pw = W.vec_parity(w_arg)
     pu = W.V.algebra_parity(u)
-    sign = Scalar.rational((-1) ** (pu * pw))
+    sign = (-1) ** (pu * pw)
     lhs = Sum([
         Product(BinomialKernel(vars, al, 0, 1),
                 twist_chain(W, vars, [(0, "tw", u), (1, "twist", w_arg)],
@@ -293,7 +293,7 @@ def check_gen_weak_commutativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     M = max(twist_commutativity_order(W, u, w_arg), 1)
     pw = W.vec_parity(w_arg)
     pu = W.V.algebra_parity(u)
-    sign = Scalar.rational((-1) ** (pu * pw))
+    sign = (-1) ** (pu * pw)
     lhs = Product(BinomialKernel(vars, al + M, 0, 1),
                   twist_chain(W, vars, [(0, "tw", u), (1, "twist", w_arg)],
                               v, wprime))
@@ -316,7 +316,7 @@ def _t0_terms(W, w_arg, v, wprime, box):
             m = (powers, (logs[0] + k2,))
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
-    return {m: c for m, c in out.items() if not c.is_zero()}
+    return {m: c for m, c in out.items() if c}
 
 
 def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
@@ -374,10 +374,10 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
     nv = len(vars)
     box = Box.cube(nv, -hw, hw, W.log_bound)
     lo, hi = lattice(-hw), lattice(hw)
-    sign = Scalar.rational(
-        (-1) ** (W.vec_parity(w_arg)
-                 * ((W.V.algebra_parity(v)
-                     + sum(W.V.algebra_parity(u) for u in vs)) % 2)))
+    # the twist slot acts on v and on the operators right of it only
+    sign = (-1) ** (W.vec_parity(w_arg)
+                    * (W.V.algebra_parity(v)
+                       + sum(W.V.algebra_parity(u) for u in vs[k_tw:])))
     own_box = [Box(
         [None if i != v_idx[pos] else lo for i in range(nv)],
         [None if i != v_idx[pos] else hi for i in range(nv)],
@@ -416,7 +416,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
             return
         for m1, vecv in _exp_L_terms(W, cur, vars, x_idx, jneed).items():
             val = pair(wprime, vecv) if wprime is not None else vecv
-            if val.is_zero():
+            if not val:
                 continue
             for m2, c2 in terms.items():
                 m = mono_add(m1, m2)

@@ -19,7 +19,7 @@ from .errors import DegenerateForm
 from .linalg import mat_identity, solve
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
-from .scalars import Scalar, Vec
+from .scalars import Vec, exact
 from .series import BinomialKernel, Box, Product, scaled
 
 F0 = Fraction(0)
@@ -137,7 +137,7 @@ class FreeFieldAlgebra(Space):
                 created = self.gen_apply(self.gen_index(f),
                                          self.spec_mode(self._bump(f)), rest)
                 if created:
-                    out = out + created.scale(c * Scalar.rational((n - h + 1) * sgn))
+                    out = out + created.scale(c * ((n - h + 1) * sgn))
         return out
 
     def _bump(self, factor):
@@ -146,7 +146,7 @@ class FreeFieldAlgebra(Space):
     def L0(self, vec: Vec) -> Vec:
         out = Vec.zero()
         for key, c in vec.items():
-            out = out + Vec.basis(key).scale(c * Scalar.rational(self.weight(key)))
+            out = out + Vec.basis(key).scale(c * self.weight(key))
         return out
 
     @property
@@ -209,21 +209,21 @@ class FermionAlgebra(FreeFieldAlgebra):
             pos = key.index(o)
             sgn = -1 if self.fault == "clifford-sign" else 1
             return Vec.basis(key[:pos] + key[pos + 1:]).scale(
-                Scalar.rational((-1) ** pos * sgn))
+                (-1) ** pos * sgn)
         c = -o
         if c in key:
             return Vec.zero()
         pos = sum(1 for f in key if f > c)
         sgn = -1 if self.fault == "creation-sign" and c >= 5 else 1
         return Vec.basis(key[:pos] + (c,) + key[pos:]).scale(
-            Scalar.rational((-1) ** pos * sgn))
+            (-1) ** pos * sgn)
 
     @property
     def omega(self) -> Vec:
         c = FH
         if self.fault == "omega-scale":
             c = F1
-        return Vec({(3, 1): Scalar.rational(c)})
+        return Vec({(3, 1): c})
 
 
 class HeisenbergAlgebra(FreeFieldAlgebra):
@@ -235,17 +235,16 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
         rank = len(gram)
         names = names or (["h"] if rank == 1 else
                           [chr(ord("a") + i) for i in range(rank)])
-        self.gram = [[Fraction(x) for x in row] for row in gram]
+        self.gram = [[exact(Fraction(x)) for x in row] for row in gram]
         for i in range(rank):
             for j in range(rank):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         super().__init__([Gen(nm, 1, 0) for nm in names], fault)
-        cols = solve([[Scalar.rational(x) for x in row] for row in self.gram],
-                     mat_identity(rank))
+        cols = solve(self.gram, mat_identity(rank))
         self.degenerate = cols is None
         self.gram_inv = None if cols is None else \
-            [[c[i].as_rational() for c in cols] for i in range(rank)]
+            [[c[i] for c in cols] for i in range(rank)]
 
     def gen_index(self, factor):
         return factor[1]
@@ -301,7 +300,7 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
             if g:
                 count = key.count((m, j))
                 out = out + Vec.basis(key[:pos] + key[pos + 1:]).scale(
-                    Scalar.rational(p * g * count))
+                    p * g * count)
         return out
 
     @property
@@ -313,12 +312,12 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
         scale = 2 if self.fault == "omega-scale" else 1
         for i in range(rank):
             for j in range(rank):
-                c = self.gram_inv[i][j] * scale / 2
+                c = self.gram_inv[i][j] * Fraction(scale, 2)
                 if not c:
                     continue
                 key = tuple(sorted([(1, i), (1, j)], reverse=True))
                 comps[key] = comps.get(key, F0) + c
-        return Vec({k: Scalar.rational(c) for k, c in comps.items() if c})
+        return Vec({k: c for k, c in comps.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +399,7 @@ def check_weak_commutativity(V, u: Vec, v: Vec, w: Vec, wprime,
     vars = ("x1", "x2")
     pref = BinomialKernel(vars, M, 0, 1)
     lhs = Product(pref, V.chain(vars, [(0, u), (1, v)], w, wprime))
-    sign = Scalar.rational((-1) ** (V.algebra_parity(u) * V.algebra_parity(v)))
+    sign = (-1) ** (V.algebra_parity(u) * V.algebra_parity(v))
     rhs = scaled(Product(pref, V.chain(vars, [(1, v), (0, u)], w, wprime)),
                  sign)
     return compare("weak-commutativity-V",

@@ -10,7 +10,6 @@ a small product pins both counts.
 
 from pathlib import Path
 
-from vertextwist.scalars import ONE
 from vertextwist.series import Box, Product, TermSeries, mono
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -30,8 +29,8 @@ def test_tracer_counts_convolution_pairs(monkeypatch):
     # (1 + x)(1 + x) on |exp| <= 1 tries four pairs and drops x^2
     monkeypatch.syspath_prepend(str(BENCH))
     import layertrace
-    a = TermSeries(("x",), {mono([0]): ONE, mono([1]): ONE})
-    b = TermSeries(("x",), {mono([0]): ONE, mono([1]): ONE})
+    a = TermSeries(("x",), {mono([0]): 1, mono([1]): 1})
+    b = TermSeries(("x",), {mono([0]): 1, mono([1]): 1})
     tracer = layertrace.Tracer()
     try:
         tracer.install()

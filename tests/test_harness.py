@@ -34,6 +34,15 @@ def test_all_suites_execute(registry):
         assert rep.records
 
 
+def test_ramond_mixed_products_pass(registry):
+    # odd w: the twist slot's sign counts only v and the operators right of
+    # it, not the twisted-module operators left of it
+    rep = run_suite(SuiteConfig(model="ramond", suite="mixed-products",
+                                max_weight=1, halfwidth=2), registry)
+    assert len(rep.records) == 12
+    assert rep.ok, [r.to_json() for r in rep.records if not r.ok][:1]
+
+
 def test_suite_validation(registry):
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(model="fermion", suite="nope"), registry)

@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from vertextwist.linalg import cyclo_inverse, mat_identity, solve
 from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, binomial,
                                  CyclotomicLevelError)
+from vertextwist.series import TermSeries, scaled
 
 F = Fraction
 
 
 def test_e_pi_folds_to_minus_one():
-    assert Scalar.e(1) == Scalar.rational(-1)
-    assert Scalar.e(2) == Scalar.one()
+    assert Scalar.e(1) == -1
+    assert Scalar.e(2) == 1
     assert Scalar.e(F(5, 2)) == Scalar.e(F(1, 2))
     assert Scalar.e(F(3, 2)) == -Scalar.e(F(1, 2))
 
@@ -22,7 +24,7 @@ def test_phase_lattice_enforced():
 
 
 def test_half_sqrt2_squares_to_half():
-    assert HALF_SQRT2 * HALF_SQRT2 == Scalar.rational(F(1, 2))
+    assert HALF_SQRT2 * HALF_SQRT2 == F(1, 2)
 
 
 def test_pi_laurent():
@@ -39,7 +41,7 @@ def scalars():
         st.tuples(st.integers(min_value=-2, max_value=3), phases, rationals),
         max_size=4,
     ).map(lambda ts: sum(
-        (Scalar.pi(p) * Scalar.e(q) * c for p, q, c in ts), Scalar.zero()))
+        (Scalar.pi(p) * Scalar.e(q) * c for p, q, c in ts), 0))
 
 
 @given(scalars(), scalars())
@@ -59,7 +61,7 @@ def test_phase_addition(q1, q2):
 
 @given(scalars())
 def test_additive_inverse(a):
-    assert (a - a).is_zero()
+    assert a - a == 0
 
 
 def test_binomial_recurrence_oracle():
@@ -81,15 +83,34 @@ def test_vec_arithmetic():
     v = Vec.basis("a") + Vec.basis("b").scale(2)
     w = v - Vec.basis("a")
     assert w == Vec.basis("b").scale(2)
-    assert v.scale(0).is_zero()
-    assert v.coeff("a") == Scalar.one()
+    assert not v.scale(0)
+    assert v.coeff("a") == 1
 
 
 def test_hash_agrees_with_eq():
-    pairs = [(Scalar.one(), 1), (Scalar.zero(), 0),
-             (Scalar.rational(F(1, 2)), F(1, 2)), (Scalar.rational(-3), -3)]
+    # a Scalar that reduces to its rational part folds to that number, so
+    # == and hash are the number's own
+    pairs = [(Scalar.e(2), 1), (Scalar.e(1) + 1, 0), (Scalar.e(1) * 3, -3),
+             (HALF_SQRT2 * HALF_SQRT2, F(1, 2)), (Scalar.pi(0), 1)]
     for s, x in pairs:
-        assert s == x and hash(s) == hash(x)
-    assert len({Scalar.rational(F(1, 2)), F(1, 2), Scalar.one(), 1}) == 2
+        assert not isinstance(s, Scalar) and s == x and hash(s) == hash(x)
+    assert len({HALF_SQRT2 * HALF_SQRT2, F(1, 2), Scalar.e(2), 1}) == 2
     i = Scalar.e(F(1, 2))
     assert hash(i * 2) == hash(i + i)
+    assert i != 1 and i * i == -1 and 1 - i == -(i - 1)
+
+
+def test_rational_inverse_is_exact():
+    # 1/3 as a float is not 1/3; the inverse and the solve must be exact
+    assert cyclo_inverse(3) == F(1, 3) and cyclo_inverse(F(-2, 5)) == F(-5, 2)
+    assert solve([[3]], mat_identity(1)) == [[F(1, 3)]]
+    assert solve([[HALF_SQRT2 * 2]], [[1]]) == [[HALF_SQRT2]]
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Vec.basis("a").scale(0.5)
+    with pytest.raises(TypeError):
+        scaled(TermSeries.monomial(("x",), [0]), 0.5)
+    with pytest.raises(TypeError):
+        Scalar.e(F(1, 2)) * 0.5

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vertextwist.errors import InfiniteConvolution, NonMeromorphicVariable
-from vertextwist.scalars import ONE, CyclotomicLevelError, Scalar, binomial
+from vertextwist.scalars import CyclotomicLevelError, Scalar, binomial
+from vertextwist.results import compare
 from vertextwist.series import (D, Box, Product, Series, Sum, TermSeries,
                                 binomial_expand, branch_shift, c_mul,
                                 delta_iter, delta_prod, delta_prod_rev,
-                                derivative, lattice_coset, log_substitute,
-                                minus_convention, mono, residue,
-                                series_mismatch, series_to_json, window_json)
+                                derivative, format_series, lattice_coset,
+                                log_substitute, minus_convention, mono,
+                                residue, series_mismatch, series_to_json,
+                                window_json)
 
 F = Fraction
 X = ("x",)
@@ -43,7 +45,7 @@ class PlainDelta(Series):
         for p in lattice_coset(lo, hi, 0):
             powers = [0] * n
             powers[self.idx] = p
-            out[(tuple(powers), (0,) * n)] = ONE
+            out[(tuple(powers), (0,) * n)] = 1
         return out
 
 
@@ -60,7 +62,7 @@ def truncated_powers(base: Series, box: Box):
     hi = box.highs[i]
     if hi is None:
         raise InfiniteConvolution("power series needs a bounded window")
-    cur = TermSeries.constant(base.vars, ONE)
+    cur = TermSeries.constant(base.vars, 1)
     n = 0
     while n * lo <= hi:
         yield n, cur
@@ -77,7 +79,7 @@ def binomial_of(base: Series, A, box: Box) -> TermSeries:
             continue
         for m, v in p.terms_in(box).items():
             s = out.get(m, None)
-            cv = c_mul(Scalar.rational(c), v)
+            cv = c_mul(c, v)
             out[m] = cv if s is None else s + cv
     return TermSeries(base.vars, out)
 
@@ -91,7 +93,7 @@ def log1p_of(base: Series, box: Box) -> TermSeries:
         c = Fraction((-1) ** (n + 1), n)
         for m, v in p.terms_in(box).items():
             s = out.get(m)
-            cv = c_mul(Scalar.rational(c), v)
+            cv = c_mul(c, v)
             out[m] = cv if s is None else s + cv
     return TermSeries(base.vars, out)
 
@@ -106,7 +108,7 @@ def nilpotent_binomial(vars, order: int, lead: int, exp: int, box: Box,
     """
     ratio = TermSeries.monomial(
         vars, [(-1 if i == lead else (1 if i == exp else 0)) for i in range(len(vars))],
-        coeff=Scalar.rational(-1))
+        coeff=-1)
     tail = log1p_of(ratio, box)
     logterm = TermSeries.monomial(
         vars, [0] * len(vars), [1 if i == lead else 0 for i in range(len(vars))])
@@ -114,9 +116,9 @@ def nilpotent_binomial(vars, order: int, lead: int, exp: int, box: Box,
     if minus:
         L = Sum([L, TermSeries.constant(vars, Scalar.pi())])
     out = []
-    cur = TermSeries.constant(vars, ONE)
+    cur = TermSeries.constant(vars, 1)
     for k in range(order):
-        out.append(TermSeries(vars, {m: c / factorial(k)
+        out.append(TermSeries(vars, {m: c * Fraction(1, factorial(k))
                                      for m, c in cur.terms.items()}))
         cur = TermSeries(vars, Product(cur, L).terms_in(box))
     return out
@@ -134,12 +136,12 @@ def test_add_identity_and_cancellation():
     a = TermSeries.monomial(X, [F(1, 2)])
     z = TermSeries.zero(X)
     assert series_mismatch(Sum([a, z]), a, window(X, 3)) is None
-    s = Sum([a, TermSeries.monomial(X, [F(1, 2)], coeff=Scalar.rational(-1))])
+    s = Sum([a, TermSeries.monomial(X, [F(1, 2)], coeff=-1)])
     assert s.terms_in(window(X, 3)) == {}
 
 
 def test_x1_minus_x2_plus_x2_is_x1():
-    d = poly(X12, ((1, 0), None, ONE), ((0, 1), None, Scalar.rational(-1)))
+    d = poly(X12, ((1, 0), None, 1), ((0, 1), None, -1))
     s = Sum([d, TermSeries.monomial(X12, [0, 1])])
     assert series_mismatch(s, TermSeries.monomial(X12, [1, 0]), window(X12, 4)) is None
 
@@ -147,14 +149,14 @@ def test_x1_minus_x2_plus_x2_is_x1():
 def test_telescoping_product():
     # (sum_{n>=0} x1^{-1-n} x2^n) * (x1 - x2) = 1
     geom = binomial_expand(X12, -1, 0, 1)
-    lin = poly(X12, ((1, 0), None, ONE), ((0, 1), None, Scalar.rational(-1)))
+    lin = poly(X12, ((1, 0), None, 1), ((0, 1), None, -1))
     prod = Product(geom, lin)
-    assert series_mismatch(prod, TermSeries.constant(X12, ONE), window(X12, 6)) is None
+    assert series_mismatch(prod, TermSeries.constant(X12, 1), window(X12, 6)) is None
 
 
 def test_half_power_product():
     a = TermSeries.monomial(X, [F(1, 2)])
-    assert Product(a, a).terms_in(window(X, 2)) == {mono([1]): ONE}
+    assert Product(a, a).terms_in(window(X, 2)) == {mono([1]): 1}
 
 
 def test_delta_squared_is_infinite():
@@ -166,15 +168,15 @@ def test_delta_squared_is_infinite():
 def test_binomial_integer_cases():
     b = binomial_expand(X12, 1, 0, 1)
     assert b.terms_in(window(X12, 2)) == {
-        mono([1, 0]): ONE, mono([0, 1]): Scalar.rational(-1)}
+        mono([1, 0]): 1, mono([0, 1]): -1}
 
 
 def test_binomial_half_expansion():
     b = binomial_expand(X12, F(1, 2), 0, 1)
     t = b.terms_in(window(X12, 2))
-    assert t[mono([F(1, 2), 0])] == ONE
-    assert t[mono([F(-1, 2), 1])] == Scalar.rational(F(-1, 2))
-    assert t[mono([F(-3, 2), 2])] == Scalar.rational(F(-1, 8))
+    assert t[mono([F(1, 2), 0])] == 1
+    assert t[mono([F(-1, 2), 1])] == F(-1, 2)
+    assert t[mono([F(-3, 2), 2])] == F(-1, 8)
 
 
 @given(st.integers(-9, 9).map(lambda n: F(n, 2)))
@@ -182,13 +184,13 @@ def test_binomial_half_expansion():
 def test_binomial_inverse_property(A):
     w = window(X12, 5)
     p = Product(binomial_expand(X12, A, 0, 1), binomial_expand(X12, -A, 0, 1))
-    assert series_mismatch(p, TermSeries.constant(X12, ONE), w) is None
+    assert series_mismatch(p, TermSeries.constant(X12, 1), w) is None
 
 
 def test_minus_convention_integer():
     # (-x2 + x1)^1 = e^{pi i} (x2 - x1) = x1 - x2
     m = minus_convention(X12, 1, 0, 1)
-    want = poly(X12, ((1, 0), None, ONE), ((0, 1), None, Scalar.rational(-1)))
+    want = poly(X12, ((1, 0), None, 1), ((0, 1), None, -1))
     assert series_mismatch(m, want, window(X12, 3)) is None
 
 
@@ -201,16 +203,16 @@ def test_minus_convention_half():
 def test_delta_identity_three_term():
     # x0^{-1}d((x1-x2)/x0) - x0^{-1}d((-x2+x1)/x0) = x1^{-1}d((x2+x0)/x1)
     lhs = Sum([delta_prod(X012, 0, 1, 2),
-               delta_prod_rev(X012, 0, 1, 2) * Scalar.rational(-1)])
+               delta_prod_rev(X012, 0, 1, 2) * -1])
     rhs = delta_iter(X012, 0, 1, 2)
     assert series_mismatch(lhs, rhs, window(X012, 3)) is None
 
 
 def test_delta_constant_term():
     t = delta_prod(X012, 0, 1, 2).terms_in(Box.cube(3, -2, 2))
-    assert t[mono([-1, 0, 0])] == ONE
-    assert t[mono([-2, 1, 0])] == ONE
-    assert t[mono([-2, 0, 1])] == Scalar.rational(-1)
+    assert t[mono([-1, 0, 0])] == 1
+    assert t[mono([-2, 1, 0])] == 1
+    assert t[mono([-2, 0, 1])] == -1
 
 
 def test_delta_substitution_residue():
@@ -219,12 +221,12 @@ def test_delta_substitution_residue():
     dk = DeltaDerivKernel(X12, den=0, num=1, k=0)
     cubed = TermSeries.monomial(X12, [3, 0])
     r = residue(Product(dk, cubed), 0)
-    assert r.terms_in(Box.cube(1, -5, 5)) == {mono([3]): ONE}
+    assert r.terms_in(Box.cube(1, -5, 5)) == {mono([3]): 1}
 
 
 def test_residue_rules():
     assert residue(TermSeries.monomial(X, [-1]), 0).terms_in(Box.cube(0, 0, 0)) \
-        == {((), ()): ONE}
+        == {((), ()): 1}
     assert residue(TermSeries.monomial(X, [4]), 0).terms_in(Box.cube(0, 0, 0)) == {}
     with pytest.raises(NonMeromorphicVariable):
         residue(TermSeries.monomial(X, [F(-1, 2)]), 0)
@@ -236,17 +238,17 @@ def test_branch_shift_basics():
     s = TermSeries.monomial(X, [F(1, 2)])
     assert branch_shift(s, 0, 0) is s
     t = branch_shift(s, 0, 1).terms_in(window(X, 1))
-    assert t == {mono([F(1, 2)]): Scalar.rational(-1)}
-    lg = TermSeries(X, {mono([0], [1]): ONE})
+    assert t == {mono([F(1, 2)]): -1}
+    lg = TermSeries(X, {mono([0], [1]): 1})
     t = branch_shift(lg, 0, 1).terms_in(Box.cube(1, -1, 1, 1))
-    assert t[mono([0], [1])] == ONE
+    assert t[mono([0], [1])] == 1
     assert t[mono([0], [0])] == Scalar.pi() * 2
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=20, deadline=None)
 def test_branch_shift_group_action(p, q):
-    s = TermSeries(X, {mono([F(1, 2)], [2]): ONE, mono([-2], [1]): Scalar.e(F(1, 4))})
+    s = TermSeries(X, {mono([F(1, 2)], [2]): 1, mono([-2], [1]): Scalar.e(F(1, 4))})
     w = Box.cube(1, -3, 3, 2)
     lhs = branch_shift(branch_shift(s, 0, p), 0, q)
     rhs = branch_shift(s, 0, p + q)
@@ -256,28 +258,28 @@ def test_branch_shift_group_action(p, q):
 def test_log_substitute_rules():
     y = ("y",)
     assert log_substitute(TermSeries.monomial(y, [-1]), 0).terms_in(window(X, 2)) \
-        == {mono([-1]): Scalar.rational(-1)}
+        == {mono([-1]): -1}
     assert log_substitute(TermSeries.monomial(y, [F(-1, 2)]), 0).terms_in(window(X, 1)) \
         == {mono([F(-1, 2)]): Scalar.e(F(-1, 2))}
-    t = log_substitute(TermSeries(y, {mono([0], [1]): ONE}), 0).terms_in(
+    t = log_substitute(TermSeries(y, {mono([0], [1]): 1}), 0).terms_in(
         Box.cube(1, 0, 0, 1))
-    assert t[mono([0], [1])] == ONE
+    assert t[mono([0], [1])] == 1
     assert t[mono([0], [0])] == Scalar.pi()
 
 
 def test_log_substitute_twice_is_full_branch_shift():
     # applying y -> -x twice maps x^n -> e^{2 pi i n} x^n, log x -> log x + 2 PI
-    s = TermSeries(("y",), {mono([F(1, 2)], [1]): ONE})
+    s = TermSeries(("y",), {mono([F(1, 2)], [1]): 1})
     twice = log_substitute(log_substitute(s, 0, rename="z"), 0)
-    back = branch_shift(TermSeries(X, {mono([F(1, 2)], [1]): ONE}), 0, 1)
+    back = branch_shift(TermSeries(X, {mono([F(1, 2)], [1]): 1}), 0, 1)
     assert series_mismatch(twice, back, Box.cube(1, -2, 2, 1)) is None
 
 
 def test_derivative_with_logs():
-    s = TermSeries(X, {mono([2], [1]): ONE})
+    s = TermSeries(X, {mono([2], [1]): 1})
     t = derivative(s, 0).terms_in(Box.cube(1, -3, 3, 1))
-    assert t[mono([1], [1])] == Scalar.rational(2)
-    assert t[mono([1], [0])] == ONE
+    assert t[mono([1], [1])] == 2
+    assert t[mono([1], [0])] == 1
 
 
 def test_formal_identity_alpha():
@@ -299,13 +301,14 @@ def test_formal_identity_nilpotent():
     direct = nilpotent_binomial(X12, order, 0, 1, wlog)
     inner = Product(TermSeries.monomial(X12, [0, 1]), binomial_expand(X12, -1, 0, 1))
     tail = log1p_of(inner, w)
-    xlog = TermSeries(X12, {mono([0, 0], [1, 0]): ONE})
+    xlog = TermSeries(X12, {mono([0, 0], [1, 0]): 1})
     L = Sum([tail, xlog])  # log(1 + x2/(x1-x2)) + log x1... sign: see below
     # ((1+u)/x1)^{-N} = e^{-N(log(1+u) - log x1)} = e^{N(log x1 - log(1+u))}
-    L = Sum([xlog, tail * Scalar.rational(-1)])
-    cur = TermSeries.constant(X12, ONE)
+    L = Sum([xlog, tail * -1])
+    cur = TermSeries.constant(X12, 1)
     for k in range(order):
-        ratio = TermSeries(X12, {m: c / factorial(k) for m, c in cur.terms.items()})
+        ratio = TermSeries(X12, {m: c * F(1, factorial(k))
+                                 for m, c in cur.terms.items()})
         assert series_mismatch(ratio, direct[k], wlog) is None, k
         cur = TermSeries(X12, Product(cur, L).terms_in(wlog))
 
@@ -316,6 +319,19 @@ def test_json_roundtrip_shape():
     assert doc["variables"] == ["x1", "x2"]
     assert doc["entries"][0]["powers"] == {"x1": "1/2", "x2": "-1"}
     assert doc["entries"][0]["log_powers"] == {"x2": 1}
+
+
+def test_rational_coefficients_print_as_their_terms():
+    # a plain number prints and serializes as the one (0, 0) term it stands
+    # for, the shape a Scalar's terms take
+    t = {mono([1]): F(-1, 2), mono([2]): Scalar.e(F(1, 2)) * 3}
+    assert format_series(t, X) == "(-1/2)*x^1 + (3*e(1/2))*x^2"
+    assert [e["scalar"] for e in series_to_json(t, X)["entries"]] == [
+        [{"pi_power": 0, "phase": "0", "coeff": "-1/2"}],
+        [{"pi_power": 0, "phase": "1/2", "coeff": "3"}]]
+    r = compare("id", {}, X, window(X, 2), t, {mono([1]): F(1, 2)})
+    assert r.first_mismatch == {"monomial": "x^1", "lhs": "-1/2",
+                                "rhs": "1/2"}
 
 
 def test_off_lattice_exponents_are_refused():

@@ -10,7 +10,7 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
-from vertextwist.scalars import (HALF_SQRT2, ONE, Scalar, Vec, acc_vec,
+from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, acc_vec,
                                  binomial, vec_of)
 from vertextwist.series import Box, coset_range, mono
 from vertextwist.twistop import (check_gen_commutator,
@@ -179,7 +179,7 @@ def test_twist_decomposition_failure_names_the_monomial(monkeypatch, fermion,
     # a log term surviving in T_0 is reported on the monomial it sits on
     psi = fermion.gen_vector("psi")
     monkeypatch.setattr(twistop, "_t0_terms",
-                        lambda *args: {mono([F(-1, 2)], [1]): ONE})
+                        lambda *args: {mono([F(-1, 2)], [1]): 1})
     r = check_twist_decomposition(ramond, Vec.basis(VAC), psi, None, 3)
     assert not r.ok
     assert r.first_mismatch["monomial"] == "x^-1/2*log(x)"
@@ -243,7 +243,7 @@ def faulty_apply_key(horner_shift=1, phase=True):
     def _apply_key(self, e, k, vkey):
         W = self.module
         V = W.V
-        sgn = Scalar.rational((-1) ** (V.parity(vkey) * self.parity))
+        sgn = (-1) ** (V.parity(vkey) * self.parity)
         bases = {}
         n_hi = self.wt + V.weight(vkey) - 1
         for beta, piece in W.g.alpha_decompose_key(vkey).items():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertextwist.scalars import ONE, Scalar, Vec
+from vertextwist.scalars import Vec
 from vertextwist.series import Box, exponent, mono
 from vertextwist.vosa import (FermionAlgebra, HeisenbergAlgebra, check_axioms,
                               check_weak_commutativity,
@@ -50,19 +50,19 @@ def test_boson_basis_counts(boson, heis3):
 def test_vacuum_matrix_element(fermion):
     s = fermion.me(Vec.basis(fermion.vac), Vec.basis(fermion.vac),
                    wprime=Vec.basis(fermion.vac))
-    assert s.terms_in(Box.cube(1, -4, 4)) == {mono([0]): ONE}
+    assert s.terms_in(Box.cube(1, -4, 4)) == {mono([0]): 1}
 
 
 def test_fermion_two_point(fermion):
     psi = fermion.gen_vector("psi")
     s = fermion.me(psi, psi, wprime=Vec.basis(fermion.vac))
-    assert s.terms_in(Box.cube(1, -4, 4)) == {mono([-1]): ONE}
+    assert s.terms_in(Box.cube(1, -4, 4)) == {mono([-1]): 1}
 
 
 def test_boson_two_point(boson):
     h = boson.gen_vector("h")
     s = boson.me(h, h, wprime=Vec.basis(boson.vac))
-    assert s.terms_in(Box.cube(1, -4, 4)) == {mono([-2]): ONE}
+    assert s.terms_in(Box.cube(1, -4, 4)) == {mono([-2]): 1}
 
 
 def test_weight_conservation_single_monomial(fermion):
