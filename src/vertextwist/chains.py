@@ -182,4 +182,7 @@ class ChainSeries(Series):
                                     {**assign, idx: (e, k)})
 
         rec(0, self.w0, lattice(self.w0_deg), 0, {})
+        # rec reaches itself through its closure: break that cycle, so what
+        # the closures hold is freed now, not at the next gc collection
+        del rec
         return out

@@ -57,13 +57,14 @@ class ModeOracle:
     # -- mode action -----------------------------------------------------------
 
     def apply(self, ukey, n: Fraction, wkey) -> Vec:
-        if (n - self.coset(ukey)).denominator != 1:
-            return Vec.zero()
-        if n > self.max_index(ukey, wkey):
-            return Vec.zero()
         key = (ukey, n, wkey)
         hit = self._memo.get(key)
         if hit is None:
+            # a memo key has passed both checks; a mode they rule out is
+            # zero and is not stored
+            if (n - self.coset(ukey)).denominator != 1 \
+                    or n > self.max_index(ukey, wkey):
+                return Vec.zero()
             hit = self._compute(ukey, n, wkey)
             self._memo[key] = hit
         return hit

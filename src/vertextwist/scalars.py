@@ -12,16 +12,19 @@ operation folds a result that reduces to its rational part back to that
 number, so rational arithmetic never pays for the box and a Scalar never
 equals a number.
 
-Internally a Scalar term is keyed by (p, k) with k = q*M an integer in
-[0, M); the identity e(q+1) = -e(q) folds the upper half of the lattice into
-the sign of the rational coefficient.  Keys are pure integer pairs, which
-keeps the dict operations in the innermost loops cheap.
+Internally a Scalar is integer numerators over one common denominator, as
+FLINT's fmpq_poly stores a rational polynomial: `terms` maps (p, k), with
+k = q*M an integer in [0, M), to an int numerator, and `den` is an int >= 1
+with gcd(den, *numerators) == 1, so the form is unique.  The identity
+e(q+1) = -e(q) folds the upper half of the lattice into the sign of the
+numerator.  Keys and numerators are ints, so the innermost loops do int
+arithmetic and reduce by a gcd once per result, not once per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 
 class CyclotomicLevelError(ValueError):
@@ -47,20 +50,29 @@ def exact(c):
     raise TypeError("not an exact scalar: %r" % (c,))
 
 
-def _fold(terms: dict):
-    """The canonical value of a term dict: 0, the number of a lone (0, 0)
-    term, or a Scalar."""
+def _fold(terms: dict, den: int = 1):
+    """The canonical value of int numerators over den: 0, the number of a
+    lone (0, 0) term, or a Scalar reduced by gcd(den, *numerators)."""
     if not terms:
         return 0
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
     if len(terms) == 1 and _RKEY in terms:
-        return terms[_RKEY]
-    return Scalar(terms)
+        c = terms[_RKEY]
+        return c if den == 1 else Fraction(c, den)
+    return Scalar(terms, den)
 
 
 def terms_of(c) -> dict:
     """The {(pi_power, phase numerator): rational} terms of any value."""
     if isinstance(c, Scalar):
-        return c.terms
+        d = c.den
+        if d == 1:
+            return c.terms
+        return {k: Fraction(x, d) for k, x in c.terms.items()}
     return {_RKEY: c} if c else {}
 
 
@@ -80,11 +92,13 @@ class Scalar:
     """Element of Q(zeta_2M)[PI, PI^-1] that is not rational, kept in
     canonical form; built only by `e`, `pi` and the ring operations."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms):
-        # terms: {(pi_power, phase_numerator): coeff}, canonical; internal only
+    def __init__(self, terms, den):
+        # terms: {(pi_power, phase_numerator): int}, over the int den >= 1,
+        # canonical; internal only
         self.terms = terms
+        self.den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -109,27 +123,34 @@ class Scalar:
 
     def __add__(self, other):
         if isinstance(other, Scalar):
-            ot = other.terms
+            ot, od = other.terms, other.den
         elif isinstance(other, (int, Fraction)):
             if not other:
                 return self
-            ot = {_RKEY: other}
+            ot, od = {_RKEY: other.numerator}, other.denominator
         else:
             return NotImplemented
-        terms = dict(self.terms)
+        d = self.den
+        if d == od:
+            terms = dict(self.terms)
+            a = b = 1
+        else:
+            # over lcm(d, od) = d * a = od * b
+            g = gcd(d, od)
+            a, b = od // g, d // g
+            terms = {k: c * a for k, c in self.terms.items()}
         for key, c in ot.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
+            s = terms.get(key, 0) + c * b
             if s:
                 terms[key] = s
             else:
                 del terms[key]
-        return _fold(terms)
+        return _fold(terms, d * a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self.terms.items()})
+        return Scalar({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + -other
@@ -138,37 +159,47 @@ class Scalar:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return 0
-            return Scalar({k: c * other for k, c in self.terms.items()})
+            # the numerators stay coprime to den / gcd(other, den)
+            d = self.den
+            g = gcd(other, d)
+            if g != 1:
+                other //= g
+                d //= g
+            return Scalar({k: c * other for k, c in self.terms.items()}, d)
+        if isinstance(other, Fraction):
+            if not other:
+                return 0
+            a = other.numerator
+            return _fold({k: c * a for k, c in self.terms.items()},
+                         self.den * other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
         L = _LEVEL
-        L2 = 2 * L
         terms = {}
         for (p1, k1), c1 in self.terms.items():
             for (p2, k2), c2 in other.terms.items():
-                k = (k1 + k2) % L2
+                k = k1 + k2
                 c = c1 * c2
                 if k >= L:
                     k -= L
                     c = -c
                 key = (p1 + p2, k)
-                s = terms.get(key)
-                s = c if s is None else s + c
+                s = terms.get(key, 0) + c
                 if s:
                     terms[key] = s
                 else:
                     del terms[key]
-        return _fold(terms)
+        return _fold(terms, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Division by a nonzero rational."""
         other = Fraction(other)
-        return Scalar({k: c / other for k, c in self.terms.items()})
+        return self * Fraction(other.denominator, other.numerator)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -189,13 +220,13 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.terms == other.terms
+            return self.den == other.den and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return False        # a canonical Scalar is never rational
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(terms_of(self).items()))
 
     # -- display ------------------------------------------------------------
 

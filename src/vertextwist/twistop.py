@@ -453,6 +453,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
         cur0 = W.mode_vec(v, n_v, 0, w_arg)
         if cur0:
             rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [])
+    del rec         # it reaches itself through its closure: free it now
     return TermSeries(vars, out)
 
 
@@ -460,18 +461,25 @@ def check_mixed_product(W, tw_vs, w_arg: Vec, alg_vs, v: Vec, wprime,
                         halfwidth) -> CheckResult:
     """A (k+l)-fold mixed product equals its re-centered pure-twisted form.
 
-    At most one operator may sit right of the twist slot: with two or more,
-    single coefficients of the re-centered form are infinite sums (the
-    minus-convention expansions of two shifted arguments are not jointly
-    summable), which is convergence territory, not formal calculus.  Nothing
-    is lost: for the remaining slots the re-centering is the definition of
-    the twist operator itself.
+    At most one operator may sit right of the twist slot, and then only with
+    v the vacuum: with two or more, single coefficients of the re-centered
+    form are infinite sums (the minus-convention expansions of two shifted
+    arguments are not jointly summable), which is convergence territory, not
+    formal calculus.  With one and v not the vacuum, coefficients inside the
+    window still move with the truncation half-width the re-centered form
+    is built at, so that case is refused too.  Nothing is lost: for the
+    remaining slots the re-centering is the definition of the twist
+    operator itself.
     """
     require_semisimple(W, "mixed-product-recentred")
     k, l = len(tw_vs), len(alg_vs)
     if l > 1:
         raise ValueError("at most one algebra operator right of the twist "
                          "slot admits an exact re-centered comparison")
+    if l and any(key != W.V.vac for key in v.comps):
+        raise ValueError("an algebra operator right of the twist slot admits "
+                         "an exact re-centered comparison only with v the "
+                         "vacuum")
     vars = tuple("x%d" % (i + 1) for i in range(k)) + ("x",) + \
         tuple("x%d" % (k + i + 1) for i in range(l))
     tw_idx = list(range(k))

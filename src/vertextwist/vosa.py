@@ -42,6 +42,7 @@ class FreeFieldAlgebra(Space):
     def __init__(self, gens, fault=None):
         self.gens = tuple(gens)
         self.fault = fault
+        self._weights = {}                    # PBW key -> its weight
         self.vac = ()
         self.oracle = ModeOracle(self, self.gen_apply, self.weight,
                                  lambda g: 0)
@@ -68,7 +69,10 @@ class FreeFieldAlgebra(Space):
         return self.gens[i].parity
 
     def weight(self, key):
-        return sum(self.factor_weight(f) for f in key)
+        w = self._weights.get(key)
+        if w is None:
+            w = self._weights[key] = sum(self.factor_weight(f) for f in key)
+        return w
 
     def parity(self, key) -> int:
         return sum(self.gens[self.gen_index(f)].parity for f in key) % 2

@@ -9,16 +9,19 @@ the checkers did before they stated two sides for `results.compare`.
 key of V, and
 `blockwise_reference` splits the matrix of g on a weight block through a
 generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
-g), certified by S e^K = g.  All are kept here only as references for the
-engine's shortcuts (the vacuum collapse, Horner's rule, the Jordan parts
-split once on the generator block, with K a derivation, and the one verdict
-path), which must give equal results.
+g), certified by S e^K = g.  `FractionScalar` is the scalar ring with one
+int or Fraction coefficient per term.  All are kept here only as references
+for the engine's shortcuts (the vacuum collapse, Horner's rule, the Jordan
+parts split once on the generator block, with K a derivation, the one
+verdict path, and integer numerators over one denominator), which must give
+equal results.
 """
 
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vertextwist.automorphism import (NILPOTENCY_CAP,
                                       _generalized_eigenbasis,
@@ -33,8 +36,9 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
-from vertextwist.scalars import (Scalar, Vec, acc_vec, binomial, terms_of,
-                                 vec_of)
+from vertextwist.scalars import (CyclotomicLevelError, Scalar, Vec, acc_vec,
+                                 binomial, cyclotomic_level, scalar_json,
+                                 terms_of, vec_of)
 from vertextwist.twistop import TwistOpSlot
 from vertextwist.vosa import check_axioms
 
@@ -402,3 +406,215 @@ def test_verdict_path_matches_loop_verdicts(case):
                 (str(u), str(v)), record.to_json()
     assert {r.identity for r, _ in verdicts if not r.ok} == \
         KILLED_BY.get(case, set())
+
+
+# ---------------------------------------------------------------------------
+# the scalar ring with one Fraction per term, the form before numerators
+# over one common denominator
+
+def _ref_fold(terms: dict):
+    if not terms:
+        return 0
+    if len(terms) == 1 and (0, 0) in terms:
+        return terms[(0, 0)]
+    return FractionScalar(terms)
+
+
+def ref_terms_of(c) -> dict:
+    if isinstance(c, FractionScalar):
+        return c.terms
+    return {(0, 0): c} if c else {}
+
+
+def ref_scalar_json(c):
+    terms = sorted(((p, Fraction(k, cyclotomic_level())), x)
+                   for (p, k), x in ref_terms_of(c).items())
+    return [{"pi_power": p, "phase": str(q), "coeff": str(x)}
+            for (p, q), x in terms]
+
+
+class FractionScalar:
+    """A non-rational ring element as {(pi_power, phase numerator):
+    rational coefficient}, each coefficient its own int or Fraction."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @staticmethod
+    def e(q):
+        L = cyclotomic_level()
+        q = Fraction(q) * L
+        if q.denominator != 1:
+            raise CyclotomicLevelError("phase %s off the lattice" % (q / L))
+        k = int(q) % (2 * L)
+        if k >= L:
+            return _ref_fold({(0, k - L): -1})
+        return _ref_fold({(0, k): 1})
+
+    @staticmethod
+    def pi(power: int = 1):
+        return _ref_fold({(int(power), 0): 1})
+
+    def __add__(self, other):
+        if isinstance(other, FractionScalar):
+            ot = other.terms
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            ot = {(0, 0): other}
+        else:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in ot.items():
+            s = terms.get(key)
+            s = c if s is None else s + c
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+        return _ref_fold(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionScalar({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return 0
+            return FractionScalar({k: c * other
+                                   for k, c in self.terms.items()})
+        if not isinstance(other, FractionScalar):
+            return NotImplemented
+        L = cyclotomic_level()
+        terms = {}
+        for (p1, k1), c1 in self.terms.items():
+            for (p2, k2), c2 in other.terms.items():
+                k = (k1 + k2) % (2 * L)
+                c = c1 * c2
+                if k >= L:
+                    k -= L
+                    c = -c
+                key = (p1 + p2, k)
+                s = terms.get(key)
+                s = c if s is None else s + c
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+        return _ref_fold(terms)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Fraction(other)
+        return FractionScalar({k: c / other for k, c in self.terms.items()})
+
+    def __pow__(self, n: int):
+        out = 1
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, FractionScalar):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return False
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        parts = []
+        for entry in ref_scalar_json(self):
+            p, q, c = entry["pi_power"], entry["phase"], entry["coeff"]
+            factors = []
+            if c != "1" or (p == 0 and q == "0"):
+                factors.append(c)
+            if p == 1:
+                factors.append("PI")
+            elif p:
+                factors.append("PI^%d" % p)
+            if q != "0":
+                factors.append("e(%s)" % q)
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+
+# one expression tree, evaluated in both rings: ints, Fractions, phases and
+# PI powers under + - * / and **
+ring_leaves = st.one_of(
+    st.integers(-4, 4).map(lambda n: ("num", n)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).map(
+        lambda q: ("num", q)),
+    st.integers(-40, 40).map(lambda k: ("e", Fraction(k, 16))),
+    st.integers(-2, 2).map(lambda p: ("pi", p)))
+nonzero_rationals = st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=6).filter(bool)
+ring_exprs = st.recursive(ring_leaves, lambda inner: st.one_of(
+    st.tuples(st.sampled_from("+-*"), inner, inner),
+    st.tuples(st.just("/"), inner, nonzero_rationals),
+    st.tuples(st.just("**"), inner, st.integers(0, 3))), max_leaves=6)
+
+
+def evaluate(expr, ring):
+    op = expr[0]
+    if op == "num":
+        return expr[1]
+    if op in ("e", "pi"):
+        return getattr(ring, op)(expr[1])
+    a = evaluate(expr[1], ring)
+    if op == "/":
+        return a / expr[2]
+    if op == "**":
+        return a ** expr[2]
+    b = evaluate(expr[2], ring)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+def assert_same_value(got, want, boxed):
+    """got equals want in every form a report reads; boxed: got came out of
+    an operation on a Scalar."""
+    assert isinstance(got, Scalar) == isinstance(want, FractionScalar)
+    assert str(got) == str(want) and scalar_json(got) == ref_scalar_json(want)
+    assert hash(got) == hash(want)
+    if isinstance(got, Scalar):
+        # canonical: numerators over one denominator with no common factor,
+        # never the rational (0, 0) term alone
+        nums = list(got.terms.values())
+        assert all(type(x) is int and x for x in nums)
+        assert type(got.den) is int and got.den >= 1
+        assert gcd(got.den, *nums) == 1
+        assert set(got.terms) != {(0, 0)}
+    elif boxed:
+        # a Scalar folds back to an int, or to a Fraction that is not one
+        assert type(got) is int or (type(got) is Fraction
+                                    and got.denominator != 1)
+
+
+@given(ring_exprs, ring_exprs, nonzero_rationals, st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_scalar_ring_matches_fraction_reference(x, y, d, n):
+    a, b = evaluate(x, Scalar), evaluate(y, Scalar)
+    ra, rb = evaluate(x, FractionScalar), evaluate(y, FractionScalar)
+    boxed_a = isinstance(a, Scalar)
+    boxed_ab = boxed_a or isinstance(b, Scalar)
+    for got, want, boxed in (
+            (a, ra, False), (b, rb, False), (a + b, ra + rb, boxed_ab),
+            (a - b, ra - rb, boxed_ab), (a * b, ra * rb, boxed_ab),
+            (-a, -ra, boxed_a), (a / d, ra / d, boxed_a),
+            (a ** n, ra ** n, boxed_a and n)):
+        assert_same_value(got, want, boxed)
+    assert (a == b) == (ra == rb)
+    assert (a + b == b + a) and (ra + rb == rb + ra)

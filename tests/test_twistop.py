@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertextwist import twistop
+from vertextwist import harness, twistop
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
 from vertextwist.harness import SuiteConfig, run_suite
@@ -220,6 +220,41 @@ def test_mixed_product_k0_l0(fermion, ramond):
     psi = fermion.gen_vector("psi")
     r = check_mixed_product(ramond, [], Vec.basis(ODD), [], psi, None, 3)
     assert r.ok, r.first_mismatch
+
+
+def test_mixed_product_refuses_algebra_operator_with_v_not_vacuum(
+        fermion, ramond, boson, z2):
+    # the re-centered side would move with its truncation half-width:
+    # z2boson w = vacuum gives rhs 49/8, 14 and 211/8 at x1^-3/2*x^-2*x2^1
+    # when built at half-widths 2, 3 and 4, against lhs -7/16
+    for W, u in ((z2, boson.gen_vector("h")),
+                 (ramond, fermion.gen_vector("psi"))):
+        w = Vec.basis(W.basis(0)[0])
+        for tw in ([u], []):
+            with pytest.raises(ValueError, match="vacuum"):
+                check_mixed_product(W, tw, w, [u], u, None, 2)
+
+
+@pytest.mark.parametrize("model", ["z2boson", "ramond"])
+def test_mixed_product_admitted_cases_do_not_depend_on_truncation(model):
+    # every case the mixed-products suite runs: its re-centered side on the
+    # half-width-2 window is the same when built at half-width 3
+    registry = Registry()
+    tasks = harness._suite_tasks(SuiteConfig(model, "mixed-products", 1, 2),
+                                 registry)
+    assert tasks
+    for task in tasks:
+        assert task.func is check_mixed_product
+        W, tw, w, alg, v, wprime, hw = task.args
+        k, l = len(tw), len(alg)
+        vars = tuple("x%d" % (i + 1) for i in range(k)) + ("x",) + \
+            tuple("x%d" % (k + i + 1) for i in range(l))
+        v_idx = list(range(k)) + [k + 1 + i for i in range(l)]
+        box = Box.cube(len(vars), -F(hw), F(hw), W.log_bound)
+        at = [twistop._recentered_product(W, tw + alg, w, v, wprime, vars,
+                                          v_idx, k, k, h).terms_in(box)
+              for h in (hw, hw + 1)]
+        assert at[0] and at[0] == at[1], (k, l, w)
 
 
 def test_mixed_permutation(fermion, ramond):

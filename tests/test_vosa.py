@@ -31,6 +31,27 @@ def weights(V, w):
     return sorted(V.weight(k) for k in V.basis(w))
 
 
+@pytest.mark.parametrize("make", [
+    FermionAlgebra, lambda: HeisenbergAlgebra([[1]]),
+    lambda: HeisenbergAlgebra([[0, 1, 0], [1, 0, 0], [0, 0, 1]])],
+    ids=["fermion", "boson1", "heis3"])
+def test_weight_is_the_factor_sum_computed_once_per_key(make, monkeypatch):
+    V = make()
+    factor_weight = V.factor_weight
+    summed = []
+    monkeypatch.setattr(V, "factor_weight",
+                        lambda f: summed.append(f) or factor_weight(f))
+    keys = V.basis(3)           # sorted by weight
+    sums = []
+    for _ in range(2):
+        for key in keys:
+            assert V.weight(key) == sum(factor_weight(f) for f in key)
+        sums.append(len(summed))
+    # basis(3) and the first sweep sum each key's factors at most once, the
+    # second sweep sums none
+    assert sums[0] <= sum(len(key) for key in keys) and sums[1] == sums[0]
+
+
 def test_fermion_basis_counts(fermion):
     assert weights(fermion, F(2)) == [0, FH, F(3, 2), 2]
     # dim of weight-1/2 and weight-2 spaces
