@@ -37,5 +37,5 @@ print("M(h,h)     =", weak_commutativity_order(boson, h, h))
 for r in check_axioms(fermion, F(7, 2), halfwidth=3):
     print("fermion axiom %-20s %s" % (r.identity, "ok" if r.ok else r.first_mismatch))
 
-r = check_weak_commutativity(fermion, psi, psi, vac, None, 5)
+r = check_weak_commutativity(fermion, psi, psi, vac, 5)
 print("weak commutativity for psi, psi:", "ok" if r.ok else r.first_mismatch)

@@ -35,15 +35,15 @@ print("<vac', Yg(psi,x1) Yg(psi,x2) vac> =",
       format_series(two.terms_in(Box.cube(2, -2, 2)), ("x1", "x2")))
 
 print("twisted Jacobi (psi, psi):",
-      check_twisted_jacobi(ram, psi, psi, vac, None, 4).ok)
+      check_twisted_jacobi(ram, psi, psi, vac, 4).ok)
 print("weak commutativity:",
-      check_twisted_weak_commutativity(ram, psi, psi, vac, None, 5).ok)
+      check_twisted_weak_commutativity(ram, psi, psi, vac, 5).ok)
 print("commutator formula:",
-      check_commutator_formula(ram, psi, psi, vac, None, 4).ok)
+      check_commutator_formula(ram, psi, psi, vac, 4).ok)
 print("equivariance under one branch turn:",
-      check_equivariance(ram, psi, vac, None, 4).ok)
+      check_equivariance(ram, psi, vac, 4).ok)
 
 h = z2.V.gen_vector("h")
 bvac = Vec.basis(z2.basis(0)[0])
 print("z2 twisted Jacobi (h, h):",
-      check_twisted_jacobi(z2, h, h, bvac, None, 4).ok)
+      check_twisted_jacobi(z2, h, h, bvac, 4).ok)

@@ -33,16 +33,16 @@ print("vacuum argument identity T(w,x)1 = e^{xL(-1)}w:",
 print("M(psi, vac) twist order =", twist_commutativity_order(ram, psi, vac))
 
 print("weak associativity:",
-      check_weak_associativity(ram, psi, psi, vac, None, 3).ok)
+      check_weak_associativity(ram, psi, psi, vac, 3).ok)
 print("twist Jacobi identity:",
-      check_twist_jacobi(ram, psi, psi, vac, None, 3).ok)
+      check_twist_jacobi(ram, psi, psi, vac, 3).ok)
 print("generalized commutator (+ delta-derivative form):",
-      check_gen_commutator(ram, psi, psi, vac, None, 3).ok)
+      check_gen_commutator(ram, psi, psi, vac, 3).ok)
 print("generalized weak commutativity:",
-      check_gen_weak_commutativity(ram, psi, psi, vac, None, 3).ok)
+      check_gen_weak_commutativity(ram, psi, psi, vac, 3).ok)
 
 # mixed products re-centered through the twist slot
 print("mixed product <Yg(psi,x1) T(vac,x) psi> recentered:",
-      check_mixed_product(ram, [psi], vac, [], psi, None, 4).ok)
+      check_mixed_product(ram, [psi], vac, [], psi, 4).ok)
 print("mixed product <Yg(psi,x1) T(vac,x) Y(psi,x2) 1> recentered:",
-      check_mixed_product(ram, [psi], vac, [psi], one, None, 4).ok)
+      check_mixed_product(ram, [psi], vac, [psi], one, 4).ok)

@@ -43,8 +43,8 @@ class Space:
         return ChainSeries(vars, [(i, OpSlot(self, u)) for i, u in placed_ops],
                            w, wprime)
 
-    def me(self, u: Vec, w: Vec, wprime: Vec = None, var="x"):
-        return self.chain((var,), [(0, u)], w, wprime)
+    def me(self, u: Vec, w: Vec, wprime: Vec = None):
+        return self.chain(("x",), [(0, u)], w, wprime)
 
 
 def pair(wprime: Vec, vec: Vec):

@@ -169,19 +169,19 @@ def _suite_tasks(cfg: SuiteConfig, registry):
     uw = list(product(us, ws))
 
     if cfg.suite == "twisted-jacobi":
-        return [partial(check_twisted_jacobi, W, u, v, w, None, hw)
+        return [partial(check_twisted_jacobi, W, u, v, w, hw)
                 for u, v, w in uvw]
     if cfg.suite == "weak-comm":
-        return [partial(check_twisted_weak_commutativity, W, u, v, w, None, hw)
+        return [partial(check_twisted_weak_commutativity, W, u, v, w, hw)
                 for u, v, w in uvw] \
-            + [partial(check_L_minus1_derivative_W, W, u, w, None, hw)
+            + [partial(check_L_minus1_derivative_W, W, u, w, hw)
                for u, w in uw]
     if cfg.suite == "commutator":
-        return [partial(check_commutator_formula, W, u, v, w, None, hw)
+        return [partial(check_commutator_formula, W, u, v, w, hw)
                 for u, v, w in uvw]
     if cfg.suite == "equivariance":
         return [t for u, w in uw
-                for t in (partial(check_equivariance, W, u, w, None, hw),
+                for t in (partial(check_equivariance, W, u, w, hw),
                           partial(check_g_compatibility, W, u, w, hw))]
     gens = [V.gen_vector(g.name) for g in V.gens]
     if cfg.suite == "polynomiality":
@@ -198,15 +198,15 @@ def _suite_tasks(cfg: SuiteConfig, registry):
         triples = (check_weak_associativity, check_twist_jacobi,
                    check_gen_commutator, check_gen_weak_commutativity)
         return [partial(check_twist_vacuum_identity, W, w, hw) for w in ws] \
-            + [partial(check, W, u, v, w, None, hw) for u, v, w in uvw
+            + [partial(check, W, u, v, w, hw) for u, v, w in uvw
                for check in triples] \
-            + [partial(check, W, w, v, None, hw) for w in ws for v in us
+            + [partial(check, W, w, v, hw) for w in ws for v in us
                for check in (check_twist_decomposition, check_L_minus1_twist)] \
-            + [partial(check_y0_decomposition, W, u, w, None, hw)
+            + [partial(check_y0_decomposition, W, u, w, hw)
                for u, w in uw]
     if cfg.suite == "mixed-products":
         one = Vec.basis(V.vac)
-        return [partial(check_mixed_product, W, tw, w, alg, v, None, hw)
+        return [partial(check_mixed_product, W, tw, w, alg, v, hw)
                 for w in ws for u in gens
                 for tw, alg, v in (([u], [], u), ([u], [u], one), ([], [], u))]
     raise ValueError("unhandled suite %r" % cfg.suite)

@@ -155,16 +155,13 @@ class ModeOracle:
 
     # -- construction-time consistency ----------------------------------------
 
-    def crosscheck(self, basis_keys, module_keys, depth: Fraction = 2):
-        """Re-derive low modes at a different shift; mismatch means the seed is bad."""
+    def crosscheck(self, basis_keys, module_keys):
+        """Re-derive the four top modes of every (u, w) pair at a different
+        shift; a mismatch means the seed is bad."""
         other = ModeOracle(self.algebra, self.gen_action, self.deg, self.alpha,
                            shift=self.shift + 1)
         for ukey in basis_keys:
-            if self.algebra.weight(ukey) > depth:
-                continue
             for wkey in module_keys:
-                if self.deg(wkey) > depth:
-                    continue
                 top = self.max_index(ukey, wkey)
                 n = top
                 while n >= top - 3:

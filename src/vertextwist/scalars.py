@@ -24,7 +24,7 @@ arithmetic and reduce by a gcd once per result, not once per term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd, prod
 
 
 class CyclotomicLevelError(ValueError):
@@ -257,11 +257,12 @@ def binomial(a, k):
     if k.denominator != 1:
         raise ValueError("binomial index must be integral, got %s" % k)
     k = int(k)
-    num = 1
-    for j in range(k):
-        num = num * (a - j)
-    q = Fraction(num, factorial(k))
-    return q.numerator if q.denominator == 1 else q
+    if isinstance(a, int):
+        # C(a, k) = (-1)^k C(k-a-1, k) for a < 0
+        return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
+    p, q = a.numerator, a.denominator
+    c = Fraction(prod(p - j * q for j in range(k)), q ** k * factorial(k))
+    return c.numerator if c.denominator == 1 else c
 
 
 class Vec:

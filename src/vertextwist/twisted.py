@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor
 
-from .chains import Space, pair
+from .chains import Space
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
@@ -228,21 +228,33 @@ class UnipotentViewModule(ModuleBase):
 # checkers (twisted vertex operators only)
 # ---------------------------------------------------------------------------
 
-def _cube(vars, hw, logcap=0):
-    return Box.cube(len(vars), -Fraction(hw), Fraction(hw), logcap)
+def _cube(W, vars, hw):
+    """The window |exponent| <= hw in every variable, at every log power W
+    can carry."""
+    return Box.cube(len(vars), -Fraction(hw), Fraction(hw), W.log_bound)
 
 
-def check_twisted_weak_commutativity(W, u, v, w, wprime, halfwidth) -> CheckResult:
-    """(x1-x2)^M Y(u,x1)Y(v,x2) = -/+ (x1-x2)^M Y(v,x2)Y(u,x1) on the window."""
+def commutativity_order(W, u, v) -> int:
+    """M >= 1 with (x1-x2)^M Y(u,x1)Y(v,x2) free of poles in x1-x2 on W: the
+    log power k of Y(u,x) carries N^k u/k!, so M is the largest order over
+    the nilpotent parts of u and v."""
+    from .automorphism import nilpotent_power_coeffs
     from .vosa import weak_commutativity_order
-    M = max(weak_commutativity_order(W.V, u, v), 1)
+    return max([1] + [weak_commutativity_order(W.V, a, b)
+                      for a in nilpotent_power_coeffs(W.g, u)
+                      for b in nilpotent_power_coeffs(W.g, v)])
+
+
+def check_twisted_weak_commutativity(W, u, v, w, halfwidth) -> CheckResult:
+    """(x1-x2)^M Y(u,x1)Y(v,x2) = -/+ (x1-x2)^M Y(v,x2)Y(u,x1) on the window."""
+    M = commutativity_order(W, u, v)
     vars = ("x1", "x2")
     pref = BinomialKernel(vars, M, 0, 1)
-    lhs = Product(pref, W.chain(vars, [(0, u), (1, v)], w, wprime))
+    lhs = Product(pref, W.chain(vars, [(0, u), (1, v)], w))
     sign = (-1) ** (W.algebra_parity(u) * W.algebra_parity(v))
-    rhs = scaled(Product(pref, W.chain(vars, [(1, v), (0, u)], w, wprime)), sign)
+    rhs = scaled(Product(pref, W.chain(vars, [(1, v), (0, u)], w)), sign)
     return compare("twisted-weak-commutativity", _inputs(u=u, v=v, w=w, M=M),
-                   vars, _cube(vars, halfwidth), lhs, rhs)
+                   vars, _cube(W, vars, halfwidth), lhs, rhs)
 
 
 def require_semisimple(W, identity):
@@ -265,45 +277,45 @@ def mode_sum(vars, modes, kernel, chain):
     return Sum(parts) if parts else TermSeries.zero(vars)
 
 
-def jacobi_iterate_side(W, u, v, w, wprime, vars, r_min):
+def jacobi_iterate_side(W, u, v, w, vars, r_min):
     """x1^{-1} d((x2+x0)/x1) ((x2+x0)/x1)^alpha Y(Y_V(u,x0)v, x2), split per
     mode of Y_V(u,x0)v so that each term has integral x0-powers."""
     al = W.algebra_alpha(u)
     top = floor(W.V.algebra_weight(u) + W.V.algebra_weight(v) - 1)
     modes = ((r, W.V.mode_vec(u, r, 0, v)) for r in range(top, r_min - 1, -1))
     return mode_sum(vars, modes, lambda: delta_iter(vars, 0, 1, 2, offset=al),
-                    lambda uv: W.chain(vars, [(2, uv)], w, wprime))
+                    lambda uv: W.chain(vars, [(2, uv)], w))
 
 
-def check_twisted_jacobi(W, u, v, w, wprime, halfwidth) -> CheckResult:
+def check_twisted_jacobi(W, u, v, w, halfwidth) -> CheckResult:
     """The three-term Jacobi identity for twisted vertex operators, exactly."""
     require_semisimple(W, "twisted-jacobi")
     vars = ("x0", "x1", "x2")
     prod = Product(delta_prod(vars, 0, 1, 2),
-                   W.chain(vars, [(1, u), (2, v)], w, wprime))
+                   W.chain(vars, [(1, u), (2, v)], w))
     sign = (-1) ** (W.algebra_parity(u) * W.algebra_parity(v))
     revp = scaled(Product(delta_prod_rev(vars, 0, 1, 2),
-                          W.chain(vars, [(2, v), (1, u)], w, wprime)), sign)
+                          W.chain(vars, [(2, v), (1, u)], w)), sign)
     lhs = Sum([prod, scaled(revp, -1)])
     # modes below r_min only produce x0-exponents above the window
     r_min = ceil(-1 - Fraction(halfwidth))
-    iterate = jacobi_iterate_side(W, u, v, w, wprime, vars, r_min)
+    iterate = jacobi_iterate_side(W, u, v, w, vars, r_min)
     return compare("twisted-jacobi", _inputs(u=u, v=v, w=w), vars,
-                   _cube(vars, halfwidth), lhs, iterate)
+                   _cube(W, vars, halfwidth), lhs, iterate)
 
 
-def check_commutator_formula(W, u, v, w, wprime, halfwidth) -> CheckResult:
+def check_commutator_formula(W, u, v, w, halfwidth) -> CheckResult:
     """[Y(u,x1), Y(v,x2)]-/+ = Res_x0 of the iterate kernel, exactly."""
     require_semisimple(W, "commutator-formula")
     vars = ("x1", "x2")
     sign = (-1) ** (W.algebra_parity(u) * W.algebra_parity(v))
-    lhs = Sum([W.chain(vars, [(0, u), (1, v)], w, wprime),
-               scaled(W.chain(vars, [(1, v), (0, u)], w, wprime), -sign)])
+    lhs = Sum([W.chain(vars, [(0, u), (1, v)], w),
+               scaled(W.chain(vars, [(1, v), (0, u)], w), -sign)])
     vars3 = ("x0", "x1", "x2")
     # only modes with r >= 0 can meet the x0^{-1} coefficient
-    rhs = residue(jacobi_iterate_side(W, u, v, w, wprime, vars3, 0), 0)
+    rhs = residue(jacobi_iterate_side(W, u, v, w, vars3, 0), 0)
     return compare("commutator-formula", _inputs(u=u, v=v, w=w), vars,
-                   _cube(vars, halfwidth), lhs, rhs)
+                   _cube(W, vars, halfwidth), lhs, rhs)
 
 
 def check_g_compatibility(W, u, w: Vec, halfwidth) -> CheckResult:
@@ -335,72 +347,62 @@ def _exponents_of(W, u, lo, hi) -> list:
                   for e in coset_range(lo, hi, -al))
 
 
-def check_equivariance(W, u, w, wprime, halfwidth) -> CheckResult:
-    """Branch-shifting <Y(gu,x)w> by one full turn returns <Y(u,x)w>."""
+def check_equivariance(W, u, w, halfwidth) -> CheckResult:
+    """Branch-shifting Y(gu,x)w by one full turn returns Y(u,x)w."""
     vars = ("x",)
     gu = W.g.apply(u)
-    lhs = branch_shift(W.chain(vars, [(0, gu)], w, wprime), 0, 1)
-    rhs = W.chain(vars, [(0, u)], w, wprime)
+    lhs = branch_shift(W.chain(vars, [(0, gu)], w), 0, 1)
+    rhs = W.chain(vars, [(0, u)], w)
     return compare("equivariance", _inputs(u=u, w=w), vars,
-                   _cube(vars, halfwidth), lhs, rhs)
+                   _cube(W, vars, halfwidth), lhs, rhs)
 
 
-def check_L_minus1_derivative_W(W, u, w, wprime, halfwidth) -> CheckResult:
-    """d/dx <Y(u,x)w> = <Y(L(-1)u,x)w> = <[L(-1), Y(u,x)]w>."""
+def check_L_minus1_derivative_W(W, u, w, halfwidth) -> CheckResult:
+    """d/dx Y(u,x)w = Y(L(-1)u,x)w = [L(-1), Y(u,x)]w."""
     vars = ("x",)
-    box = _cube(vars, halfwidth)
+    box = _cube(W, vars, halfwidth)
     inputs = _inputs(u=u, w=w)
     res = compare("L(-1)-derivative-W", inputs, vars, box,
-                  derivative(W.chain(vars, [(0, u)], w, wprime), 0),
-                  W.chain(vars, [(0, W.V.L_minus1(u))], w, wprime))
+                  derivative(W.chain(vars, [(0, u)], w), 0),
+                  W.chain(vars, [(0, W.V.L_minus1(u))], w))
     if not res.ok:
         return res
     comm, want = L_minus1_commutator_sides(
         W, W.chain(vars, [(0, u)], w), W.chain(vars, [(0, u)], W.L_minus1(w)),
-        wprime, box)
+        box)
     return compare("L(-1)-derivative-W", inputs, vars, box, comm, want)
 
 
-def L_minus1_commutator_sides(W, me, lowered, wprime, box):
+def L_minus1_commutator_sides(W, me, lowered, box):
     """Terms of both sides of L(-1) S(x) - S'(x) = d/dx S(x) on the box.
 
     S (`me`) is a one-variable vector-valued series into W and S'
-    (`lowered`) is S with L(-1) applied to its right argument.  The
-    commutator is formed on vector coefficients; both sides are then paired
-    with wprime when one is given.
+    (`lowered`) is S with L(-1) applied to its right argument.
     """
     base = me.terms_in(box.with_var(0, box.lows[0], box.highs[0] + lattice(1)))
     low = lowered.terms_in(box)
     zero = Vec.zero()
     comm = {m: W.L_minus1(base.get(m, zero)) - low.get(m, zero)
             for m in {m for m in base if box.contains(m)} | set(low)}
-    want = derivative(me, 0).terms_in(box)
-    if wprime is None:
-        return comm, want
-    return ({m: pair(wprime, c) for m, c in comm.items()},
-            {m: pair(wprime, c) for m, c in want.items()})
+    return comm, derivative(me, 0).terms_in(box)
 
 
-def check_y0_decomposition(W, u, w, wprime, halfwidth) -> CheckResult:
+def check_y0_decomposition(W, u, w, halfwidth) -> CheckResult:
     """Y(u,x) = (Y)_0(x^{-N}u, x) and Y(u,x) = x^{-N}(Y)_0(u,x)x^{N}, exactly."""
     vars = ("x",)
-    box = Box.cube(1, -Fraction(halfwidth), Fraction(halfwidth), W.log_bound)
+    box = _cube(W, vars, halfwidth)
     inputs = _inputs(u=u, w=w)
-    full = W.chain(vars, [(0, u)], w, wprime)
+    full = W.chain(vars, [(0, u)], w)
     for side in ("argument", "conjugated"):
         res = compare("log-decomposition-" + side, inputs, vars, box,
-                      _y0_of_dressed_terms(W, u, w, wprime, box, side), full)
+                      _y0_of_dressed_terms(W, u, w, box, side), full)
         if not res.ok:
             return res
     return CheckResult("log-decomposition", True, inputs,
                        window_json(vars, box))
 
 
-def _zero_like(wprime):
-    return 0 if wprime is not None else Vec.zero()
-
-
-def _y0_of_dressed_terms(W, u, w, wprime, box, side):
+def _y0_of_dressed_terms(W, u, w, box, side):
     """Terms of (Y)_0(x^{-N}u, x) or x^{-N}(Y)_0(u,x)x^{N} over the box's
     exponents; log powers are left for the comparator to clip."""
     from .automorphism import nilpotent_power_coeffs
@@ -413,9 +415,8 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
             for e in exps:
                 vec = W.y0_mode_vec(part.scale(sgn), -e - 1, w)
                 if vec:
-                    val = pair(wprime, vec) if wprime is not None else vec
                     m = mono((e,), (k,))
-                    out[m] = out.get(m, _zero_like(wprime)) + val
+                    out[m] = out.get(m, Vec.zero()) + vec
     else:
         # x^{-N} (Y)_0(u, x) x^{N} on the module side
         for e in exps:
@@ -425,10 +426,8 @@ def _y0_of_dressed_terms(W, u, w, wprime, box, side):
                     continue
                 for k1, res in enumerate(_module_n_powers(W, vec)):
                     sgn = Fraction((-1) ** k1)
-                    val = pair(wprime, res.scale(sgn)) if wprime is not None \
-                        else res.scale(sgn)
                     m = mono((e,), (k1 + k2,))
-                    out[m] = out.get(m, _zero_like(wprime)) + val
+                    out[m] = out.get(m, Vec.zero()) + res.scale(sgn)
     return out
 
 
@@ -441,14 +440,13 @@ def _module_n_powers(W, wvec: Vec):
 def prefactored_product(W, vs, order, w, wprime):
     """<w'| Y(v_i, x_i) placed in `order` |w> times (x_i - x_j)^M_ij for
     i < j and x_i^alpha_i; returns (variables, product, {(i, j): M_ij})."""
-    from .vosa import weak_commutativity_order
     k = len(vs)
     vars = tuple("x%d" % (i + 1) for i in range(k))
     factors = [W.chain(vars, [(t, vs[t]) for t in order], w, wprime)]
     orders = {}
     for i in range(k):
         for j in range(i + 1, k):
-            M = max(weak_commutativity_order(W.V, vs[i], vs[j]), 1)
+            M = commutativity_order(W, vs[i], vs[j])
             orders[(i, j)] = M
             factors.append(BinomialKernel(vars, M, i, j))
     for i, v in enumerate(vs):
@@ -467,7 +465,7 @@ def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
     product equals its own restriction to the grading-predicted exponents."""
     k = len(vs)
     vars, prod, orders = prefactored_product(W, vs, range(k), w, wprime)
-    box = _cube(vars, halfwidth)
+    box = _cube(W, vars, halfwidth)
     wdeg = W.vec_deg(w)
     pdeg = W.vec_deg(wprime) if wprime is not None else None
     lows, highs = [], []
@@ -496,7 +494,7 @@ def check_permutation_symmetry(W, vs, w, wprime, perm, halfwidth) -> CheckResult
     _, rhs, _ = prefactored_product(W, vs, perm, w, wprime)
     return compare("permutation-symmetry",
                    _inputs(w=w, perm=tuple(perm), sign=sign), vars,
-                   _cube(vars, halfwidth), lhs,
+                   _cube(W, vars, halfwidth), lhs,
                    scaled(rhs, sign))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, floor
 
-from .chains import ChainSeries, OpSlot, pair
+from .chains import ChainSeries, OpSlot
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
@@ -21,8 +21,8 @@ from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
                      delta_prod, delta_prod_rev, derivative, exponent,
                      lattice, minus_convention, mono, mono_add, residue,
                      scaled)
-from .twisted import (L_minus1_commutator_sides, _inputs, mode_sum,
-                      require_semisimple)
+from .twisted import (L_minus1_commutator_sides, _cube, _inputs,
+                      commutativity_order, mode_sum, require_semisimple)
 from .vosa import weak_commutativity_order
 
 F0 = Fraction(0)
@@ -50,12 +50,8 @@ class TwistOpSlot:
         return frozenset(((-b - 1) % 1) for b in _coset_universe(self.module))
 
     def ecosets(self, vec) -> frozenset:
-        try:
-            out = frozenset(((-b - 1) % 1)
-                            for b in self.module.algebra_coset(vec))
-            return out or frozenset((F0,))
-        except ValueError:
-            return self.ecosets_meta()
+        out = frozenset(((-b - 1) % 1) for b in self.module.algebra_coset(vec))
+        return out or frozenset((F0,))
 
     def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
         acc = {}
@@ -116,9 +112,9 @@ def twist_chain(W, vars, placed, v: Vec, wprime: Vec = None) -> ChainSeries:
     return ChainSeries(vars, slots, v, wprime)
 
 
-def twist_matrix_element(W, w_arg: Vec, v: Vec, wprime: Vec = None,
-                         var="x") -> ChainSeries:
-    return twist_chain(W, (var,), [(0, "twist", w_arg)], v, wprime)
+def twist_matrix_element(W, w_arg: Vec, v: Vec,
+                         wprime: Vec = None) -> ChainSeries:
+    return twist_chain(W, ("x",), [(0, "twist", w_arg)], v, wprime)
 
 
 def twist_commutativity_order(W, u: Vec, w: Vec) -> int:
@@ -148,7 +144,7 @@ def _exp_L_terms(W, w_arg: Vec, vars, var_idx, max_j) -> dict:
 def check_twist_vacuum_identity(W, w_arg: Vec, halfwidth) -> CheckResult:
     """T(w,x) vacuum = e^{x L(-1)} w, with vector-valued coefficients."""
     vars = ("x",)
-    box = Box.cube(1, -Fraction(halfwidth), Fraction(halfwidth), W.log_bound)
+    box = _cube(W, vars, halfwidth)
     lhs = twist_matrix_element(W, w_arg, Vec.basis(W.V.vac))
     rhs = _exp_L_terms(W, w_arg, vars, 0, int(Fraction(halfwidth)))
     return compare("twist-vacuum-identity", _inputs(w=w_arg), vars, box,
@@ -158,32 +154,30 @@ def check_twist_vacuum_identity(W, w_arg: Vec, halfwidth) -> CheckResult:
 class _AppliedSeries(Series):
     """Coefficients of an inner vector-valued series hit by one fixed mode."""
 
-    def __init__(self, W, chain: ChainSeries, u: Vec, n, wprime):
+    def __init__(self, W, chain: ChainSeries, u: Vec, n):
         super().__init__(chain.vars, chain.bounds, chain.cosets, chain.logmax)
         self.W = W
         self.inner = chain
         self.u = u
         self.n = Fraction(n)
-        self.wprime = wprime
 
     def _terms_in(self, box):
         out = {}
         for m, vec in self.inner.terms_in(box).items():
             res = self.W.mode_vec(self.u, self.n, 0, vec)
             if res:
-                out[m] = pair(self.wprime, res) if self.wprime is not None \
-                    else res
+                out[m] = res
         return out
 
 
-def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
+def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec,
                              halfwidth) -> CheckResult:
     """(x0+x2)^M Y(u,x0+x2) T(w,x2) v = (x0+x2)^M T(Y(u,x0)w, x2) v."""
     require_semisimple(W, "weak-associativity")
     M = max(weak_commutativity_order(W.V, u, v), 1)
     vars = ("x0", "x2")
     hw = Fraction(halfwidth)
-    box = Box.cube(2, -hw, hw, W.log_bound)
+    box = _cube(W, vars, hw)
     al = W.algebra_alpha(u)
     wdeg = W.vec_deg(w_arg)
     uwt = W.V.algebra_weight(u)
@@ -193,7 +187,7 @@ def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     lo = M - 1 - 2 * hw - wdeg - W.V.algebra_weight(v) - uwt - 1
     lhs = Sum([Product(BinomialKernel(vars, M - n - 1, 0, 1, sign=1),
                        _AppliedSeries(W, twist_chain(
-                           W, vars, [(1, "twist", w_arg)], v), u, n, wprime))
+                           W, vars, [(1, "twist", w_arg)], v), u, n))
                for n in coset_range(lo, M - 1 + hw, al)])
 
     # right side, mode by mode in Y(u, x0) w
@@ -201,13 +195,12 @@ def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
              for m in coset_range(-hw - M - 1, uwt + wdeg - 1, al))
     rhs = mode_sum(vars, modes,
                    lambda: BinomialKernel(vars, M, 0, 1, sign=1),
-                   lambda vecw: twist_chain(W, vars, [(1, "twist", vecw)], v,
-                                            wprime))
+                   lambda vecw: twist_chain(W, vars, [(1, "twist", vecw)], v))
     return compare("weak-associativity", _inputs(u=u, v=v, w=w_arg, M=M),
                    vars, box, lhs, rhs)
 
 
-def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec, wprime,
+def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec,
                        halfwidth) -> CheckResult:
     """Jacobi identity mixing twisted, twist and algebra vertex operators."""
     require_semisimple(W, "twist-jacobi")
@@ -218,40 +211,37 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec, wprime,
     pu = W.V.algebra_parity(u)
     term1 = Product(delta_prod(vars, 0, 1, 2, offset=al),
                     twist_chain(W, vars, [(1, "tw", u), (2, "twist", w_arg)],
-                                v, wprime))
+                                v))
     term2 = scaled(
         Product(delta_prod_rev(vars, 0, 1, 2, offset=al),
                 twist_chain(W, vars, [(2, "twist", w_arg), (1, "alg", u)],
-                            v, wprime)),
+                            v)),
         (-1) ** (pu * pw))
     lhs = Sum([term1, scaled(term2, -1)])
     m_hi = W.V.algebra_weight(u) + W.vec_deg(w_arg) - 1
     modes = ((m, W.mode_vec(u, m, 0, w_arg))
              for m in coset_range(-2 * hw - 2, m_hi, al))
     rhs = mode_sum(vars, modes, lambda: delta_iter(vars, 0, 1, 2),
-                   lambda vecw: twist_chain(W, vars, [(2, "twist", vecw)], v,
-                                            wprime))
+                   lambda vecw: twist_chain(W, vars, [(2, "twist", vecw)], v))
     return compare("twist-jacobi", _inputs(u=u, v=v, w=w_arg), vars,
-                   Box.cube(3, -hw, hw, W.log_bound), lhs, rhs)
+                   _cube(W, vars, hw), lhs, rhs)
 
 
-def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
+def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec,
                          halfwidth) -> CheckResult:
     """Generalized commutator formula, plus its delta-derivative form."""
     require_semisimple(W, "generalized-commutator")
     vars = ("x1", "x2")
-    hw = Fraction(halfwidth)
     al = W.algebra_alpha(u)
     pw = W.vec_parity(w_arg)
     pu = W.V.algebra_parity(u)
     sign = (-1) ** (pu * pw)
     lhs = Sum([
         Product(BinomialKernel(vars, al, 0, 1),
-                twist_chain(W, vars, [(0, "tw", u), (1, "twist", w_arg)],
-                            v, wprime)),
+                twist_chain(W, vars, [(0, "tw", u), (1, "twist", w_arg)], v)),
         scaled(Product(minus_convention(vars, al, 0, 1),
                        twist_chain(W, vars, [(1, "twist", w_arg), (0, "alg", u)],
-                                   v, wprime)),
+                                   v)),
                -sign)])
     # residue form of the right side
     vars3 = ("x0", "x1", "x2")
@@ -260,11 +250,11 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
              for k in range(floor(k_hi) + 1))
     iterate = mode_sum(vars3, modes, lambda: delta_iter(vars3, 0, 1, 2),
                        lambda vecw: twist_chain(W, vars3, [(2, "twist", vecw)],
-                                                v, wprime))
+                                                v))
     # with no mode left the side is zero; no residue pass is made over it
     rhs = residue(iterate, 0) if isinstance(iterate, Sum) \
         else TermSeries.zero(vars)
-    box = Box.cube(2, -hw, hw, W.log_bound)
+    box = _cube(W, vars, halfwidth)
     res = compare("generalized-commutator", _inputs(u=u, v=v, w=w_arg), vars,
                   box, lhs, rhs)
     if not res.ok:
@@ -277,41 +267,39 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec, wprime,
         if vecw:
             kern = DeltaDerivKernel(vars, den=0, num=1, k=k)
             dparts.append(Product(kern, twist_chain(
-                W, vars, [(1, "twist", vecw)], v, wprime)))
+                W, vars, [(1, "twist", vecw)], v)))
     rhs2 = Sum(dparts) if dparts else TermSeries.zero(vars)
     return compare("generalized-commutator-delta-form",
                    _inputs(u=u, v=v, w=w_arg, M=M), vars, box, lhs, rhs2)
 
 
-def check_gen_weak_commutativity(W, u: Vec, v: Vec, w_arg: Vec, wprime,
+def check_gen_weak_commutativity(W, u: Vec, v: Vec, w_arg: Vec,
                                  halfwidth) -> CheckResult:
     """(x1-x2)^(a+M)-weighted products agree after the twist slot swap."""
     require_semisimple(W, "generalized-weak-commutativity")
     vars = ("x1", "x2")
-    hw = Fraction(halfwidth)
     al = W.algebra_alpha(u)
     M = max(twist_commutativity_order(W, u, w_arg), 1)
     pw = W.vec_parity(w_arg)
     pu = W.V.algebra_parity(u)
     sign = (-1) ** (pu * pw)
     lhs = Product(BinomialKernel(vars, al + M, 0, 1),
-                  twist_chain(W, vars, [(0, "tw", u), (1, "twist", w_arg)],
-                              v, wprime))
+                  twist_chain(W, vars, [(0, "tw", u), (1, "twist", w_arg)], v))
     rhs = scaled(Product(minus_convention(vars, al + M, 0, 1),
                          twist_chain(W, vars, [(1, "twist", w_arg),
-                                               (0, "alg", u)], v, wprime)),
+                                               (0, "alg", u)], v)),
                  sign)
     return compare("generalized-weak-commutativity",
                    _inputs(u=u, v=v, w=w_arg, M=M), vars,
-                   Box.cube(2, -hw, hw, W.log_bound), lhs, rhs)
+                   _cube(W, vars, halfwidth), lhs, rhs)
 
 
-def _t0_terms(W, w_arg, v, wprime, box):
+def _t0_terms(W, w_arg, v, box):
     """Terms of T_0(w,x) v = T(w,x) x^{N_g} v; log-free when the lemma holds."""
     from .automorphism import nilpotent_power_coeffs
     out = {}
     for k2, part in enumerate(nilpotent_power_coeffs(W.g, v)):
-        sub = twist_matrix_element(W, w_arg, part, wprime).terms_in(box)
+        sub = twist_matrix_element(W, w_arg, part).terms_in(box)
         for (powers, logs), c in sub.items():
             m = (powers, (logs[0] + k2,))
             prev = out.get(m)
@@ -319,8 +307,7 @@ def _t0_terms(W, w_arg, v, wprime, box):
     return {m: c for m, c in out.items() if c}
 
 
-def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
-                              halfwidth) -> CheckResult:
+def check_twist_decomposition(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
     """T_0(w,x) := T(w,x) x^{N_g} is log-free and T(w,x) = T_0(w,x) x^{-N_g}."""
     from .automorphism import nilpotent_power_coeffs
     vars = ("x",)
@@ -328,7 +315,7 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
     npc = len(nilpotent_power_coeffs(W.g, v))
     box = Box.cube(1, -hw, hw, W.log_bound + npc)
     inputs = _inputs(w=w_arg, v=v)
-    t0 = _t0_terms(W, w_arg, v, wprime, box)
+    t0 = _t0_terms(W, w_arg, v, box)
     res = compare("twist-decomposition", inputs, vars, box, t0,
                   {m: c for m, c in t0.items() if not m[1][0]})
     if not res.ok:
@@ -337,34 +324,33 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, wprime,
     recon = {}
     for k1, part in enumerate(nilpotent_power_coeffs(W.g, v)):
         sgn = Fraction((-1) ** k1)
-        for (powers, logs), c in _t0_terms(W, w_arg, part.scale(sgn), wprime,
+        for (powers, logs), c in _t0_terms(W, w_arg, part.scale(sgn),
                                            box).items():
             m = (powers, (logs[0] + k1,))
             prev = recon.get(m)
             recon[m] = c if prev is None else prev + c
     return compare("twist-decomposition", inputs, vars, box,
-                   twist_matrix_element(W, w_arg, v, wprime), recon)
+                   twist_matrix_element(W, w_arg, v), recon)
 
 
-def check_L_minus1_twist(W, w_arg: Vec, v: Vec, wprime, halfwidth) -> CheckResult:
+def check_L_minus1_twist(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
     """d/dx T(w,x) = T(L(-1)w, x) = L(-1) T(w,x) - T(w,x) L_V(-1)."""
     vars = ("x",)
-    hw = Fraction(halfwidth)
-    box = Box.cube(1, -hw, hw, W.log_bound)
+    box = _cube(W, vars, halfwidth)
     inputs = _inputs(w=w_arg, v=v)
     res = compare("L(-1)-twist", inputs, vars, box,
-                  derivative(twist_matrix_element(W, w_arg, v, wprime), 0),
-                  twist_matrix_element(W, W.L_minus1(w_arg), v, wprime))
+                  derivative(twist_matrix_element(W, w_arg, v), 0),
+                  twist_matrix_element(W, W.L_minus1(w_arg), v))
     if not res.ok:
         return res
     comm, want = L_minus1_commutator_sides(
         W, twist_matrix_element(W, w_arg, v),
-        twist_matrix_element(W, w_arg, W.V.L_minus1(v)), wprime, box)
+        twist_matrix_element(W, w_arg, W.V.L_minus1(v)), box)
     return compare("L(-1)-twist", inputs, vars, box, comm, want)
 
 
-def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
-    """<e^{xL'} w', Y(v1, x1-x) ... Y(v, -x) w>, summed over mode tuples.
+def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
+    """e^{xL(-1)} Y(v1, x1-x) ... Y(v, -x) w, summed over mode tuples.
 
     Factors left of the twist slot expand (x_i - x)^{-n-1} in x; factors to
     its right sit inside the |x| > |x_i| region and take the minus convention,
@@ -372,7 +358,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
     """
     hw = Fraction(hw)
     nv = len(vars)
-    box = Box.cube(nv, -hw, hw, W.log_bound)
+    box = _cube(W, vars, hw)
     lo, hi = lattice(-hw), lattice(hw)
     # the twist slot acts on v and on the operators right of it only
     sign = (-1) ** (W.vec_parity(w_arg)
@@ -415,14 +401,11 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
         if jneed < 0:
             return
         for m1, vecv in _exp_L_terms(W, cur, vars, x_idx, jneed).items():
-            val = pair(wprime, vecv) if wprime is not None else vecv
-            if not val:
-                continue
             for m2, c2 in terms.items():
                 m = mono_add(m1, m2)
                 if not box.contains(m):
                     continue
-                cv = c_mul(c2, val)
+                cv = c_mul(c2, vecv)
                 prev = out.get(m)
                 out[m] = cv if prev is None else prev + cv
 
@@ -457,7 +440,7 @@ def _recentered_product(W, vs, w_arg, v, wprime, vars, v_idx, x_idx, k_tw, hw):
     return TermSeries(vars, out)
 
 
-def check_mixed_product(W, tw_vs, w_arg: Vec, alg_vs, v: Vec, wprime,
+def check_mixed_product(W, tw_vs, w_arg: Vec, alg_vs, v: Vec,
                         halfwidth) -> CheckResult:
     """A (k+l)-fold mixed product equals its re-centered pure-twisted form.
 
@@ -488,16 +471,15 @@ def check_mixed_product(W, tw_vs, w_arg: Vec, alg_vs, v: Vec, wprime,
     placed = [(i, "tw", u) for i, u in zip(tw_idx, tw_vs)]
     placed.append((x_idx, "twist", w_arg))
     placed += [(i, "alg", u) for i, u in zip(alg_idx, alg_vs)]
-    lhs = twist_chain(W, vars, placed, v, wprime)
-    rhs = _recentered_product(W, tw_vs + alg_vs, w_arg, v, wprime, vars,
+    lhs = twist_chain(W, vars, placed, v)
+    rhs = _recentered_product(W, tw_vs + alg_vs, w_arg, v, vars,
                               tw_idx + alg_idx, x_idx, k, halfwidth)
-    box = Box.cube(len(vars), -Fraction(halfwidth), Fraction(halfwidth),
-                   W.log_bound)
     return compare("mixed-product-recentred",
-                   _inputs(w=w_arg, v=v, k=k, l=l), vars, box, lhs, rhs)
+                   _inputs(w=w_arg, v=v, k=k, l=l), vars,
+                   _cube(W, vars, halfwidth), lhs, rhs)
 
 
-def check_mixed_permutation(W, ops, v: Vec, wprime, tau, halfwidth) -> CheckResult:
+def check_mixed_permutation(W, ops, v: Vec, tau, halfwidth) -> CheckResult:
     """Adjacent-transposition symmetry of prefactored mixed products.
 
     ops is a list of ('tw', u) entries and exactly one ('twist', w); tau is
@@ -507,25 +489,22 @@ def check_mixed_permutation(W, ops, v: Vec, wprime, tau, halfwidth) -> CheckResu
         raise ValueError("mixed-permutation needs a transposition; the "
                          "identity permutation compares nothing")
     vars = tuple("x%d" % (i + 1) for i in range(len(ops)))
-    hw = Fraction(halfwidth)
-    box = Box.cube(len(ops), -hw, hw, W.log_bound)
+    box = _cube(W, vars, halfwidth)
     i = tau
     a_kind, a_vec = ops[i]
     b_kind, b_vec = ops[i + 1]
     if a_kind == "tw" and b_kind == "twist" and len(ops) == 2:
-        return check_gen_weak_commutativity(W, a_vec, v, b_vec, wprime,
-                                            halfwidth)
+        return check_gen_weak_commutativity(W, a_vec, v, b_vec, halfwidth)
     if a_kind == "tw" and b_kind == "tw":
-        M = max(weak_commutativity_order(W.V, a_vec, b_vec), 1)
+        M = commutativity_order(W, a_vec, b_vec)
         pref = BinomialKernel(vars, M, i, i + 1)
         lhs = Product(pref, twist_chain(
-            W, vars, [(t, kd, u) for t, (kd, u) in enumerate(ops)], v, wprime))
+            W, vars, [(t, kd, u) for t, (kd, u) in enumerate(ops)], v))
         order = list(range(len(ops)))
         order[i], order[i + 1] = order[i + 1], order[i]
         placed = [(t, ops[t][0], ops[t][1]) for t in order]
         sign = (-1) ** (W.algebra_parity(a_vec) * W.algebra_parity(b_vec))
-        rhs = scaled(Product(pref, twist_chain(W, vars, placed, v, wprime)),
-                     sign)
+        rhs = scaled(Product(pref, twist_chain(W, vars, placed, v)), sign)
         return compare("mixed-permutation",
                        {"tau": str(tau), "sign": str(sign)}, vars, box, lhs,
                        rhs)

@@ -396,16 +396,15 @@ def weak_commutativity_order(V, u: Vec, v: Vec) -> int:
     return 0
 
 
-def check_weak_commutativity(V, u: Vec, v: Vec, w: Vec, wprime,
+def check_weak_commutativity(V, u: Vec, v: Vec, w: Vec,
                              halfwidth) -> CheckResult:
-    """(x1-x2)^M <Y(u,x1)Y(v,x2)> = +/- (x1-x2)^M <Y(v,x2)Y(u,x1)> exactly."""
+    """(x1-x2)^M Y(u,x1)Y(v,x2)w = +/- (x1-x2)^M Y(v,x2)Y(u,x1)w exactly."""
     M = max(weak_commutativity_order(V, u, v), 1)
     vars = ("x1", "x2")
     pref = BinomialKernel(vars, M, 0, 1)
-    lhs = Product(pref, V.chain(vars, [(0, u), (1, v)], w, wprime))
+    lhs = Product(pref, V.chain(vars, [(0, u), (1, v)], w))
     sign = (-1) ** (V.algebra_parity(u) * V.algebra_parity(v))
-    rhs = scaled(Product(pref, V.chain(vars, [(1, v), (0, u)], w, wprime)),
-                 sign)
+    rhs = scaled(Product(pref, V.chain(vars, [(1, v), (0, u)], w)), sign)
     return compare("weak-commutativity-V",
                    {"u": str(u), "v": str(v), "w": str(w), "M": M}, vars,
                    Box.cube(2, -halfwidth, halfwidth), lhs, rhs)

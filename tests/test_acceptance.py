@@ -157,7 +157,7 @@ def _sweep(W, checker, cut_uv, cut_w, hw):
     for u in us:
         for v in us:
             for w in ws:
-                r = checker(W, u, v, w, None, hw)
+                r = checker(W, u, v, w, hw)
                 if not r.ok:
                     return r
     return None
@@ -185,7 +185,7 @@ def test_a6_equivariance(ramond, z2):
         bad = None
         for u in algebra_vectors(W.V, 2):
             for w in module_vectors(W, 2):
-                r = check_equivariance(W, u, w, None, 4)
+                r = check_equivariance(W, u, w, 4)
                 if not r.ok:
                     bad = r
                     break
@@ -224,7 +224,7 @@ def test_a8_twist_identities(ramond, z2):
             for u in us:
                 for v in us:
                     for w in ws:
-                        r = checker(W, u, v, w, None, 3)
+                        r = checker(W, u, v, w, 3)
                         if not r.ok:
                             bad = r
                             break
@@ -239,7 +239,7 @@ def test_a9_decompositions(ramond, z2, toy):
         bad = None
         for u in algebra_vectors(W.V, cut):
             for w in module_vectors(W, 1):
-                r = check_y0_decomposition(W, u, w, None, 3)
+                r = check_y0_decomposition(W, u, w, 3)
                 if not r.ok:
                     bad = r
                     break
@@ -248,7 +248,7 @@ def test_a9_decompositions(ramond, z2, toy):
         bad = None
         for w in module_vectors(W, 1):
             for v in algebra_vectors(W.V, cut):
-                r = check_twist_decomposition(W, w, v, None, 3)
+                r = check_twist_decomposition(W, w, v, 3)
                 if not r.ok:
                     bad = r
                     break
@@ -260,7 +260,7 @@ def test_a9_decompositions(ramond, z2, toy):
     bad = None
     for u in picks:
         for w in (Vec.basis(V3.vac), V3.gen_vector("a")):
-            r = check_y0_decomposition(toy, u, w, None, 2)
+            r = check_y0_decomposition(toy, u, w, 2)
             if not r.ok:
                 bad = r
                 break
@@ -269,7 +269,7 @@ def test_a9_decompositions(ramond, z2, toy):
     bad = None
     for w in (V3.gen_vector("a"), V3.gen_vector("c")):
         for v in (V3.gen_vector("b"), V3.gen_vector("c")):
-            r = check_twist_decomposition(toy, w, v, None, 2)
+            r = check_twist_decomposition(toy, w, v, 2)
             if not r.ok:
                 bad = r
                 break
@@ -300,7 +300,7 @@ def test_a10_polynomiality(ramond, z2):
         bad = None
         for tw, alg in combos:
             r = check_mixed_product(W, tw, vac, alg, gen if not alg else one,
-                                    None, 6)
+                                    6)
             if not r.ok:
                 bad = r
                 break
@@ -353,7 +353,7 @@ def _axioms_fail(V, cut):
 
 def _jacobi_fail(W):
     gen = W.V.gen_vector(W.V.gens[0].name)
-    r = check_twisted_jacobi(W, gen, gen, Vec.basis(W.basis(0)[0]), None, 3)
+    r = check_twisted_jacobi(W, gen, gen, Vec.basis(W.basis(0)[0]), 3)
     return r.first_mismatch if not r.ok else None
 
 
@@ -367,10 +367,10 @@ def _z2_jacobi_fail():
 
 def _twistop_fail(W):
     gen = W.V.gen_vector(W.V.gens[0].name)
-    r = check_twist_jacobi(W, gen, gen, Vec.basis(W.basis(0)[0]), None, 2)
+    r = check_twist_jacobi(W, gen, gen, Vec.basis(W.basis(0)[0]), 2)
     if not r.ok:
         return r.first_mismatch
-    r = check_weak_associativity(W, gen, gen, Vec.basis(W.basis(0)[0]), None, 2)
+    r = check_weak_associativity(W, gen, gen, Vec.basis(W.basis(0)[0]), 2)
     return r.first_mismatch if not r.ok else None
 
 

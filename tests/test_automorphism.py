@@ -213,3 +213,25 @@ def test_non_cyclotomic_spectrum_rejected():
     g = orthogonal_automorphism(V, [[2, 0], [0, F(1, 2)]], name="boost")
     with pytest.raises(NonCyclotomicSpectrum):
         jordan_decompose(g, 1)
+
+
+@pytest.mark.parametrize("matrix, spectrum", [
+    ([[0, 1], [1, 0]], [0, F(1, 2)]),
+    ([[0, -1], [1, 0]], [0, F(1, 4), F(1, 2), F(3, 4)])])
+def test_generators_across_eigenspaces(matrix, spectrum):
+    # on a rank-2 Heisenberg algebra with Gram identity, the swap and the
+    # quarter turn mix the generators, so S is read through the general
+    # alpha decomposition of PBW keys, not a per-generator grading
+    V = HeisenbergAlgebra([[1, 0], [0, 1]])
+    g = orthogonal_automorphism(V, matrix)
+    assert jordan_decompose(g, 3).spectrum == spectrum
+    keys = V.basis(3)
+    assert len(keys) == 18
+    for key in keys:
+        assert g.semisimple_exp(Vec.basis(key)) == g.apply(Vec.basis(key))
+    for r in (check_homomorphism(V, g.apply, 2, 3),
+              check_homomorphism(V, g.semisimple_exp, 2, 3),
+              check_derivation(V, g, 2, 3), check_conjugation(V, g, 2, 3)):
+        assert r.ok, r.to_json()
+    with pytest.raises(NonCyclotomicSpectrum):
+        g.gen_alpha(0)

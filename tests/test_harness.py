@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from vertextwist import harness
+from vertextwist import harness, twisted, twistop, vosa
 from vertextwist.harness import SUITES, SuiteConfig, run_suite
 from vertextwist.models import Registry
 from vertextwist.results import CheckResult
@@ -13,25 +14,52 @@ def registry():
     return Registry()
 
 
+# smallest meaningful configs; twist-all and mixed-products included
+PLANS = {
+    "axioms": ("fermion", 2, 3),
+    "jordan": ("heis3", 1, 2),
+    "twisted-jacobi": ("ramond", 1, 3),
+    "weak-comm": ("z2boson", 1, 3),
+    "commutator": ("ramond", 1, 3),
+    "equivariance": ("z2boson", 1, 3),
+    "polynomiality": ("ramond", 1, 3),
+    "twist-all": ("ramond", 1, 2),
+    "mixed-products": ("z2boson", 1, 2),
+}
+
+
 def test_all_suites_execute(registry):
-    # smallest meaningful configs; twist-all and mixed-products included
-    plans = {
-        "axioms": ("fermion", 2, 3),
-        "jordan": ("heis3", 1, 2),
-        "twisted-jacobi": ("ramond", 1, 3),
-        "weak-comm": ("z2boson", 1, 3),
-        "commutator": ("ramond", 1, 3),
-        "equivariance": ("z2boson", 1, 3),
-        "polynomiality": ("ramond", 1, 3),
-        "twist-all": ("ramond", 1, 2),
-        "mixed-products": ("z2boson", 1, 2),
-    }
-    assert set(plans) == set(SUITES)
-    for suite, (model, cut, hw) in plans.items():
+    assert set(PLANS) == set(SUITES)
+    for suite, (model, cut, hw) in PLANS.items():
         rep = run_suite(SuiteConfig(model=model, suite=suite, max_weight=cut,
                                     halfwidth=hw), registry)
         assert rep.ok, (suite, [r.to_json() for r in rep.records if not r.ok][:1])
         assert rep.records
+
+
+def test_tasks_pass_no_placeholder_arguments(registry):
+    # every argument a suite hands its checker is one the checker reads
+    for suite, (model, cut, hw) in PLANS.items():
+        cfg = SuiteConfig(model=model, suite=suite, max_weight=cut,
+                          halfwidth=hw)
+        for task in harness._suite_tasks(cfg, registry):
+            bound = inspect.signature(task.func).bind(*task.args,
+                                                      **task.keywords)
+            assert None not in bound.arguments.values(), \
+                (suite, task.func.__name__, bound.arguments)
+
+
+def test_only_matrix_elements_take_a_dual_vector():
+    # identity checkers compare vector coefficients; a w' pairing is kept
+    # where it does work: the polynomiality checks and the matrix elements
+    keep = {"check_product_polynomiality", "check_permutation_symmetry",
+            "prefactored_product", "twist_chain", "twist_matrix_element"}
+    takers = {name for module in (twisted, twistop, vosa)
+              for name, obj in vars(module).items()
+              if (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == module.__name__
+              and "wprime" in inspect.signature(obj).parameters}
+    assert takers == keep
 
 
 def test_ramond_mixed_products_pass(registry):
@@ -69,14 +97,14 @@ def test_report_schema(registry):
         assert {"identity", "inputs", "window", "status"} <= set(rec)
 
 def test_errored_record_names_check_and_vectors(monkeypatch, registry):
-    def check_twisted_jacobi(W, u, v, w, wprime, halfwidth):
+    def check_twisted_jacobi(W, u, v, w, halfwidth):
         """Stands in for the checker, with its name and signature."""
         raise RuntimeError("boom")
     monkeypatch.setattr(harness, "check_twisted_jacobi", check_twisted_jacobi)
     rep = run_suite(SuiteConfig("ramond", "twisted-jacobi", 1, 3), registry)
     first = rep.records[0]
     assert first.errored and first.identity == "error"
-    # the module object and the absent wprime are left out
+    # the module object is left out
     assert first.inputs == {"check": "check_twisted_jacobi",
                             "u": "(1)*|()>", "v": "(1)*|()>",
                             "w": "(1)*|(0, ())>", "halfwidth": "3"}

@@ -10,11 +10,12 @@ key of V, and
 `blockwise_reference` splits the matrix of g on a weight block through a
 generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
 g), certified by S e^K = g.  `FractionScalar` is the scalar ring with one
-int or Fraction coefficient per term.  All are kept here only as references
-for the engine's shortcuts (the vacuum collapse, Horner's rule, the Jordan
-parts split once on the generator block, with K a derivation, the one
-verdict path, and integer numerators over one denominator), which must give
-equal results.
+int or Fraction coefficient per term.  `loop_binomial` forms C(a, k) as a
+falling product over Fractions.  All are kept here only as references for
+the engine's shortcuts (the vacuum collapse, Horner's rule, the Jordan parts
+split once on the generator block, with K a derivation, the one verdict
+path, integer numerators over one denominator, and int binomials), which
+must give equal results.
 """
 
 from fractions import Fraction
@@ -618,3 +619,32 @@ def test_scalar_ring_matches_fraction_reference(x, y, d, n):
         assert_same_value(got, want, boxed)
     assert (a == b) == (ra == rb)
     assert (a + b == b + a) and (ra + rb == rb + ra)
+
+
+def loop_binomial(a, k):
+    """C(a, k) as the falling product a(a-1)...(a-k+1)/k! over Fractions."""
+    if k < 0:
+        return 0
+    if k.denominator != 1:
+        raise ValueError("binomial index must be integral, got %s" % k)
+    k = int(k)
+    num = 1
+    for j in range(k):
+        num = num * (a - j)
+    q = Fraction(num, factorial(k))
+    return q.numerator if q.denominator == 1 else q
+
+
+# upper arguments: ints and the (1/16)Z lattice the mode indices live on;
+# lower: ints or integral Fractions, negatives included
+binomial_tops = st.one_of(
+    st.integers(-40, 40), st.integers(-640, 640).map(lambda n: Fraction(n, 16)))
+binomial_bottoms = st.integers(-2, 12).flatmap(
+    lambda k: st.sampled_from((k, Fraction(k))))
+
+
+@given(binomial_tops, binomial_bottoms)
+@settings(max_examples=500, deadline=None)
+def test_binomial_matches_falling_product(a, k):
+    got, want = binomial(a, k), loop_binomial(a, k)
+    assert got == want and type(got) is type(want)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -140,46 +141,46 @@ def test_mode_support_cosets(fermion, ramond):
 def test_twisted_weak_commutativity(fermion, ramond, boson, z2):
     psi = fermion.gen_vector("psi")
     vac = Vec.basis((0, ()))
-    r = check_twisted_weak_commutativity(ramond, psi, psi, vac, None, 5)
+    r = check_twisted_weak_commutativity(ramond, psi, psi, vac, 5)
     assert r.ok, r.first_mismatch
     h = boson.gen_vector("h")
-    r = check_twisted_weak_commutativity(z2, h, h, Vec.basis(()), None, 5)
+    r = check_twisted_weak_commutativity(z2, h, h, Vec.basis(()), 5)
     assert r.ok, r.first_mismatch
 
 
 def test_twisted_jacobi_generators(fermion, ramond, boson, z2):
     psi = fermion.gen_vector("psi")
     vac = Vec.basis((0, ()))
-    r = check_twisted_jacobi(ramond, psi, psi, vac, None, 4)
+    r = check_twisted_jacobi(ramond, psi, psi, vac, 4)
     assert r.ok, r.first_mismatch
     h = boson.gen_vector("h")
     hh = boson.mode_vec(h, -1, 0, h)
-    r = check_twisted_jacobi(z2, h, hh, Vec.basis(()), None, 3)
+    r = check_twisted_jacobi(z2, h, hh, Vec.basis(()), 3)
     assert r.ok, r.first_mismatch
 
 
 def test_twisted_jacobi_identity_argument(fermion, ramond):
     one = Vec.basis(fermion.vac)
     vac = Vec.basis((1, (1,)))
-    r = check_twisted_jacobi(ramond, one, one, vac, None, 3)
+    r = check_twisted_jacobi(ramond, one, one, vac, 3)
     assert r.ok, r.first_mismatch
 
 
 def test_commutator_formula(fermion, ramond, boson, z2):
     psi = fermion.gen_vector("psi")
-    r = check_commutator_formula(ramond, psi, psi, Vec.basis((0, ())), None, 4)
+    r = check_commutator_formula(ramond, psi, psi, Vec.basis((0, ())), 4)
     assert r.ok, r.first_mismatch
     h = boson.gen_vector("h")
-    r = check_commutator_formula(z2, h, h, Vec.basis(()), None, 4)
+    r = check_commutator_formula(z2, h, h, Vec.basis(()), 4)
     assert r.ok, r.first_mismatch
 
 
 def test_equivariance(fermion, ramond, boson, z2):
     psi = fermion.gen_vector("psi")
-    r = check_equivariance(ramond, psi, Vec.basis((0, ())), None, 4)
+    r = check_equivariance(ramond, psi, Vec.basis((0, ())), 4)
     assert r.ok, r.first_mismatch
     h = boson.gen_vector("h")
-    r = check_equivariance(z2, h, Vec.basis(()), None, 4)
+    r = check_equivariance(z2, h, Vec.basis(()), 4)
     assert r.ok, r.first_mismatch
 
 
@@ -193,22 +194,22 @@ def test_g_compatibility(fermion, ramond):
 def test_L_minus1_derivative(fermion, ramond):
     psi = fermion.gen_vector("psi")
     vac = Vec.basis((0, ()))
-    r = check_L_minus1_derivative_W(ramond, psi, vac, None, 4)
+    r = check_L_minus1_derivative_W(ramond, psi, vac, 4)
     assert r.ok, r.first_mismatch
     comp = fermion.mode_vec(psi, -2, 0, Vec.basis(fermion.vac))  # psi(-3/2) vac
-    r = check_L_minus1_derivative_W(ramond, comp, vac, None, 4)
+    r = check_L_minus1_derivative_W(ramond, comp, vac, 4)
     assert r.ok, r.first_mismatch
 
 
 def test_y0_decomposition_trivial_and_log(fermion, ramond, toy):
     psi = fermion.gen_vector("psi")
-    r = check_y0_decomposition(ramond, psi, Vec.basis((0, ())), None, 3)
+    r = check_y0_decomposition(ramond, psi, Vec.basis((0, ())), 3)
     assert r.ok, r.first_mismatch
     b = toy.V.gen_vector("b")
     a = toy.V.gen_vector("a")
-    r = check_y0_decomposition(toy, b, a, None, 3)
+    r = check_y0_decomposition(toy, b, a, 3)
     assert r.ok, r.first_mismatch
-    r = check_y0_decomposition(toy, b, Vec.basis(toy.V.vac), None, 3)
+    r = check_y0_decomposition(toy, b, Vec.basis(toy.V.vac), 3)
     assert r.ok, r.first_mismatch
 
 
@@ -226,8 +227,7 @@ def test_y0_decomposition_reads_modes_only_on_the_coset_of_u(
     monkeypatch.setattr(W, "y0_mode_vec", counted)
     for ukey in W.V.basis(F(3, 2)):
         for wkey in W.basis(1):
-            r = check_y0_decomposition(W, Vec.basis(ukey), Vec.basis(wkey),
-                                       None, 3)
+            r = check_y0_decomposition(W, Vec.basis(ukey), Vec.basis(wkey), 3)
             assert r.ok, (ukey, wkey, r.first_mismatch)
     assert on_coset and on_coset.count(False) == 0, \
         (on_coset.count(False), len(on_coset))
@@ -240,20 +240,35 @@ def test_toy_log_machinery(toy):
     b = V3.gen_vector("b")
     c = V3.gen_vector("c")
     a = V3.gen_vector("a")
-    assert check_equivariance(toy, b, a, None, 3).ok
-    assert check_equivariance(toy, c, Vec.basis(V3.vac), None, 3).ok
+    assert check_equivariance(toy, b, a, 3).ok
+    assert check_equivariance(toy, c, Vec.basis(V3.vac), 3).ok
     assert check_twisted_weak_commutativity(toy, b, c, Vec.basis(V3.vac),
-                                            None, 3).ok
+                                            3).ok
     with pytest.raises(ValueError):
-        check_twisted_jacobi(toy, b, c, a, None, 2)
+        check_twisted_jacobi(toy, b, c, a, 2)
     with pytest.raises(ValueError):
-        check_commutator_formula(toy, b, c, a, None, 2)
+        check_commutator_formula(toy, b, c, a, 2)
+
+
+def test_unipotent_view_is_read_at_its_log_bound(toy):
+    # the log power k of Y(u, x) carries N^k u/k!, so the window reads every
+    # log power the module carries and M covers the nilpotent parts: with M
+    # from u and v alone, u = v = b, w = vac fails at x1^-3*x2^2*log(x2)^2
+    vecs = [Vec.basis(k) for k in toy.V.basis(1)]
+    records = [check_twisted_weak_commutativity(toy, u, v, w, 3)
+               for u, v, w in product(vecs, repeat=3)]
+    records += [check_equivariance(toy, u, w, 3)
+                for u, w in product(vecs, repeat=2)]
+    assert toy.log_bound == 6
+    for r in records:
+        assert r.ok, r.to_json()
+        assert {cap for _, _, cap in r.window.values()} == {6}, r.window
 
 
 def test_toy_module_has_logs(toy):
     b = toy.V.gen_vector("b")
     vac = Vec.basis(toy.V.vac)
-    s = toy.me(b, vac, wprime=None)
+    s = toy.me(b, vac)
     t = s.terms_in(Box.cube(1, -2, 2, 2))
     assert any(m[1][0] > 0 for m in t), "expected log terms in the view module"
 
@@ -303,5 +318,5 @@ def test_fault_breaks_jacobi(fermion):
     broken = build_ramond_module(fermion, parity_automorphism(fermion),
                                  fault="zero-mode-scale", crosscheck=False)
     psi = fermion.gen_vector("psi")
-    r = check_twisted_jacobi(broken, psi, psi, Vec.basis((0, ())), None, 3)
+    r = check_twisted_jacobi(broken, psi, psi, Vec.basis((0, ())), 3)
     assert not r.ok and r.first_mismatch

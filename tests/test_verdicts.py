@@ -168,7 +168,7 @@ def test_twist_decomposition_log_free_half_killed(monkeypatch):
     monkeypatch.setattr(automorphism, "nilpotent_power_coeffs",
                         lambda g, vec: [vec])
     r = check_twist_decomposition(W, heis3.gen_vector("a"),
-                                  heis3.gen_vector("b"), None, 2)
+                                  heis3.gen_vector("b"), 2)
     assert_located(r, "twist-decomposition")
     assert "log(x)" in r.first_mismatch["monomial"]
     assert r.first_mismatch["rhs"] == "None"

@@ -124,14 +124,14 @@ def test_weak_commutativity_orders(fermion, boson):
 def test_weak_commutativity_fermion(fermion):
     psi = fermion.gen_vector("psi")
     vac = Vec.basis(fermion.vac)
-    r = check_weak_commutativity(fermion, psi, psi, vac, None, 6)
+    r = check_weak_commutativity(fermion, psi, psi, vac, 6)
     assert r.ok, r.first_mismatch
 
 
 def test_weak_commutativity_boson_composite(boson):
     h = boson.gen_vector("h")
     hh = boson.mode_vec(h, -1, 0, h)  # h(-1)h
-    r = check_weak_commutativity(boson, h, hh, Vec.basis(boson.vac), None, 5)
+    r = check_weak_commutativity(boson, h, hh, Vec.basis(boson.vac), 5)
     assert r.ok, r.first_mismatch
 
 
