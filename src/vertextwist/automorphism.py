@@ -16,11 +16,12 @@ contributing PI^{-1} factors that the scalar ring carries exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import NonCyclotomicSpectrum, NotIsometry, NotNilpotent
 from .linalg import kernel_basis, mat_eq, mat_identity, mat_mul, solve
 from .results import CheckResult, Modes, first_failure
-from .scalars import Scalar, Vec, acc_vec, cyclotomic_level, exact, vec_of
+from .scalars import Scalar, Vec, cyclotomic_level, exact, linear
 from .vosa import FreeFieldAlgebra
 
 F0 = Fraction(0)
@@ -41,7 +42,7 @@ class Automorphism:
         self._alpha_memo = {}
         self._K_memo = {}
         self._K_gens = {}
-        self._semi_memo = {}
+        self._semi_memo = {1: {}, -1: {}}
         self._gen_block = None
         self._gen_parts = None
         self._diag_alpha = None
@@ -57,32 +58,24 @@ class Automorphism:
         else:
             head, rest = key[0], key[1:]
             gi = self.V.gen_index(head)
-            n = self.V.factor_weight(head)
-            acc = {}
-            rest_img = self.apply_key(rest)
-            for gkey, c in self.images[self.V.gens[gi].name].items():
-                j = self.V.gen_index(gkey[0])
-                made = self._create(j, n, rest_img)
-                if made:
-                    acc_vec(acc, made, c)
-            out = vec_of(acc)
+            out = self._create_from(self.images[self.V.gens[gi].name],
+                                    self.V.factor_weight(head),
+                                    self.apply_key(rest))
         self._apply_memo[key] = out
         return out
 
     def _create(self, gidx, magnitude, vec: Vec) -> Vec:
-        acc = {}
         spec = -magnitude + self.V.gen_weight(gidx) - 1
-        for key, c in vec.items():
-            r = self.V.gen_apply(gidx, spec, key)
-            if r:
-                acc_vec(acc, r, c)
-        return vec_of(acc)
+        return linear(partial(self.V.gen_apply, gidx, spec), vec)
+
+    def _create_from(self, gens: Vec, magnitude, vec: Vec) -> Vec:
+        """_create extended linearly in the generator, gens being a vector
+        of generator keys."""
+        return linear(lambda gkey: self._create(self.V.gen_index(gkey[0]),
+                                                magnitude, vec), gens)
 
     def apply(self, vec: Vec) -> Vec:
-        acc = {}
-        for key, c in vec.items():
-            acc_vec(acc, self.apply_key(key), c)
-        return vec_of(acc)
+        return linear(self.apply_key, vec)
 
     # -- generator-space eigenstructure -----------------------------------------
 
@@ -156,14 +149,10 @@ class Automorphism:
             n = self.V.factor_weight(head)
             out = {}
             for al, comp in self.generator_parts()[gi]:
+                gens = Vec({self.V.gen_key(j): c for j, c in enumerate(comp)
+                            if c})
                 for be, wvec in self.alpha_decompose_key(rest).items():
-                    made = Vec.zero()
-                    for j, c in enumerate(comp):
-                        if not c:
-                            continue
-                        r = self._create(j, n, wvec)
-                        if r:
-                            made = made + r.scale(c)
+                    made = self._create_from(gens, n, wvec)
                     if made:
                         tot = (al + be) % 1
                         out[tot] = out.get(tot, Vec.zero()) + made
@@ -187,28 +176,14 @@ class Automorphism:
         self.generator_parts()
         if self._diag_alpha is not None and not any(self._diag_alpha):
             return vec
-        memo = self._semi_memo
-        acc = {}
-        for key, c in vec.items():
-            hit = memo.get((key, sign))
-            if hit is None:
-                hit = Vec.zero()
-                for al, part in self.alpha_decompose_key(key).items():
-                    hit = hit + part.scale(Scalar.e(2 * sign * al))
-                memo[(key, sign)] = hit
-            acc_vec(acc, hit, c)
-        return vec_of(acc)
+        return linear(lambda key: sum(
+            (part.scale(Scalar.e(2 * sign * al))
+             for al, part in self.alpha_decompose_key(key).items()),
+            Vec.zero()), vec, self._semi_memo[sign])
 
     def K_apply(self, vec: Vec) -> Vec:
         """K = 2 pi i N_g, the nilpotent logarithm, applied pointwise."""
-        acc = {}
-        for key, c in vec.items():
-            hit = self._K_memo.get(key)
-            if hit is None:
-                hit = self._K_key(key)
-                self._K_memo[key] = hit
-            acc_vec(acc, hit, c)
-        return vec_of(acc)
+        return linear(self._K_key, vec, self._K_memo)
 
     def _K_key(self, key) -> Vec:
         """K(a_(-n) rest) = (K a)_(-n) rest + a_(-n) K(rest), K being a
@@ -219,12 +194,8 @@ class Automorphism:
         gi = self.V.gen_index(head)
         n = self.V.factor_weight(head)
         rest_vec = Vec.basis(rest)
-        acc = {}
-        for gkey, c in self.gen_K(gi).items():
-            j = self.V.gen_index(gkey[0])
-            acc_vec(acc, self._create(j, n, rest_vec), c)
-        acc_vec(acc, self._create(gi, n, self.K_apply(rest_vec)))
-        return vec_of(acc)
+        return self._create_from(self.gen_K(gi), n, rest_vec) \
+            + self._create(gi, n, self.K_apply(rest_vec))
 
     def gen_K(self, gidx) -> Vec:
         """K on one generator: the log series of e^{-2 pi i S} g there."""

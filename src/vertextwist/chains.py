@@ -38,6 +38,20 @@ class Space:
     def vec_parity(self, vec: Vec) -> int:
         return homogeneous_value(vec, self.parity)
 
+    def ordered_basis(self, keys, max_deg, order, revlex=None) -> list:
+        """The keys of degree at most max_deg, by degree and then by the key
+        itself (weight-lex) or by revlex(key), the reversed key unless
+        given (weight-revlex)."""
+        if order == "weight-lex":
+            tie = lambda k: k
+        elif order == "weight-revlex":
+            tie = revlex or (lambda k: tuple(reversed(k)))
+        else:
+            raise ValueError("unknown basis order %r" % order)
+        deg = self.deg
+        return sorted((k for k in keys if deg(k) <= max_deg),
+                      key=lambda k: (deg(k), tie(k)))
+
     def chain(self, vars, placed_ops, w: Vec, wprime: Vec = None):
         """<w'| ops |w> with placed_ops a list of (var_index, u vector)."""
         return ChainSeries(vars, [(i, OpSlot(self, u)) for i, u in placed_ops],

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .harness import SUITES, SuiteConfig, run_suite
 from .models import Registry
-from .scalars import Vec
+from .scalars import Vec, linear
 from .series import Box, format_series, series_to_json
 from .automorphism import jordan_decompose
 from .twistop import twist_chain
@@ -45,7 +45,9 @@ class _Parser:
 
     def take(self, expect=None):
         tok = self.peek()
-        if tok is None or (expect is not None and tok != expect):
+        if tok is None:
+            raise ExprError("unexpected end of expression")
+        if expect is not None and tok != expect:
             raise ExprError("expected %r, found %r" % (expect, tok))
         self.pos += 1
         return tok
@@ -75,7 +77,7 @@ class _Parser:
             self.take(")")
             try:
                 idx = Fraction(num)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ExprError("bad mode index %r" % num) from exc
             return ("mode", tok, idx, self.parse_atom())
         return ("gen", tok, None)
@@ -104,12 +106,7 @@ def _eval_vector(node, V, W):
             raise ExprError("unknown generator %r" % name) from None
         spec = p + V.gens[gi].weight - 1
         action = V.gen_apply if space == "V" else W.gen_seed
-        out = Vec.zero()
-        for key, c in vec.items():
-            got = action(gi, spec, key)
-            if got:
-                out = out + got.scale(c)
-        return space, out
+        return space, linear(lambda key: action(gi, spec, key), vec)
     raise ExprError("bad node %r" % (node,))
 
 
@@ -166,10 +163,18 @@ def _expand(registry, model_id, text, halfwidth, as_json):
     return format_series(terms, tuple(vars))
 
 
+def _cutoff(text) -> Fraction:
+    """A --max-weight value; ValueError when it is no rational number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def _cmd_run(args, registry) -> int:
     try:
         cfg = SuiteConfig(model=args.model, suite=args.suite,
-                          max_weight=Fraction(args.max_weight),
+                          max_weight=_cutoff(args.max_weight),
                           halfwidth=args.window, log_bound=args.log_bound,
                           jobs=args.jobs, basis_order=args.seed_order)
         report = run_suite(cfg, registry)
@@ -212,7 +217,7 @@ def _cmd_decompose(args, registry) -> int:
         if kind != "algebra":
             raise KeyError("decompose runs on an algebra model id")
         g = obj.automorphisms[args.automorphism]
-        jd = jordan_decompose(g, Fraction(args.max_weight))
+        jd = jordan_decompose(g, _cutoff(args.max_weight))
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -224,7 +229,7 @@ def _cmd_dump_basis(args, registry) -> int:
     try:
         kind, obj = registry.resolve(args.model)
         space = obj.algebra if kind == "algebra" else obj
-        keys = space.basis(Fraction(args.max_weight), args.seed_order)
+        keys = space.basis(_cutoff(args.max_weight), args.seed_order)
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ def build_heisenberg(gram, names=None, fault=None) -> HeisenbergAlgebra:
 # fermion-type twisted module (integer-moded, two-dimensional vacuum pair)
 # ---------------------------------------------------------------------------
 
-def _fermion_twisted_basis(max_deg, order="weight-lex"):
+def _fermion_twisted_keys(max_deg):
     def occs(start, budget):
         yield ()
         k = min(start, budget)
@@ -49,15 +49,8 @@ def _fermion_twisted_basis(max_deg, order="weight-lex"):
             for rest in occs(k - 1, budget - k):
                 yield (k,) + rest
             k -= 1
-    keys = [(s, occ) for occ in occs(int(max_deg), int(max_deg))
+    return [(s, occ) for occ in occs(int(max_deg), int(max_deg))
             for s in (0, 1)]
-    if order == "weight-lex":
-        keys.sort(key=lambda k: (sum(k[1]), k))
-    elif order == "weight-revlex":
-        keys.sort(key=lambda k: (sum(k[1]), tuple(reversed(k[1])), k[0]))
-    else:
-        raise ValueError("unknown basis order %r" % order)
-    return keys
 
 
 def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
@@ -98,16 +91,18 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
     deg = lambda key: sum(key[1])
     par = lambda key: (key[0] + len(key[1])) % 2
     gsc = lambda key: (-1) ** par(key)
+    # weight-revlex reads the occupation numbers reversed, then the sector
+    revlex = lambda key: (tuple(reversed(key[1])), key[0])
     return TwistedModule("ramond", fermion, parity, gen_action,
-                         _fermion_twisted_basis, deg, par, gsc,
-                         crosscheck=crosscheck)
+                         _fermion_twisted_keys, deg, par, gsc,
+                         crosscheck=crosscheck, revlex=revlex)
 
 
 # ---------------------------------------------------------------------------
 # boson-type twisted module (half-integer-moded, one-dimensional vacuum)
 # ---------------------------------------------------------------------------
 
-def _boson_twisted_basis(max_deg, order="weight-lex"):
+def _boson_twisted_keys(max_deg):
     top = int(2 * Fraction(max_deg))
 
     def occs(start, budget):
@@ -119,14 +114,7 @@ def _boson_twisted_basis(max_deg, order="weight-lex"):
             for rest in occs(o, budget - o):
                 yield (o,) + rest
             o -= 2
-    keys = list(occs(top, top))
-    if order == "weight-lex":
-        keys.sort(key=lambda k: (sum(k), k))
-    elif order == "weight-revlex":
-        keys.sort(key=lambda k: (sum(k), tuple(reversed(k))))
-    else:
-        raise ValueError("unknown basis order %r" % order)
-    return keys
+    return list(occs(top, top))
 
 
 def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
@@ -159,7 +147,7 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
     par = lambda key: 0
     gsc = lambda key: (-1) ** len(key)
     return TwistedModule("z2boson", boson, minus1, gen_action,
-                         _boson_twisted_basis, deg, par, gsc,
+                         _boson_twisted_keys, deg, par, gsc,
                          crosscheck=crosscheck)
 
 

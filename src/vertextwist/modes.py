@@ -24,9 +24,10 @@ r <= -2).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import ExtensionInconsistent
-from .scalars import Vec, acc_vec, binomial, vec_of
+from .scalars import Vec, acc_vec, binomial, linear, vec_of
 
 
 class ModeOracle:
@@ -78,14 +79,6 @@ class ModeOracle:
                     acc_vec(acc, r, cu * cw)
         return vec_of(acc)
 
-    def _gen_on_vec(self, gidx, m, vec: Vec) -> Vec:
-        acc = {}
-        for k, c in vec.items():
-            r = self.gen_action(gidx, m, k)
-            if r:
-                acc_vec(acc, r, c)
-        return vec_of(acc)
-
     def _compute(self, ukey, n, wkey) -> Vec:
         if not ukey:
             return Vec.basis(wkey) if n == -1 else Vec.zero()
@@ -121,7 +114,8 @@ class ModeOracle:
                     j = q + t - m
                     c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
                     if c:
-                        acc_vec(acc, self._gen_on_vec(gidx, m, inner), c)
+                        acc_vec(acc, linear(
+                            partial(self.gen_action, gidx, m), inner), c)
                 m -= 1
             # reversed products: (Y)_m(a) acting first
             m = q
@@ -139,7 +133,7 @@ class ModeOracle:
         r = t + 1
         r_hi = alg.weight(rest) + alg.gen_weight(gidx) - 1
         while r <= r_hi:
-            comp = self.gen_action_algebra(gidx, r, rest)
+            comp = alg.gen_apply(gidx, r, rest)
             if comp:
                 c = binomial(q, r - t)
                 if c:
@@ -148,10 +142,6 @@ class ModeOracle:
                         acc_vec(acc, part, -c)
             r += 1
         return vec_of(acc)
-
-    def gen_action_algebra(self, gidx, r, restkey) -> Vec:
-        """V-side mode a_(r) on a V basis key (re-expansion of composites)."""
-        return self.algebra.gen_apply(gidx, r, restkey)
 
     # -- construction-time consistency ----------------------------------------
 

@@ -355,6 +355,23 @@ def vec_of(acc: dict) -> Vec:
     return Vec({k: c for k, c in acc.items() if c})
 
 
+def linear(fn, vec: Vec, memo: dict = None) -> Vec:
+    """The linear extension of fn: the sum of c * fn(key) over the terms of
+    vec, accumulated in place; fn's value at each key is kept in memo when
+    one is given."""
+    acc = {}
+    for key, c in vec.comps.items():
+        if memo is None:
+            r = fn(key)
+        else:
+            r = memo.get(key)
+            if r is None:
+                r = memo[key] = fn(key)
+        if r:
+            acc_vec(acc, r, c)
+    return vec_of(acc)
+
+
 def homogeneous_value(vec: Vec, key_fn):
     """The one value of key_fn over the basis keys of vec, 0 for the zero
     vector; ValueError when the keys disagree."""

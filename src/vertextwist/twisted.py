@@ -19,7 +19,7 @@ from .chains import Space
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
-from .scalars import Vec, acc_vec, iter_terms, vec_of
+from .scalars import Vec, iter_terms, linear
 from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
                      branch_shift, coset_range, delta_iter, delta_prod,
                      delta_prod_rev, derivative, exponent, lattice, mono,
@@ -33,10 +33,13 @@ FH = Fraction(1, 2)
 class ModuleBase(Space):
     """Shared surface of twisted modules: gradings, chains, conformal data."""
 
-    name = "module"
-    V = None
-    g = None
-    log_bound = 0
+    def __init__(self, name, V, g, log_bound):
+        self.name = name
+        self.V = V
+        self.g = g
+        self.log_bound = log_bound
+        self._L_memo = {}
+        self._h_vac = None
 
     # subclass responsibilities
     def basis(self, max_deg, order="weight-lex"):
@@ -51,6 +54,10 @@ class ModuleBase(Space):
     def y0_mode_vec(self, uvec: Vec, n, wvec: Vec) -> Vec:
         """Log-constant part; coincides with the full modes when N_g = 0."""
         return self.mode_vec(uvec, n, 0, wvec)
+
+    def module_nilpotent_coeffs(self, wvec: Vec):
+        """[N^k w / k!] on the module; [w] unless the module carries logs."""
+        return [wvec]
 
     # module protocol for chain slots over the V tensor factor
     def algebra_weight(self, uvec: Vec) -> Fraction:
@@ -71,23 +78,12 @@ class ModuleBase(Space):
     # -- conformal structure ---------------------------------------------------
 
     def L_minus1(self, vec: Vec) -> Vec:
-        memo = getattr(self, "_L_memo", None)
-        if memo is None:
-            memo = self._L_memo = {}
-        acc = {}
-        for key, c in vec.items():
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = self.mode_vec(self.V.omega, 0, 0,
-                                                Vec.basis(key))
-            if hit:
-                acc_vec(acc, hit, c)
-        return vec_of(acc)
+        return linear(lambda key: self.mode_vec(self.V.omega, 0, 0,
+                                                Vec.basis(key)),
+                      vec, self._L_memo)
 
     def L0(self, vec: Vec) -> Vec:
         return self.mode_vec(self.V.omega, 1, 0, vec)
-
-    _h_vac = None
 
     def vacuum_weight(self) -> Fraction:
         """L(0)-eigenvalue of the twisted vacuum, produced by the extension."""
@@ -126,24 +122,24 @@ class TwistedModule(ModuleBase):
     """Generalized g-twisted module built by seeding generator modes and
     extending recursively; requires the automorphism to act semisimply."""
 
-    def __init__(self, name, V, g, gen_action, basis_fn, deg_fn, parity_fn,
-                 g_scale_fn, crosscheck=True):
-        self.name = name
-        self.V = V
-        self.g = g
+    def __init__(self, name, V, g, gen_action, keys_fn, deg_fn, parity_fn,
+                 g_scale_fn, crosscheck=True, revlex=None):
+        super().__init__(name, V, g, 0)   # semisimple case: no log terms
         self.gen_seed = gen_action
-        self._basis_fn = basis_fn
+        self._keys_fn = keys_fn        # max_deg -> the keys up to it, any order
+        self._revlex = revlex          # weight-revlex tie order; None: reversed
         self._deg = deg_fn
         self._parity = parity_fn
         self._g_scale = g_scale_fn     # module_key -> scalar, the action of g
-        self.log_bound = 0             # semisimple case: no log terms
         self.oracle = ModeOracle(V, gen_action, deg_fn,
                                  lambda gi: g.gen_alpha(gi))
         if crosscheck:
             self.oracle.crosscheck(V.basis(Fraction(3, 2)), self.basis(F1))
 
     def basis(self, max_deg, order="weight-lex"):
-        return self._basis_fn(Fraction(max_deg), order)
+        max_deg = Fraction(max_deg)
+        return self.ordered_basis(self._keys_fn(max_deg), max_deg, order,
+                                  self._revlex)
 
     def deg(self, key) -> Fraction:
         return self._deg(key)
@@ -152,10 +148,8 @@ class TwistedModule(ModuleBase):
         return self._parity(key)
 
     def g_apply(self, vec: Vec) -> Vec:
-        out = Vec.zero()
-        for key, c in vec.items():
-            out = out + Vec.basis(key).scale(c * self._g_scale(key))
-        return out
+        return linear(lambda key: Vec.basis(key).scale(self._g_scale(key)),
+                      vec)
 
     def alpha_of_key(self, key) -> Fraction:
         """g-weight of a basis vector, read from the eigenvalue of g."""
@@ -183,14 +177,11 @@ class UnipotentViewModule(ModuleBase):
 
     def __init__(self, name, V, g, log_bound=None):
         from .automorphism import nilpotent_power_coeffs
-        self.name = name
-        self.V = V
-        self.g = g
         self._npc = lambda vec: nilpotent_power_coeffs(g, vec)
         if log_bound is None:
             log_bound = max((len(self._npc(Vec.basis(k))) - 1
                              for k in V.basis(3)), default=0)
-        self.log_bound = log_bound
+        super().__init__(name, V, g, log_bound)
 
     def basis(self, max_deg, order="weight-lex"):
         return self.V.basis(max_deg, order)
@@ -420,21 +411,15 @@ def _y0_of_dressed_terms(W, u, w, box, side):
     else:
         # x^{-N} (Y)_0(u, x) x^{N} on the module side
         for e in exps:
-            for k2, wpart in enumerate(_module_n_powers(W, w)):
+            for k2, wpart in enumerate(W.module_nilpotent_coeffs(w)):
                 vec = W.y0_mode_vec(u, -e - 1, wpart)
                 if not vec:
                     continue
-                for k1, res in enumerate(_module_n_powers(W, vec)):
+                for k1, res in enumerate(W.module_nilpotent_coeffs(vec)):
                     sgn = Fraction((-1) ** k1)
                     m = mono((e,), (k1 + k2,))
                     out[m] = out.get(m, Vec.zero()) + res.scale(sgn)
     return out
-
-
-def _module_n_powers(W, wvec: Vec):
-    """[N^k w / k!] on the module; trivial unless the module carries logs."""
-    return W.module_nilpotent_coeffs(wvec) if hasattr(W, "module_nilpotent_coeffs") \
-        else [wvec]
 
 
 def prefactored_product(W, vs, order, w, wprime):

@@ -11,11 +11,12 @@ module data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial, floor
 
 from .chains import ChainSeries, OpSlot
 from .results import CheckResult, compare
-from .scalars import Scalar, Vec, acc_vec, binomial, vec_of
+from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
                      Sum, TermSeries, c_mul, coset_range, delta_iter,
                      delta_prod, delta_prod_rev, derivative, exponent,
@@ -54,12 +55,7 @@ class TwistOpSlot:
         return out or frozenset((F0,))
 
     def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
-        acc = {}
-        for key, c in vec.items():
-            hit = self._apply_key(e, k, key)
-            if hit:
-                acc_vec(acc, hit, c)
-        return vec_of(acc)
+        return linear(partial(self._apply_key, e, k), vec)
 
     def _apply_key(self, e, k, vkey) -> Vec:
         W = self.module

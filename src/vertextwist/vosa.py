@@ -19,7 +19,7 @@ from .errors import DegenerateForm
 from .linalg import mat_identity, solve
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
-from .scalars import Vec, exact
+from .scalars import Vec, acc_vec, exact, linear, vec_of
 from .series import BinomialKernel, Box, Product, scaled
 
 F0 = Fraction(0)
@@ -87,18 +87,11 @@ class FreeFieldAlgebra(Space):
         raise NotImplementedError
 
     def basis(self, max_weight, order="weight-lex"):
-        key = (Fraction(max_weight), order)
-        hit = self._basis_cache.get(key)
+        max_weight = Fraction(max_weight)
+        hit = self._basis_cache.get((max_weight, order))
         if hit is None:
-            keys = list(self._enumerate(Fraction(max_weight)))
-            if order == "weight-lex":
-                keys.sort(key=lambda k: (self.weight(k), k))
-            elif order == "weight-revlex":
-                keys.sort(key=lambda k: (self.weight(k), tuple(reversed(k))))
-            else:
-                raise ValueError("unknown basis order %r" % order)
-            hit = keys
-            self._basis_cache[key] = hit
+            hit = self._basis_cache[max_weight, order] = self.ordered_basis(
+                self._enumerate(max_weight), max_weight, order)
         return hit
 
     def _enumerate(self, max_weight):
@@ -130,28 +123,27 @@ class FreeFieldAlgebra(Space):
     # -- distinguished operators -----------------------------------------------
 
     def L_minus1(self, vec: Vec) -> Vec:
-        out = Vec.zero()
-        for key, c in vec.items():
-            for i in range(len(key)):
-                f = key[i]
-                n = self.factor_weight(f)
-                h = self.gen_weight(self.gen_index(f))
-                rest = key[:i] + key[i + 1:]
-                sgn = (-1) ** i if self.gens[self.gen_index(f)].parity else 1
-                created = self.gen_apply(self.gen_index(f),
-                                         self.spec_mode(self._bump(f)), rest)
-                if created:
-                    out = out + created.scale(c * ((n - h + 1) * sgn))
-        return out
+        return linear(self._L_minus1_key, vec)
+
+    def _L_minus1_key(self, key) -> Vec:
+        """L(-1) on one PBW key, as a derivation: a factor of weight n of a
+        generator of weight h goes to n - h + 1 times the factor one weight
+        up."""
+        acc = {}
+        for i, f in enumerate(key):
+            n = self.factor_weight(f)
+            gi = self.gen_index(f)
+            sgn = (-1) ** i if self.gens[gi].parity else 1
+            acc_vec(acc, self.gen_apply(gi, self.spec_mode(self._bump(f)),
+                                        key[:i] + key[i + 1:]),
+                    (n - self.gen_weight(gi) + 1) * sgn)
+        return vec_of(acc)
 
     def _bump(self, factor):
         raise NotImplementedError
 
     def L0(self, vec: Vec) -> Vec:
-        out = Vec.zero()
-        for key, c in vec.items():
-            out = out + Vec.basis(key).scale(c * self.weight(key))
-        return out
+        return linear(lambda key: Vec.basis(key).scale(self.weight(key)), vec)
 
     @property
     def omega(self) -> Vec:

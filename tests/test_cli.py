@@ -141,3 +141,19 @@ def test_crashed_check_is_error_exit_2(monkeypatch, tmp_path, capsys):
         "first_mismatch": {"error": "RuntimeError('boom')"},
         "timing_ms": doc["records"][0]["timing_ms"]}]
     assert doc["summary"] == {"total": 1, "passed": 0, "failed": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "fermion", "--suite", "axioms", "--max-weight", "1/0"],
+    ["decompose", "heis3", "unipotent", "--max-weight", "1/0"],
+    ["dump-basis", "ramond", "--max-weight", "1/0"],
+    ["expand", "fermion", "Y(psi(1/0) 1, x) psi"]])
+def test_zero_denominator_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truncated_expression_exit_2(capsys):
+    assert main(["expand", "ramond", "Y(psi,x)"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unexpected end of expression\n"

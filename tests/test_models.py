@@ -73,3 +73,17 @@ def test_basis_orders_differ_but_cover(registry):
     b = V.basis(2, "weight-revlex")
     assert set(a) == set(b)
     assert [V.weight(k) for k in a] == sorted(V.weight(k) for k in a)
+
+
+def test_basis_below_zero_is_empty(registry):
+    from vertextwist.models import build_unipotent_toy
+    heis3 = registry.algebra("heis3")
+    spaces = [b.algebra for b in registry.bundles()] \
+        + [registry.twisted(t) for t in ("ramond", "z2boson")] \
+        + [build_unipotent_toy(heis3.algebra, heis3.automorphisms["unipotent"])]
+    for space in spaces:
+        for order in ("weight-lex", "weight-revlex"):
+            for cut in (-1, F(-1, 2), F(-1, 16)):
+                assert space.basis(cut, order) == [], (space, order, cut)
+            assert space.basis(0, order), (space, order)
+            assert {space.deg(k) for k in space.basis(0, order)} == {0}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vertextwist.models import Registry
-from vertextwist.scalars import Scalar, Vec
+from vertextwist.scalars import Scalar, Vec, linear
 from vertextwist.series import (Box, Product, Sum, TermSeries, exponent,
                                 lattice, mono, mono_add, mono_sort_key,
                                 series_mismatch)
@@ -203,3 +203,24 @@ def test_vec_equality_does_not_depend_on_form(comps, q):
     assert boxed == plain and hash(boxed) == hash(plain)
     assert not boxed - plain
     assert all(is_canonical(c) for _, c in boxed.items())
+
+
+vectors = st.dictionaries(st.integers(0, 5), ring_values, max_size=4).map(
+    lambda comps: Vec({k: c for k, c in comps.items() if c}))
+
+
+@given(vectors, st.dictionaries(st.integers(0, 5), vectors, min_size=6))
+@settings(max_examples=100, deadline=None)
+def test_linear_is_the_sum_of_scaled_images(v, table):
+    want = sum((table[k].scale(c) for k, c in v.items()), Vec.zero())
+    assert linear(table.__getitem__, v) == want
+    # with a memo, fn runs once per distinct key over repeated calls
+    calls, memo = [], {}
+
+    def fn(k):
+        calls.append(k)
+        return table[k]
+    for w in (v, v, v + Vec.basis(0), -v):
+        assert linear(fn, w, memo) == linear(table.__getitem__, w)
+    assert sorted(calls) == sorted(set(v.comps) | {0})
+    assert memo == {k: table[k] for k in calls}

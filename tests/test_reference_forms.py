@@ -38,8 +38,8 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import (CyclotomicLevelError, Scalar, Vec, acc_vec,
-                                 binomial, cyclotomic_level, scalar_json,
-                                 terms_of, vec_of)
+                                 binomial, cyclotomic_level, linear,
+                                 scalar_json, terms_of, vec_of)
 from vertextwist.twistop import TwistOpSlot
 from vertextwist.vosa import check_axioms
 
@@ -68,8 +68,8 @@ class LoopModeOracle(ModeOracle):
                 j = q + t - m
                 c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
                 if c:
-                    acc_vec(acc, self._gen_on_vec(gidx, m, inner),
-                            c)
+                    acc_vec(acc, linear(
+                        lambda k: self.gen_action(gidx, m, k), inner), c)
             m -= 1
         m = q
         m_hi = self.deg(wkey) + alg.gen_weight(gidx) - 1
@@ -86,7 +86,7 @@ class LoopModeOracle(ModeOracle):
         r = t + 1
         r_hi = alg.weight(rest) + alg.gen_weight(gidx) - 1
         while r <= r_hi:
-            comp = self.gen_action_algebra(gidx, r, rest)
+            comp = alg.gen_apply(gidx, r, rest)
             if comp:
                 c = binomial(q, r - t)
                 if c:

@@ -8,7 +8,8 @@ window and a first mismatching monomial in `format_monomial` form, with
 both coefficients there.  A checker that no fault kills could pass
 vacuously: this is mutation analysis aimed at the checkers.  The last test
 parses `src/` and finds no verdict decided outside `compare` (or the error
-record of a crashed check) and no hand-written monomial format.
+record of a crashed check) and no hand-written monomial format; the one
+after it finds no module-level import that its module leaves unused.
 """
 
 import ast
@@ -214,3 +215,25 @@ def test_compare_is_the_only_verdict_in_src():
             and re.search(r"x\^%", node.value)]
     assert {(name, func) for name, func, _ in sites} == VERDICT_SITES, sites
     assert not monomial_formats, monomial_formats
+
+
+def _unused_imports(tree):
+    """Names bound by the module-level imports of a module and never read
+    in it; `from __future__` imports bind no name."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_src_imports_are_used():
+    unused = {path.name: found for path in sorted(SRC.glob("*.py"))
+              if (found := _unused_imports(ast.parse(path.read_text())))}
+    assert not unused, unused
