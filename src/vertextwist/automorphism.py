@@ -21,7 +21,7 @@ from functools import partial
 from .errors import NonCyclotomicSpectrum, NotIsometry, NotNilpotent
 from .linalg import kernel_basis, mat_eq, mat_identity, mat_mul, solve
 from .results import CheckResult, Modes, first_failure
-from .scalars import Scalar, Vec, cyclotomic_level, exact, linear
+from .scalars import Scalar, Vec, cyclotomic_level, exact, lattice, linear
 from .vosa import FreeFieldAlgebra
 
 F0 = Fraction(0)
@@ -66,7 +66,7 @@ class Automorphism:
 
     def _create(self, gidx, magnitude, vec: Vec) -> Vec:
         spec = -magnitude + self.V.gen_weight(gidx) - 1
-        return linear(partial(self.V.gen_apply, gidx, spec), vec)
+        return linear(partial(self.V.gen_apply, gidx, lattice(spec)), vec)
 
     def _create_from(self, gens: Vec, magnitude, vec: Vec) -> Vec:
         """_create extended linearly in the generator, gens being a vector

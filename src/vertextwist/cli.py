@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .harness import SUITES, SuiteConfig, run_suite
 from .models import Registry
-from .scalars import Vec, linear
+from .scalars import CyclotomicLevelError, Vec, lattice, linear
 from .series import Box, format_series, series_to_json
 from .automorphism import jordan_decompose
 from .twistop import twist_chain
@@ -37,7 +37,15 @@ class _Parser:
     """
 
     def __init__(self, text):
-        self.tokens = [t for t in _TOKEN.findall(text) if t.strip()]
+        self.tokens = []
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise ExprError("unexpected character %r"
+                                % text[pos:].lstrip()[0])
+            self.tokens.append(m.group(1))
+            pos = m.end()
         self.pos = 0
 
     def peek(self):
@@ -63,6 +71,8 @@ class _Parser:
             self.take(")")
             ops.append((kind, arg, var))
         atom = self.parse_atom()
+        if self.peek() is not None:
+            raise ExprError("unexpected %r after the expression" % self.peek())
         return ops, atom
 
     def parse_atom(self):
@@ -104,9 +114,12 @@ def _eval_vector(node, V, W):
             gi = next(i for i, g in enumerate(V.gens) if g.name == name)
         except StopIteration:
             raise ExprError("unknown generator %r" % name) from None
-        spec = p + V.gens[gi].weight - 1
+        try:
+            N = lattice(p + V.gens[gi].weight - 1)
+        except CyclotomicLevelError:
+            return space, Vec.zero()      # no mode lives off the lattice
         action = V.gen_apply if space == "V" else W.gen_seed
-        return space, linear(lambda key: action(gi, spec, key), vec)
+        return space, linear(lambda key: action(gi, N, key), vec)
     raise ExprError("bad node %r" % (node,))
 
 
@@ -202,6 +215,8 @@ def _cmd_run(args, registry) -> int:
 
 def _cmd_expand(args, registry) -> int:
     try:
+        if args.window <= 0:
+            raise ExprError("window must be positive")
         out = _expand(registry, args.model, args.expression, args.window,
                       args.json)
     except (ExprError, KeyError) as exc:

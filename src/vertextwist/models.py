@@ -21,12 +21,9 @@ from fractions import Fraction
 from .automorphism import Automorphism, orthogonal_automorphism, \
     parity_automorphism
 from .scalars import HALF_SQRT2, CyclotomicLevelError, Vec, cyclotomic_level
+from .series import D
 from .twisted import TwistedModule, UnipotentViewModule
 from .vosa import FermionAlgebra, HeisenbergAlgebra
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-FH = Fraction(1, 2)
 
 
 def build_free_fermion(fault=None) -> FermionAlgebra:
@@ -61,11 +58,11 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
     if fault == "zero-mode-scale":
         zscale = HALF_SQRT2 * 2
 
-    def gen_action(gidx, n, key) -> Vec:
-        p = Fraction(n) + FH
-        if p.denominator != 1:
+    def gen_action(gidx, N, key) -> Vec:
+        # N is the lattice int of the mode index n; p = n + 1/2
+        p, off = divmod(N + D // 2, D)
+        if off:
             return Vec.zero()
-        p = int(p)
         sector, occ = key
         sgn = -1 if fault == "twisted-seed-sign" and p > 0 else 1
         if p > 0:
@@ -123,12 +120,10 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
     if len(boson.gens) != 1:
         raise ValueError("half-integer moding is built for rank 1")
 
-    def gen_action(gidx, n, key) -> Vec:
-        o = 2 * Fraction(n)
-        if o.denominator != 1:
-            return Vec.zero()
-        o = int(o)
-        if o % 2 == 0:
+    def gen_action(gidx, N, key) -> Vec:
+        # N is the lattice int of the mode index n; o = 2n must be odd
+        o, off = divmod(2 * N, D)
+        if off or o % 2 == 0:
             return Vec.zero()
         if o < 0:
             c = -o

@@ -19,15 +19,21 @@ When u' is the vacuum its only nonzero mode is (Y)_(-1)(1) = 1, so each of
 the first two sums collapses to its one term m = n+t+1, kept when m lies in
 that sum's range; the corrections from a_(r)u' stay (a_(r)1 is nonzero for
 r <= -2).
+
+Mode indices are lattice ints: N stands for n = N/D on (1/D)Z, D the
+cyclotomic level, the same lattice the series exponents live on.  Index
+arithmetic, range tests, memo keys and seed calls are int operations; the
+seeds `gen_action` and `gen_apply` take the lattice int too.  Callers
+holding a rational n convert it once with `scalars.lattice`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from .errors import ExtensionInconsistent
-from .scalars import Vec, acc_vec, binomial, linear, vec_of
+from .scalars import Vec, acc_vec, binomial, exponent, lattice, linear, vec_of
+from .series import D           # mode index N stands for N/D
 
 
 class ModeOracle:
@@ -35,7 +41,7 @@ class ModeOracle:
 
     def __init__(self, algebra, gen_action, deg, alpha, shift=0):
         self.algebra = algebra
-        self.gen_action = gen_action          # (gen_idx, n, module_key) -> Vec
+        self.gen_action = gen_action          # (gen_idx, N, module_key) -> Vec
         self.deg = deg                        # module_key -> Fraction >= 0
         self.alpha = alpha                    # gen_idx -> Fraction in [0,1)
         self.shift = shift
@@ -44,103 +50,107 @@ class ModeOracle:
 
     # -- coset bookkeeping ---------------------------------------------------
 
-    def coset(self, ukey):
+    def coset(self, ukey) -> int:
+        """The residue mod D of the mode indices u can carry."""
         a = self._alpha_memo.get(ukey)
         if a is None:
-            a = sum(self.alpha(self.algebra.gen_index(f)) for f in ukey) % 1
+            a = sum(lattice(self.alpha(self.algebra.gen_index(f)))
+                    for f in ukey) % D
             self._alpha_memo[ukey] = a
         return a
 
-    def max_index(self, ukey, wkey) -> Fraction:
-        """Largest n with (Y)_n(u) w possibly nonzero, from lower-boundedness."""
-        return self.deg(wkey) + self.algebra.weight(ukey) - 1
+    def max_index(self, ukey, wkey) -> int:
+        """Largest N with (Y)_N(u) w possibly nonzero, from lower-boundedness."""
+        return lattice(self.deg(wkey)) + lattice(self.algebra.weight(ukey)) - D
 
     # -- mode action -----------------------------------------------------------
 
-    def apply(self, ukey, n: Fraction, wkey) -> Vec:
-        key = (ukey, n, wkey)
+    def apply(self, ukey, N: int, wkey) -> Vec:
+        key = (ukey, N, wkey)
         hit = self._memo.get(key)
         if hit is None:
+            if not isinstance(N, int):
+                raise TypeError("mode index %r is not a lattice int" % (N,))
             # a memo key has passed both checks; a mode they rule out is
             # zero and is not stored
-            if (n - self.coset(ukey)).denominator != 1 \
-                    or n > self.max_index(ukey, wkey):
+            if (N - self.coset(ukey)) % D or N > self.max_index(ukey, wkey):
                 return Vec.zero()
-            hit = self._compute(ukey, n, wkey)
+            hit = self._compute(ukey, N, wkey)
             self._memo[key] = hit
         return hit
 
-    def apply_vec(self, uvec: Vec, n: Fraction, wvec: Vec) -> Vec:
+    def apply_vec(self, uvec: Vec, N: int, wvec: Vec) -> Vec:
         acc = {}
         for ukey, cu in uvec.items():
             for wkey, cw in wvec.items():
-                r = self.apply(ukey, n, wkey)
+                r = self.apply(ukey, N, wkey)
                 if r:
                     acc_vec(acc, r, cu * cw)
         return vec_of(acc)
 
-    def _compute(self, ukey, n, wkey) -> Vec:
+    def _compute(self, ukey, N, wkey) -> Vec:
         if not ukey:
-            return Vec.basis(wkey) if n == -1 else Vec.zero()
+            return Vec.basis(wkey) if N == -D else Vec.zero()
         alg = self.algebra
         head, rest = ukey[0], ukey[1:]
         gidx = alg.gen_index(head)
         t = alg.spec_mode(head)
-        al = self.alpha(gidx)
-        q = al + self.shift
+        T = t * D
+        q = self.alpha(gidx) + self.shift     # the coset offset, rational
+        Q = lattice(q)
 
         acc = {}
-        m_hi = self.deg(wkey) + alg.gen_weight(gidx) - 1
+        m_hi = lattice(self.deg(wkey)) + lattice(alg.gen_weight(gidx)) - D
         if not rest:
             # u' is the vacuum, whose only nonzero mode is (Y)_(-1)(1) = 1:
             # each sum keeps its one term m = n+t+1, under its own range
-            m = n + t + 1
+            m = N + T + D
             c = 0
-            if m <= q + t:
-                c += binomial(t, q + t - m)
-            if q <= m <= m_hi:
-                c -= binomial(t, m - q)
+            if m <= Q + T:
+                c += binomial(t, (Q + T - m) // D)
+            if Q <= m <= m_hi:
+                c -= binomial(t, (m - Q) // D)
             if c:
-                c *= 1 if int(q + t - m) % 2 == 0 else -1
+                c *= -1 if (Q + T - m) // D % 2 else 1
                 acc_vec(acc, self.gen_action(gidx, m, wkey), c)
         else:
             sgn = -1 if (alg.gen_parity(gidx) and alg.parity(rest)) else 1
             # products: (Y)_m(a) acting after (Y)_(n+t-m)(u')
-            m_lo = n + t - (self.deg(wkey) + alg.weight(rest) - 1)
-            m = q + t
+            m_lo = N + T - self.max_index(rest, wkey)
+            m = Q + T
             while m >= m_lo:
-                inner = self.apply(rest, n + t - m, wkey)
+                inner = self.apply(rest, N + T - m, wkey)
                 if inner:
-                    j = q + t - m
-                    c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
+                    j = (Q + T - m) // D
+                    c = binomial(t, j) * (-1 if j % 2 else 1)
                     if c:
                         acc_vec(acc, linear(
                             partial(self.gen_action, gidx, m), inner), c)
-                m -= 1
+                m -= D
             # reversed products: (Y)_m(a) acting first
-            m = q
+            m = Q
             while m <= m_hi:
                 gw = self.gen_action(gidx, m, wkey)
                 if gw:
-                    c = binomial(t, m - q) \
-                        * (1 if int(t + q - m) % 2 == 0 else -1) * sgn
+                    j = (m - Q) // D
+                    c = binomial(t, j) * (-1 if (t - j) % 2 else 1) * sgn
                     if c:
-                        part = self.apply_vec(Vec.basis(rest), n + t - m, gw)
+                        part = self.apply_vec(Vec.basis(rest), N + T - m, gw)
                         if part:
                             acc_vec(acc, part, -c)
-                m += 1
+                m += D
         # corrections from lower-weight composites a_(r)u'
-        r = t + 1
-        r_hi = alg.weight(rest) + alg.gen_weight(gidx) - 1
+        r = T + D
+        r_hi = lattice(alg.weight(rest)) + lattice(alg.gen_weight(gidx)) - D
         while r <= r_hi:
             comp = alg.gen_apply(gidx, r, rest)
             if comp:
-                c = binomial(q, r - t)
+                c = binomial(q, (r - T) // D)
                 if c:
-                    part = self.apply_vec(comp, n + t - r, Vec.basis(wkey))
+                    part = self.apply_vec(comp, N + T - r, Vec.basis(wkey))
                     if part:
                         acc_vec(acc, part, -c)
-            r += 1
+            r += D
         return vec_of(acc)
 
     # -- construction-time consistency ----------------------------------------
@@ -153,12 +163,8 @@ class ModeOracle:
         for ukey in basis_keys:
             for wkey in module_keys:
                 top = self.max_index(ukey, wkey)
-                n = top
-                while n >= top - 3:
-                    a = self.apply(ukey, n, wkey)
-                    b = other.apply(ukey, n, wkey)
-                    if a != b:
+                for N in range(top, top - 4 * D, -D):
+                    if self.apply(ukey, N, wkey) != other.apply(ukey, N, wkey):
                         raise ExtensionInconsistent(
                             "mode (%r)_%s on %r differs between residue shifts"
-                            % (ukey, n, wkey))
-                    n -= 1
+                            % (ukey, exponent(N), wkey))

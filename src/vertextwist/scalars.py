@@ -39,6 +39,21 @@ def cyclotomic_level() -> int:
     return _LEVEL
 
 
+def lattice(q) -> int:
+    """The lattice int p of the rational q = p/M, M the cyclotomic level;
+    CyclotomicLevelError when q is off the lattice (1/M)Z."""
+    den = q.denominator
+    if _LEVEL % den:
+        raise CyclotomicLevelError(
+            "exponent %s not on the (1/%d)Z lattice" % (q, _LEVEL))
+    return q.numerator * (_LEVEL // den)
+
+
+def exponent(p: int) -> Fraction:
+    """The rational of the lattice int p."""
+    return Fraction(p, _LEVEL)
+
+
 def exact(c):
     """c checked as a ring element and canonical: an integral Fraction
     becomes its int; TypeError for anything but an int, Fraction or Scalar,

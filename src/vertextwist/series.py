@@ -25,24 +25,10 @@ from math import ceil, floor
 from operator import add
 
 from .errors import InfiniteConvolution, NonMeromorphicVariable
-from .scalars import (CyclotomicLevelError, Scalar, Vec, binomial,
-                      cyclotomic_level, exact, scalar_json)
+from .scalars import (Scalar, Vec, binomial, cyclotomic_level, exact,
+                      exponent, lattice, scalar_json)
 
 D = cyclotomic_level()          # lattice scale: exponent p stands for p/D
-
-
-def lattice(q) -> int:
-    """The lattice int of the rational exponent q."""
-    p = Fraction(q) * D
-    if p.denominator != 1:
-        raise CyclotomicLevelError(
-            "exponent %s not on the (1/%d)Z lattice" % (q, D))
-    return p.numerator
-
-
-def exponent(p: int) -> Fraction:
-    """The rational exponent of the lattice int p."""
-    return Fraction(p, D)
 
 
 def c_mul(a, b):

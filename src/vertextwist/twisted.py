@@ -161,7 +161,7 @@ class TwistedModule(ModuleBase):
     def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
         if k:
             return Vec.zero()
-        return self.oracle.apply_vec(uvec, n, wvec)
+        return self.oracle.apply_vec(uvec, lattice(n), wvec)
 
 
 class UnipotentViewModule(ModuleBase):

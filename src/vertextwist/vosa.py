@@ -20,7 +20,7 @@ from .linalg import mat_identity, solve
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
 from .scalars import Vec, acc_vec, exact, linear, vec_of
-from .series import BinomialKernel, Box, Product, scaled
+from .series import D, BinomialKernel, Box, Product, lattice, scaled
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -99,16 +99,17 @@ class FreeFieldAlgebra(Space):
 
     # -- vertex operator modes -------------------------------------------------
 
-    def gen_apply(self, i, n, key) -> Vec:
+    def gen_apply(self, i, N, key) -> Vec:
+        """Generator i's mode at the lattice int N on one PBW key."""
         raise NotImplementedError
 
     def mode_apply(self, ukey, n, wkey) -> Vec:
-        return self.oracle.apply(ukey, n, wkey)
+        return self.oracle.apply(ukey, lattice(n), wkey)
 
     def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
         if k:
             return Vec.zero()
-        return self.oracle.apply_vec(uvec, n, wvec)
+        return self.oracle.apply_vec(uvec, lattice(n), wvec)
 
     # module-protocol views of vectors in the first tensor slot
     algebra_weight = Space.vec_deg
@@ -134,16 +135,14 @@ class FreeFieldAlgebra(Space):
             n = self.factor_weight(f)
             gi = self.gen_index(f)
             sgn = (-1) ** i if self.gens[gi].parity else 1
-            acc_vec(acc, self.gen_apply(gi, self.spec_mode(self._bump(f)),
+            acc_vec(acc, self.gen_apply(gi,
+                                        lattice(self.spec_mode(self._bump(f))),
                                         key[:i] + key[i + 1:]),
                     (n - self.gen_weight(gi) + 1) * sgn)
         return vec_of(acc)
 
     def _bump(self, factor):
         raise NotImplementedError
-
-    def L0(self, vec: Vec) -> Vec:
-        return linear(lambda key: Vec.basis(key).scale(self.weight(key)), vec)
 
     @property
     def omega(self) -> Vec:
@@ -191,13 +190,11 @@ class FermionAlgebra(FreeFieldAlgebra):
                 o -= 2
         yield from rec(top, top)
 
-    def gen_apply(self, i, n, key) -> Vec:
-        # physical mode p = n + 1/2 acting on psi_{-k1}...psi_{-kr} vac
-        o = 2 * Fraction(n) + 1       # doubled physical index, must be odd
-        if o.denominator != 1:
-            return Vec.zero()
-        o = int(o)
-        if o % 2 == 0:
+    def gen_apply(self, i, N, key) -> Vec:
+        # physical mode p = n + 1/2, n = N/D, acting on psi_{-k1}...psi_{-kr}
+        # vac; o = 2p is the doubled physical index, which must be odd
+        o, off = divmod(2 * N + D, D)
+        if off or o % 2 == 0:
             return Vec.zero()
         if o > 0:
             if o not in key:
@@ -275,12 +272,10 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
         v = self.gram[i][j]
         return -v if self.fault == "bracket-sign" else v
 
-    def gen_apply(self, i, n, key) -> Vec:
-        p = Fraction(n)
-        if p.denominator != 1:
-            return Vec.zero()
-        p = int(p)
-        if p == 0:
+    def gen_apply(self, i, N, key) -> Vec:
+        # N is the lattice int of the mode index p
+        p, off = divmod(N, D)
+        if off or p == 0:
             return Vec.zero()
         if p < 0:
             f = (-p, i)

@@ -17,7 +17,7 @@ from pathlib import Path
 from vertextwist.automorphism import parity_automorphism
 from vertextwist.models import build_free_fermion, build_ramond_module
 from vertextwist.modes import ModeOracle
-from vertextwist.series import Box, Product, TermSeries, mono
+from vertextwist.series import Box, Product, TermSeries, lattice, mono
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -66,7 +66,7 @@ def test_tracer_counts_mode_oracle_calls_and_memo_hits(monkeypatch):
         try:
             tracer.install()
             for u, n, w in sweep:
-                oracle.apply(u, n, w)
+                oracle.apply(u, lattice(n), w)
         finally:
             assert tracer.uninstall() is True
         counts.append(tracer.counts)

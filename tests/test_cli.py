@@ -157,3 +157,26 @@ def test_truncated_expression_exit_2(capsys):
     assert main(["expand", "ramond", "Y(psi,x)"]) == 2
     assert capsys.readouterr().err == \
         "error: unexpected end of expression\n"
+
+
+@pytest.mark.parametrize("expression", ["Y(psi,x) psi!!",
+                                        "Y(psi,x) psi extra"])
+def test_unparsed_input_exit_2(expression, capsys):
+    # a character no token matches, or a token after the expression, is a
+    # parse error rather than a dropped suffix
+    assert main(["expand", "fermion", expression]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unexpected"), err
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_expand_window_not_positive_exit_2(window, capsys):
+    assert main(["expand", "fermion", "Y(psi,x) psi", "--window", window]) \
+        == 2
+    assert capsys.readouterr().err == "error: window must be positive\n"
+
+
+def test_expand_mode_off_the_lattice_is_zero(capsys):
+    # psi(1/3) has no mode on the (1/16)Z lattice, so it acts as zero
+    assert main(["expand", "fermion", "Y(psi(1/3) 1,x) psi"]) == 0
+    assert capsys.readouterr().out == "0\n"

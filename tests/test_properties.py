@@ -39,9 +39,8 @@ def test_mode_weight_and_parity_conservation(u, v, n):
 @settings(max_examples=60, deadline=None)
 def test_twisted_mode_coset_support(u, w, twice_n):
     n = F(twice_n, 2)
-    out = RAMOND.oracle.apply(u, n, w)
-    al = RAMOND.oracle.coset(u)
-    if (n - al).denominator != 1:
+    out = RAMOND.oracle.apply(u, lattice(n), w)
+    if (n - exponent(RAMOND.oracle.coset(u))).denominator != 1:
         assert not out
     for key in out.comps:
         assert RAMOND.deg(key) == RAMOND.deg(w) + FERMION.weight(u) - n - 1

@@ -1,7 +1,8 @@
 """Engine shortcuts against the plain forms they replace.
 
-`LoopModeOracle._compute` walks both coset sums of the mode recursion in
-full, also when the tail u' is the vacuum; `loop_apply_key` applies L(-1)
+`LoopModeOracle` indexes modes by rational n, not lattice ints, and its
+`_compute` walks both coset sums of the mode recursion in full, also when
+the tail u' is the vacuum; `loop_apply_key` applies L(-1)
 j times to every base vector separately.  The `loop_*` verdicts judge an
 identity basis pair by basis pair and mode by mode with their own loop, as
 the checkers did before they stated two sides for `results.compare`.
@@ -12,7 +13,8 @@ generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
 g), certified by S e^K = g.  `FractionScalar` is the scalar ring with one
 int or Fraction coefficient per term.  `loop_binomial` forms C(a, k) as a
 falling product over Fractions.  All are kept here only as references for
-the engine's shortcuts (the vacuum collapse, Horner's rule, the Jordan parts
+the engine's shortcuts (lattice-int mode indices, the vacuum collapse,
+Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
 path, integer numerators over one denominator, and int binomials), which
 must give equal results.
@@ -38,7 +40,7 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import (CyclotomicLevelError, Scalar, Vec, acc_vec,
-                                 binomial, cyclotomic_level, linear,
+                                 binomial, cyclotomic_level, lattice, linear,
                                  scalar_json, terms_of, vec_of)
 from vertextwist.twistop import TwistOpSlot
 from vertextwist.vosa import check_axioms
@@ -46,8 +48,36 @@ from vertextwist.vosa import check_axioms
 from test_verdicts import non_skew
 
 
-class LoopModeOracle(ModeOracle):
-    """The mode recursion with every sum walked over its whole range."""
+class LoopModeOracle:
+    """The mode recursion indexed by rational n, with every sum walked over
+    its whole range; the seeds are called at the lattice int of n."""
+
+    def __init__(self, algebra, gen_action, deg, alpha, shift=0):
+        self.algebra = algebra
+        self.gen_action = gen_action
+        self.deg = deg
+        self.alpha = alpha
+        self.shift = shift
+        self._memo = {}
+
+    def max_index(self, ukey, wkey) -> Fraction:
+        return self.deg(wkey) + self.algebra.weight(ukey) - 1
+
+    def apply(self, ukey, n, wkey) -> Vec:
+        key = (ukey, n, wkey)
+        if key not in self._memo:
+            al = sum(self.alpha(self.algebra.gen_index(f)) for f in ukey)
+            if (n - al).denominator != 1 or n > self.max_index(ukey, wkey):
+                return Vec.zero()
+            self._memo[key] = self._compute(ukey, n, wkey)
+        return self._memo[key]
+
+    def apply_vec(self, uvec: Vec, n, wvec: Vec) -> Vec:
+        acc = {}
+        for ukey, cu in uvec.items():
+            for wkey, cw in wvec.items():
+                acc_vec(acc, self.apply(ukey, n, wkey), cu * cw)
+        return vec_of(acc)
 
     def _compute(self, ukey, n, wkey) -> Vec:
         if not ukey:
@@ -69,12 +99,13 @@ class LoopModeOracle(ModeOracle):
                 c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
                 if c:
                     acc_vec(acc, linear(
-                        lambda k: self.gen_action(gidx, m, k), inner), c)
+                        lambda k: self.gen_action(gidx, lattice(m), k),
+                        inner), c)
             m -= 1
         m = q
         m_hi = self.deg(wkey) + alg.gen_weight(gidx) - 1
         while m <= m_hi:
-            gw = self.gen_action(gidx, m, wkey)
+            gw = self.gen_action(gidx, lattice(m), wkey)
             if gw:
                 c = binomial(t, m - q) \
                     * (1 if int(t + q - m) % 2 == 0 else -1) * sgn
@@ -86,7 +117,7 @@ class LoopModeOracle(ModeOracle):
         r = t + 1
         r_hi = alg.weight(rest) + alg.gen_weight(gidx) - 1
         while r <= r_hi:
-            comp = alg.gen_apply(gidx, r, rest)
+            comp = alg.gen_apply(gidx, lattice(r), rest)
             if comp:
                 c = binomial(q, r - t)
                 if c:
@@ -253,13 +284,41 @@ def test_mode_recursion_matches_loop_form(algebras, modules, shift):
         ref = LoopModeOracle(o.algebra, o.gen_action, o.deg, o.alpha, shift)
         for ukey in ukeys:
             for wkey in wkeys:
-                top = new.max_index(ukey, wkey)
+                top = ref.max_index(ukey, wkey)
                 for n in (top - i for i in range(5)):
-                    got = new.apply(ukey, n, wkey)
+                    got = new.apply(ukey, lattice(n), wkey)
                     assert got == ref.apply(ukey, n, wkey), \
                         (name, ukey, n, wkey)
                     compared += bool(got)
     assert compared
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs(algebras, modules):
+    """Per oracle and shift: the lattice-int oracle, the rational loop
+    reference and the keys to draw from."""
+    out = []
+    for name, o, ukeys, wkeys in _oracle_cases(
+            {k: algebras[k] for k in ("fermion", "heis3")}, modules):
+        for shift in (0, 1):
+            out.append((
+                (name, shift),
+                ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha, shift),
+                LoopModeOracle(o.algebra, o.gen_action, o.deg, o.alpha,
+                               shift), ukeys, wkeys))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_modes_match_loop_form(oracle_pairs, data):
+    # n on the quarter lattice from -4 to 4: on and off every coset, and
+    # above the top index of most pairs
+    case, new, ref, ukeys, wkeys = data.draw(st.sampled_from(oracle_pairs))
+    u = data.draw(st.sampled_from(ukeys))
+    w = data.draw(st.sampled_from(wkeys))
+    n = Fraction(data.draw(st.integers(-16, 16)), 4)
+    assert new.apply(u, lattice(n), w) == ref.apply(u, n, w), (case, u, n, w)
 
 
 @pytest.mark.parametrize("name", ["z2boson", "ramond",

@@ -11,7 +11,7 @@ from vertextwist.models import (build_free_fermion, build_heisenberg,
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
 from vertextwist.scalars import HALF_SQRT2, Vec
-from vertextwist.series import Box, TermSeries, mono
+from vertextwist.series import Box, TermSeries, lattice, mono
 from vertextwist.twisted import (check_commutator_formula, check_equivariance,
                                  check_g_compatibility,
                                  check_L_minus1_derivative_W,
@@ -104,11 +104,12 @@ def test_normal_ordered_oracle_ramond(fermion, ramond):
         got = ramond.L0(w)
         total = Vec.zero()
         for k in range(1, 8):
-            ann = ramond.gen_seed(0, k - FH, key)   # spec index of psi_k
+            # psi_k at the lattice int of its spec index k - 1/2
+            ann = ramond.gen_seed(0, lattice(k - FH), key)
             if ann:
                 for kk, c in ann.items():
-                    total = total + ramond.gen_seed(0, -k - FH, kk).scale(
-                        c * k)
+                    total = total + ramond.gen_seed(
+                        0, lattice(-k - FH), kk).scale(c * k)
         assert got == total + w.scale(h), key
 
 
@@ -121,10 +122,10 @@ def test_normal_ordered_oracle_z2(boson, z2):
         total = Vec.zero()
         k = FH
         while k <= 4:
-            ann = z2.gen_seed(0, k, key)
+            ann = z2.gen_seed(0, lattice(k), key)
             if ann:
                 for kk, c in ann.items():
-                    total = total + z2.gen_seed(0, -k, kk).scale(c)
+                    total = total + z2.gen_seed(0, lattice(-k), kk).scale(c)
             k += 1
         assert got == total + w.scale(h), key
 

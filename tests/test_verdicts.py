@@ -9,7 +9,8 @@ both coefficients there.  A checker that no fault kills could pass
 vacuously: this is mutation analysis aimed at the checkers.  The last test
 parses `src/` and finds no verdict decided outside `compare` (or the error
 record of a crashed check) and no hand-written monomial format; the one
-after it finds no module-level import that its module leaves unused.
+after it finds no module-level import that its module leaves unused, and
+the last finds no `Fraction` in the mode oracle.
 """
 
 import ast
@@ -237,3 +238,18 @@ def test_src_imports_are_used():
     unused = {path.name: found for path in sorted(SRC.glob("*.py"))
               if (found := _unused_imports(ast.parse(path.read_text())))}
     assert not unused, unused
+
+
+def test_mode_oracle_is_fraction_free():
+    # mode indices are lattice ints from the seeds up to the memo, so the
+    # oracle neither imports from `fractions` nor builds a Fraction
+    tree = ast.parse((SRC / "modes.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and any(name == "fractions" for name in
+                     [node.module] + [a.name for a in node.names])
+             or isinstance(node, ast.Call)
+             and isinstance(node.func, (ast.Name, ast.Attribute))
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "Fraction"]
+    assert not found, found

@@ -157,3 +157,14 @@ def test_axioms_fault_located():
     assert any(not r.ok for r in rs)
     failed = [r for r in rs if not r.ok]
     assert failed[0].first_mismatch
+
+
+def test_mode_oracle_refuses_rational_index():
+    # the oracle takes lattice ints; a rational index on a memo miss is a
+    # caller bug, not a zero mode
+    V = FermionAlgebra()
+    with pytest.raises(TypeError, match="lattice int"):
+        V.oracle.apply((1,), FH, (1,))
+    with pytest.raises(TypeError, match="lattice int"):
+        V.oracle.apply_vec(Vec.basis((1,)), F(-1), Vec.basis(()))
+    assert V.mode_apply((1,), -1, ()) == Vec.basis((1,))
