@@ -47,6 +47,7 @@ class ModeOracle:
         self.shift = shift
         self._memo = {}
         self._alpha_memo = {}
+        self._deg_memo = {}
 
     # -- coset bookkeeping ---------------------------------------------------
 
@@ -59,9 +60,16 @@ class ModeOracle:
             self._alpha_memo[ukey] = a
         return a
 
+    def _lattice_deg(self, wkey) -> int:
+        """The degree of a module key as a lattice int."""
+        d = self._deg_memo.get(wkey)
+        if d is None:
+            d = self._deg_memo[wkey] = lattice(self.deg(wkey))
+        return d
+
     def max_index(self, ukey, wkey) -> int:
         """Largest N with (Y)_N(u) w possibly nonzero, from lower-boundedness."""
-        return lattice(self.deg(wkey)) + lattice(self.algebra.weight(ukey)) - D
+        return self._lattice_deg(wkey) + lattice(self.algebra.weight(ukey)) - D
 
     # -- mode action -----------------------------------------------------------
 
@@ -100,7 +108,7 @@ class ModeOracle:
         Q = lattice(q)
 
         acc = {}
-        m_hi = lattice(self.deg(wkey)) + lattice(alg.gen_weight(gidx)) - D
+        m_hi = self._lattice_deg(wkey) + lattice(alg.gen_weight(gidx)) - D
         if not rest:
             # u' is the vacuum, whose only nonzero mode is (Y)_(-1)(1) = 1:
             # each sum keeps its one term m = n+t+1, under its own range

@@ -19,6 +19,10 @@ with gcd(den, *numerators) == 1, so the form is unique.  The identity
 e(q+1) = -e(q) folds the upper half of the lattice into the sign of the
 numerator.  Keys and numerators are ints, so the innermost loops do int
 arithmetic and reduce by a gcd once per result, not once per term.
+
+This module alone knows that form: `inverse` inverts through the Galois
+conjugates sigma_a, which permute the keys, and `phase_turns` reads a root
+of unity off its one key.
 """
 
 from __future__ import annotations
@@ -263,6 +267,48 @@ class Scalar:
 
 # 2^{-1/2} = (e^{pi i/4} - e^{3 pi i/4}) / 2, available at cyclotomic level >= 4
 HALF_SQRT2 = (Scalar.e(Fraction(1, 4)) - Scalar.e(Fraction(3, 4))) / 2
+
+
+def _conjugate(s: Scalar, a: int) -> Scalar:
+    """The Galois conjugate sigma_a: e(k/M) -> e(a k/M), a odd, of a PI-free
+    Scalar; a permutes the folded keys, so the form stays canonical."""
+    L = _LEVEL
+    terms = {}
+    for (p, k), x in s.terms.items():
+        k = a * k % (2 * L)
+        if k >= L:
+            k -= L
+            x = -x
+        terms[(p, k)] = x
+    return Scalar(terms, s.den)
+
+
+def inverse(c):
+    """1/c in canonical form.  A rational inverts exactly; a Scalar s as the
+    product of its conjugates sigma_a(s), odd a in [3, 2M), over the norm
+    s * conj, which is rational (Cohen, A Course in Computational Algebraic
+    Number Theory, 4.3).  ZeroDivisionError for 0, ValueError for a value
+    that carries PI and so lies outside the cyclotomic field."""
+    if not isinstance(c, Scalar):
+        if not c:
+            raise ZeroDivisionError("inverse of zero")
+        return exact(Fraction(1, c))
+    if any(p for p, _ in c.terms):
+        raise ValueError("scalar involves PI, not a cyclotomic number: %r" % c)
+    conj = prod(_conjugate(c, a) for a in range(3, 2 * _LEVEL, 2))
+    return conj / (c * conj)
+
+
+def phase_turns(c) -> Fraction:
+    """The alpha in [0, 1) with c = e^{2 pi i alpha}; ValueError when c is
+    not a root of unity."""
+    terms, den = (c.terms, c.den) if isinstance(c, Scalar) else ({_RKEY: c}, 1)
+    if den == 1 and len(terms) == 1:
+        ((p, k), x), = terms.items()
+        if p == 0 and x in (1, -1):
+            # e(q+1) = -e(q): a negative numerator is half a turn more
+            return Fraction(k + (_LEVEL if x < 0 else 0), 2 * _LEVEL)
+    raise ValueError("not a root of unity: %r" % (c,))
 
 
 def binomial(a, k):

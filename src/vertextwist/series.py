@@ -153,23 +153,6 @@ class Series:
     def _terms_in(self, box: Box) -> dict:
         raise NotImplementedError
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return Sum([self, other])
-
-    def __sub__(self, other):
-        return Sum([self, scaled(other, -1)])
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return Product(self, other)
-        return scaled(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scaled(self, -1)
-
 
 class TermSeries(Series):
     """Finite explicit Laurent polynomial (possibly with logs)."""

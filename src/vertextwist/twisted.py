@@ -19,7 +19,7 @@ from .chains import Space
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
-from .scalars import Vec, iter_terms, linear
+from .scalars import Vec, linear, phase_turns
 from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
                      branch_shift, coset_range, delta_iter, delta_prod,
                      delta_prod_rev, derivative, exponent, lattice, mono,
@@ -27,7 +27,6 @@ from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-FH = Fraction(1, 2)
 
 
 class ModuleBase(Space):
@@ -153,10 +152,7 @@ class TwistedModule(ModuleBase):
 
     def alpha_of_key(self, key) -> Fraction:
         """g-weight of a basis vector, read from the eigenvalue of g."""
-        for (p, q), c in iter_terms(self._g_scale(key)):
-            # the canonical form folds e^{pi i} into the sign of c
-            return (q / 2 + (FH if c < 0 else F0)) % 1
-        return F0
+        return phase_turns(self._g_scale(key))
 
     def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
         if k:
@@ -461,9 +457,10 @@ def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
             (shift + pdeg + sum(orders[tuple(sorted((i, j)))]
                                 for j in range(k) if j != i)) * D))
     predicted = Box(lows, highs, box.logcaps)
-    return compare("product-polynomiality", _inputs(w=w, k=k), vars, box,
-                   prod, {m: c for m, c in prod.terms_in(box).items()
-                          if predicted.contains(m)})
+    return compare("product-polynomiality", _inputs(w=w, wprime=wprime, k=k),
+                   vars, box, prod,
+                   {m: c for m, c in prod.terms_in(box).items()
+                    if predicted.contains(m)})
 
 
 def check_permutation_symmetry(W, vs, w, wprime, perm, halfwidth) -> CheckResult:
@@ -478,9 +475,8 @@ def check_permutation_symmetry(W, vs, w, wprime, perm, halfwidth) -> CheckResult
     vars, lhs, _ = prefactored_product(W, vs, range(k), w, wprime)
     _, rhs, _ = prefactored_product(W, vs, perm, w, wprime)
     return compare("permutation-symmetry",
-                   _inputs(w=w, perm=tuple(perm), sign=sign), vars,
-                   _cube(W, vars, halfwidth), lhs,
-                   scaled(rhs, sign))
+                   _inputs(w=w, wprime=wprime, perm=tuple(perm), sign=sign),
+                   vars, _cube(W, vars, halfwidth), lhs, scaled(rhs, sign))
 
 
 def _inputs(**kw):

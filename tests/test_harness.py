@@ -49,6 +49,17 @@ def test_tasks_pass_no_placeholder_arguments(registry):
                 (suite, task.func.__name__, bound.arguments)
 
 
+@pytest.mark.parametrize("model", ["z2boson", "ramond"])
+def test_polynomiality_records_are_distinct(registry, model):
+    # a record names every input of its check, w' among them, so no two
+    # records of one run read alike and a failure says which pairing failed
+    rep = run_suite(SuiteConfig(model=model, suite="polynomiality",
+                                max_weight=1, halfwidth=2), registry)
+    seen = [json.dumps([r.identity, r.inputs], sort_keys=True)
+            for r in rep.records]
+    assert len(set(seen)) == len(seen), seen
+
+
 def test_only_matrix_elements_take_a_dual_vector():
     # identity checkers compare vector coefficients; a w' pairing is kept
     # where it does work: the polynomiality checks and the matrix elements

@@ -12,12 +12,14 @@ key of V, and
 generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
 g), certified by S e^K = g.  `FractionScalar` is the scalar ring with one
 int or Fraction coefficient per term.  `loop_binomial` forms C(a, k) as a
-falling product over Fractions.  All are kept here only as references for
+falling product over Fractions.  `euclid_inverse` inverts a cyclotomic
+number by extended Euclid on its coefficient list mod x^M + 1.  All are
+kept here only as references for
 the engine's shortcuts (lattice-int mode indices, the vacuum collapse,
 Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
-path, integer numerators over one denominator, and int binomials), which
-must give equal results.
+path, integer numerators over one denominator, int binomials, and the
+inverse by Galois conjugates), which must give equal results.
 """
 
 from fractions import Fraction
@@ -40,8 +42,8 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import (CyclotomicLevelError, Scalar, Vec, acc_vec,
-                                 binomial, cyclotomic_level, lattice, linear,
-                                 scalar_json, terms_of, vec_of)
+                                 binomial, cyclotomic_level, inverse, lattice,
+                                 linear, scalar_json, terms_of, vec_of)
 from vertextwist.twistop import TwistOpSlot
 from vertextwist.vosa import check_axioms
 
@@ -707,3 +709,85 @@ binomial_bottoms = st.integers(-2, 12).flatmap(
 def test_binomial_matches_falling_product(a, k):
     got, want = binomial(a, k), loop_binomial(a, k)
     assert got == want and type(got) is type(want)
+
+
+# ---------------------------------------------------------------------------
+# the cyclotomic inverse by extended Euclid on coefficient lists mod x^M + 1,
+# the form before the inverse by Galois conjugates
+
+def _poly_divmod(a, b):
+    a = list(a)
+    db = max(i for i, c in enumerate(b) if c)
+    q = [Fraction(0)] * max(len(a) - db, 1)
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            f = a[i] / b[db]
+            q[i - db] = f
+            for j in range(db + 1):
+                a[i - db + j] -= f * b[j]
+    return q, a[:db] or [Fraction(0)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    return [x - y for x, y in zip(a + [0] * (n - len(a)),
+                                  b + [0] * (n - len(b)))]
+
+
+def _trim(a):
+    while len(a) > 1 and not a[-1]:
+        a = a[:-1]
+    return a
+
+
+def euclid_inverse(s):
+    """Inverse in Q(zeta_2M) via extended Euclid mod x^M + 1 (irreducible for
+    M a power of two); a rational's inverse is the exact Fraction."""
+    if not isinstance(s, Scalar):
+        if not s:
+            raise ZeroDivisionError("cyclotomic inverse of zero")
+        return Fraction(1) / s
+    m = cyclotomic_level()
+    coeffs = [Fraction(0)] * m
+    for (p, k), c in terms_of(s).items():
+        if p != 0:
+            raise ValueError("scalar involves PI, not a cyclotomic number: %r"
+                             % s)
+        coeffs[k] += c
+    modulus = [Fraction(1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    old_r, r = _trim(coeffs), modulus
+    old_t, t = [Fraction(1)], [Fraction(0)]
+    while any(r):
+        q, rem = _poly_divmod(old_r, r)
+        old_r, r = r, _trim(rem)
+        old_t, t = t, _trim(_poly_sub(old_t, _poly_mul(q, t)))
+    assert len(_trim(old_r)) == 1 and old_r[0], "not invertible: %r" % s
+    _, res = _poly_divmod([c / old_r[0] for c in old_t], modulus)
+    return sum((Scalar.e(Fraction(k, m)) * c for k, c in enumerate(res) if c),
+               0)
+
+
+# PI-free scalars of 1 to 16 terms: a nonzero rational on each phase drawn
+cyclotomic_numbers = st.dictionaries(
+    st.integers(0, 15),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    min_size=1, max_size=16).map(lambda cs: sum(
+        (Scalar.e(Fraction(k, 16)) * c for k, c in cs.items()), 0))
+
+
+@given(cyclotomic_numbers)
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_euclid(s):
+    got = inverse(s)
+    assert got == euclid_inverse(s)
+    assert s * got == 1
+    # canonical: an integral rational comes back as its int
+    assert type(got) is not Fraction or got.denominator != 1

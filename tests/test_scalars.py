@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from vertextwist.linalg import cyclo_inverse, mat_identity, solve
+from vertextwist.linalg import mat_identity, solve
 from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, binomial,
-                                 CyclotomicLevelError)
+                                 CyclotomicLevelError, inverse, phase_turns)
 from vertextwist.series import TermSeries, scaled
 
 F = Fraction
@@ -102,9 +102,32 @@ def test_hash_agrees_with_eq():
 
 def test_rational_inverse_is_exact():
     # 1/3 as a float is not 1/3; the inverse and the solve must be exact
-    assert cyclo_inverse(3) == F(1, 3) and cyclo_inverse(F(-2, 5)) == F(-5, 2)
+    assert inverse(3) == F(1, 3) and inverse(F(-2, 5)) == F(-5, 2)
     assert solve([[3]], mat_identity(1)) == [[F(1, 3)]]
     assert solve([[HALF_SQRT2 * 2]], [[1]]) == [[HALF_SQRT2]]
+
+
+def test_inverse_of_zero_pi_and_rationals():
+    # rationals come back canonical: an integral inverse is an int
+    assert inverse(1) == 1 and type(inverse(1)) is int
+    assert inverse(F(1, 2)) == 2 and type(inverse(F(1, 2))) is int
+    assert inverse(-7) == F(-1, 7)
+    with pytest.raises(ZeroDivisionError):
+        inverse(0)
+    for c in (Scalar.pi(), Scalar.pi(-2) * HALF_SQRT2 + 1):
+        with pytest.raises(ValueError, match="involves PI"):
+            inverse(c)
+
+
+def test_phase_turns_round_trip():
+    # e(k/16) = e^{2 pi i k/32}: the 32 roots of unity of the ring
+    for k in range(32):
+        assert phase_turns(Scalar.e(F(k, 16))) == F(k, 32)
+    for c in (0, 2, F(-1, 2), HALF_SQRT2, Scalar.pi(),
+              Scalar.e(F(1, 8)) * 2, Scalar.e(F(1, 8)) / 2,
+              1 + Scalar.e(F(1, 2))):
+        with pytest.raises(ValueError, match="not a root of unity"):
+            phase_turns(c)
 
 
 def test_floats_are_refused():

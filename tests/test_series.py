@@ -12,8 +12,8 @@ from vertextwist.series import (D, Box, Product, Series, Sum, TermSeries,
                                 delta_iter, delta_prod, delta_prod_rev,
                                 derivative, format_series, lattice_coset,
                                 log_substitute, minus_convention, mono,
-                                residue, series_mismatch, series_to_json,
-                                window_json)
+                                residue, scaled, series_mismatch,
+                                series_to_json, window_json)
 
 F = Fraction
 X = ("x",)
@@ -203,7 +203,7 @@ def test_minus_convention_half():
 def test_delta_identity_three_term():
     # x0^{-1}d((x1-x2)/x0) - x0^{-1}d((-x2+x1)/x0) = x1^{-1}d((x2+x0)/x1)
     lhs = Sum([delta_prod(X012, 0, 1, 2),
-               delta_prod_rev(X012, 0, 1, 2) * -1])
+               scaled(delta_prod_rev(X012, 0, 1, 2), -1)])
     rhs = delta_iter(X012, 0, 1, 2)
     assert series_mismatch(lhs, rhs, window(X012, 3)) is None
 
@@ -304,7 +304,7 @@ def test_formal_identity_nilpotent():
     xlog = TermSeries(X12, {mono([0, 0], [1, 0]): 1})
     L = Sum([tail, xlog])  # log(1 + x2/(x1-x2)) + log x1... sign: see below
     # ((1+u)/x1)^{-N} = e^{-N(log(1+u) - log x1)} = e^{N(log x1 - log(1+u))}
-    L = Sum([xlog, tail * -1])
+    L = Sum([xlog, scaled(tail, -1)])
     cur = TermSeries.constant(X12, 1)
     for k in range(order):
         ratio = TermSeries(X12, {m: c * F(1, factorial(k))

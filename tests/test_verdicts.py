@@ -9,8 +9,9 @@ both coefficients there.  A checker that no fault kills could pass
 vacuously: this is mutation analysis aimed at the checkers.  The last test
 parses `src/` and finds no verdict decided outside `compare` (or the error
 record of a crashed check) and no hand-written monomial format; the one
-after it finds no module-level import that its module leaves unused, and
-the last finds no `Fraction` in the mode oracle.
+after it finds no module-level import that its module leaves unused, the
+next finds no `Fraction` in the mode oracle, and the last finds no module
+but `scalars` reaching for the helpers that read a Scalar's stored form.
 """
 
 import ast
@@ -252,4 +253,21 @@ def test_mode_oracle_is_fraction_free():
              and isinstance(node.func, (ast.Name, ast.Attribute))
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              == "Fraction"]
+    assert not found, found
+
+
+# the helpers and constants that read a Scalar's stored form
+SCALAR_FORM = {"terms_of", "iter_terms", "_fold", "_RKEY", "_LEVEL"}
+
+
+def test_scalar_form_stays_in_scalars():
+    # only scalars.py knows how a Scalar is stored; every other module goes
+    # through the ring's operations, `inverse` and `phase_turns`
+    found = sorted(
+        (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+        if path.name != "scalars.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and any(a.name in SCALAR_FORM for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr in SCALAR_FORM)
     assert not found, found
