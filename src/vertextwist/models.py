@@ -129,12 +129,12 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
             c = -o
             pos = sum(1 for f in key if f > c)
             return Vec.basis(key[:pos] + (c,) + key[pos:])
-        k = Fraction(o, 2)
-        if fault == "twisted-bracket-sign":
-            k = -k
         count = key.count(o)
         if not count:
             return Vec.zero()
+        k = Fraction(o, 2)
+        if fault == "twisted-bracket-sign":
+            k = -k
         pos = key.index(o)
         return Vec.basis(key[:pos] + key[pos + 1:]).scale(k * count)
 

@@ -38,6 +38,9 @@ class ModuleBase(Space):
         self.g = g
         self.log_bound = log_bound
         self._L_memo = {}
+        # twist-slot coefficients: (w_arg, e, k) -> {v key: T(w_arg, x)v at
+        # x^e log^k x}, filled by twistop.TwistOpSlot
+        self._twist_memo = {}
         self._h_vac = None
 
     # subclass responsibilities

@@ -1,11 +1,10 @@
 """Twist vertex operators (module argument, algebra input) and their checks.
 
-The twist operator is never stored: every coefficient is computed from its
-definition,
+Each coefficient of the twist operator is computed from its definition,
     T(w, x) v = (-1)^{|v||w|} e^{x L(-1)} Y^g(v, y) w   at  y^n = e^{pi i n} x^n,
                                                             log y = log x + PI,
-so the identities checked here are genuine statements about the twisted
-module data.
+once per module, and kept in that module's table, so the identities checked
+here are genuine statements about the twisted module data.
 """
 
 from __future__ import annotations
@@ -36,7 +35,9 @@ class TwistOpSlot:
     collects the modes of Y^g(v, y)w that e^{xL(-1)} lifts by j powers.  It
     is evaluated by Horner's rule, out = b_j + L(-1)(out)/(j+1) from the top
     j down, so L(-1) is applied max j times rather than once per power of
-    every base vector.
+    every base vector.  Each coefficient on a basis vector v is computed
+    once per module: the module's table maps (w_arg, e, k) to {v key: Vec},
+    and the slot's weight and parity come from w_arg.
     """
 
     def __init__(self, module, w_arg: Vec):
@@ -55,7 +56,8 @@ class TwistOpSlot:
         return out or frozenset((F0,))
 
     def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
-        return linear(partial(self._apply_key, e, k), vec)
+        memo = self.module._twist_memo.setdefault((self.w_arg, e, k), {})
+        return linear(partial(self._apply_key, e, k), vec, memo)
 
     def _apply_key(self, e, k, vkey) -> Vec:
         W = self.module

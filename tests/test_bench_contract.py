@@ -8,16 +8,24 @@ from `Product._terms_in`, so inlining either one would silently zero them;
 a small product pins both counts.  The mode counters count calls of
 `ModeOracle.apply` and the memo keys they find, so a recursion that went
 around `apply`, or a memo keyed another way, would move them; a small
-oracle sweep pins both.
+oracle sweep pins both.  The twist-slot counters count calls of
+`TwistOpSlot.apply`, the basis keys they look up and the coefficients
+`_apply_key` computes, so a slot table keyed without w_arg, e or k, or an
+`apply` that went around the table, would move them; a small slot sweep pins
+all three.
 """
 
 from fractions import Fraction
 from pathlib import Path
 
 from vertextwist.automorphism import parity_automorphism
-from vertextwist.models import build_free_fermion, build_ramond_module
+from vertextwist.models import (build_free_fermion, build_heisenberg,
+                                build_ramond_module, build_z2_twisted_boson,
+                                orthogonal_automorphism)
 from vertextwist.modes import ModeOracle
+from vertextwist.scalars import Vec
 from vertextwist.series import Box, Product, TermSeries, lattice, mono
+from vertextwist.twistop import TwistOpSlot
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -80,3 +88,43 @@ def test_tracer_counts_mode_oracle_calls_and_memo_hits(monkeypatch):
     assert counts[1]["modes.apply_calls"] == 176
     assert counts[1]["modes.memo_hits"] == 68
     assert "modes.computes" not in counts[1]
+
+
+def test_tracer_counts_twist_slot_lookups_and_computes(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+    boson = build_heisenberg([[1]])
+    W = build_z2_twisted_boson(                                      # cold
+        boson, orthogonal_automorphism(boson, [[-1]], "minus1"),
+        crosscheck=False)
+    # two w_args of degree 3/2; v the four basis vectors of weight <= 2 and
+    # their sum; e from -2 to 1 in steps of 1/2; k = 0 and, past the
+    # module's log bound of 0, k = 1
+    wargs = [Vec.basis(k) for k in W.basis(Fraction(3, 2))
+             if W.deg(k) == Fraction(3, 2)]
+    vkeys = W.V.basis(2)
+    vecs = [Vec.basis(k) for k in vkeys]
+    vecs.append(sum(vecs, Vec.zero()))
+    assert len(wargs) == 2 and len(vkeys) == 4
+    sweep = [(w, Fraction(t, 2), k, v) for w in wargs
+             for t in range(-4, 3) for k in range(2) for v in vecs]
+    counts = []
+    for _ in range(2):
+        tracer = layertrace.Tracer()
+        try:
+            tracer.install()
+            for w, e, k, v in sweep:
+                TwistOpSlot(W, w).apply(e, k, v)
+        finally:
+            assert tracer.uninstall() is True
+        counts.append(tracer.counts)
+    # cold: 140 applies look up 4 + 4 keys per (w, e, k); each of the
+    # 2 * 7 * 2 * 4 coefficients is computed once, and the sum vector finds
+    # all of its four in the table
+    assert (counts[0]["twistop.slot_applies"],
+            counts[0]["twistop.slot_lookups"],
+            counts[0]["twistop.slot_computes"]) == (140, 224, 112)
+    # warm: the same lookups, and every one finds its coefficient
+    assert (counts[1]["twistop.slot_applies"],
+            counts[1]["twistop.slot_lookups"]) == (140, 224)
+    assert "twistop.slot_computes" not in counts[1]

@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -97,6 +98,22 @@ def test_parallel_matches_serial(registry):
                   registry).to_json(with_timing=False)
     b = run_suite(SuiteConfig("ramond", "commutator", 1, 3, jobs=4),
                   registry).to_json(with_timing=False)
+    assert a["records"] == b["records"] and a["summary"] == b["summary"]
+
+
+def test_parallel_matches_serial_on_cold_modules():
+    # each side builds its own modules, so the threads of the parallel side
+    # fill the shared memo and twist-slot tables from cold; a short switch
+    # interval interleaves them often
+    a = run_suite(SuiteConfig("z2boson", "twist-all", 1, 2, jobs=1),
+                  Registry()).to_json(with_timing=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        b = run_suite(SuiteConfig("z2boson", "twist-all", 1, 2, jobs=2),
+                      Registry()).to_json(with_timing=False)
+    finally:
+        sys.setswitchinterval(interval)
     assert a["records"] == b["records"] and a["summary"] == b["summary"]
 
 

@@ -346,6 +346,39 @@ def test_twist_slot_matches_repeated_L_minus1(modules, name):
         assert with_pi
 
 
+@pytest.mark.parametrize("name", ["z2boson", "ramond"])
+def test_twist_slot_table_matches_loop_form(algebras, name):
+    # a fresh module, so that the first pass fills its slot table; the two
+    # w_args share a degree, so a table that forgot w_arg would hand the
+    # second one the first one's coefficients
+    if name == "z2boson":
+        boson = algebras["boson"]
+        W = build_z2_twisted_boson(
+            boson, orthogonal_automorphism(boson, [[-1]], "minus1"),
+            crosscheck=False)
+        wkeys = [(1, 1, 1), (3,)]
+    else:
+        fermion = algebras["fermion"]
+        W = build_ramond_module(fermion, parity_automorphism(fermion),
+                                crosscheck=False)
+        wkeys = [(0, (1,)), (1, (1,))]
+    assert len({W.deg(k) for k in wkeys}) == 1
+    # k runs one past the log bound, where every coefficient is zero
+    slots = [TwistOpSlot(W, Vec.basis(wkey)) for wkey in wkeys]
+    sweep = [(slot, e, k, vkey) for slot in slots for vkey in W.V.basis(2)
+             for coset in sorted(slot.ecosets(Vec.basis(vkey)))
+             for e in (coset + i for i in range(-2, 3))
+             for k in range(W.log_bound + 2)]
+    for sweep_pass in ("cold", "warm"):
+        compared = 0
+        for slot, e, k, vkey in sweep:
+            got = slot.apply(e, k, Vec.basis(vkey))
+            assert got == loop_apply_key(slot, e, k, vkey), \
+                (sweep_pass, slot.w_arg, vkey, e, k)
+            compared += bool(got)
+        assert compared
+
+
 # ---------------------------------------------------------------------------
 # hand-judged verdict loops: each returns the first failing basis pair
 # (u, v), or None when the identity holds on the whole sweep
