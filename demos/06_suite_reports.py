@@ -18,7 +18,7 @@ reg = Registry()
 cfg = SuiteConfig(model="ramond", suite="equivariance", max_weight=1,
                   halfwidth=3, jobs=2)
 report = run_suite(cfg, reg)
-doc = report.to_json()
+doc = report.to_json(with_timing=False)
 print("suite:", doc["config"]["suite"], "on", doc["config"]["model"])
 print("summary:", doc["summary"])
 print("first record:", json.dumps(doc["records"][0], sort_keys=True))

@@ -23,14 +23,22 @@ from .series import Series, exponent, lattice, lattice_coset
 
 
 class Space:
-    """A graded space with a basis: the degree and parity of basis keys, and
-    matrix elements of chains of its own vertex operators."""
+    """A graded space with a basis: the degree and parity of basis keys, the
+    modes of its own vertex operators, read from its mode oracle `oracle`,
+    and matrix elements of chains of them."""
 
     def deg(self, key) -> Fraction:
         raise NotImplementedError
 
     def parity(self, key) -> int:
         raise NotImplementedError
+
+    def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
+        """The log-free mode u_n w, read from the space's mode oracle; zero
+        at every log power k > 0."""
+        if k:
+            return Vec.zero()
+        return self.oracle.apply_vec(uvec, lattice(n), wvec)
 
     def vec_deg(self, vec: Vec) -> Fraction:
         return homogeneous_value(vec, self.deg)

@@ -16,11 +16,16 @@ Coefficients are scalars in canonical form (an int or Fraction while
 rational, a Scalar once a phase or PI appears), or Vec for operator-valued
 series; a product may mix the two as long as at most one factor is
 vector-valued.
+
+Every term-wise transform of one series is one node, `_TermMap`: scaling,
+the branch shift and the substitution y -> -x, d/dx, the residue, and a
+fixed mode applied to each vector coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor
 from operator import add
 
@@ -92,15 +97,15 @@ class Box:
             caps[idx] = logcap
         return Box(lows, highs, caps)
 
-    def minus_bounds(self, bounds, logmaxes) -> "Box":
-        """Box that one convolution factor must cover, given the other's bounds."""
-        lows, highs, caps = [], [], []
-        for (lo, hi), (blo, bhi), cap in zip(zip(self.lows, self.highs), bounds,
-                                             self.logcaps):
+    def minus_bounds(self, bounds) -> "Box":
+        """Box that one convolution factor must cover, given the other's
+        exponent bounds; its log caps are the box's own, since the other
+        factor's log powers are >= 0."""
+        lows, highs = [], []
+        for lo, hi, (blo, bhi) in zip(self.lows, self.highs, bounds):
             lows.append(None if (lo is None or bhi is None) else lo - bhi)
             highs.append(None if (hi is None or blo is None) else hi - blo)
-            caps.append(cap)
-        return Box(lows, highs, caps)
+        return Box(lows, highs, self.logcaps)
 
     def key(self):
         return (self.lows, self.highs, self.logcaps)
@@ -188,19 +193,6 @@ class TermSeries(Series):
         return TermSeries(vars, {})
 
 
-def scaled(s: Series, c) -> Series:
-    return _Scaled(s, exact(c))
-
-
-class _Scaled(Series):
-    def __init__(self, base: Series, c):
-        super().__init__(base.vars, base.bounds, base.cosets, base.logmax)
-        self.base, self.c = base, c
-
-    def _terms_in(self, box):
-        return {m: c_mul(self.c, v) for m, v in self.base.terms_in(box).items()}
-
-
 class Sum(Series):
     def __init__(self, parts):
         flat = []
@@ -248,17 +240,14 @@ class Product(Series):
     def _terms_in(self, box):
         for first, second in ((self.a, self.b), (self.b, self.a)):
             try:
-                ta = first.terms_in(box.minus_bounds(second.bounds, second.logmax))
+                ta = first.terms_in(box.minus_bounds(second.bounds))
             except InfiniteConvolution:
                 continue
             if not ta:
                 return {}
-            n = len(self.vars)
-            lows = [min(m[0][i] for m in ta) for i in range(n)]
-            highs = [max(m[0][i] for m in ta) for i in range(n)]
-            hull = Box(lows, highs, [max(m[1][i] for m in ta) for i in range(n)])
-            tb = second.terms_in(box.minus_bounds(
-                tuple(zip(hull.lows, hull.highs)), hull.logcaps))
+            hull = [(min(m[0][i] for m in ta), max(m[0][i] for m in ta))
+                    for i in range(len(self.vars))]
+            tb = second.terms_in(box.minus_bounds(hull))
             out = {}
             for m1, c1 in ta.items():
                 for m2, c2 in tb.items():
@@ -455,124 +444,114 @@ class DeltaDerivKernel(Series):
 
 
 # ---------------------------------------------------------------------------
-# variable transforms
+# term-wise transforms
 # ---------------------------------------------------------------------------
 
-class _PhaseShift(Series):
-    """x^n -> e^{pi i h n} x^n and log x -> log x + h*PI on one variable."""
+class _TermMap(Series):
+    """A term-wise transform of one base series.
 
-    def __init__(self, base: Series, idx: int, half_turns, rename: str = None):
-        vars = list(base.vars)
-        if rename is not None:
-            vars[idx] = rename
-        super().__init__(vars, base.bounds, base.cosets, base.logmax)
-        self.base, self.idx, self.h = base, idx, Fraction(half_turns)
+    The base is read on source(box), and each of its terms goes through
+    fn(monomial, coefficient) to (monomial, coefficient) pairs; the pairs
+    inside the box are kept and collisions summed.  Without a source, fn
+    maps a coefficient alone: every monomial stays in place, and the base is
+    read on the box itself.  The shape (vars, bounds, cosets, logmax) is
+    the base's unless given.
+    """
+
+    def __init__(self, base: Series, fn, source=None, shape=None):
+        super().__init__(*(shape or (base.vars, base.bounds, base.cosets,
+                                     base.logmax)))
+        self.base, self.fn, self.source = base, fn, source
 
     def _terms_in(self, box):
-        src = Box(box.lows, box.highs,
-                  tuple(self.base.logmax[i] if i == self.idx else c
-                        for i, c in enumerate(box.logcaps)))
+        fn = self.fn
+        if self.source is None:
+            return {m: fn(c) for m, c in self.base.terms_in(box).items()}
         out = {}
-        i = self.idx
-        for m, c in self.base.terms_in(src).items():
-            q = self.h * exponent(m[0][i])
-            phase = Scalar.e(q)
-            k = m[1][i]
-            # (log x + h*PI)^k expands over lower log powers
-            for j in range(0, k + 1):
-                if j > box.logcaps[i]:
-                    continue
-                fac = binomial(k, k - j) * (Scalar.pi() ** (k - j)) * (self.h ** (k - j))
-                logs = tuple(j if t == i else v for t, v in enumerate(m[1]))
-                mn = (m[0], logs)
-                if not box.contains(mn):
-                    continue
-                cc = c_mul(phase * fac, c)
-                prev = out.get(mn)
-                out[mn] = cc if prev is None else prev + cc
+        for m, c in self.base.terms_in(self.source(box)).items():
+            for mn, cc in fn(m, c):
+                if box.contains(mn):
+                    prev = out.get(mn)
+                    out[mn] = cc if prev is None else prev + cc
         return out
+
+
+def _put(t: tuple, i: int, v) -> tuple:
+    return t[:i] + (v,) + t[i + 1:]
+
+
+def scaled(s: Series, c) -> Series:
+    return _TermMap(s, partial(c_mul, exact(c)))
+
+
+def _phase_shift(s: Series, idx: int, h, rename: str = None) -> Series:
+    """x^n -> e^{pi i h n} x^n and log x -> log x + h*PI on variable idx."""
+    h = Fraction(h)
+
+    def fn(m, c):
+        phase = Scalar.e(h * exponent(m[0][idx]))
+        k = m[1][idx]
+        # (log x + h*PI)^k expands over lower log powers
+        for j in range(k + 1):
+            fac = binomial(k, k - j) * (Scalar.pi() ** (k - j)) * (h ** (k - j))
+            yield (m[0], _put(m[1], idx, j)), c_mul(phase * fac, c)
+
+    vars = s.vars if rename is None else _put(s.vars, idx, rename)
+    return _TermMap(s, fn, lambda box: box.with_var(
+        idx, box.lows[idx], box.highs[idx], s.logmax[idx]),
+        (vars, s.bounds, s.cosets, s.logmax))
 
 
 def branch_shift(s: Series, idx: int, p: int) -> Series:
     """Pass to the (p shifts away) branch: x^n -> e^{2 pi i p n} x^n, log x -> log x + 2p*PI."""
     if p == 0:
         return s
-    return _PhaseShift(s, idx, 2 * p)
+    return _phase_shift(s, idx, 2 * p)
 
 
 def log_substitute(s: Series, idx: int, rename: str = "x") -> Series:
     """Substitute y -> -x on variable idx: y^n -> e^{pi i n} x^n, log y -> log x + PI."""
-    return _PhaseShift(s, idx, 1, rename=rename)
-
-
-class _Derivative(Series):
-    def __init__(self, base: Series, idx: int):
-        bounds = list(base.bounds)
-        lo, hi = bounds[idx]
-        bounds[idx] = (None if lo is None else lo - D, None if hi is None else hi - D)
-        super().__init__(base.vars, bounds, base.cosets, base.logmax)
-        self.base, self.idx = base, idx
-
-    def _terms_in(self, box):
-        # d/dx x^n (log x)^k = n x^(n-1) (log x)^k + k x^(n-1) (log x)^(k-1)
-        i = self.idx
-        lo, hi = box.lows[i], box.highs[i]
-        src = box.with_var(i, None if lo is None else lo + D,
-                           None if hi is None else hi + D,
-                           min(self.base.logmax[i], box.logcaps[i] + 1))
-        out = {}
-        for m, c in self.base.terms_in(src).items():
-            n, k = exponent(m[0][i]), m[1][i]
-            powers = tuple(p - D if t == i else p for t, p in enumerate(m[0]))
-            targets = [((powers, m[1]), n)]
-            if k:
-                logs = tuple(v - 1 if t == i else v for t, v in enumerate(m[1]))
-                targets.append(((powers, logs), k))
-            for mn, fac in targets:
-                if fac == 0 or not box.contains(mn):
-                    continue
-                cc = c_mul(fac, c)
-                prev = out.get(mn)
-                out[mn] = cc if prev is None else prev + cc
-        return out
+    return _phase_shift(s, idx, 1, rename=rename)
 
 
 def derivative(s: Series, idx: int) -> Series:
-    return _Derivative(s, idx)
+    # d/dx x^n (log x)^k = n x^(n-1) (log x)^k + k x^(n-1) (log x)^(k-1)
+    def fn(m, c):
+        n, k = exponent(m[0][idx]), m[1][idx]
+        powers = _put(m[0], idx, m[0][idx] - D)
+        if n:
+            yield (powers, m[1]), c_mul(n, c)
+        if k:
+            yield (powers, _put(m[1], idx, k - 1)), c_mul(k, c)
 
+    def source(box):
+        lo, hi = box.lows[idx], box.highs[idx]
+        return box.with_var(idx, None if lo is None else lo + D,
+                            None if hi is None else hi + D,
+                            min(s.logmax[idx], box.logcaps[idx] + 1))
 
-class _Residue(Series):
-    def __init__(self, base: Series, idx: int):
-        if base.cosets[idx] - {0} or base.logmax[idx] > 0:
-            raise NonMeromorphicVariable(
-                "residue in %s: fractional exponents or logs remain" % base.vars[idx])
-        keep = [i for i in range(len(base.vars)) if i != idx]
-        super().__init__([base.vars[i] for i in keep],
-                         [base.bounds[i] for i in keep],
-                         [base.cosets[i] for i in keep],
-                         [base.logmax[i] for i in keep])
-        self.base, self.idx = base, idx
-
-    def _terms_in(self, box):
-        lows = list(box.lows)
-        highs = list(box.highs)
-        caps = list(box.logcaps)
-        lows.insert(self.idx, -D)
-        highs.insert(self.idx, -D)
-        caps.insert(self.idx, 0)
-        out = {}
-        for m, c in self.base.terms_in(Box(lows, highs, caps)).items():
-            powers = tuple(p for i, p in enumerate(m[0]) if i != self.idx)
-            logs = tuple(k for i, k in enumerate(m[1]) if i != self.idx)
-            mn = (powers, logs)
-            prev = out.get(mn)
-            out[mn] = c if prev is None else prev + c
-        return out
+    lo, hi = s.bounds[idx]
+    bounds = _put(s.bounds, idx, (None if lo is None else lo - D,
+                                  None if hi is None else hi - D))
+    return _TermMap(s, fn, source, (s.vars, bounds, s.cosets, s.logmax))
 
 
 def residue(s: Series, idx: int) -> Series:
     """Coefficient of x_idx^{-1}; the variable must carry only integral, log-free powers."""
-    return _Residue(s, idx)
+    if s.cosets[idx] - {0} or s.logmax[idx] > 0:
+        raise NonMeromorphicVariable(
+            "residue in %s: fractional exponents or logs remain" % s.vars[idx])
+
+    def drop(t):
+        return t[:idx] + t[idx + 1:]
+
+    def lift(t, v):
+        return t[:idx] + (v,) + t[idx:]
+
+    return _TermMap(s, lambda m, c: (((drop(m[0]), drop(m[1])), c),),
+                    lambda box: Box(lift(box.lows, -D), lift(box.highs, -D),
+                                    lift(box.logcaps, 0)),
+                    [drop(t) for t in (s.vars, s.bounds, s.cosets, s.logmax)])
 
 
 # ---------------------------------------------------------------------------

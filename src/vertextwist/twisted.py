@@ -50,9 +50,6 @@ class ModuleBase(Space):
     def g_apply(self, vec: Vec) -> Vec:
         raise NotImplementedError
 
-    def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
-        raise NotImplementedError
-
     def y0_mode_vec(self, uvec: Vec, n, wvec: Vec) -> Vec:
         """Log-constant part; coincides with the full modes when N_g = 0."""
         return self.mode_vec(uvec, n, 0, wvec)
@@ -156,11 +153,6 @@ class TwistedModule(ModuleBase):
     def alpha_of_key(self, key) -> Fraction:
         """g-weight of a basis vector, read from the eigenvalue of g."""
         return phase_turns(self._g_scale(key))
-
-    def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
-        if k:
-            return Vec.zero()
-        return self.oracle.apply_vec(uvec, lattice(n), wvec)
 
 
 class UnipotentViewModule(ModuleBase):

@@ -17,10 +17,10 @@ from .chains import ChainSeries, OpSlot
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
-                     Sum, TermSeries, c_mul, coset_range, delta_iter,
-                     delta_prod, delta_prod_rev, derivative, exponent,
-                     lattice, minus_convention, mono, mono_add, residue,
-                     scaled)
+                     Sum, TermSeries, _TermMap, c_mul, coset_range,
+                     delta_iter, delta_prod, delta_prod_rev, derivative,
+                     exponent, lattice, minus_convention, mono, mono_add,
+                     residue, scaled)
 from .twisted import (L_minus1_commutator_sides, _cube, _inputs,
                       commutativity_order, mode_sum, require_semisimple)
 from .vosa import weak_commutativity_order
@@ -149,23 +149,9 @@ def check_twist_vacuum_identity(W, w_arg: Vec, halfwidth) -> CheckResult:
                    lhs, rhs)
 
 
-class _AppliedSeries(Series):
-    """Coefficients of an inner vector-valued series hit by one fixed mode."""
-
-    def __init__(self, W, chain: ChainSeries, u: Vec, n):
-        super().__init__(chain.vars, chain.bounds, chain.cosets, chain.logmax)
-        self.W = W
-        self.inner = chain
-        self.u = u
-        self.n = Fraction(n)
-
-    def _terms_in(self, box):
-        out = {}
-        for m, vec in self.inner.terms_in(box).items():
-            res = self.W.mode_vec(self.u, self.n, 0, vec)
-            if res:
-                out[m] = res
-        return out
+def _applied(W, chain: ChainSeries, u: Vec, n) -> Series:
+    """Coefficients of a vector-valued series hit by the fixed mode u_n."""
+    return _TermMap(chain, partial(W.mode_vec, u, n, 0))
 
 
 def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec,
@@ -184,7 +170,7 @@ def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec,
     # expanded in x2 and multiplies the twist series hit by (Y)_n(u)
     lo = M - 1 - 2 * hw - wdeg - W.V.algebra_weight(v) - uwt - 1
     lhs = Sum([Product(BinomialKernel(vars, M - n - 1, 0, 1, sign=1),
-                       _AppliedSeries(W, twist_chain(
+                       _applied(W, twist_chain(
                            W, vars, [(1, "twist", w_arg)], v), u, n))
                for n in coset_range(lo, M - 1 + hw, al)])
 

@@ -106,11 +106,6 @@ class FreeFieldAlgebra(Space):
     def mode_apply(self, ukey, n, wkey) -> Vec:
         return self.oracle.apply(ukey, lattice(n), wkey)
 
-    def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
-        if k:
-            return Vec.zero()
-        return self.oracle.apply_vec(uvec, lattice(n), wvec)
-
     # module-protocol views of vectors in the first tensor slot
     algebra_weight = Space.vec_deg
     algebra_parity = Space.vec_parity

@@ -16,6 +16,7 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
+from vertextwist.results import first_failure
 from vertextwist.scalars import Scalar, Vec
 from vertextwist.twisted import (check_commutator_formula, check_equivariance,
                                  check_product_polynomiality,
@@ -39,6 +40,14 @@ def report(name, ok, detail=""):
                          (" " + detail if detail else ""))
     print(line)
     assert ok, line
+
+
+def report_sweep(name, records, with_inputs=False):
+    """Report a sweep by its first failing record; the records, usually a
+    generator, are read no further than that failure."""
+    r = first_failure(name, {}, records)
+    detail = (r.inputs, r.first_mismatch) if with_inputs else r.first_mismatch
+    report(name, r.ok, "" if r.ok else str(detail))
 
 
 @pytest.fixture(scope="module")
@@ -154,57 +163,41 @@ def test_a3_derivation_conjugation(heis3, registry):
 def _sweep(W, checker, cut_uv, cut_w, hw):
     us = algebra_vectors(W.V, cut_uv)
     ws = module_vectors(W, cut_w)
-    for u in us:
-        for v in us:
-            for w in ws:
-                r = checker(W, u, v, w, hw)
-                if not r.ok:
-                    return r
-    return None
+    return (checker(W, u, v, w, hw) for u in us for v in us for w in ws)
 
 
 def test_a4_twisted_jacobi(ramond, z2):
     for W in (ramond, z2):
-        bad = _sweep(W, check_twisted_jacobi, 2, 2, 4)
-        report("A4 twisted Jacobi (%s, u,v,w to weight 2, |exp| <= 4)" % W.name,
-               bad is None, str((bad.inputs, bad.first_mismatch)) if bad else "")
+        report_sweep("A4 twisted Jacobi (%s, u,v,w to weight 2, |exp| <= 4)"
+                     % W.name, _sweep(W, check_twisted_jacobi, 2, 2, 4),
+                     with_inputs=True)
 
 
 def test_a5_weak_comm_and_commutator(ramond, z2):
     for W in (ramond, z2):
-        bad = _sweep(W, check_twisted_weak_commutativity, 2, 2, 4)
-        report("A5 twisted weak commutativity (%s)" % W.name, bad is None,
-               str((bad.inputs, bad.first_mismatch)) if bad else "")
-        bad = _sweep(W, check_commutator_formula, 2, 2, 4)
-        report("A5 commutator formula (%s)" % W.name, bad is None,
-               str((bad.inputs, bad.first_mismatch)) if bad else "")
+        report_sweep("A5 twisted weak commutativity (%s)" % W.name,
+                     _sweep(W, check_twisted_weak_commutativity, 2, 2, 4),
+                     with_inputs=True)
+        report_sweep("A5 commutator formula (%s)" % W.name,
+                     _sweep(W, check_commutator_formula, 2, 2, 4),
+                     with_inputs=True)
 
 
 def test_a6_equivariance(ramond, z2):
     for W in (ramond, z2):
-        bad = None
-        for u in algebra_vectors(W.V, 2):
-            for w in module_vectors(W, 2):
-                r = check_equivariance(W, u, w, 4)
-                if not r.ok:
-                    bad = r
-                    break
-        report("A6 equivariance surrogate (%s)" % W.name, bad is None,
-               str(bad.first_mismatch) if bad else "")
+        ws = module_vectors(W, 2)
+        report_sweep("A6 equivariance surrogate (%s)" % W.name,
+                     (check_equivariance(W, u, w, 4)
+                      for u in algebra_vectors(W.V, 2) for w in ws))
 
 
 # -- A7 ----------------------------------------------------------------------
 
 def test_a7_twist_vacuum_identity(ramond, z2):
     for W in (ramond, z2):
-        bad = None
-        for w in module_vectors(W, F(5, 2)):
-            r = check_twist_vacuum_identity(W, w, 4)
-            if not r.ok:
-                bad = r
-                break
-        report("A7 twist vacuum identity (%s, w to weight 5/2)" % W.name,
-               bad is None, str(bad.first_mismatch) if bad else "")
+        report_sweep("A7 twist vacuum identity (%s, w to weight 5/2)" % W.name,
+                     (check_twist_vacuum_identity(W, w, 4)
+                      for w in module_vectors(W, F(5, 2))))
 
 
 # -- A8 ----------------------------------------------------------------------
@@ -220,61 +213,34 @@ def test_a8_twist_identities(ramond, z2):
                 ("generalized commutator", check_gen_commutator),
                 ("generalized weak commutativity",
                  check_gen_weak_commutativity)):
-            bad = None
-            for u in us:
-                for v in us:
-                    for w in ws:
-                        r = checker(W, u, v, w, 3)
-                        if not r.ok:
-                            bad = r
-                            break
-            report("A8 %s (%s, |exp| <= 3)" % (name, W.name), bad is None,
-                   str((bad.inputs, bad.first_mismatch)) if bad else "")
+            report_sweep("A8 %s (%s, |exp| <= 3)" % (name, W.name),
+                         (checker(W, u, v, w, 3)
+                          for u in us for v in us for w in ws),
+                         with_inputs=True)
 
 
 # -- A9 ----------------------------------------------------------------------
 
 def test_a9_decompositions(ramond, z2, toy):
     for W, cut in ((ramond, F(3, 2)), (z2, F(1))):
-        bad = None
-        for u in algebra_vectors(W.V, cut):
-            for w in module_vectors(W, 1):
-                r = check_y0_decomposition(W, u, w, 3)
-                if not r.ok:
-                    bad = r
-                    break
-        report("A9 log decompositions, log-free case (%s)" % W.name,
-               bad is None, str(bad.first_mismatch) if bad else "")
-        bad = None
-        for w in module_vectors(W, 1):
-            for v in algebra_vectors(W.V, cut):
-                r = check_twist_decomposition(W, w, v, 3)
-                if not r.ok:
-                    bad = r
-                    break
-        report("A9 twist decomposition, log-free case (%s)" % W.name,
-               bad is None, str(bad.first_mismatch) if bad else "")
+        us = algebra_vectors(W.V, cut)
+        ws = module_vectors(W, 1)
+        report_sweep("A9 log decompositions, log-free case (%s)" % W.name,
+                     (check_y0_decomposition(W, u, w, 3)
+                      for u in us for w in ws))
+        report_sweep("A9 twist decomposition, log-free case (%s)" % W.name,
+                     (check_twist_decomposition(W, w, v, 3)
+                      for w in ws for v in us))
     V3 = toy.V
     picks = [V3.gen_vector("b"), V3.gen_vector("c"),
              V3.mode_vec(V3.gen_vector("b"), -2, 0, Vec.basis(V3.vac))]
-    bad = None
-    for u in picks:
-        for w in (Vec.basis(V3.vac), V3.gen_vector("a")):
-            r = check_y0_decomposition(toy, u, w, 2)
-            if not r.ok:
-                bad = r
-                break
-    report("A9 log decompositions, log case (unipotent view)", bad is None,
-           str(bad.first_mismatch) if bad else "")
-    bad = None
-    for w in (V3.gen_vector("a"), V3.gen_vector("c")):
-        for v in (V3.gen_vector("b"), V3.gen_vector("c")):
-            r = check_twist_decomposition(toy, w, v, 2)
-            if not r.ok:
-                bad = r
-                break
-    report("A9 twist decomposition, log case (unipotent view)", bad is None,
-           str(bad.first_mismatch) if bad else "")
+    report_sweep("A9 log decompositions, log case (unipotent view)",
+                 (check_y0_decomposition(toy, u, w, 2) for u in picks
+                  for w in (Vec.basis(V3.vac), V3.gen_vector("a"))))
+    report_sweep("A9 twist decomposition, log case (unipotent view)",
+                 (check_twist_decomposition(toy, w, v, 2)
+                  for w in (V3.gen_vector("a"), V3.gen_vector("c"))
+                  for v in (V3.gen_vector("b"), V3.gen_vector("c"))))
 
 
 # -- A10 ---------------------------------------------------------------------
@@ -283,29 +249,18 @@ def test_a10_polynomiality(ramond, z2):
     for W in (ramond, z2):
         gen = W.V.gen_vector(W.V.gens[0].name)
         ws = module_vectors(W, 1)
-        bad = None
-        for w in ws:
-            for wp in ws:
-                for k in (2, 3):
-                    r = check_product_polynomiality(W, [gen] * k, w, wp, 6)
-                    if not r.ok:
-                        bad = r
-                        break
-        report("A10 product polynomiality k <= 3 (%s, half-width 6)" % W.name,
-               bad is None, str(bad.first_mismatch) if bad else "")
+        report_sweep("A10 product polynomiality k <= 3 (%s, half-width 6)"
+                     % W.name,
+                     (check_product_polynomiality(W, [gen] * k, w, wp, 6)
+                      for w in ws for wp in ws for k in (2, 3)))
         one = Vec.basis(W.V.vac)
         vac = ws[0]
         combos = (([], []), ([gen], []), ([], [gen]), ([gen, gen], []),
                   ([gen], [gen]))
-        bad = None
-        for tw, alg in combos:
-            r = check_mixed_product(W, tw, vac, alg, gen if not alg else one,
-                                    6)
-            if not r.ok:
-                bad = r
-                break
-        report("A10 mixed products k+l <= 2 (%s, half-width 6)" % W.name,
-               bad is None, str((bad.inputs, bad.first_mismatch)) if bad else "")
+        report_sweep("A10 mixed products k+l <= 2 (%s, half-width 6)" % W.name,
+                     (check_mixed_product(W, tw, vac, alg,
+                                          gen if not alg else one, 6)
+                      for tw, alg in combos), with_inputs=True)
 
 
 # -- A11 ---------------------------------------------------------------------

@@ -13,13 +13,16 @@ generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
 g), certified by S e^K = g.  `FractionScalar` is the scalar ring with one
 int or Fraction coefficient per term.  `loop_binomial` forms C(a, k) as a
 falling product over Fractions.  `euclid_inverse` inverts a cyclotomic
-number by extended Euclid on its coefficient list mod x^M + 1.  All are
-kept here only as references for
+number by extended Euclid on its coefficient list mod x^M + 1.  The
+`Loop*` series nodes (scaling, the phase shift behind the branch shift and
+y -> -x, d/dx, the residue and a fixed mode on each vector coefficient)
+each run their own term loop.  All are kept here only as references for
 the engine's shortcuts (lattice-int mode indices, the vacuum collapse,
 Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
-path, integer numerators over one denominator, int binomials, and the
-inverse by Galois conjugates), which must give equal results.
+path, integer numerators over one denominator, int binomials, the
+inverse by Galois conjugates, and one term-map node for every term-wise
+series transform), which must give equal results.
 """
 
 from fractions import Fraction
@@ -35,6 +38,7 @@ from vertextwist.automorphism import (NILPOTENCY_CAP,
                                       nilpotent_power_coeffs,
                                       orthogonal_automorphism,
                                       parity_automorphism)
+from vertextwist.errors import NonMeromorphicVariable
 from vertextwist.linalg import mat_eq, mat_identity, mat_mul, solve
 from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_free_fermion, build_heisenberg,
@@ -42,9 +46,13 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import (CyclotomicLevelError, Scalar, Vec, acc_vec,
-                                 binomial, cyclotomic_level, inverse, lattice,
-                                 linear, scalar_json, terms_of, vec_of)
-from vertextwist.twistop import TwistOpSlot
+                                 binomial, cyclotomic_level, exact, exponent,
+                                 inverse, lattice, linear, scalar_json,
+                                 terms_of, vec_of)
+from vertextwist.series import (D, Box, Series, TermSeries, branch_shift,
+                                c_mul, coset_range, derivative,
+                                log_substitute, mono, residue, scaled)
+from vertextwist.twistop import TwistOpSlot, _applied, twist_chain
 from vertextwist.vosa import check_axioms
 
 from test_verdicts import non_skew
@@ -824,3 +832,217 @@ def test_inverse_matches_euclid(s):
     assert s * got == 1
     # canonical: an integral rational comes back as its int
     assert type(got) is not Fraction or got.denominator != 1
+
+
+# ---------------------------------------------------------------------------
+# term-wise series transforms, one node class each with its own loop
+# ---------------------------------------------------------------------------
+
+class LoopScaled(Series):
+    def __init__(self, base: Series, c):
+        super().__init__(base.vars, base.bounds, base.cosets, base.logmax)
+        self.base, self.c = base, c
+
+    def _terms_in(self, box):
+        return {m: c_mul(self.c, v) for m, v in self.base.terms_in(box).items()}
+
+
+class LoopPhaseShift(Series):
+    """x^n -> e^{pi i h n} x^n and log x -> log x + h*PI on one variable."""
+
+    def __init__(self, base: Series, idx: int, half_turns, rename: str = None):
+        vars = list(base.vars)
+        if rename is not None:
+            vars[idx] = rename
+        super().__init__(vars, base.bounds, base.cosets, base.logmax)
+        self.base, self.idx, self.h = base, idx, Fraction(half_turns)
+
+    def _terms_in(self, box):
+        src = Box(box.lows, box.highs,
+                  tuple(self.base.logmax[i] if i == self.idx else c
+                        for i, c in enumerate(box.logcaps)))
+        out = {}
+        i = self.idx
+        for m, c in self.base.terms_in(src).items():
+            q = self.h * exponent(m[0][i])
+            phase = Scalar.e(q)
+            k = m[1][i]
+            for j in range(0, k + 1):
+                if j > box.logcaps[i]:
+                    continue
+                fac = binomial(k, k - j) * (Scalar.pi() ** (k - j)) * \
+                    (self.h ** (k - j))
+                logs = tuple(j if t == i else v for t, v in enumerate(m[1]))
+                mn = (m[0], logs)
+                if not box.contains(mn):
+                    continue
+                cc = c_mul(phase * fac, c)
+                prev = out.get(mn)
+                out[mn] = cc if prev is None else prev + cc
+        return out
+
+
+class LoopDerivative(Series):
+    def __init__(self, base: Series, idx: int):
+        bounds = list(base.bounds)
+        lo, hi = bounds[idx]
+        bounds[idx] = (None if lo is None else lo - D,
+                       None if hi is None else hi - D)
+        super().__init__(base.vars, bounds, base.cosets, base.logmax)
+        self.base, self.idx = base, idx
+
+    def _terms_in(self, box):
+        i = self.idx
+        lo, hi = box.lows[i], box.highs[i]
+        src = box.with_var(i, None if lo is None else lo + D,
+                           None if hi is None else hi + D,
+                           min(self.base.logmax[i], box.logcaps[i] + 1))
+        out = {}
+        for m, c in self.base.terms_in(src).items():
+            n, k = exponent(m[0][i]), m[1][i]
+            powers = tuple(p - D if t == i else p for t, p in enumerate(m[0]))
+            targets = [((powers, m[1]), n)]
+            if k:
+                logs = tuple(v - 1 if t == i else v
+                             for t, v in enumerate(m[1]))
+                targets.append(((powers, logs), k))
+            for mn, fac in targets:
+                if fac == 0 or not box.contains(mn):
+                    continue
+                cc = c_mul(fac, c)
+                prev = out.get(mn)
+                out[mn] = cc if prev is None else prev + cc
+        return out
+
+
+class LoopResidue(Series):
+    def __init__(self, base: Series, idx: int):
+        if base.cosets[idx] - {0} or base.logmax[idx] > 0:
+            raise NonMeromorphicVariable(
+                "residue in %s: fractional exponents or logs remain"
+                % base.vars[idx])
+        keep = [i for i in range(len(base.vars)) if i != idx]
+        super().__init__([base.vars[i] for i in keep],
+                         [base.bounds[i] for i in keep],
+                         [base.cosets[i] for i in keep],
+                         [base.logmax[i] for i in keep])
+        self.base, self.idx = base, idx
+
+    def _terms_in(self, box):
+        lows = list(box.lows)
+        highs = list(box.highs)
+        caps = list(box.logcaps)
+        lows.insert(self.idx, -D)
+        highs.insert(self.idx, -D)
+        caps.insert(self.idx, 0)
+        out = {}
+        for m, c in self.base.terms_in(Box(lows, highs, caps)).items():
+            powers = tuple(p for i, p in enumerate(m[0]) if i != self.idx)
+            logs = tuple(k for i, k in enumerate(m[1]) if i != self.idx)
+            mn = (powers, logs)
+            prev = out.get(mn)
+            out[mn] = c if prev is None else prev + c
+        return out
+
+
+class LoopAppliedSeries(Series):
+    """Coefficients of an inner vector-valued series hit by one fixed mode."""
+
+    def __init__(self, W, chain, u: Vec, n):
+        super().__init__(chain.vars, chain.bounds, chain.cosets, chain.logmax)
+        self.W = W
+        self.inner = chain
+        self.u = u
+        self.n = Fraction(n)
+
+    def _terms_in(self, box):
+        out = {}
+        for m, vec in self.inner.terms_in(box).items():
+            res = self.W.mode_vec(self.u, self.n, 0, vec)
+            if res:
+                out[m] = res
+        return out
+
+
+def assert_same_series(got, want, box):
+    assert (got.vars, got.bounds, got.cosets, got.logmax) == \
+        (want.vars, want.bounds, want.cosets, want.logmax)
+    assert got.terms_in(box) == want.terms_in(box), box
+
+
+# quarter-step exponents, so that the transforms' images collide often
+series_exponents = st.integers(-6, 6).map(lambda p: Fraction(p, 4))
+series_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4).map(exact),
+    st.builds(lambda a, q: a * Scalar.e(Fraction(q, 8)),
+              st.integers(-2, 2), st.integers(0, 15)))
+series_vecs = st.dictionaries(st.sampled_from("abc"),
+                              st.integers(-3, 3).filter(bool),
+                              min_size=1, max_size=3).map(Vec)
+series_bounds = st.one_of(st.none(), st.integers(-2 * D, 2 * D))
+
+
+@st.composite
+def term_series(draw, nvars):
+    coeffs = draw(st.sampled_from([series_scalars, series_vecs]))
+    monomials = st.tuples(st.tuples(*[series_exponents] * nvars),
+                          st.tuples(*[st.integers(0, 2)] * nvars))
+    terms = draw(st.dictionaries(monomials, coeffs, min_size=1, max_size=6))
+    return TermSeries(("x", "y", "z")[:nvars],
+                      {mono(p, logs): c for (p, logs), c in terms.items()})
+
+
+@st.composite
+def series_boxes(draw, nvars):
+    sides = []
+    for _ in range(nvars):
+        lo, hi = draw(series_bounds), draw(series_bounds)
+        sides.append((lo, hi) if None in (lo, hi) or lo <= hi else (hi, lo))
+    return Box([lo for lo, _ in sides], [hi for _, hi in sides],
+               draw(st.tuples(*[st.integers(0, 2)] * nvars)))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_term_map_matches_loop_transforms(data):
+    n = data.draw(st.integers(1, 3))
+    s = data.draw(term_series(n))
+    idx = data.draw(st.integers(0, n - 1))
+    box = data.draw(series_boxes(n))
+    c = data.draw(series_scalars.filter(bool))
+    p = data.draw(st.integers(-2, 2).filter(bool))
+    assert_same_series(scaled(s, c), LoopScaled(s, c), box)
+    assert_same_series(branch_shift(s, idx, p),
+                       LoopPhaseShift(s, idx, 2 * p), box)
+    assert_same_series(log_substitute(s, idx, "w"),
+                       LoopPhaseShift(s, idx, 1, rename="w"), box)
+    assert_same_series(derivative(s, idx), LoopDerivative(s, idx), box)
+    # the residue variable made integral and log-free
+    mer = TermSeries(s.vars, {
+        (m[0][:idx] + (m[0][idx] - m[0][idx] % D,) + m[0][idx + 1:],
+         m[1][:idx] + (0,) + m[1][idx + 1:]): c for m, c in s.terms.items()})
+    rbox = data.draw(series_boxes(n - 1))
+    assert_same_series(residue(mer, idx), LoopResidue(mer, idx), rbox)
+
+
+@pytest.mark.parametrize("name", ["z2boson", "ramond",
+                                  "heis3-unipotent-view"])
+def test_applied_mode_matches_loop_form(modules, name):
+    W = modules[name]
+    vars = ("x0", "x2")
+    box = Box.cube(2, -3, 3, W.log_bound)
+    compared = 0
+    for wkey in W.basis(1):
+        for vkey in W.V.basis(1):
+            chain = twist_chain(W, vars, [(1, "twist", Vec.basis(wkey))],
+                                Vec.basis(vkey))
+            for ukey in W.V.basis(1):
+                u = Vec.basis(ukey)
+                al = W.algebra_alpha(u)
+                for n in coset_range(-3, 2, al):
+                    got = _applied(W, chain, u, n).terms_in(box)
+                    assert got == LoopAppliedSeries(
+                        W, chain, u, n).terms_in(box), (wkey, vkey, ukey, n)
+                    compared += bool(got)
+    assert compared
