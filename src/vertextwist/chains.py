@@ -156,11 +156,11 @@ class ChainSeries(Series):
             m = (tuple(powers), tuple(logs))
             if not box.contains(m):
                 return
+            # each slot's exponent cosets are distinct residues, so no two
+            # assignments give one monomial
             val = pair(self.wprime, vec) if self.wprime is not None else vec
-            if not val:
-                return
-            prev = out.get(m)
-            out[m] = val if prev is None else prev + val
+            if val:
+                out[m] = val
 
         # exponents, degrees and weights below are lattice ints; a slot is
         # handed the rational exponent

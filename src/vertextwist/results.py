@@ -2,18 +2,20 @@
 path every checker ends in.
 
 `compare` is the only place that decides a verdict: it certifies two sides
-of an identity coefficient by coefficient on a box, and a failure carries the
-box as its window and the first differing monomial with both coefficients.
-`Modes` states an identity mode by mode, as sides side(n, k) giving the
-coefficient of x^{-n-1} log(x)^k.  `first_failure` folds the records of a
-sweep into its first failure, or one pass record for the whole sweep.
+of an identity, each a Series, coefficient by coefficient on a box, and a
+failure carries the box as its window and the first differing monomial with
+both coefficients.  `Modes` states an identity mode by mode, as sides
+side(n, k) giving the coefficient of x^{-n-1} log(x)^k.  `first_failure`
+folds the records of a sweep into its first failure, or one pass record for
+the whole sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .series import Box, format_monomial, lattice, series_mismatch, window_json
+from .series import (Box, TermSeries, format_monomial, lattice,
+                     series_mismatch, window_json)
 
 
 @dataclass
@@ -40,10 +42,9 @@ class CheckResult:
 def compare(identity, inputs, vars, box, lhs, rhs) -> CheckResult:
     """Certify lhs == rhs coefficient by coefficient on the box.
 
-    Each side is a Series or a {monomial: coefficient} dict; a dict is read
-    on the box with its zero coefficients dropped.  A failure carries the
-    first differing monomial in canonical order and both coefficients there,
-    None standing for an absent term.
+    Each side is a Series, read on the box.  A failure carries the first
+    differing monomial in canonical order and both coefficients there, None
+    standing for an absent term.
     """
     mismatch = series_mismatch(lhs, rhs, box)
     window = window_json(vars, box)
@@ -70,9 +71,9 @@ class Modes:
     def compare(self, identity, inputs, lhs, rhs) -> CheckResult:
         """`compare` of the sides lhs(n, k) and rhs(n, k), each giving the
         coefficient of x^{-n-1} log(x)^k."""
-        return compare(identity, inputs, self.vars, self.box,
-                       {m: lhs(n, k) for n, k, m in self.rows},
-                       {m: rhs(n, k) for n, k, m in self.rows})
+        return compare(identity, inputs, self.vars, self.box, *(
+            TermSeries(self.vars, {m: side(n, k) for n, k, m in self.rows})
+            for side in (lhs, rhs)))
 
 
 def first_failure(identity, inputs, records) -> CheckResult:

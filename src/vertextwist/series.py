@@ -18,8 +18,11 @@ series; a product may mix the two as long as at most one factor is
 vector-valued.
 
 Every term-wise transform of one series is one node, `_TermMap`: scaling,
-the branch shift and the substitution y -> -x, d/dx, the residue, and a
-fixed mode applied to each vector coefficient.
+the branch shift and the substitution y -> -x, d/dx, the residue, a fixed
+mode or L(-1) applied to each vector coefficient, the log shift (times
+(log x)^k) and the restriction to the monomials a predicate keeps.  Every
+side of an identity is a `Series`.  Coinciding terms are summed by
+`acc_terms`, or inline in the convolution loop of `Product`.
 """
 
 from __future__ import annotations
@@ -86,7 +89,10 @@ class Box:
                 return False
             if hi is not None and p > hi:
                 return False
-        return all(k <= cap for k, cap in zip(m[1], self.logcaps))
+        for k, cap in zip(m[1], self.logcaps):
+            if k > cap:
+                return False
+        return True
 
     def with_var(self, idx: int, lo, hi, logcap=None) -> "Box":
         lows = list(self.lows)
@@ -193,6 +199,16 @@ class TermSeries(Series):
         return TermSeries(vars, {})
 
 
+def acc_terms(out: dict, terms) -> dict:
+    """Add (monomial, coefficient) pairs into out, summing coinciding
+    monomials; returns out."""
+    get = out.get
+    for m, c in terms:
+        prev = get(m)
+        out[m] = c if prev is None else prev + c
+    return out
+
+
 class Sum(Series):
     def __init__(self, parts):
         flat = []
@@ -214,9 +230,7 @@ class Sum(Series):
     def _terms_in(self, box):
         out = {}
         for p in self.parts:
-            for m, c in p.terms_in(box).items():
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
+            acc_terms(out, p.terms_in(box).items())
         return out
 
 
@@ -467,13 +481,8 @@ class _TermMap(Series):
         fn = self.fn
         if self.source is None:
             return {m: fn(c) for m, c in self.base.terms_in(box).items()}
-        out = {}
-        for m, c in self.base.terms_in(self.source(box)).items():
-            for mn, cc in fn(m, c):
-                if box.contains(mn):
-                    prev = out.get(mn)
-                    out[mn] = cc if prev is None else prev + cc
-        return out
+        return acc_terms({}, (t for m, c in self.base.terms_in(
+            self.source(box)).items() for t in fn(m, c) if box.contains(t[0])))
 
 
 def _put(t: tuple, i: int, v) -> tuple:
@@ -512,6 +521,25 @@ def branch_shift(s: Series, idx: int, p: int) -> Series:
 def log_substitute(s: Series, idx: int, rename: str = "x") -> Series:
     """Substitute y -> -x on variable idx: y^n -> e^{pi i n} x^n, log y -> log x + PI."""
     return _phase_shift(s, idx, 1, rename=rename)
+
+
+def log_shift(s: Series, idx: int, k: int) -> Series:
+    """s times (log x_idx)^k: the base is read k log powers below the box."""
+    if not k:
+        return s
+    return _TermMap(
+        s, lambda m, c: (((m[0], _put(m[1], idx, m[1][idx] + k)), c),),
+        lambda box: box.with_var(idx, box.lows[idx], box.highs[idx],
+                                 box.logcaps[idx] - k),
+        (s.vars, s.bounds, s.cosets, _put(s.logmax, idx, s.logmax[idx] + k)))
+
+
+def restricted(s: Series, keep) -> Series:
+    """The terms of s whose monomial m passes keep(m); the base is read on
+    the box itself, so a side compared against its own restriction is read
+    once."""
+    return _TermMap(s, lambda m, c: ((m, c),) if keep(m) else (),
+                    lambda box: box)
 
 
 def derivative(s: Series, idx: int) -> Series:
@@ -558,16 +586,13 @@ def residue(s: Series, idx: int) -> Series:
 # comparison and display
 # ---------------------------------------------------------------------------
 
-def series_mismatch(a, b, box: Box):
+def series_mismatch(a: Series, b: Series, box: Box):
     """First differing (monomial, lhs, rhs) in canonical order, or None.
 
-    Each side is a Series or a {monomial: coefficient} dict, read directly
-    on the box with its zero coefficients dropped.  Equal sides return at
-    once; only a mismatch pays for the sort.
+    Both sides are read on the box.  Equal sides return at once; only a
+    mismatch pays for the sort.
     """
-    ta, tb = (s.terms_in(box) if isinstance(s, Series) else
-              {m: c for m, c in s.items() if c and box.contains(m)}
-              for s in (a, b))
+    ta, tb = a.terms_in(box), b.terms_in(box)
     if ta == tb:
         return None
     for m in sorted(ta.keys() | tb.keys(), key=mono_sort_key):

@@ -21,9 +21,9 @@ from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
 from .scalars import Vec, linear, phase_turns
 from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
-                     branch_shift, coset_range, delta_iter, delta_prod,
-                     delta_prod_rev, derivative, exponent, lattice, mono,
-                     residue, scaled, window_json)
+                     _TermMap, branch_shift, coset_range, delta_iter,
+                     delta_prod, delta_prod_rev, derivative, log_shift,
+                     residue, restricted, scaled, window_json)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -50,9 +50,11 @@ class ModuleBase(Space):
     def g_apply(self, vec: Vec) -> Vec:
         raise NotImplementedError
 
-    def y0_mode_vec(self, uvec: Vec, n, wvec: Vec) -> Vec:
-        """Log-constant part; coincides with the full modes when N_g = 0."""
-        return self.mode_vec(uvec, n, 0, wvec)
+    @property
+    def y0_space(self) -> Space:
+        """The space whose own vertex operator is (Y)_0 on this module: the
+        module itself, where (Y)_0 coincides with Y since N_g = 0."""
+        return self
 
     def module_nilpotent_coeffs(self, wvec: Vec):
         """[N^k w / k!] on the module; [w] unless the module carries logs."""
@@ -202,8 +204,10 @@ class UnipotentViewModule(ModuleBase):
         sgn = Fraction((-1) ** k)
         return self.V.mode_vec(parts[k].scale(sgn), n, 0, wvec)
 
-    def y0_mode_vec(self, uvec: Vec, n, wvec: Vec) -> Vec:
-        return self.V.mode_vec(uvec, n, 0, wvec)
+    @property
+    def y0_space(self) -> Space:
+        # Y^g(u, x) = Y_V(x^{-N_g} u, x), so (Y)_0 is Y_V
+        return self.V
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +354,18 @@ def check_L_minus1_derivative_W(W, u, w, halfwidth) -> CheckResult:
     if not res.ok:
         return res
     comm, want = L_minus1_commutator_sides(
-        W, W.chain(vars, [(0, u)], w), W.chain(vars, [(0, u)], W.L_minus1(w)),
-        box)
+        W, W.chain(vars, [(0, u)], w), W.chain(vars, [(0, u)], W.L_minus1(w)))
     return compare("L(-1)-derivative-W", inputs, vars, box, comm, want)
 
 
-def L_minus1_commutator_sides(W, me, lowered, box):
-    """Terms of both sides of L(-1) S(x) - S'(x) = d/dx S(x) on the box.
+def L_minus1_commutator_sides(W, me, lowered):
+    """Both sides of L(-1) S(x) - S'(x) = d/dx S(x).
 
     S (`me`) is a one-variable vector-valued series into W and S'
     (`lowered`) is S with L(-1) applied to its right argument.
     """
-    base = me.terms_in(box.with_var(0, box.lows[0], box.highs[0] + lattice(1)))
-    low = lowered.terms_in(box)
-    zero = Vec.zero()
-    comm = {m: W.L_minus1(base.get(m, zero)) - low.get(m, zero)
-            for m in {m for m in base if box.contains(m)} | set(low)}
-    return comm, derivative(me, 0).terms_in(box)
+    return (Sum([_TermMap(me, W.L_minus1), scaled(lowered, -1)]),
+            derivative(me, 0))
 
 
 def check_y0_decomposition(W, u, w, halfwidth) -> CheckResult:
@@ -377,40 +376,36 @@ def check_y0_decomposition(W, u, w, halfwidth) -> CheckResult:
     full = W.chain(vars, [(0, u)], w)
     for side in ("argument", "conjugated"):
         res = compare("log-decomposition-" + side, inputs, vars, box,
-                      _y0_of_dressed_terms(W, u, w, box, side), full)
+                      _y0_of_dressed_terms(W, u, w, vars, side), full)
         if not res.ok:
             return res
     return CheckResult("log-decomposition", True, inputs,
                        window_json(vars, box))
 
 
-def _y0_of_dressed_terms(W, u, w, box, side):
-    """Terms of (Y)_0(x^{-N}u, x) or x^{-N}(Y)_0(u,x)x^{N} over the box's
-    exponents; log powers are left for the comparator to clip."""
+def x_N_dressed(W, side, vec, sign):
+    """side(x^{sign N} vec) = sum_k (sign log x)^k side(N^k vec / k!), with
+    N on V and side mapping a vector of V to a one-variable series."""
     from .automorphism import nilpotent_power_coeffs
-    out = {}
-    exps = _exponents_of(W, u, exponent(box.lows[0]), exponent(box.highs[0]))
+    return Sum([log_shift(side(part.scale(Fraction(sign ** k))), 0, k)
+                for k, part in enumerate(nilpotent_power_coeffs(W.g, vec))])
+
+
+def _y0_of_dressed_terms(W, u, w, vars, side):
+    """(Y)_0(x^{-N}u, x)w or x^{-N}(Y)_0(u,x)x^{N}w as a series."""
+
+    def y0(uvec, wvec):
+        return W.y0_space.chain(vars, [(0, uvec)], wvec)
     if side == "argument":
-        parts = nilpotent_power_coeffs(W.g, u)   # N^k u / k!, V side
-        for k, part in enumerate(parts):
-            sgn = Fraction((-1) ** k)
-            for e in exps:
-                vec = W.y0_mode_vec(part.scale(sgn), -e - 1, w)
-                if vec:
-                    m = mono((e,), (k,))
-                    out[m] = out.get(m, Vec.zero()) + vec
-    else:
-        # x^{-N} (Y)_0(u, x) x^{N} on the module side
-        for e in exps:
-            for k2, wpart in enumerate(W.module_nilpotent_coeffs(w)):
-                vec = W.y0_mode_vec(u, -e - 1, wpart)
-                if not vec:
-                    continue
-                for k1, res in enumerate(W.module_nilpotent_coeffs(vec)):
-                    sgn = Fraction((-1) ** k1)
-                    m = mono((e,), (k1 + k2,))
-                    out[m] = out.get(m, Vec.zero()) + res.scale(sgn)
-    return out
+        return x_N_dressed(W, lambda uvec: y0(uvec, w), u, -1)
+
+    def conjugate(m, vec):
+        # x^{-N} on the module side
+        for k, res in enumerate(W.module_nilpotent_coeffs(vec)):
+            yield (m[0], (m[1][0] + k,)), res.scale(Fraction((-1) ** k))
+    return Sum([log_shift(_TermMap(y0(u, wpart), conjugate, lambda box: box),
+                          0, k)
+                for k, wpart in enumerate(W.module_nilpotent_coeffs(w))])
 
 
 def prefactored_product(W, vs, order, w, wprime):
@@ -453,9 +448,7 @@ def check_product_polynomiality(W, vs, w, wprime, halfwidth) -> CheckResult:
                                 for j in range(k) if j != i)) * D))
     predicted = Box(lows, highs, box.logcaps)
     return compare("product-polynomiality", _inputs(w=w, wprime=wprime, k=k),
-                   vars, box, prod,
-                   {m: c for m, c in prod.terms_in(box).items()
-                    if predicted.contains(m)})
+                   vars, box, prod, restricted(prod, predicted.contains))
 
 
 def check_permutation_symmetry(W, vs, w, wprime, perm, halfwidth) -> CheckResult:

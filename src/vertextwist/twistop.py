@@ -17,12 +17,14 @@ from .chains import ChainSeries, OpSlot
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
-                     Sum, TermSeries, _TermMap, c_mul, coset_range,
+                     Sum, TermSeries, _TermMap, acc_terms, coset_range,
                      delta_iter, delta_prod, delta_prod_rev, derivative,
-                     exponent, lattice, minus_convention, mono, mono_add,
-                     residue, scaled)
+                     exponent, minus_convention, mono, residue,
+                     restricted, scaled)
+from .series import mono_add  # bench/layertrace.py patches it here by name
 from .twisted import (L_minus1_commutator_sides, _cube, _inputs,
-                      commutativity_order, mode_sum, require_semisimple)
+                      commutativity_order, mode_sum, require_semisimple,
+                      x_N_dressed)
 from .vosa import weak_commutativity_order
 
 F0 = Fraction(0)
@@ -120,23 +122,24 @@ def twist_commutativity_order(W, u: Vec, w: Vec) -> int:
     al = W.algebra_alpha(u)
     top = W.vec_deg(w) + W.algebra_weight(u) - 1
     for n in reversed(list(coset_range(al, top, al))):
-        if W.y0_mode_vec(u, n, w):
+        if W.y0_space.mode_vec(u, n, 0, w):
             return int(n - al) + 1
     return 0
 
 
-def _exp_L_terms(W, w_arg: Vec, vars, var_idx, max_j) -> dict:
+def _exp_L_terms(W, w_arg: Vec, vars, var_idx, max_j) -> TermSeries:
     """e^{x L(-1)} w as explicit vector-valued terms up to x^max_j."""
     out = {}
     cur = w_arg
-    nv = len(vars)
+    m = mono([0] * len(vars))
+    x = mono([int(i == var_idx) for i in range(len(vars))])
     for j in range(max_j + 1):
         if not cur:
             break
-        out[mono([j if i == var_idx else 0 for i in range(nv)])] = \
-            cur.scale(Fraction(1, factorial(j)))
+        out[m] = cur.scale(Fraction(1, factorial(j)))
+        m = mono_add(m, x)
         cur = W.L_minus1(cur)
-    return out
+    return TermSeries(vars, out)
 
 
 def check_twist_vacuum_identity(W, w_arg: Vec, halfwidth) -> CheckResult:
@@ -230,24 +233,21 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec,
     # residue form of the right side
     vars3 = ("x0", "x1", "x2")
     k_hi = W.vec_deg(w_arg) + W.V.algebra_weight(u) - 1 - al
-    modes = ((k, W.y0_mode_vec(u, al + k, w_arg))
+    modes = ((k, W.y0_space.mode_vec(u, al + k, 0, w_arg))
              for k in range(floor(k_hi) + 1))
     iterate = mode_sum(vars3, modes, lambda: delta_iter(vars3, 0, 1, 2),
                        lambda vecw: twist_chain(W, vars3, [(2, "twist", vecw)],
                                                 v))
-    # with no mode left the side is zero; no residue pass is made over it
-    rhs = residue(iterate, 0) if isinstance(iterate, Sum) \
-        else TermSeries.zero(vars)
     box = _cube(W, vars, halfwidth)
     res = compare("generalized-commutator", _inputs(u=u, v=v, w=w_arg), vars,
-                  box, lhs, rhs)
+                  box, lhs, residue(iterate, 0))
     if not res.ok:
         return res
     # delta-derivative form: sum over k < M of (1/k!) d^k delta kernels
     M = max(twist_commutativity_order(W, u, w_arg), 1)
     dparts = []
     for k in range(M):
-        vecw = W.y0_mode_vec(u, al + k, w_arg)
+        vecw = W.y0_space.mode_vec(u, al + k, 0, w_arg)
         if vecw:
             kern = DeltaDerivKernel(vars, den=0, num=1, k=k)
             dparts.append(Product(kern, twist_chain(
@@ -278,17 +278,9 @@ def check_gen_weak_commutativity(W, u: Vec, v: Vec, w_arg: Vec,
                    _cube(W, vars, halfwidth), lhs, rhs)
 
 
-def _t0_terms(W, w_arg, v, box):
-    """Terms of T_0(w,x) v = T(w,x) x^{N_g} v; log-free when the lemma holds."""
-    from .automorphism import nilpotent_power_coeffs
-    out = {}
-    for k2, part in enumerate(nilpotent_power_coeffs(W.g, v)):
-        sub = twist_matrix_element(W, w_arg, part).terms_in(box)
-        for (powers, logs), c in sub.items():
-            m = (powers, (logs[0] + k2,))
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
-    return {m: c for m, c in out.items() if c}
+def _t0_terms(W, w_arg, v) -> Series:
+    """T_0(w,x) v = T(w,x) x^{N_g} v; log-free when the lemma holds."""
+    return x_N_dressed(W, partial(twist_matrix_element, W, w_arg), v, 1)
 
 
 def check_twist_decomposition(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
@@ -299,22 +291,14 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
     npc = len(nilpotent_power_coeffs(W.g, v))
     box = Box.cube(1, -hw, hw, W.log_bound + npc)
     inputs = _inputs(w=w_arg, v=v)
-    t0 = _t0_terms(W, w_arg, v, box)
+    t0 = _t0_terms(W, w_arg, v)
     res = compare("twist-decomposition", inputs, vars, box, t0,
-                  {m: c for m, c in t0.items() if not m[1][0]})
+                  restricted(t0, lambda m: not m[1][0]))
     if not res.ok:
         return res
-    # reconstruct: T(w,x) v = sum_k T_0(w, x)(N^k v / k!)(-1)^k (log x)^k
-    recon = {}
-    for k1, part in enumerate(nilpotent_power_coeffs(W.g, v)):
-        sgn = Fraction((-1) ** k1)
-        for (powers, logs), c in _t0_terms(W, w_arg, part.scale(sgn),
-                                           box).items():
-            m = (powers, (logs[0] + k1,))
-            prev = recon.get(m)
-            recon[m] = c if prev is None else prev + c
     return compare("twist-decomposition", inputs, vars, box,
-                   twist_matrix_element(W, w_arg, v), recon)
+                   twist_matrix_element(W, w_arg, v),
+                   x_N_dressed(W, partial(_t0_terms, W, w_arg), v, -1))
 
 
 def check_L_minus1_twist(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
@@ -329,7 +313,7 @@ def check_L_minus1_twist(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
         return res
     comm, want = L_minus1_commutator_sides(
         W, twist_matrix_element(W, w_arg, v),
-        twist_matrix_element(W, w_arg, W.V.L_minus1(v)), box)
+        twist_matrix_element(W, w_arg, W.V.L_minus1(v)))
     return compare("L(-1)-twist", inputs, vars, box, comm, want)
 
 
@@ -343,55 +327,38 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
     hw = Fraction(hw)
     nv = len(vars)
     box = _cube(W, vars, hw)
-    lo, hi = lattice(-hw), lattice(hw)
+    # the kernels are finite once every variable but x is clipped, and x only
+    # rises under e^{xL(-1)}, so terms above the window never return
+    kbox = box.with_var(x_idx, None, box.highs[x_idx])
     # the twist slot acts on v and on the operators right of it only
     sign = (-1) ** (W.vec_parity(w_arg)
                     * (W.V.algebra_parity(v)
                        + sum(W.V.algebra_parity(u) for u in vs[k_tw:])))
-    own_box = [Box(
-        [None if i != v_idx[pos] else lo for i in range(nv)],
-        [None if i != v_idx[pos] else hi for i in range(nv)],
-        [0] * nv) for pos in range(len(vs))]
     out = {}
 
     def emit(chosen, n_v, cur):
-        # convolve the kernel factors, the x-monomial head and the e^{xL}
-        # terms directly; every factor is finite once its own variable is
-        # clipped to the window
-        head_m = mono([(-n_v - 1 if i == x_idx else 0) for i in range(nv)])
-        terms = {head_m: Scalar.e(-n_v - 1) * sign}
+        # the x-monomial head times the kernel factors, then times e^{xL};
+        # each product is read at once and summed into out, so that no
+        # emit's nodes outlive it
+        kern = TermSeries.monomial(
+            vars, [(-n_v - 1 if i == x_idx else 0) for i in range(nv)],
+            coeff=Scalar.e(-n_v - 1) * sign)
         for pos, n in enumerate(chosen):
             if pos < k_tw:
-                kern = BinomialKernel(vars, -n - 1, v_idx[pos], x_idx, sign=-1)
+                kern = Product(kern, BinomialKernel(vars, -n - 1, v_idx[pos],
+                                                    x_idx, sign=-1))
             else:
-                kern = BinomialKernel(vars, -n - 1, x_idx, v_idx[pos],
-                                      sign=-1, scale=Scalar.e(-n - 1))
-            kt = kern.terms_in(own_box[pos])
-            nxt = {}
-            for m1, c1 in terms.items():
-                for m2, c2 in kt.items():
-                    m = mono_add(m1, m2)
-                    if not lo <= m[0][v_idx[pos]] <= hi:
-                        continue
-                    c = c1 * c2
-                    prev = nxt.get(m)
-                    nxt[m] = c if prev is None else prev + c
-            terms = nxt
+                kern = Product(kern, BinomialKernel(
+                    vars, -n - 1, x_idx, v_idx[pos], sign=-1,
+                    scale=Scalar.e(-n - 1)))
+        terms = kern.terms_in(kbox)
         if not terms:
             return
         # only L-powers that can pull the shared variable back into the
         # window contribute
         jneed = int(hw - exponent(min(m[0][x_idx] for m in terms)))
-        if jneed < 0:
-            return
-        for m1, vecv in _exp_L_terms(W, cur, vars, x_idx, jneed).items():
-            for m2, c2 in terms.items():
-                m = mono_add(m1, m2)
-                if not box.contains(m):
-                    continue
-                cv = c_mul(c2, vecv)
-                prev = out.get(m)
-                out[m] = cv if prev is None else prev + cv
+        acc_terms(out, Product(_exp_L_terms(W, cur, vars, x_idx, jneed),
+                               kern).terms_in(box).items())
 
     wdeg = W.vec_deg(w_arg)
     # every coefficient within the window has degree at most this, and modes

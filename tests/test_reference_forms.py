@@ -16,16 +16,21 @@ falling product over Fractions.  `euclid_inverse` inverts a cyclotomic
 number by extended Euclid on its coefficient list mod x^M + 1.  The
 `Loop*` series nodes (scaling, the phase shift behind the branch shift and
 y -> -x, d/dx, the residue and a fixed mode on each vector coefficient)
-each run their own term loop.  All are kept here only as references for
-the engine's shortcuts (lattice-int mode indices, the vacuum collapse,
-Horner's rule, the Jordan parts
+each run their own term loop.  `loop_t0_terms`, `loop_twist_recon`,
+`loop_y0_of_dressed_terms`, `loop_L_minus1_commutator` and
+`loop_recentered_product` build identity sides as {monomial: coefficient}
+dicts and sum coinciding terms by hand.  All are kept here only as
+references for the engine's shortcuts (lattice-int mode indices, the vacuum
+collapse, Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
 path, integer numerators over one denominator, int binomials, the
-inverse by Galois conjugates, and one term-map node for every term-wise
-series transform), which must give equal results.
+inverse by Galois conjugates, one term-map node for every term-wise
+series transform, and every identity side a series node), which must give
+equal results.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import ceil, factorial, gcd
 
 import pytest
@@ -49,10 +54,14 @@ from vertextwist.scalars import (CyclotomicLevelError, Scalar, Vec, acc_vec,
                                  binomial, cyclotomic_level, exact, exponent,
                                  inverse, lattice, linear, scalar_json,
                                  terms_of, vec_of)
-from vertextwist.series import (D, Box, Series, TermSeries, branch_shift,
-                                c_mul, coset_range, derivative,
-                                log_substitute, mono, residue, scaled)
-from vertextwist.twistop import TwistOpSlot, _applied, twist_chain
+from vertextwist.series import (D, BinomialKernel, Box, Series, TermSeries,
+                                branch_shift, c_mul, coset_range, derivative,
+                                log_substitute, mono, mono_add, residue,
+                                scaled)
+from vertextwist.twisted import (L_minus1_commutator_sides,
+                                 _y0_of_dressed_terms, x_N_dressed)
+from vertextwist.twistop import (TwistOpSlot, _applied, _recentered_product,
+                                 _t0_terms, twist_chain, twist_matrix_element)
 from vertextwist.vosa import check_axioms
 
 from test_verdicts import non_skew
@@ -1046,3 +1055,223 @@ def test_applied_mode_matches_loop_form(modules, name):
                         W, chain, u, n).terms_in(box), (wkey, vkey, ukey, n)
                     compared += bool(got)
     assert compared
+
+
+# ---------------------------------------------------------------------------
+# identity sides built as {monomial: coefficient} dicts, collisions summed by
+# hand
+# ---------------------------------------------------------------------------
+
+def loop_t0_terms(W, w_arg, v, box):
+    """T_0(w,x) v = T(w,x) x^{N_g} v, each part read on the whole box; log
+    powers above the box are left for the reader to clip."""
+    out = {}
+    for k2, part in enumerate(nilpotent_power_coeffs(W.g, v)):
+        sub = twist_matrix_element(W, w_arg, part).terms_in(box)
+        for (powers, logs), c in sub.items():
+            m = (powers, (logs[0] + k2,))
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+    return {m: c for m, c in out.items() if c}
+
+
+def loop_twist_recon(W, w_arg, v, box):
+    """T(w,x) v rebuilt as sum_k T_0(w, x)(N^k v / k!)(-1)^k (log x)^k."""
+    recon = {}
+    for k1, part in enumerate(nilpotent_power_coeffs(W.g, v)):
+        sgn = Fraction((-1) ** k1)
+        for (powers, logs), c in loop_t0_terms(W, w_arg, part.scale(sgn),
+                                               box).items():
+            m = (powers, (logs[0] + k1,))
+            prev = recon.get(m)
+            recon[m] = c if prev is None else prev + c
+    return recon
+
+
+def loop_y0_of_dressed_terms(W, u, w, box, side):
+    """(Y)_0(x^{-N}u, x)w or x^{-N}(Y)_0(u,x)x^{N}w mode by mode over the
+    exponents of u in the box, through the modes of y0_space."""
+    out = {}
+    exps = sorted(e for al in W.g.coset_of(u) for e in coset_range(
+        exponent(box.lows[0]), exponent(box.highs[0]), -al))
+    if side == "argument":
+        for k, part in enumerate(nilpotent_power_coeffs(W.g, u)):
+            sgn = Fraction((-1) ** k)
+            for e in exps:
+                vec = W.y0_space.mode_vec(part.scale(sgn), -e - 1, 0, w)
+                if vec:
+                    m = mono((e,), (k,))
+                    out[m] = out.get(m, Vec.zero()) + vec
+    else:
+        for e in exps:
+            for k2, wpart in enumerate(W.module_nilpotent_coeffs(w)):
+                vec = W.y0_space.mode_vec(u, -e - 1, 0, wpart)
+                if not vec:
+                    continue
+                for k1, res in enumerate(W.module_nilpotent_coeffs(vec)):
+                    sgn = Fraction((-1) ** k1)
+                    m = mono((e,), (k1 + k2,))
+                    out[m] = out.get(m, Vec.zero()) + res.scale(sgn)
+    return out
+
+
+def loop_L_minus1_commutator(W, me, lowered, box):
+    """L(-1) S(x) - S'(x) term by term, S read one step taller than the box
+    and clipped back to it."""
+    base = me.terms_in(box.with_var(0, box.lows[0], box.highs[0] + D))
+    low = lowered.terms_in(box)
+    zero = Vec.zero()
+    return {m: W.L_minus1(base.get(m, zero)) - low.get(m, zero)
+            for m in {m for m in base if box.contains(m)} | set(low)}
+
+
+def loop_recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
+    """The re-centred product with its kernel and e^{xL(-1)} convolutions
+    written out: each kernel read with only its own variable clipped, and x
+    left unclipped until the last convolution."""
+    hw = Fraction(hw)
+    nv = len(vars)
+    box = Box.cube(nv, -hw, hw, W.log_bound)
+    lo, hi = lattice(-hw), lattice(hw)
+    sign = (-1) ** (W.vec_parity(w_arg)
+                    * (W.V.algebra_parity(v)
+                       + sum(W.V.algebra_parity(u) for u in vs[k_tw:])))
+    own_box = [Box(
+        [None if i != v_idx[pos] else lo for i in range(nv)],
+        [None if i != v_idx[pos] else hi for i in range(nv)],
+        [0] * nv) for pos in range(len(vs))]
+    out = {}
+
+    def emit(chosen, n_v, cur):
+        head_m = mono([(-n_v - 1 if i == x_idx else 0) for i in range(nv)])
+        terms = {head_m: Scalar.e(-n_v - 1) * sign}
+        for pos, n in enumerate(chosen):
+            if pos < k_tw:
+                kern = BinomialKernel(vars, -n - 1, v_idx[pos], x_idx, sign=-1)
+            else:
+                kern = BinomialKernel(vars, -n - 1, x_idx, v_idx[pos],
+                                      sign=-1, scale=Scalar.e(-n - 1))
+            kt = kern.terms_in(own_box[pos])
+            nxt = {}
+            for m1, c1 in terms.items():
+                for m2, c2 in kt.items():
+                    m = mono_add(m1, m2)
+                    if not lo <= m[0][v_idx[pos]] <= hi:
+                        continue
+                    c = c1 * c2
+                    prev = nxt.get(m)
+                    nxt[m] = c if prev is None else prev + c
+            terms = nxt
+        if not terms:
+            return
+        jneed = int(hw - exponent(min(m[0][x_idx] for m in terms)))
+        if jneed < 0:
+            return
+        exp_L = {}
+        vec = cur
+        for j in range(jneed + 1):
+            if not vec:
+                break
+            exp_L[mono([j if i == x_idx else 0 for i in range(nv)])] = \
+                vec.scale(Fraction(1, factorial(j)))
+            vec = W.L_minus1(vec)
+        for m1, vecv in exp_L.items():
+            for m2, c2 in terms.items():
+                m = mono_add(m1, m2)
+                if not box.contains(m):
+                    continue
+                cv = c_mul(c2, vecv)
+                prev = out.get(m)
+                out[m] = cv if prev is None else prev + cv
+
+    wdeg = W.vec_deg(w_arg)
+    degmax = wdeg + W.algebra_weight(v) + sum(W.algebra_weight(u) for u in vs) \
+        + nv * hw
+
+    def rec(pos, cur, cur_deg, n_v, chosen):
+        if not cur:
+            return
+        if pos < 0:
+            emit(chosen, n_v, cur)
+            return
+        u = vs[pos]
+        wt = W.algebra_weight(u)
+        n_hi = hw - 1 if pos < k_tw else cur_deg + wt - 1
+        for n in coset_range(wt - 1 + cur_deg - degmax, n_hi,
+                             W.algebra_alpha(u)):
+            rec(pos - 1, W.mode_vec(u, n, 0, cur), cur_deg + wt - n - 1,
+                n_v, [n] + chosen)
+
+    wtv = W.algebra_weight(v)
+    for n_v in coset_range(max(-hw - 1, wtv - 1 + wdeg - degmax),
+                           wdeg + wtv - 1, W.algebra_alpha(v)):
+        cur0 = W.mode_vec(v, n_v, 0, w_arg)
+        if cur0:
+            rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [])
+    return out
+
+
+def clipped(terms: dict, box) -> dict:
+    """A term dict as a reader of the box sees it."""
+    return {m: c for m, c in terms.items() if c and box.contains(m)}
+
+
+@pytest.mark.parametrize("name", ["z2boson", "ramond",
+                                  "heis3-unipotent-view"])
+def test_identity_side_nodes_match_loop_forms(modules, name):
+    # T_0, its reconstruction, both log-decomposition sides and the L(-1)
+    # commutator side, as series nodes and as the hand-summed dicts
+    W = modules[name]
+    vars = ("x",)
+    compared = logged = 0
+
+    def same(node, loop, box):
+        nonlocal compared, logged
+        got = node.terms_in(box)
+        assert got == clipped(loop, box), box
+        compared += bool(got)
+        logged += any(m[1][0] for m in got)
+    for wkey in W.basis(1):
+        w = Vec.basis(wkey)
+        for vkey in W.V.basis(1):
+            v = Vec.basis(vkey)
+            # every log cap up to the checkers' own, so that a shifted
+            # term sits on the cap of some box
+            top = W.log_bound + len(nilpotent_power_coeffs(W.g, v))
+            for box in (Box.cube(1, -2, 2, cap) for cap in range(top + 1)):
+                same(_t0_terms(W, w, v), loop_t0_terms(W, w, v, box), box)
+                same(x_N_dressed(W, partial(_t0_terms, W, w), v, -1),
+                     loop_twist_recon(W, w, v, box), box)
+            me = W.chain(vars, [(0, v)], w)
+            lowered = W.chain(vars, [(0, v)], W.L_minus1(w))
+            comm, want = L_minus1_commutator_sides(W, me, lowered)
+            for box in (Box.cube(1, -2, 2, cap)
+                        for cap in range(W.log_bound + 1)):
+                for side in ("argument", "conjugated"):
+                    same(_y0_of_dressed_terms(W, v, w, vars, side),
+                         loop_y0_of_dressed_terms(W, v, w, box, side), box)
+                same(comm, loop_L_minus1_commutator(W, me, lowered, box), box)
+                assert want.terms_in(box) == derivative(me, 0).terms_in(box)
+    assert compared
+    # the log-carrying module runs every log shift at a nonzero offset
+    assert bool(logged) == bool(W.log_bound)
+
+
+@pytest.mark.parametrize("name", ["z2boson", "ramond"])
+def test_recentered_product_matches_loop_form(modules, name):
+    # the five mixed products the A10 sweep admits, at half-width 3
+    W = modules[name]
+    gen = W.V.gen_vector(W.V.gens[0].name)
+    one = Vec.basis(W.V.vac)
+    vac = Vec.basis(W.basis(1)[0])
+    for tw, alg in (([], []), ([gen], []), ([], [gen]), ([gen, gen], []),
+                    ([gen], [gen])):
+        k, l = len(tw), len(alg)
+        vars = tuple("x%d" % (i + 1) for i in range(k)) + ("x",) + \
+            tuple("x%d" % (k + i + 1) for i in range(l))
+        args = (W, tw + alg, vac, gen if not alg else one, vars,
+                list(range(k)) + [k + 1 + i for i in range(l)], k, k, 3)
+        box = Box.cube(len(vars), -3, 3, W.log_bound)
+        got = _recentered_product(*args).terms_in(box)
+        assert got, (k, l)
+        assert got == clipped(loop_recentered_product(*args), box), (k, l)

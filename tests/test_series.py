@@ -329,7 +329,8 @@ def test_rational_coefficients_print_as_their_terms():
     assert [e["scalar"] for e in series_to_json(t, X)["entries"]] == [
         [{"pi_power": 0, "phase": "0", "coeff": "-1/2"}],
         [{"pi_power": 0, "phase": "1/2", "coeff": "3"}]]
-    r = compare("id", {}, X, window(X, 2), t, {mono([1]): F(1, 2)})
+    r = compare("id", {}, X, window(X, 2), TermSeries(X, t),
+                TermSeries(X, {mono([1]): F(1, 2)}))
     assert r.first_mismatch == {"monomial": "x^1", "lhs": "-1/2",
                                 "rhs": "1/2"}
 

@@ -220,12 +220,12 @@ def test_y0_decomposition_reads_modes_only_on_the_coset_of_u(
     # every mode call of the decomposition sides has n in alpha(u) + Z
     W = request.getfixturevalue(name)
     on_coset = []
-    y0_mode_vec = W.y0_mode_vec
+    mode_vec = W.mode_vec
 
-    def counted(uvec, n, wvec):
+    def counted(uvec, n, k, wvec):
         on_coset.append(any((n - al) % 1 == 0 for al in W.g.coset_of(uvec)))
-        return y0_mode_vec(uvec, n, wvec)
-    monkeypatch.setattr(W, "y0_mode_vec", counted)
+        return mode_vec(uvec, n, k, wvec)
+    monkeypatch.setattr(W, "mode_vec", counted)
     for ukey in W.V.basis(F(3, 2)):
         for wkey in W.basis(1):
             r = check_y0_decomposition(W, Vec.basis(ukey), Vec.basis(wkey), 3)

@@ -13,7 +13,7 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_z2_twisted_boson)
 from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, acc_vec,
                                  binomial, vec_of)
-from vertextwist.series import Box, coset_range, mono
+from vertextwist.series import Box, TermSeries, coset_range, mono
 from vertextwist.twistop import (check_gen_commutator,
                                  check_gen_weak_commutativity,
                                  check_L_minus1_twist, check_mixed_permutation,
@@ -179,8 +179,8 @@ def test_twist_decomposition_failure_names_the_monomial(monkeypatch, fermion,
                                                         ramond):
     # a log term surviving in T_0 is reported on the monomial it sits on
     psi = fermion.gen_vector("psi")
-    monkeypatch.setattr(twistop, "_t0_terms",
-                        lambda *args: {mono([F(-1, 2)], [1]): 1})
+    monkeypatch.setattr(twistop, "_t0_terms", lambda *args: TermSeries(
+        ("x",), {mono([F(-1, 2)], [1]): 1}))
     r = check_twist_decomposition(ramond, Vec.basis(VAC), psi, 3)
     assert not r.ok
     assert r.first_mismatch["monomial"] == "x^-1/2*log(x)"
