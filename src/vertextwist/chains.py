@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InfiniteConvolution
 from .scalars import Vec, homogeneous_value
-from .series import Series, exponent, lattice, lattice_coset
+from .series import Series, coset_range, exponent, lattice, lattice_coset
 
 
 class Space:
@@ -39,6 +39,25 @@ class Space:
         if k:
             return Vec.zero()
         return self.oracle.apply_vec(uvec, lattice(n), wvec)
+
+    def algebra_alpha(self, uvec: Vec) -> Fraction:
+        """The one coset alpha of the mode indices of u, read from the
+        subclass's `algebra_coset`; u must be g-homogeneous."""
+        cs = self.algebra_coset(uvec)
+        if len(cs) != 1:
+            raise ValueError("vector is not g-homogeneous: cosets %s" % sorted(cs))
+        return next(iter(cs))
+
+    def modes(self, uvec: Vec, wvec: Vec, lo):
+        """The nonzero (n, u_n w) over the coset of u, from the top
+        deg w + wt u - 1 that lower truncation allows down to lo; a
+        generator, so a scan for the top nonzero mode stops at it."""
+        top = self.vec_deg(wvec) + self.algebra_weight(uvec) - 1
+        for n in reversed(list(coset_range(lo, top,
+                                           self.algebra_alpha(uvec)))):
+            vn = self.mode_vec(uvec, n, 0, wvec)
+            if vn:
+                yield n, vn
 
     def vec_deg(self, vec: Vec) -> Fraction:
         return homogeneous_value(vec, self.deg)

@@ -23,7 +23,7 @@ from .automorphism import Automorphism, orthogonal_automorphism, \
 from .scalars import HALF_SQRT2, CyclotomicLevelError, Vec, cyclotomic_level
 from .series import D
 from .twisted import TwistedModule, UnipotentViewModule
-from .vosa import FermionAlgebra, HeisenbergAlgebra
+from .vosa import FermionAlgebra, HeisenbergAlgebra, fock_keys, fock_move
 
 
 def build_free_fermion(fault=None) -> FermionAlgebra:
@@ -39,14 +39,8 @@ def build_heisenberg(gram, names=None, fault=None) -> HeisenbergAlgebra:
 # ---------------------------------------------------------------------------
 
 def _fermion_twisted_keys(max_deg):
-    def occs(start, budget):
-        yield ()
-        k = min(start, budget)
-        while k >= 1:
-            for rest in occs(k - 1, budget - k):
-                yield (k,) + rest
-            k -= 1
-    return [(s, occ) for occ in occs(int(max_deg), int(max_deg))
+    top = int(max_deg)
+    return [(s, occ) for occ in fock_keys(range(top, 0, -1), top, int, True)
             for s in (0, 1)]
 
 
@@ -65,19 +59,11 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
             return Vec.zero()
         sector, occ = key
         sgn = -1 if fault == "twisted-seed-sign" and p > 0 else 1
-        if p > 0:
-            if p not in occ:
+        if p:
+            moved = fock_move(occ, abs(p), p < 0, True)
+            if moved is None:
                 return Vec.zero()
-            pos = occ.index(p)
-            return Vec.basis((sector, occ[:pos] + occ[pos + 1:])).scale(
-                (-1) ** pos * sgn)
-        if p < 0:
-            c = -p
-            if c in occ:
-                return Vec.zero()
-            pos = sum(1 for f in occ if f > c)
-            return Vec.basis((sector, occ[:pos] + (c,) + occ[pos:])).scale(
-                (-1) ** pos)
+            return Vec.basis((sector, moved[0])).scale(moved[1] * sgn)
         # zero mode: anticommute through occ, then flip the vacuum pair
         z = zscale
         if fault == "zero-mode-sector-sign" and sector == 1:
@@ -101,17 +87,7 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
 
 def _boson_twisted_keys(max_deg):
     top = int(2 * Fraction(max_deg))
-
-    def occs(start, budget):
-        yield ()
-        o = min(start, budget)
-        if o % 2 == 0:
-            o -= 1
-        while o >= 1:
-            for rest in occs(o, budget - o):
-                yield (o,) + rest
-            o -= 2
-    return list(occs(top, top))
+    return fock_keys([o for o in range(top, 0, -1) if o % 2], top, int, False)
 
 
 def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
@@ -125,18 +101,15 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
         o, off = divmod(2 * N, D)
         if off or o % 2 == 0:
             return Vec.zero()
+        moved = fock_move(key, abs(o), o < 0, False)
         if o < 0:
-            c = -o
-            pos = sum(1 for f in key if f > c)
-            return Vec.basis(key[:pos] + (c,) + key[pos:])
-        count = key.count(o)
-        if not count:
+            return Vec.basis(moved[0])
+        if moved is None:
             return Vec.zero()
         k = Fraction(o, 2)
         if fault == "twisted-bracket-sign":
             k = -k
-        pos = key.index(o)
-        return Vec.basis(key[:pos] + key[pos + 1:]).scale(k * count)
+        return Vec.basis(moved[0]).scale(k * moved[1])
 
     deg = lambda key: Fraction(sum(key), 2)
     par = lambda key: 0

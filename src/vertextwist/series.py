@@ -346,13 +346,13 @@ class DeltaKernel(Series):
     """den^{-1} delta((x_a + b_sign*x_b)/den) dressed by an exponent coset.
 
     Terms over m in offset+Z, j >= 0:
-        C(m, j) * b_sign^j * [e^{pi i m} if minus_phase] * scale
+        C(m, j) * b_sign^j * [e^{pi i m} if minus_phase]
           * x_a^(m-j) * x_b^j * den^(-m-1).
     The b-variable is the expansion variable.
     """
 
     def __init__(self, vars, den: int, a: int, b: int, b_sign: int = 1,
-                 offset=0, minus_phase: bool = False, scale=1):
+                 offset=0, minus_phase: bool = False):
         r = lattice(offset)
         n = len(vars)
         bounds = [(0, 0)] * n
@@ -364,8 +364,7 @@ class DeltaKernel(Series):
         cosets[a] = frozenset((r % D,))
         super().__init__(vars, bounds, cosets, [0] * n)
         self.den, self.va, self.vb = den, a, b
-        self.r, self.b_sign, self.minus_phase, self.scale = \
-            r, b_sign, minus_phase, scale
+        self.r, self.b_sign, self.minus_phase = r, b_sign, minus_phase
 
     def _terms_in(self, box):
         dlo, dhi = box.lows[self.den], box.highs[self.den]
@@ -377,8 +376,7 @@ class DeltaKernel(Series):
         for dm in lattice_coset(dlo, dhi, -self.r - D):
             m = -dm - D        # in offset+Z
             mq = exponent(m)
-            phase = self.scale * Scalar.e(mq) if self.minus_phase \
-                else self.scale
+            phase = Scalar.e(mq) if self.minus_phase else 1
             j_hi = box.highs[self.vb]
             alo = box.lows[self.va]
             if alo is not None:

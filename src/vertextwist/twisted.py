@@ -70,12 +70,6 @@ class ModuleBase(Space):
     def algebra_coset(self, uvec: Vec) -> frozenset:
         return self.g.coset_of(uvec)
 
-    def algebra_alpha(self, uvec: Vec) -> Fraction:
-        cs = self.algebra_coset(uvec)
-        if len(cs) != 1:
-            raise ValueError("vector is not g-homogeneous: cosets %s" % sorted(cs))
-        return next(iter(cs))
-
     # -- conformal structure ---------------------------------------------------
 
     def L_minus1(self, vec: Vec) -> Vec:
@@ -195,6 +189,9 @@ class UnipotentViewModule(ModuleBase):
         return self._npc(wvec)
 
     def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
+        if not k:
+            # N^0 u / 0! is u itself
+            return self.V.mode_vec(uvec, n, 0, wvec)
         parts = self._npc(uvec)
         if k >= len(parts):
             return Vec.zero()
@@ -254,12 +251,12 @@ def require_semisimple(W, identity):
 
 
 def mode_sum(vars, modes, kernel, chain):
-    """Sum over (n, v_n) in modes with v_n nonzero of
-    kernel() x0^{-n-1} chain(v_n), x0 being the first variable; kernel() is
-    called once per part, so no two parts share a kernel's term cache."""
+    """Sum over (n, v_n) in modes of kernel() x0^{-n-1} chain(v_n), x0 being
+    the first variable; kernel() is called once per part, so no two parts
+    share a kernel's term cache."""
     parts = [Product(Product(kernel(), TermSeries.monomial(
                  vars, [-n - 1] + [0] * (len(vars) - 1))), chain(vn))
-             for n, vn in modes if vn]
+             for n, vn in modes]
     return Sum(parts) if parts else TermSeries.zero(vars)
 
 
@@ -267,9 +264,8 @@ def jacobi_iterate_side(W, u, v, w, vars, r_min):
     """x1^{-1} d((x2+x0)/x1) ((x2+x0)/x1)^alpha Y(Y_V(u,x0)v, x2), split per
     mode of Y_V(u,x0)v so that each term has integral x0-powers."""
     al = W.algebra_alpha(u)
-    top = floor(W.V.algebra_weight(u) + W.V.algebra_weight(v) - 1)
-    modes = ((r, W.V.mode_vec(u, r, 0, v)) for r in range(top, r_min - 1, -1))
-    return mode_sum(vars, modes, lambda: delta_iter(vars, 0, 1, 2, offset=al),
+    return mode_sum(vars, W.V.modes(u, v, r_min),
+                    lambda: delta_iter(vars, 0, 1, 2, offset=al),
                     lambda uv: W.chain(vars, [(2, uv)], w))
 
 
@@ -346,16 +342,25 @@ def check_equivariance(W, u, w, halfwidth) -> CheckResult:
 def check_L_minus1_derivative_W(W, u, w, halfwidth) -> CheckResult:
     """d/dx Y(u,x)w = Y(L(-1)u,x)w = [L(-1), Y(u,x)]w."""
     vars = ("x",)
+    return check_L_minus1_sides(
+        W, "L(-1)-derivative-W", _inputs(u=u, w=w), halfwidth,
+        W.chain(vars, [(0, u)], w), W.chain(vars, [(0, W.V.L_minus1(u))], w),
+        W.chain(vars, [(0, u)], W.L_minus1(w)))
+
+
+def check_L_minus1_sides(W, identity, inputs, halfwidth, me, raised,
+                         lowered) -> CheckResult:
+    """d/dx S(x) = `raised`, then L(-1) S(x) - S'(x) = d/dx S(x), for a
+    one-variable vector-valued series S (`me`) into W, with L(-1) applied to
+    its left argument in `raised` and to its right one in S' (`lowered`).
+    Both compares read one node d/dx S."""
+    vars = ("x",)
     box = _cube(W, vars, halfwidth)
-    inputs = _inputs(u=u, w=w)
-    res = compare("L(-1)-derivative-W", inputs, vars, box,
-                  derivative(W.chain(vars, [(0, u)], w), 0),
-                  W.chain(vars, [(0, W.V.L_minus1(u))], w))
+    comm, dS = L_minus1_commutator_sides(W, me, lowered)
+    res = compare(identity, inputs, vars, box, dS, raised)
     if not res.ok:
         return res
-    comm, want = L_minus1_commutator_sides(
-        W, W.chain(vars, [(0, u)], w), W.chain(vars, [(0, u)], W.L_minus1(w)))
-    return compare("L(-1)-derivative-W", inputs, vars, box, comm, want)
+    return compare(identity, inputs, vars, box, comm, dS)
 
 
 def L_minus1_commutator_sides(W, me, lowered):

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial, floor
+from math import factorial
 
 from .chains import ChainSeries, OpSlot
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
                      Sum, TermSeries, _TermMap, acc_terms, coset_range,
-                     delta_iter, delta_prod, delta_prod_rev, derivative,
-                     exponent, minus_convention, mono, residue,
-                     restricted, scaled)
+                     delta_iter, delta_prod, delta_prod_rev, exponent,
+                     minus_convention, mono, residue, restricted, scaled)
 from .series import mono_add  # bench/layertrace.py patches it here by name
-from .twisted import (L_minus1_commutator_sides, _cube, _inputs,
+from .twisted import (_cube, _inputs, check_L_minus1_sides,
                       commutativity_order, mode_sum, require_semisimple,
                       x_N_dressed)
 from .vosa import weak_commutativity_order
@@ -120,10 +119,8 @@ def twist_matrix_element(W, w_arg: Vec, v: Vec,
 def twist_commutativity_order(W, u: Vec, w: Vec) -> int:
     """Minimal M >= 0 with x^(alpha+M) (Y)_0(u,x)w a power series."""
     al = W.algebra_alpha(u)
-    top = W.vec_deg(w) + W.algebra_weight(u) - 1
-    for n in reversed(list(coset_range(al, top, al))):
-        if W.y0_space.mode_vec(u, n, 0, w):
-            return int(n - al) + 1
+    for n, _ in W.y0_space.modes(u, w, al):
+        return int(n - al) + 1
     return 0
 
 
@@ -166,21 +163,18 @@ def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec,
     hw = Fraction(halfwidth)
     box = _cube(W, vars, hw)
     al = W.algebra_alpha(u)
-    wdeg = W.vec_deg(w_arg)
-    uwt = W.V.algebra_weight(u)
 
     # left side, mode by mode in Y(u, x0+x2); each kernel exponent M-n-1 is
     # expanded in x2 and multiplies the twist series hit by (Y)_n(u)
-    lo = M - 1 - 2 * hw - wdeg - W.V.algebra_weight(v) - uwt - 1
+    lo = M - 1 - 2 * hw - W.vec_deg(w_arg) - W.V.algebra_weight(v) \
+        - W.V.algebra_weight(u) - 1
     lhs = Sum([Product(BinomialKernel(vars, M - n - 1, 0, 1, sign=1),
                        _applied(W, twist_chain(
                            W, vars, [(1, "twist", w_arg)], v), u, n))
                for n in coset_range(lo, M - 1 + hw, al)])
 
     # right side, mode by mode in Y(u, x0) w
-    modes = ((m, W.mode_vec(u, m, 0, w_arg))
-             for m in coset_range(-hw - M - 1, uwt + wdeg - 1, al))
-    rhs = mode_sum(vars, modes,
+    rhs = mode_sum(vars, W.modes(u, w_arg, -hw - M - 1),
                    lambda: BinomialKernel(vars, M, 0, 1, sign=1),
                    lambda vecw: twist_chain(W, vars, [(1, "twist", vecw)], v))
     return compare("weak-associativity", _inputs(u=u, v=v, w=w_arg, M=M),
@@ -205,10 +199,8 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec,
                             v)),
         (-1) ** (pu * pw))
     lhs = Sum([term1, scaled(term2, -1)])
-    m_hi = W.V.algebra_weight(u) + W.vec_deg(w_arg) - 1
-    modes = ((m, W.mode_vec(u, m, 0, w_arg))
-             for m in coset_range(-2 * hw - 2, m_hi, al))
-    rhs = mode_sum(vars, modes, lambda: delta_iter(vars, 0, 1, 2),
+    rhs = mode_sum(vars, W.modes(u, w_arg, -2 * hw - 2),
+                   lambda: delta_iter(vars, 0, 1, 2),
                    lambda vecw: twist_chain(W, vars, [(2, "twist", vecw)], v))
     return compare("twist-jacobi", _inputs(u=u, v=v, w=w_arg), vars,
                    _cube(W, vars, hw), lhs, rhs)
@@ -230,11 +222,10 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec,
                        twist_chain(W, vars, [(1, "twist", w_arg), (0, "alg", u)],
                                    v)),
                -sign)])
-    # residue form of the right side
+    # both forms of the right side run over the modes (Y)_0(u)_(alpha+k) w,
+    # k >= 0, of the residue form
+    modes = [(int(n - al), vn) for n, vn in W.y0_space.modes(u, w_arg, al)]
     vars3 = ("x0", "x1", "x2")
-    k_hi = W.vec_deg(w_arg) + W.V.algebra_weight(u) - 1 - al
-    modes = ((k, W.y0_space.mode_vec(u, al + k, 0, w_arg))
-             for k in range(floor(k_hi) + 1))
     iterate = mode_sum(vars3, modes, lambda: delta_iter(vars3, 0, 1, 2),
                        lambda vecw: twist_chain(W, vars3, [(2, "twist", vecw)],
                                                 v))
@@ -243,15 +234,12 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec,
                   box, lhs, residue(iterate, 0))
     if not res.ok:
         return res
-    # delta-derivative form: sum over k < M of (1/k!) d^k delta kernels
-    M = max(twist_commutativity_order(W, u, w_arg), 1)
-    dparts = []
-    for k in range(M):
-        vecw = W.y0_space.mode_vec(u, al + k, 0, w_arg)
-        if vecw:
-            kern = DeltaDerivKernel(vars, den=0, num=1, k=k)
-            dparts.append(Product(kern, twist_chain(
-                W, vars, [(1, "twist", vecw)], v)))
+    # delta-derivative form: sum over k < M of (1/k!) d^k delta kernels, M
+    # the twist commutativity order
+    M = modes[0][0] + 1 if modes else 1
+    dparts = [Product(DeltaDerivKernel(vars, den=0, num=1, k=k),
+                      twist_chain(W, vars, [(1, "twist", vecw)], v))
+              for k, vecw in modes]
     rhs2 = Sum(dparts) if dparts else TermSeries.zero(vars)
     return compare("generalized-commutator-delta-form",
                    _inputs(u=u, v=v, w=w_arg, M=M), vars, box, lhs, rhs2)
@@ -303,18 +291,11 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
 
 def check_L_minus1_twist(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
     """d/dx T(w,x) = T(L(-1)w, x) = L(-1) T(w,x) - T(w,x) L_V(-1)."""
-    vars = ("x",)
-    box = _cube(W, vars, halfwidth)
-    inputs = _inputs(w=w_arg, v=v)
-    res = compare("L(-1)-twist", inputs, vars, box,
-                  derivative(twist_matrix_element(W, w_arg, v), 0),
-                  twist_matrix_element(W, W.L_minus1(w_arg), v))
-    if not res.ok:
-        return res
-    comm, want = L_minus1_commutator_sides(
-        W, twist_matrix_element(W, w_arg, v),
+    return check_L_minus1_sides(
+        W, "L(-1)-twist", _inputs(w=w_arg, v=v), halfwidth,
+        twist_matrix_element(W, w_arg, v),
+        twist_matrix_element(W, W.L_minus1(w_arg), v),
         twist_matrix_element(W, w_arg, W.V.L_minus1(v)))
-    return compare("L(-1)-twist", inputs, vars, box, comm, want)
 
 
 def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
@@ -348,9 +329,8 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
                 kern = Product(kern, BinomialKernel(vars, -n - 1, v_idx[pos],
                                                     x_idx, sign=-1))
             else:
-                kern = Product(kern, BinomialKernel(
-                    vars, -n - 1, x_idx, v_idx[pos], sign=-1,
-                    scale=Scalar.e(-n - 1)))
+                kern = Product(kern, minus_convention(vars, -n - 1,
+                                                      v_idx[pos], x_idx))
         terms = kern.terms_in(kbox)
         if not terms:
             return
@@ -382,11 +362,8 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
                 n_v, [n] + chosen)
 
     wtv = W.algebra_weight(v)
-    for n_v in coset_range(max(-hw - 1, wtv - 1 + wdeg - degmax),
-                           wdeg + wtv - 1, W.algebra_alpha(v)):
-        cur0 = W.mode_vec(v, n_v, 0, w_arg)
-        if cur0:
-            rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [])
+    for n_v, cur0 in W.modes(v, w_arg, max(-hw - 1, wtv - 1 + wdeg - degmax)):
+        rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [])
     del rec         # it reaches itself through its closure: free it now
     return TermSeries(vars, out)
 

@@ -6,6 +6,13 @@ standing for psi_{-n}; for a Heisenberg algebra a tuple of (n, gen) pairs
 sorted decreasingly, standing for a_gen(-n).  Composite vertex-operator
 modes come from the shared ModeOracle recursion, so the axiom checkers
 below genuinely certify the construction.
+
+Every generator seed, here and for the twisted modules of `models.py`, is
+one Fock rule, `fock_move`: a creation mode inserts its part into the
+decreasing key, an annihilation mode removes it.  A fermion moves past
+the parts before it with sign (-1)^(their number) and is Pauli-excluded;
+a boson removed from a key carries its multiplicity.  `fock_keys`
+enumerates the keys of every such Fock basis up to a weight.
 """
 
 from __future__ import annotations
@@ -25,6 +32,34 @@ from .series import D, BinomialKernel, Box, Product, lattice, scaled
 F0 = Fraction(0)
 F1 = Fraction(1)
 FH = Fraction(1, 2)
+
+
+def fock_move(key, part, create, fermionic):
+    """Insert (create) or remove one part of a decreasing Fock key: (new
+    key, coefficient), or None when the move gives zero."""
+    if create:
+        if fermionic and part in key:
+            return None
+        pos = sum(1 for f in key if f > part)
+        return key[:pos] + (part,) + key[pos:], (-1) ** pos if fermionic else 1
+    if part not in key:
+        return None
+    pos = key.index(part)
+    return key[:pos] + key[pos + 1:], \
+        (-1) ** pos if fermionic else key.count(part)
+
+
+def fock_keys(parts, budget, weight, distinct):
+    """Every key of total weight at most budget: the weakly decreasing
+    tuples of parts, strictly decreasing when distinct.  parts is a sequence
+    in decreasing order, each of positive weight(part)."""
+    yield ()
+    for i, p in enumerate(parts):
+        w = weight(p)
+        if w <= budget:
+            for rest in fock_keys(parts[i + 1:] if distinct else parts[i:],
+                                  budget - w, weight, distinct):
+                yield (p,) + rest
 
 
 @dataclass(frozen=True)
@@ -126,14 +161,13 @@ class FreeFieldAlgebra(Space):
         generator of weight h goes to n - h + 1 times the factor one weight
         up."""
         acc = {}
-        for i, f in enumerate(key):
-            n = self.factor_weight(f)
+        for f in dict.fromkeys(key):
             gi = self.gen_index(f)
-            sgn = (-1) ** i if self.gens[gi].parity else 1
+            rest, c = fock_move(key, f, False, self.gens[gi].parity)
             acc_vec(acc, self.gen_apply(gi,
                                         lattice(self.spec_mode(self._bump(f))),
-                                        key[:i] + key[i + 1:]),
-                    (n - self.gen_weight(gi) + 1) * sgn)
+                                        rest),
+                    (self.factor_weight(f) - self.gen_weight(gi) + 1) * c)
         return vec_of(acc)
 
     def _bump(self, factor):
@@ -173,17 +207,8 @@ class FermionAlgebra(FreeFieldAlgebra):
 
     def _enumerate(self, max_weight):
         top = int(2 * Fraction(max_weight))
-
-        def rec(start, budget):
-            yield ()
-            o = min(start, budget)
-            if o % 2 == 0:
-                o -= 1
-            while o >= 1:
-                for rest in rec(o - 2, budget - o):
-                    yield (o,) + rest
-                o -= 2
-        yield from rec(top, top)
+        return fock_keys([o for o in range(top, 0, -1) if o % 2], top, int,
+                         True)
 
     def gen_apply(self, i, N, key) -> Vec:
         # physical mode p = n + 1/2, n = N/D, acting on psi_{-k1}...psi_{-kr}
@@ -191,20 +216,14 @@ class FermionAlgebra(FreeFieldAlgebra):
         o, off = divmod(2 * N + D, D)
         if off or o % 2 == 0:
             return Vec.zero()
-        if o > 0:
-            if o not in key:
-                return Vec.zero()
-            pos = key.index(o)
-            sgn = -1 if self.fault == "clifford-sign" else 1
-            return Vec.basis(key[:pos] + key[pos + 1:]).scale(
-                (-1) ** pos * sgn)
-        c = -o
-        if c in key:
+        moved = fock_move(key, abs(o), o < 0, True)
+        if moved is None:
             return Vec.zero()
-        pos = sum(1 for f in key if f > c)
-        sgn = -1 if self.fault == "creation-sign" and c >= 5 else 1
-        return Vec.basis(key[:pos] + (c,) + key[pos:]).scale(
-            (-1) ** pos * sgn)
+        if o > 0:
+            sgn = -1 if self.fault == "clifford-sign" else 1
+        else:
+            sgn = -1 if self.fault == "creation-sign" and -o >= 5 else 1
+        return Vec.basis(moved[0]).scale(moved[1] * sgn)
 
     @property
     def omega(self) -> Vec:
@@ -250,18 +269,10 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
         return (factor[0] + 1, factor[1])
 
     def _enumerate(self, max_weight):
-        rank = len(self.gens)
-
-        def rec(maxfac, budget):
-            yield ()
-            for k in range(int(budget), 0, -1):
-                for g in range(rank - 1, -1, -1):
-                    f = (k, g)
-                    if f > maxfac:
-                        continue
-                    for rest in rec(f, budget - k):
-                        yield (f,) + rest
-        yield from rec((int(Fraction(max_weight)) + 1, rank), Fraction(max_weight))
+        max_weight = Fraction(max_weight)
+        parts = [(k, g) for k in range(int(max_weight), 0, -1)
+                 for g in range(len(self.gens) - 1, -1, -1)]
+        return fock_keys(parts, max_weight, lambda f: f[0], False)
 
     def bracket(self, i, j) -> Fraction:
         v = self.gram[i][j]
@@ -273,20 +284,16 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
         if off or p == 0:
             return Vec.zero()
         if p < 0:
-            f = (-p, i)
-            pos = sum(1 for x in key if x > f)
-            return Vec.basis(key[:pos] + (f,) + key[pos:])
+            return Vec.basis(fock_move(key, (-p, i), True, False)[0])
+        # a_i(p) meets each distinct factor a_j(-p) of the key
         out = Vec.zero()
-        seen = set()
-        for pos, (m, j) in enumerate(key):
-            if m != p or (m, j) in seen:
+        for f in dict.fromkeys(key):
+            if f[0] != p:
                 continue
-            seen.add((m, j))
-            g = self.bracket(i, j)
+            g = self.bracket(i, f[1])
             if g:
-                count = key.count((m, j))
-                out = out + Vec.basis(key[:pos] + key[pos + 1:]).scale(
-                    p * g * count)
+                rest, count = fock_move(key, f, False, False)
+                out = out + Vec.basis(rest).scale(p * g * count)
         return out
 
     @property
@@ -370,11 +377,8 @@ def check_axioms(V, max_weight, halfwidth=4) -> list:
 
 def weak_commutativity_order(V, u: Vec, v: Vec) -> int:
     """Minimal M >= 0 with x^M Y(u,x)v a power series."""
-    n = floor(V.algebra_weight(u) + V.algebra_weight(v) - 1)
-    while n >= 0:
-        if V.mode_vec(u, n, 0, v):
-            return n + 1
-        n -= 1
+    for n, _ in V.modes(u, v, 0):
+        return int(n) + 1
     return 0
 
 

@@ -19,19 +19,23 @@ y -> -x, d/dx, the residue and a fixed mode on each vector coefficient)
 each run their own term loop.  `loop_t0_terms`, `loop_twist_recon`,
 `loop_y0_of_dressed_terms`, `loop_L_minus1_commutator` and
 `loop_recentered_product` build identity sides as {monomial: coefficient}
-dicts and sum coinciding terms by hand.  All are kept here only as
+dicts and sum coinciding terms by hand.  The four `loop_*` generator seeds
+and the four `loop_*_keys` enumerators each do their own Fock arithmetic,
+and `loop_weak_commutativity_order` and `loop_twist_commutativity_order`
+scan the modes of Y(u,x)w with their own loop.  All are kept here only as
 references for the engine's shortcuts (lattice-int mode indices, the vacuum
 collapse, Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
 path, integer numerators over one denominator, int binomials, the
 inverse by Galois conjugates, one term-map node for every term-wise
-series transform, and every identity side a series node), which must give
+series transform, every identity side a series node, and one Fock move,
+one key enumerator and one truncated mode expansion), which must give
 equal results.
 """
 
 from fractions import Fraction
 from functools import partial
-from math import ceil, factorial, gcd
+from math import ceil, factorial, floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,14 +50,15 @@ from vertextwist.automorphism import (NILPOTENCY_CAP,
 from vertextwist.errors import NonMeromorphicVariable
 from vertextwist.linalg import mat_eq, mat_identity, mat_mul, solve
 from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
+                                _boson_twisted_keys, _fermion_twisted_keys,
                                 build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
-from vertextwist.scalars import (CyclotomicLevelError, Scalar, Vec, acc_vec,
-                                 binomial, cyclotomic_level, exact, exponent,
-                                 inverse, lattice, linear, scalar_json,
-                                 terms_of, vec_of)
+from vertextwist.scalars import (HALF_SQRT2, CyclotomicLevelError, Scalar,
+                                 Vec, acc_vec, binomial, cyclotomic_level,
+                                 exact, exponent, inverse, lattice, linear,
+                                 scalar_json, terms_of, vec_of)
 from vertextwist.series import (D, BinomialKernel, Box, Series, TermSeries,
                                 branch_shift, c_mul, coset_range, derivative,
                                 log_substitute, mono, mono_add, residue,
@@ -61,8 +66,10 @@ from vertextwist.series import (D, BinomialKernel, Box, Series, TermSeries,
 from vertextwist.twisted import (L_minus1_commutator_sides,
                                  _y0_of_dressed_terms, x_N_dressed)
 from vertextwist.twistop import (TwistOpSlot, _applied, _recentered_product,
-                                 _t0_terms, twist_chain, twist_matrix_element)
-from vertextwist.vosa import check_axioms
+                                 _t0_terms, twist_chain,
+                                 twist_commutativity_order,
+                                 twist_matrix_element)
+from vertextwist.vosa import check_axioms, weak_commutativity_order
 
 from test_verdicts import non_skew
 
@@ -1275,3 +1282,248 @@ def test_recentered_product_matches_loop_form(modules, name):
         got = _recentered_product(*args).terms_in(box)
         assert got, (k, l)
         assert got == clipped(loop_recentered_product(*args), box), (k, l)
+
+
+# ---------------------------------------------------------------------------
+# generator seeds, key enumerators and pole-order scans, each with its own
+# Fock arithmetic or mode loop
+# ---------------------------------------------------------------------------
+
+def loop_fermion_gen_apply(fault, i, N, key) -> Vec:
+    o, off = divmod(2 * N + D, D)
+    if off or o % 2 == 0:
+        return Vec.zero()
+    if o > 0:
+        if o not in key:
+            return Vec.zero()
+        pos = key.index(o)
+        sgn = -1 if fault == "clifford-sign" else 1
+        return Vec.basis(key[:pos] + key[pos + 1:]).scale((-1) ** pos * sgn)
+    c = -o
+    if c in key:
+        return Vec.zero()
+    pos = sum(1 for f in key if f > c)
+    sgn = -1 if fault == "creation-sign" and c >= 5 else 1
+    return Vec.basis(key[:pos] + (c,) + key[pos:]).scale((-1) ** pos * sgn)
+
+
+def loop_heisenberg_gen_apply(V, i, N, key) -> Vec:
+    p, off = divmod(N, D)
+    if off or p == 0:
+        return Vec.zero()
+    if p < 0:
+        f = (-p, i)
+        pos = sum(1 for x in key if x > f)
+        return Vec.basis(key[:pos] + (f,) + key[pos:])
+    out = Vec.zero()
+    seen = set()
+    for pos, (m, j) in enumerate(key):
+        if m != p or (m, j) in seen:
+            continue
+        seen.add((m, j))
+        g = V.bracket(i, j)
+        if g:
+            count = key.count((m, j))
+            out = out + Vec.basis(key[:pos] + key[pos + 1:]).scale(
+                p * g * count)
+    return out
+
+
+def loop_ramond_gen_action(fault, zero_mode_sign, gidx, N, key) -> Vec:
+    zscale = HALF_SQRT2 * zero_mode_sign
+    if fault == "zero-mode-scale":
+        zscale = HALF_SQRT2 * 2
+    p, off = divmod(N + D // 2, D)
+    if off:
+        return Vec.zero()
+    sector, occ = key
+    sgn = -1 if fault == "twisted-seed-sign" and p > 0 else 1
+    if p > 0:
+        if p not in occ:
+            return Vec.zero()
+        pos = occ.index(p)
+        return Vec.basis((sector, occ[:pos] + occ[pos + 1:])).scale(
+            (-1) ** pos * sgn)
+    if p < 0:
+        c = -p
+        if c in occ:
+            return Vec.zero()
+        pos = sum(1 for f in occ if f > c)
+        return Vec.basis((sector, occ[:pos] + (c,) + occ[pos:])).scale(
+            (-1) ** pos)
+    z = zscale
+    if fault == "zero-mode-sector-sign" and sector == 1:
+        z = -zscale
+    return Vec.basis((1 - sector, occ)).scale(z).scale((-1) ** len(occ))
+
+
+def loop_z2boson_gen_action(fault, gidx, N, key) -> Vec:
+    o, off = divmod(2 * N, D)
+    if off or o % 2 == 0:
+        return Vec.zero()
+    if o < 0:
+        c = -o
+        pos = sum(1 for f in key if f > c)
+        return Vec.basis(key[:pos] + (c,) + key[pos:])
+    count = key.count(o)
+    if not count:
+        return Vec.zero()
+    k = Fraction(o, 2)
+    if fault == "twisted-bracket-sign":
+        k = -k
+    pos = key.index(o)
+    return Vec.basis(key[:pos] + key[pos + 1:]).scale(k * count)
+
+
+def loop_fermion_keys(max_weight):
+    top = int(2 * Fraction(max_weight))
+
+    def rec(start, budget):
+        yield ()
+        o = min(start, budget)
+        if o % 2 == 0:
+            o -= 1
+        while o >= 1:
+            for rest in rec(o - 2, budget - o):
+                yield (o,) + rest
+            o -= 2
+    return list(rec(top, top))
+
+
+def loop_heisenberg_keys(rank, max_weight):
+    def rec(maxfac, budget):
+        yield ()
+        for k in range(int(budget), 0, -1):
+            for g in range(rank - 1, -1, -1):
+                f = (k, g)
+                if f > maxfac:
+                    continue
+                for rest in rec(f, budget - k):
+                    yield (f,) + rest
+    return list(rec((int(Fraction(max_weight)) + 1, rank),
+                    Fraction(max_weight)))
+
+
+def loop_fermion_twisted_keys(max_deg):
+    def occs(start, budget):
+        yield ()
+        k = min(start, budget)
+        while k >= 1:
+            for rest in occs(k - 1, budget - k):
+                yield (k,) + rest
+            k -= 1
+    return [(s, occ) for occ in occs(int(max_deg), int(max_deg))
+            for s in (0, 1)]
+
+
+def loop_boson_twisted_keys(max_deg):
+    top = int(2 * Fraction(max_deg))
+
+    def occs(start, budget):
+        yield ()
+        o = min(start, budget)
+        if o % 2 == 0:
+            o -= 1
+        while o >= 1:
+            for rest in occs(o, budget - o):
+                yield (o,) + rest
+            o -= 2
+    return list(occs(top, top))
+
+
+def loop_weak_commutativity_order(V, u, v) -> int:
+    n = floor(V.algebra_weight(u) + V.algebra_weight(v) - 1)
+    while n >= 0:
+        if V.mode_vec(u, n, 0, v):
+            return n + 1
+        n -= 1
+    return 0
+
+
+def loop_twist_commutativity_order(W, u, w) -> int:
+    al = W.algebra_alpha(u)
+    top = W.vec_deg(w) + W.algebra_weight(u) - 1
+    for n in reversed(list(coset_range(al, top, al))):
+        if W.y0_space.mode_vec(u, n, 0, w):
+            return int(n - al) + 1
+    return 0
+
+
+# every fault injected into a generator seed
+SEED_FAULTS = (None, "clifford-sign", "creation-sign", "bracket-sign",
+               "twisted-seed-sign", "zero-mode-scale", "zero-mode-sector-sign",
+               "twisted-bracket-sign")
+# every half-integer mode index from -6 to 6, and points off that lattice
+SEED_MODES = [lattice(Fraction(h, 2)) for h in range(-12, 13)] \
+    + [lattice(Fraction(n, 16)) for n in (-13, -6, 1, 4, 11)]
+
+
+def _seed_cases(fault):
+    """(name, engine seed, loop seed, generator count, keys) per space."""
+    fermion = build_free_fermion(fault=fault)
+    boson = build_heisenberg([[1]], fault=fault)
+    heis3 = build_heisenberg(GRAM3, fault=fault)
+    for V in (boson, heis3):
+        yield ("heisenberg rank %d" % len(V.gens), V.gen_apply, partial(loop_heisenberg_gen_apply, V),
+               len(V.gens), V.basis(3))
+    yield ("fermion", fermion.gen_apply,
+           partial(loop_fermion_gen_apply, fault), 1, fermion.basis(4))
+    for sign in (1, -1):
+        W = build_ramond_module(fermion, parity_automorphism(fermion),
+                                zero_mode_sign=sign, fault=fault,
+                                crosscheck=False)
+        yield ("ramond", W.gen_seed,
+               partial(loop_ramond_gen_action, fault, sign), 1, W.basis(4))
+    W = build_z2_twisted_boson(
+        boson, orthogonal_automorphism(boson, [[-1]], "minus1"), fault=fault,
+        crosscheck=False)
+    yield ("z2boson", W.gen_seed, partial(loop_z2boson_gen_action, fault), 1,
+           W.basis(3))
+
+
+@pytest.mark.parametrize("fault", SEED_FAULTS)
+def test_fock_seeds_match_loop_seeds(fault):
+    # every key up to the cutoff, every mode index, every generator
+    moved = 0
+    for name, seed, loop, ngens, keys in _seed_cases(fault):
+        for key in keys:
+            for i in range(ngens):
+                for N in SEED_MODES:
+                    got = seed(i, N, key)
+                    assert got == loop(i, N, key), (name, fault, i, N, key)
+                    moved += bool(got)
+    assert moved
+
+
+@pytest.mark.parametrize("cut", [Fraction(h, 2) for h in range(-1, 13)])
+def test_fock_keys_match_loop_enumerators(cut):
+    fermion = build_free_fermion()
+    assert sorted(fermion._enumerate(cut)) == sorted(loop_fermion_keys(cut))
+    for gram in ([[1]], GRAM3):
+        V = build_heisenberg(gram)
+        assert sorted(V._enumerate(cut)) == \
+            sorted(loop_heisenberg_keys(len(gram), cut))
+    assert sorted(_fermion_twisted_keys(cut)) == \
+        sorted(loop_fermion_twisted_keys(cut))
+    assert sorted(_boson_twisted_keys(cut)) == \
+        sorted(loop_boson_twisted_keys(cut))
+
+
+def test_pole_order_scans_match_loop_scans(algebras, modules):
+    for V in algebras.values():
+        vecs = [Vec.basis(k) for k in V.basis(2)]
+        for u in vecs:
+            for v in vecs:
+                assert weak_commutativity_order(V, u, v) == \
+                    loop_weak_commutativity_order(V, u, v), (u, v)
+    orders = set()
+    for W in modules.values():
+        for ukey in W.V.basis(2):
+            u = Vec.basis(ukey)
+            for wkey in W.basis(2):
+                w = Vec.basis(wkey)
+                M = twist_commutativity_order(W, u, w)
+                assert M == loop_twist_commutativity_order(W, u, w), (u, w)
+                orders.add(M)
+    # the scans stop at more than one order
+    assert len(orders) > 2

@@ -271,3 +271,26 @@ def test_scalar_form_stays_in_scalars():
         and any(a.name in SCALAR_FORM for a in node.names)
         or isinstance(node, ast.Attribute) and node.attr in SCALAR_FORM)
     assert not found, found
+
+
+def _position_lookups(tree) -> set:
+    """The `.index(` and `.count(` calls under an AST node."""
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("index", "count")}
+
+
+def test_fock_moves_stay_in_fock_move():
+    # only vosa.fock_move inserts or removes a part of a Fock key, so no
+    # other code of the generator seeds looks up a part's position or count
+    found = []
+    for name in ("vosa.py", "models.py"):
+        tree = ast.parse((SRC / name).read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "fock_move":
+                allowed |= _position_lookups(node)
+        assert allowed or name != "vosa.py"
+        found += [(name, node.lineno)
+                  for node in _position_lookups(tree) - allowed]
+    assert not found, sorted(found)
