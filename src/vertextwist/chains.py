@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import InfiniteConvolution
 from .scalars import Vec, homogeneous_value
-from .series import Series, coset_range, exponent, lattice, lattice_coset
+from .series import (Series, coset_range, exponent, lattice, lattice_coset,
+                     lattice_mono)
 
 
 class Space:
@@ -172,7 +173,7 @@ class ChainSeries(Series):
             for i, (e, k) in assign.items():
                 powers[i] = e
                 logs[i] = k
-            m = (tuple(powers), tuple(logs))
+            m = lattice_mono(powers, logs)
             if not box.contains(m):
                 return
             # each slot's exponent cosets are distinct residues, so no two

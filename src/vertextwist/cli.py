@@ -17,6 +17,7 @@ from .models import Registry
 from .scalars import CyclotomicLevelError, Vec, lattice, linear
 from .series import Box, format_series, series_to_json
 from .automorphism import jordan_decompose
+from .errors import MonomialOverflow
 from .twistop import twist_chain
 
 
@@ -219,7 +220,7 @@ def _cmd_expand(args, registry) -> int:
             raise ExprError("window must be positive")
         out = _expand(registry, args.model, args.expression, args.window,
                       args.json)
-    except (ExprError, KeyError) as exc:
+    except (ExprError, KeyError, MonomialOverflow) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(out)

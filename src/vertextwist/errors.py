@@ -5,6 +5,10 @@ class InfiniteConvolution(ArithmeticError):
     """A requested coefficient could not be certified to be a finite sum."""
 
 
+class MonomialOverflow(ValueError):
+    """A lattice exponent or log power outside a packed monomial field."""
+
+
 class NonMeromorphicVariable(ValueError):
     """Residue taken in a variable carrying fractional exponents or logs."""
 

@@ -17,6 +17,7 @@ from .automorphism import (check_conjugation, check_derivation,
                            check_homomorphism, jordan_decompose)
 from .results import CheckResult, first_failure
 from .scalars import Vec
+from .series import Box
 from .twisted import (check_commutator_formula, check_equivariance,
                       check_g_compatibility, check_L_minus1_derivative_W,
                       check_permutation_symmetry, check_product_polynomiality,
@@ -48,6 +49,9 @@ class SuiteConfig:
                              % (self.suite, ", ".join(SUITES)))
         if self.max_weight <= 0 or self.halfwidth <= 0:
             raise ValueError("cutoff and window must be positive")
+        # the window and the log bound must fit a packed monomial's fields:
+        # MonomialOverflow, a ValueError, when they do not
+        Box.cube(1, -self.halfwidth, self.halfwidth, self.log_bound or 0)
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1, got %d" % self.jobs)
         if self.basis_order not in ("weight-lex", "weight-revlex"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .series import (Box, TermSeries, format_monomial, lattice,
-                     series_mismatch, window_json)
+                     lattice_mono, series_mismatch, window_json)
 
 
 @dataclass
@@ -65,7 +65,8 @@ class Modes:
     def __init__(self, exponents, logcap=0):
         ps = [lattice(e) for e in exponents]
         self.box = Box((min(ps),), (max(ps),), (logcap,))
-        self.rows = [(-e - 1, k, ((p,), (k,))) for e, p in zip(exponents, ps)
+        self.rows = [(-e - 1, k, lattice_mono((p,), (k,)))
+                     for e, p in zip(exponents, ps)
                      for k in range(logcap + 1)]
 
     def compare(self, identity, inputs, lhs, rhs) -> CheckResult:

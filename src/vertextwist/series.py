@@ -12,6 +12,18 @@ on.  Monomial exponents, box bounds and support bounds are such ints, and a
 coset is an int residue mod M.  Rationals enter through `mono`, `Box.cube`
 and `lattice`, and are read back through `exponent`.
 
+A monomial in n variables is one int of 2n fixed-width balanced signed
+fields: from the most significant, the lattice exponent of each variable in
+order, then the log power of each variable in order.  The sum of two packed
+monomials is the packing of their fieldwise sum, so multiplying monomials
+is one int add, and int order is the canonical (exponents, log powers)
+order the first mismatch is found in.  A box packs its bounds once, and a
+monomial lies in it when two guard-bit tests pass.  Only this module knows
+the layout: monomials are built by `mono` (rationals) or `lattice_mono`
+(lattice ints), read back by `mono_parts`, and shifted in one variable by
+multiples of `exp_unit` and `log_unit`.  A field value outside the packed
+range raises MonomialOverflow rather than spill into its neighbour.
+
 Coefficients are scalars in canonical form (an int or Fraction while
 rational, a Scalar once a phase or PI appears), or Vec for operator-valued
 series; a product may mix the two as long as at most one factor is
@@ -30,9 +42,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import ceil, floor
-from operator import add
 
-from .errors import InfiniteConvolution, NonMeromorphicVariable
+from .errors import (InfiniteConvolution, MonomialOverflow,
+                     NonMeromorphicVariable)
 from .scalars import (Scalar, Vec, binomial, cyclotomic_level, exact,
                       exponent, lattice, scalar_json)
 
@@ -51,31 +63,107 @@ def c_mul(a, b):
 # monomials and boxes
 # ---------------------------------------------------------------------------
 
-def mono(powers, logs=None):
-    powers = tuple(lattice(p) for p in powers)
+# Field width in bits: a monomial in three variables fits three 30-bit digits
+# of a Python int.  Stored fields lie in [-_LIMIT, _LIMIT), so the sum of two
+# stored monomials, less a box bound, stays within the guard range
+# [-_HALF, _HALF) of every field, and no test borrows across fields.
+_WIDTH = 15
+_MASK = (1 << _WIDTH) - 1
+_HALF = 1 << (_WIDTH - 1)            # a field's guard bit
+_LIMIT = 1 << (_WIDTH - 3)
+
+
+def _guard(fields: int) -> int:
+    """The guard bit of each of the lowest `fields` fields."""
+    return _HALF * (((1 << (_WIDTH * fields)) - 1) // _MASK)
+
+
+def _check_fields(fields):
+    """MonomialOverflow unless every value fits a stored field."""
+    if not fields:
+        return
+    lo, hi = min(fields), max(fields)
+    if lo < -_LIMIT or hi >= _LIMIT:
+        raise MonomialOverflow(
+            "monomial field %d outside the packed range [%d, %d) (a lattice "
+            "exponent p stands for p/%d)"
+            % (lo if lo < -_LIMIT else hi, -_LIMIT, _LIMIT, D))
+
+
+def _pack(fields) -> int:
+    _check_fields(fields)
+    m = 0
+    for v in fields:
+        m = (m << _WIDTH) + v
+    return m
+
+
+def _columns(ms, fields: int) -> list:
+    """The fields of the packed ints ms, one list per field from the most
+    significant.  Adding the guard bits lifts every field into [0, 2^_WIDTH),
+    so that each is read off on its own."""
+    g = _guard(fields)
+    us = [m + g for m in ms]
+    return [[((u >> s) & _MASK) - _HALF for u in us]
+            for s in range(_WIDTH * (fields - 1), -1, -_WIDTH)]
+
+
+def lattice_mono(powers, logs=None) -> int:
+    """The monomial of lattice-int exponents and log powers (default 0)."""
     if logs is None:
-        logs = (0,) * len(powers)
-    return (powers, tuple(int(k) for k in logs))
+        return _pack(powers) << (_WIDTH * len(powers))
+    return _pack((*powers, *logs))
+
+
+def mono(powers, logs=None) -> int:
+    """The monomial of rational exponents and log powers (default 0)."""
+    return lattice_mono([lattice(p) for p in powers],
+                        None if logs is None else [int(k) for k in logs])
+
+
+def mono_parts(m: int, n: int):
+    """(lattice exponents, log powers) of a monomial in n variables; one
+    column of `_columns`."""
+    u = m + _guard(2 * n)
+    fields = [((u >> s) & _MASK) - _HALF
+              for s in range(_WIDTH * (2 * n - 1), -1, -_WIDTH)]
+    return tuple(fields[:n]), tuple(fields[n:])
+
+
+def exp_unit(idx: int, n: int) -> int:
+    """Adding it raises the lattice exponent of variable idx by one."""
+    return 1 << (_WIDTH * (2 * n - 1 - idx))
+
+
+def log_unit(idx: int, n: int) -> int:
+    """Adding it raises the log power of variable idx by one."""
+    return 1 << (_WIDTH * (n - 1 - idx))
 
 
 def mono_add(m1, m2):
-    return (tuple(map(add, m1[0], m2[0])), tuple(map(add, m1[1], m2[1])))
-
-
-def mono_sort_key(m):
-    return (m[0], m[1])
+    """The product of two monomials."""
+    return m1 + m2
 
 
 class Box:
     """Per-variable lattice-int exponent interval (None = unbounded side)
-    plus log caps."""
+    plus log caps, packed once into a low and a high monomial; an unbounded
+    side packs as the end of the field range."""
 
-    __slots__ = ("lows", "highs", "logcaps")
+    __slots__ = ("lows", "highs", "logcaps", "_lo", "_hi", "_g")
 
     def __init__(self, lows, highs, logcaps):
         self.lows = tuple(lows)
         self.highs = tuple(highs)
         self.logcaps = tuple(logcaps)
+        n = len(self.lows)
+        g = self._g = _guard(2 * n)
+        # contains(m) tests the guard bits of m - lo + g and hi - m + g; the
+        # log fields of lo are 0, as no log power is negative
+        self._lo = g - (_pack([-_LIMIT if p is None else p
+                               for p in self.lows]) << (_WIDTH * n))
+        self._hi = g + _pack([_LIMIT - 1 if p is None else p
+                              for p in self.highs] + list(self.logcaps))
 
     @staticmethod
     def cube(nvars: int, lo, hi, logcap: int = 0) -> "Box":
@@ -84,15 +172,11 @@ class Box:
                    (int(logcap),) * nvars)
 
     def contains(self, m) -> bool:
-        for p, lo, hi in zip(m[0], self.lows, self.highs):
-            if lo is not None and p < lo:
-                return False
-            if hi is not None and p > hi:
-                return False
-        for k, cap in zip(m[1], self.logcaps):
-            if k > cap:
-                return False
-        return True
+        """Whether m lies in the box, an unbounded side holding the packed
+        range; exact for a monomial and for the sum of two, since every
+        field of m - lo and of hi - m then stays in the guard range."""
+        g = self._g
+        return (m + self._lo) & g == g and (self._hi - m) & g == g
 
     def with_var(self, idx: int, lo, hi, logcap=None) -> "Box":
         lows = list(self.lows)
@@ -172,10 +256,13 @@ class TermSeries(Series):
         terms = {m: c for m, c in (terms or {}).items() if c}
         n = len(vars)
         if terms:
-            bounds = [(min(m[0][i] for m in terms), max(m[0][i] for m in terms))
-                      for i in range(n)]
-            logmax = [max(m[1][i] for m in terms) for i in range(n)]
-            cosets = [frozenset(m[0][i] % D for m in terms) for i in range(n)]
+            cols = _columns(terms, 2 * n)
+            lows, highs = [min(c) for c in cols], [max(c) for c in cols]
+            # a term made by adding monomials is range-checked here
+            _check_fields(lows + highs)
+            bounds = list(zip(lows[:n], highs[:n]))
+            logmax = highs[n:]
+            cosets = [frozenset(p % D for p in c) for c in cols[:n]]
         else:
             bounds = [(0, 0)] * n
             logmax = [0] * n
@@ -234,6 +321,24 @@ class Sum(Series):
         return out
 
 
+def _hull(terms, n: int) -> list:
+    """Per variable, the least and the greatest lattice exponent of the
+    terms' monomials."""
+    return [(min(c), max(c)) for c in _columns(terms, 2 * n)[:n]]
+
+
+def _check_open_sides(box: Box, ha, hb):
+    """MonomialOverflow when the sum of two monomials with exponent hulls ha
+    and hb may leave the packed range on an unbounded side of the box, whose
+    guard test would drop it."""
+    for lo, hi, (alo, ahi), (blo, bhi) in zip(box.lows, box.highs, ha, hb):
+        if (lo is None and alo + blo < -_LIMIT
+                or hi is None and ahi + bhi >= _LIMIT):
+            raise MonomialOverflow(
+                "a product's exponents may leave the packed range [%d, %d)"
+                % (-_LIMIT, _LIMIT))
+
+
 class Product(Series):
     def __init__(self, a: Series, b: Series):
         if a.vars != b.vars:
@@ -259,14 +364,19 @@ class Product(Series):
                 continue
             if not ta:
                 return {}
-            hull = [(min(m[0][i] for m in ta), max(m[0][i] for m in ta))
-                    for i in range(len(self.vars))]
+            n = len(self.vars)
+            hull = _hull(ta, n)
             tb = second.terms_in(box.minus_bounds(hull))
+            if tb and (None in box.lows or None in box.highs):
+                _check_open_sides(box, hull, _hull(tb, n))
             out = {}
+            # calls, not an inlined m1 + m2 and guard test: the bench tracer
+            # counts convolution pairs tried and kept through these two
+            add, contains = mono_add, box.contains
             for m1, c1 in ta.items():
                 for m2, c2 in tb.items():
-                    m = mono_add(m1, m2)
-                    if not box.contains(m):
+                    m = add(m1, m2)
+                    if not contains(m):
                         continue
                     c = c_mul(c1, c2)
                     prev = out.get(m)
@@ -323,7 +433,7 @@ class BinomialKernel(Series):
             powers = [0] * n
             powers[self.lead] = a - p
             powers[self.exp] = p
-            m = (tuple(powers), (0,) * n)
+            m = lattice_mono(powers)
             if not box.contains(m):
                 continue
             c = binomial(A, k) * self.sign ** k
@@ -394,7 +504,7 @@ class DeltaKernel(Series):
                 powers[self.den] = dm
                 powers[self.va] = m - jp
                 powers[self.vb] = jp
-                mn = (tuple(powers), (0,) * nv)
+                mn = lattice_mono(powers)
                 if not box.contains(mn):
                     continue
                 c = binomial(mq, j) * self.b_sign ** j
@@ -446,7 +556,7 @@ class DeltaDerivKernel(Series):
             powers = [0] * nv
             powers[self.den] = (-m - 1) * D
             powers[self.num] = (m - self.k) * D
-            mn = (tuple(powers), (0,) * nv)
+            mn = lattice_mono(powers)
             if not box.contains(mn):
                 continue
             c = binomial(m, self.k)
@@ -494,14 +604,17 @@ def scaled(s: Series, c) -> Series:
 def _phase_shift(s: Series, idx: int, h, rename: str = None) -> Series:
     """x^n -> e^{pi i h n} x^n and log x -> log x + h*PI on variable idx."""
     h = Fraction(h)
+    n = len(s.vars)
+    unit = log_unit(idx, n)
 
     def fn(m, c):
-        phase = Scalar.e(h * exponent(m[0][idx]))
-        k = m[1][idx]
+        powers, logs = mono_parts(m, n)
+        phase = Scalar.e(h * exponent(powers[idx]))
+        k = logs[idx]
         # (log x + h*PI)^k expands over lower log powers
         for j in range(k + 1):
             fac = binomial(k, k - j) * (Scalar.pi() ** (k - j)) * (h ** (k - j))
-            yield (m[0], _put(m[1], idx, j)), c_mul(phase * fac, c)
+            yield m + (j - k) * unit, c_mul(phase * fac, c)
 
     vars = s.vars if rename is None else _put(s.vars, idx, rename)
     return _TermMap(s, fn, lambda box: box.with_var(
@@ -525,8 +638,9 @@ def log_shift(s: Series, idx: int, k: int) -> Series:
     """s times (log x_idx)^k: the base is read k log powers below the box."""
     if not k:
         return s
+    shift = k * log_unit(idx, len(s.vars))
     return _TermMap(
-        s, lambda m, c: (((m[0], _put(m[1], idx, m[1][idx] + k)), c),),
+        s, lambda m, c: ((m + shift, c),),
         lambda box: box.with_var(idx, box.lows[idx], box.highs[idx],
                                  box.logcaps[idx] - k),
         (s.vars, s.bounds, s.cosets, _put(s.logmax, idx, s.logmax[idx] + k)))
@@ -542,13 +656,18 @@ def restricted(s: Series, keep) -> Series:
 
 def derivative(s: Series, idx: int) -> Series:
     # d/dx x^n (log x)^k = n x^(n-1) (log x)^k + k x^(n-1) (log x)^(k-1)
+    nv = len(s.vars)
+    down, unit = D * exp_unit(idx, nv), log_unit(idx, nv)
+
     def fn(m, c):
-        n, k = exponent(m[0][idx]), m[1][idx]
-        powers = _put(m[0], idx, m[0][idx] - D)
+        powers, logs = mono_parts(m, nv)
+        p, k = powers[idx], logs[idx]
+        _check_fields((p - D,))
+        n = exponent(p)
         if n:
-            yield (powers, m[1]), c_mul(n, c)
+            yield m - down, c_mul(n, c)
         if k:
-            yield (powers, _put(m[1], idx, k - 1)), c_mul(k, c)
+            yield m - down - unit, c_mul(k, c)
 
     def source(box):
         lo, hi = box.lows[idx], box.highs[idx]
@@ -568,13 +687,19 @@ def residue(s: Series, idx: int) -> Series:
         raise NonMeromorphicVariable(
             "residue in %s: fractional exponents or logs remain" % s.vars[idx])
 
+    n = len(s.vars)
+
     def drop(t):
         return t[:idx] + t[idx + 1:]
 
     def lift(t, v):
         return t[:idx] + (v,) + t[idx:]
 
-    return _TermMap(s, lambda m, c: (((drop(m[0]), drop(m[1])), c),),
+    def fn(m, c):
+        powers, logs = mono_parts(m, n)
+        return ((lattice_mono(drop(powers), drop(logs)), c),)
+
+    return _TermMap(s, fn,
                     lambda box: Box(lift(box.lows, -D), lift(box.highs, -D),
                                     lift(box.logcaps, 0)),
                     [drop(t) for t in (s.vars, s.bounds, s.cosets, s.logmax)])
@@ -593,7 +718,7 @@ def series_mismatch(a: Series, b: Series, box: Box):
     ta, tb = a.terms_in(box), b.terms_in(box)
     if ta == tb:
         return None
-    for m in sorted(ta.keys() | tb.keys(), key=mono_sort_key):
+    for m in sorted(ta.keys() | tb.keys()):
         ca = ta.get(m)
         cb = tb.get(m)
         if ca is None or cb is None or ca != cb:
@@ -603,7 +728,7 @@ def series_mismatch(a: Series, b: Series, box: Box):
 
 def format_monomial(m, vars) -> str:
     parts = []
-    for v, p, k in zip(vars, m[0], m[1]):
+    for v, p, k in zip(vars, *mono_parts(m, len(vars))):
         if p:
             parts.append("%s^%s" % (v, exponent(p)))
         if k == 1:
@@ -617,18 +742,19 @@ def format_series(terms: dict, vars) -> str:
     if not terms:
         return "0"
     out = []
-    for m in sorted(terms, key=mono_sort_key):
+    for m in sorted(terms):
         out.append("(%s)*%s" % (terms[m], format_monomial(m, vars)))
     return " + ".join(out)
 
 
 def series_to_json(terms: dict, vars, box: Box = None):
     entries = []
-    for m in sorted(terms, key=mono_sort_key):
+    for m in sorted(terms):
         c = terms[m]
+        powers, logs = mono_parts(m, len(vars))
         entries.append({
-            "powers": {v: str(exponent(p)) for v, p in zip(vars, m[0]) if p},
-            "log_powers": {v: k for v, k in zip(vars, m[1]) if k},
+            "powers": {v: str(exponent(p)) for v, p in zip(vars, powers) if p},
+            "log_powers": {v: k for v, k in zip(vars, logs) if k},
             "scalar": repr(c) if isinstance(c, Vec) else scalar_json(c),
         })
     doc = {"variables": list(vars), "entries": entries}

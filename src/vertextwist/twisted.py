@@ -23,7 +23,7 @@ from .scalars import Vec, linear, phase_turns
 from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
                      _TermMap, branch_shift, coset_range, delta_iter,
                      delta_prod, delta_prod_rev, derivative, log_shift,
-                     residue, restricted, scaled, window_json)
+                     log_unit, residue, restricted, scaled, window_json)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -165,6 +165,7 @@ class UnipotentViewModule(ModuleBase):
     def __init__(self, name, V, g, log_bound=None):
         from .automorphism import nilpotent_power_coeffs
         self._npc = lambda vec: nilpotent_power_coeffs(g, vec)
+        self._u_parts = {}           # u -> [N^k u / k!], read by mode_vec
         if log_bound is None:
             log_bound = max((len(self._npc(Vec.basis(k))) - 1
                              for k in V.basis(3)), default=0)
@@ -192,7 +193,9 @@ class UnipotentViewModule(ModuleBase):
         if not k:
             # N^0 u / 0! is u itself
             return self.V.mode_vec(uvec, n, 0, wvec)
-        parts = self._npc(uvec)
+        parts = self._u_parts.get(uvec)
+        if parts is None:
+            parts = self._u_parts[uvec] = self._npc(uvec)
         if k >= len(parts):
             return Vec.zero()
         if k > self.log_bound:
@@ -407,7 +410,7 @@ def _y0_of_dressed_terms(W, u, w, vars, side):
     def conjugate(m, vec):
         # x^{-N} on the module side
         for k, res in enumerate(W.module_nilpotent_coeffs(vec)):
-            yield (m[0], (m[1][0] + k,)), res.scale(Fraction((-1) ** k))
+            yield m + k * log_unit(0, 1), res.scale(Fraction((-1) ** k))
     return Sum([log_shift(_TermMap(y0(u, wpart), conjugate, lambda box: box),
                           0, k)
                 for k, wpart in enumerate(W.module_nilpotent_coeffs(w))])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import ceil, factorial, floor
 
 from .chains import ChainSeries, OpSlot
 from .results import CheckResult, compare
@@ -19,7 +19,8 @@ from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
 from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
                      Sum, TermSeries, _TermMap, acc_terms, coset_range,
                      delta_iter, delta_prod, delta_prod_rev, exponent,
-                     minus_convention, mono, residue, restricted, scaled)
+                     minus_convention, mono, mono_parts, residue,
+                     restricted, scaled)
 from .series import mono_add  # bench/layertrace.py patches it here by name
 from .twisted import (_cube, _inputs, check_L_minus1_sides,
                       commutativity_order, mode_sum, require_semisimple,
@@ -281,7 +282,7 @@ def check_twist_decomposition(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
     inputs = _inputs(w=w_arg, v=v)
     t0 = _t0_terms(W, w_arg, v)
     res = compare("twist-decomposition", inputs, vars, box, t0,
-                  restricted(t0, lambda m: not m[1][0]))
+                  restricted(t0, lambda m: not mono_parts(m, 1)[1][0]))
     if not res.ok:
         return res
     return compare("twist-decomposition", inputs, vars, box,
@@ -336,7 +337,8 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
             return
         # only L-powers that can pull the shared variable back into the
         # window contribute
-        jneed = int(hw - exponent(min(m[0][x_idx] for m in terms)))
+        jneed = int(hw - exponent(min(mono_parts(m, nv)[0][x_idx]
+                                      for m in terms)))
         acc_terms(out, Product(_exp_L_terms(W, cur, vars, x_idx, jneed),
                                kern).terms_in(box).items())
 
@@ -346,7 +348,14 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
     degmax = wdeg + W.algebra_weight(v) + sum(W.algebra_weight(u) for u in vs) \
         + nv * hw
 
-    def rec(pos, cur, cur_deg, n_v, chosen):
+    # xlo is the least x-power that the head and the kernel factors chosen
+    # so far reach with every x_i in the window: (x_i - x)^{-n-1}, left of
+    # the slot, needs x^j with integral j >= -n-1-hw, and (x - x_i)^{-n-1},
+    # right of it, gives x^{-n-1-j} with integral j <= hw.  Factors left of
+    # the slot come last and only raise xlo, so from the last factor right
+    # of it on, each n is bounded below by keeping xlo at most hw: beyond,
+    # the kernel has no term in kbox.
+    def rec(pos, cur, cur_deg, n_v, chosen, xlo):
         if not cur:
             return
         if pos < 0:
@@ -356,14 +365,20 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
         wt = W.algebra_weight(u)
         # (x_i - x)^{-n-1} expanded in x never reaches the window above
         n_hi = hw - 1 if pos < k_tw else cur_deg + wt - 1
-        for n in coset_range(wt - 1 + cur_deg - degmax, n_hi,
-                             W.algebra_alpha(u)):
+        n_lo = wt - 1 + cur_deg - degmax
+        if pos < k_tw:
+            n_lo = max(n_lo, -1 - hw - floor(hw - xlo))
+        elif pos == k_tw:
+            n_lo = max(n_lo, xlo - 1 - hw - floor(hw))
+        for n in coset_range(n_lo, n_hi, W.algebra_alpha(u)):
             rec(pos - 1, W.mode_vec(u, n, 0, cur), cur_deg + wt - n - 1,
-                n_v, [n] + chosen)
+                n_v, [n] + chosen, xlo + (max(0, ceil(-n - 1 - hw))
+                                          if pos < k_tw
+                                          else -n - 1 - floor(hw)))
 
     wtv = W.algebra_weight(v)
     for n_v, cur0 in W.modes(v, w_arg, max(-hw - 1, wtv - 1 + wdeg - degmax)):
-        rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [])
+        rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [], -n_v - 1)
     del rec         # it reaches itself through its closure: free it now
     return TermSeries(vars, out)
 

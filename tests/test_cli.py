@@ -5,8 +5,14 @@ import pytest
 
 from vertextwist import harness
 from vertextwist.cli import main
+from vertextwist.errors import MonomialOverflow
 from vertextwist.harness import Report, SuiteConfig, run_suite
 from vertextwist.models import Registry
+from vertextwist.series import _LIMIT, D
+
+# the least window half-width and log bound beyond the packed field range
+WIDE_WINDOW = str(_LIMIT // D)
+WIDE_LOGS = str(_LIMIT)
 
 
 def test_expand_fermion_two_point(capsys):
@@ -174,6 +180,33 @@ def test_expand_window_not_positive_exit_2(window, capsys):
     assert main(["expand", "fermion", "Y(psi,x) psi", "--window", window]) \
         == 2
     assert capsys.readouterr().err == "error: window must be positive\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "ramond", "--suite", "equivariance",
+     "--window", WIDE_WINDOW],
+    ["run", "--model", "ramond", "--suite", "equivariance",
+     "--log-bound", WIDE_LOGS],
+    ["expand", "fermion", "Y(psi,x) psi", "--window", WIDE_WINDOW]])
+def test_window_beyond_packed_range_exit_2(argv, capsys):
+    # a window or log bound that no packed monomial field holds is refused
+    # before any check runs, with an error line rather than a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: monomial field %d outside the packed range"
+                          % _LIMIT), err
+
+
+def test_window_at_packed_range_edge_is_valid():
+    top = SuiteConfig(model="ramond", suite="equivariance",
+                      halfwidth=int(WIDE_WINDOW) - 1,
+                      log_bound=int(WIDE_LOGS) - 1)
+    top.validate()
+    for wide in ({"halfwidth": int(WIDE_WINDOW)},
+                 {"log_bound": int(WIDE_LOGS)}):
+        cfg = SuiteConfig(model="ramond", suite="equivariance", **wide)
+        with pytest.raises(MonomialOverflow):
+            cfg.validate()
 
 
 def test_expand_mode_off_the_lattice_is_zero(capsys):

@@ -22,20 +22,24 @@ each run their own term loop.  `loop_t0_terms`, `loop_twist_recon`,
 dicts and sum coinciding terms by hand.  The four `loop_*` generator seeds
 and the four `loop_*_keys` enumerators each do their own Fock arithmetic,
 and `loop_weak_commutativity_order` and `loop_twist_commutativity_order`
-scan the modes of Y(u,x)w with their own loop.  All are kept here only as
+scan the modes of Y(u,x)w with their own loop.  `loop_mono_add`,
+`loop_box_contains` and `loop_sort_key` treat a monomial as a pair of
+tuples, (lattice exponents, log powers).  All are kept here only as
 references for the engine's shortcuts (lattice-int mode indices, the vacuum
 collapse, Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
 path, integer numerators over one denominator, int binomials, the
 inverse by Galois conjugates, one term-map node for every term-wise
 series transform, every identity side a series node, and one Fock move,
-one key enumerator and one truncated mode expansion), which must give
-equal results.
+one key enumerator and one truncated mode expansion, and monomials packed
+into one int), which must give equal results.
 """
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import ceil, factorial, floor, gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,9 +64,9 @@ from vertextwist.scalars import (HALF_SQRT2, CyclotomicLevelError, Scalar,
                                  exact, exponent, inverse, lattice, linear,
                                  scalar_json, terms_of, vec_of)
 from vertextwist.series import (D, BinomialKernel, Box, Series, TermSeries,
-                                branch_shift, c_mul, coset_range, derivative,
-                                log_substitute, mono, mono_add, residue,
-                                scaled)
+                                _LIMIT, branch_shift, c_mul, coset_range, derivative,
+                                lattice_mono, log_substitute, mono, mono_add,
+                                mono_parts, residue, scaled)
 from vertextwist.twisted import (L_minus1_commutator_sides,
                                  _y0_of_dressed_terms, x_N_dressed)
 from vertextwist.twistop import (TwistOpSlot, _applied, _recentered_product,
@@ -880,16 +884,17 @@ class LoopPhaseShift(Series):
         out = {}
         i = self.idx
         for m, c in self.base.terms_in(src).items():
-            q = self.h * exponent(m[0][i])
+            powers, logs0 = mono_parts(m, len(self.vars))
+            q = self.h * exponent(powers[i])
             phase = Scalar.e(q)
-            k = m[1][i]
+            k = logs0[i]
             for j in range(0, k + 1):
                 if j > box.logcaps[i]:
                     continue
                 fac = binomial(k, k - j) * (Scalar.pi() ** (k - j)) * \
                     (self.h ** (k - j))
-                logs = tuple(j if t == i else v for t, v in enumerate(m[1]))
-                mn = (m[0], logs)
+                logs = tuple(j if t == i else v for t, v in enumerate(logs0))
+                mn = lattice_mono(powers, logs)
                 if not box.contains(mn):
                     continue
                 cc = c_mul(phase * fac, c)
@@ -915,13 +920,15 @@ class LoopDerivative(Series):
                            min(self.base.logmax[i], box.logcaps[i] + 1))
         out = {}
         for m, c in self.base.terms_in(src).items():
-            n, k = exponent(m[0][i]), m[1][i]
-            powers = tuple(p - D if t == i else p for t, p in enumerate(m[0]))
-            targets = [((powers, m[1]), n)]
+            powers0, logs0 = mono_parts(m, len(self.vars))
+            n, k = exponent(powers0[i]), logs0[i]
+            powers = tuple(p - D if t == i else p
+                           for t, p in enumerate(powers0))
+            targets = [(lattice_mono(powers, logs0), n)]
             if k:
                 logs = tuple(v - 1 if t == i else v
-                             for t, v in enumerate(m[1]))
-                targets.append(((powers, logs), k))
+                             for t, v in enumerate(logs0))
+                targets.append((lattice_mono(powers, logs), k))
             for mn, fac in targets:
                 if fac == 0 or not box.contains(mn):
                     continue
@@ -953,9 +960,10 @@ class LoopResidue(Series):
         caps.insert(self.idx, 0)
         out = {}
         for m, c in self.base.terms_in(Box(lows, highs, caps)).items():
-            powers = tuple(p for i, p in enumerate(m[0]) if i != self.idx)
-            logs = tuple(k for i, k in enumerate(m[1]) if i != self.idx)
-            mn = (powers, logs)
+            powers0, logs0 = mono_parts(m, len(self.base.vars))
+            powers = tuple(p for i, p in enumerate(powers0) if i != self.idx)
+            logs = tuple(k for i, k in enumerate(logs0) if i != self.idx)
+            mn = lattice_mono(powers, logs)
             prev = out.get(mn)
             out[mn] = c if prev is None else prev + c
         return out
@@ -1035,11 +1043,105 @@ def test_term_map_matches_loop_transforms(data):
                        LoopPhaseShift(s, idx, 1, rename="w"), box)
     assert_same_series(derivative(s, idx), LoopDerivative(s, idx), box)
     # the residue variable made integral and log-free
-    mer = TermSeries(s.vars, {
-        (m[0][:idx] + (m[0][idx] - m[0][idx] % D,) + m[0][idx + 1:],
-         m[1][:idx] + (0,) + m[1][idx + 1:]): c for m, c in s.terms.items()})
+    parts = [(mono_parts(m, n), c) for m, c in s.terms.items()]
+    mer = TermSeries(s.vars, {lattice_mono(
+        p[:idx] + (p[idx] - p[idx] % D,) + p[idx + 1:],
+        k[:idx] + (0,) + k[idx + 1:]): c for (p, k), c in parts})
     rbox = data.draw(series_boxes(n - 1))
     assert_same_series(residue(mer, idx), LoopResidue(mer, idx), rbox)
+
+
+# ---------------------------------------------------------------------------
+# monomials as (lattice exponents, log powers) pairs of tuples
+# ---------------------------------------------------------------------------
+
+def loop_mono_add(m1, m2):
+    """The product of two tuple monomials: the fieldwise sums."""
+    return (tuple(map(add, m1[0], m2[0])), tuple(map(add, m1[1], m2[1])))
+
+
+def loop_box_contains(box, m) -> bool:
+    """A tuple monomial against each side and log cap of the box."""
+    for p, lo, hi in zip(m[0], box.lows, box.highs):
+        if lo is not None and p < lo:
+            return False
+        if hi is not None and p > hi:
+            return False
+    for k, cap in zip(m[1], box.logcaps):
+        if k > cap:
+            return False
+    return True
+
+
+def loop_sort_key(m):
+    """The canonical order: exponents first, then log powers."""
+    return (m[0], m[1])
+
+
+def edge_ints(lo, hi):
+    """Ints in [lo, hi], often at either end or next to 0."""
+    edges = sorted({v for v in (lo, lo + 1, -1, 0, 1, hi - 1, hi)
+                    if lo <= v <= hi})
+    return st.one_of(st.sampled_from(edges), st.integers(lo, hi))
+
+
+@st.composite
+def tuple_monomials(draw, n):
+    return (tuple(draw(edge_ints(-_LIMIT, _LIMIT - 1)) for _ in range(n)),
+            tuple(draw(edge_ints(0, _LIMIT - 1)) for _ in range(n)))
+
+
+@st.composite
+def packed_boxes(draw, n):
+    sides = st.one_of(st.none(), edge_ints(-_LIMIT, _LIMIT - 1))
+    return Box([draw(sides) for _ in range(n)], [draw(sides) for _ in range(n)],
+               [draw(edge_ints(-_LIMIT, _LIMIT - 1)) for _ in range(n)])
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_packed_monomials_match_tuple_forms(data):
+    n = data.draw(st.integers(0, 3))
+    t1, t2 = data.draw(tuple_monomials(n)), data.draw(tuple_monomials(n))
+    m1, m2 = lattice_mono(*t1), lattice_mono(*t2)
+    assert mono_parts(m1, n) == t1 and mono_parts(m2, n) == t2
+    # a sum of two packed monomials is the packed fieldwise sum, also when
+    # a field of it leaves the range a monomial is stored in
+    m, t = mono_add(m1, m2), loop_mono_add(t1, t2)
+    assert mono_parts(m, n) == t
+    if all(-_LIMIT <= v < _LIMIT for v in t[0] + t[1]):
+        assert m == lattice_mono(*t)
+    assert (m1 < m2, m1 == m2) == (loop_sort_key(t1) < loop_sort_key(t2),
+                                   t1 == t2)
+    box = data.draw(packed_boxes(n))
+    assert box.contains(m1) == loop_box_contains(box, t1)
+    # an unbounded side holds only the packed range; a product that would
+    # keep a sum beyond it raises instead (tests/test_series.py)
+    if all((lo is not None or p >= -_LIMIT) and (hi is not None or p < _LIMIT)
+           for p, lo, hi in zip(t[0], box.lows, box.highs)):
+        assert box.contains(m) == loop_box_contains(box, t)
+    else:
+        assert not box.contains(m)
+
+
+def test_packed_box_is_exact_at_the_range_corners():
+    # sums of two monomials at the ends of the range against every box
+    # whose sides sit at those ends, reversed (empty) boxes included: each
+    # guard test must neither carry nor borrow across fields
+    ends = (-_LIMIT, -_LIMIT + 1, _LIMIT - 1)
+    sides = (None, -_LIMIT, 0, _LIMIT - 1)
+    checked = 0
+    for lo0, hi0, lo1, hi1 in product(sides, repeat=4):
+        box = Box((lo0, lo1), (hi0, hi1), (0, 0))
+        for a0, a1, b0, b1 in product(ends, repeat=4):
+            m = mono_add(lattice_mono((a0, a1)), lattice_mono((b0, b1)))
+            t = ((a0 + b0, a1 + b1), (0, 0))
+            if all((lo is not None or p >= -_LIMIT)
+                   and (hi is not None or p < _LIMIT)
+                   for p, lo, hi in zip(t[0], box.lows, box.highs)):
+                assert box.contains(m) == loop_box_contains(box, t), (box, t)
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", ["z2boson", "ramond",
@@ -1075,8 +1177,9 @@ def loop_t0_terms(W, w_arg, v, box):
     out = {}
     for k2, part in enumerate(nilpotent_power_coeffs(W.g, v)):
         sub = twist_matrix_element(W, w_arg, part).terms_in(box)
-        for (powers, logs), c in sub.items():
-            m = (powers, (logs[0] + k2,))
+        for m, c in sub.items():
+            powers, logs = mono_parts(m, 1)
+            m = lattice_mono(powers, (logs[0] + k2,))
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
     return {m: c for m, c in out.items() if c}
@@ -1087,9 +1190,9 @@ def loop_twist_recon(W, w_arg, v, box):
     recon = {}
     for k1, part in enumerate(nilpotent_power_coeffs(W.g, v)):
         sgn = Fraction((-1) ** k1)
-        for (powers, logs), c in loop_t0_terms(W, w_arg, part.scale(sgn),
-                                               box).items():
-            m = (powers, (logs[0] + k1,))
+        for m, c in loop_t0_terms(W, w_arg, part.scale(sgn), box).items():
+            powers, logs = mono_parts(m, 1)
+            m = lattice_mono(powers, (logs[0] + k1,))
             prev = recon.get(m)
             recon[m] = c if prev is None else prev + c
     return recon
@@ -1163,7 +1266,7 @@ def loop_recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
             for m1, c1 in terms.items():
                 for m2, c2 in kt.items():
                     m = mono_add(m1, m2)
-                    if not lo <= m[0][v_idx[pos]] <= hi:
+                    if not lo <= mono_parts(m, nv)[0][v_idx[pos]] <= hi:
                         continue
                     c = c1 * c2
                     prev = nxt.get(m)
@@ -1171,7 +1274,8 @@ def loop_recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
             terms = nxt
         if not terms:
             return
-        jneed = int(hw - exponent(min(m[0][x_idx] for m in terms)))
+        jneed = int(hw - exponent(min(mono_parts(m, nv)[0][x_idx]
+                                      for m in terms)))
         if jneed < 0:
             return
         exp_L = {}
@@ -1237,7 +1341,7 @@ def test_identity_side_nodes_match_loop_forms(modules, name):
         got = node.terms_in(box)
         assert got == clipped(loop, box), box
         compared += bool(got)
-        logged += any(m[1][0] for m in got)
+        logged += any(mono_parts(m, 1)[1][0] for m in got)
     for wkey in W.basis(1):
         w = Vec.basis(wkey)
         for vkey in W.V.basis(1):

@@ -4,15 +4,16 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertextwist.errors import InfiniteConvolution, NonMeromorphicVariable
+from vertextwist.errors import (InfiniteConvolution, MonomialOverflow,
+                                NonMeromorphicVariable)
 from vertextwist.scalars import CyclotomicLevelError, Scalar, binomial
 from vertextwist.results import compare
 from vertextwist.series import (D, Box, Product, Series, Sum, TermSeries,
-                                binomial_expand, branch_shift, c_mul,
+                                _LIMIT, binomial_expand, branch_shift, c_mul,
                                 delta_iter, delta_prod, delta_prod_rev,
-                                derivative, format_series, lattice_coset,
-                                log_substitute, minus_convention, mono,
-                                residue, scaled, series_mismatch,
+                                derivative, exp_unit, format_series,
+                                lattice_coset, lattice_mono, log_substitute,
+                                log_unit, minus_convention, mono, residue, scaled, series_mismatch,
                                 series_to_json, window_json)
 
 F = Fraction
@@ -226,12 +227,42 @@ def test_delta_substitution_residue():
 
 def test_residue_rules():
     assert residue(TermSeries.monomial(X, [-1]), 0).terms_in(Box.cube(0, 0, 0)) \
-        == {((), ()): 1}
+        == {mono([]): 1}
     assert residue(TermSeries.monomial(X, [4]), 0).terms_in(Box.cube(0, 0, 0)) == {}
     with pytest.raises(NonMeromorphicVariable):
         residue(TermSeries.monomial(X, [F(-1, 2)]), 0)
     with pytest.raises(NonMeromorphicVariable):
         residue(TermSeries.monomial(X, [-1], logs=[1]), 0)
+
+
+def test_packed_range_overflow_is_named():
+    # a field beyond the packed range raises instead of spilling into its
+    # neighbour, wherever a monomial or a box is made
+    top, low = _LIMIT - 1, -_LIMIT
+    assert lattice_mono((top, low), (top, 0)) > lattice_mono((top, low))
+    for powers, logs in (((top + 1, 0), None), ((low - 1, 0), None),
+                         ((0, 0), (0, top + 1))):
+        with pytest.raises(MonomialOverflow):
+            lattice_mono(powers, logs)
+    with pytest.raises(MonomialOverflow):
+        Box((0,), (top + 1,), (0,))
+    with pytest.raises(MonomialOverflow):
+        Box((0,), (0,), (top + 1,))
+    # a term made by adding units is checked by the series that stores it
+    with pytest.raises(MonomialOverflow):
+        TermSeries(X12, {lattice_mono((top, 0)) + exp_unit(0, 2): 1})
+    with pytest.raises(MonomialOverflow):
+        TermSeries(X, {lattice_mono((0,), (top,)) + log_unit(0, 1): 1})
+    # a product would drop a sum below an unbounded side: it raises
+    a = TermSeries(X, {lattice_mono((low + 1,)): 1})
+    b = TermSeries(X, {lattice_mono((-2 * D,)): 1})
+    with pytest.raises(MonomialOverflow):
+        Product(a, b).terms_in(Box((None,), (0,), (0,)))
+    assert Product(a, b).terms_in(Box((low,), (0,), (0,))) == {}
+    # and so does d/dx past the bottom of the range
+    with pytest.raises(MonomialOverflow):
+        derivative(TermSeries(X, {lattice_mono((low,)): 1}), 0).terms_in(
+            Box((None,), (0,), (0,)))
 
 
 def test_branch_shift_basics():

@@ -273,6 +273,31 @@ def test_scalar_form_stays_in_scalars():
     assert not found, found
 
 
+# the constants and helpers that know how series.py packs a monomial
+PACKING_FORM = {"_WIDTH", "_MASK", "_HALF", "_LIMIT", "_guard", "_pack",
+                "_columns", "_check_fields"}
+
+
+def test_packed_monomials_stay_in_series():
+    # only series.py knows the field layout of a packed monomial; every
+    # other module builds and reads monomials through mono, lattice_mono,
+    # mono_parts, exp_unit and log_unit
+    found = sorted(
+        (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+        if path.name != "series.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and any(a.name in PACKING_FORM for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr in PACKING_FORM)
+    assert not found, found
+    tree = ast.parse((SRC / "series.py").read_text())
+    defined = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    defined |= {node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)}
+    assert PACKING_FORM <= defined, PACKING_FORM - defined
+
+
 def _position_lookups(tree) -> set:
     """The `.index(` and `.count(` calls under an AST node."""
     return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
