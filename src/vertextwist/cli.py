@@ -124,6 +124,10 @@ def _eval_vector(node, V, W):
     raise ExprError("bad node %r" % (node,))
 
 
+# the operator as the expression writes it, for each engine slot kind
+_WRITTEN = {"alg": "Y", "tw": "Yg", "twist": "Ytw"}
+
+
 def _validate_spaces(placed, atom_space):
     state = atom_space
     for _, kindop, _vec in reversed(placed):
@@ -135,7 +139,7 @@ def _validate_spaces(placed, atom_space):
         if state == "W" and kindop == "tw":
             continue
         raise ExprError("operator %r cannot act on a %s-space state"
-                        % (kindop, state))
+                        % (_WRITTEN[kindop], state))
 
 
 def _expand(registry, model_id, text, halfwidth, as_json):

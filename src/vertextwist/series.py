@@ -29,6 +29,17 @@ rational, a Scalar once a phase or PI appears), or Vec for operator-valued
 series; a product may mix the two as long as at most one factor is
 vector-valued.
 
+Every kernel is one node, `BinomialKernel`: the binomial expansion
+(x_lead + sign*x_exp)^q in x_exp, with terms
+    [e^{pi i q} if minus] * C(q, j) * sign^j * x_lead^(q-j) * x_exp^j
+      * den^(-q-1),  j >= 0.
+Without a denominator variable, q is the one exponent A: the binomial and
+the minus conventions.  With one, q runs over A+Z as far as the box
+reaches in den: every delta function of the Jacobi identities and the
+commutator formula, dressed by ((x_lead + sign*x_exp)/den)^A.  Without an
+expansion variable only j = 0 is left, the plain delta den^{-1}
+delta(x_lead/den), and `delta_derivative` is (1/k!) d^k of it in x_lead.
+
 Every term-wise transform of one series is one node, `_TermMap`: scaling,
 the branch shift and the substitution y -> -x, d/dx, the residue, a fixed
 mode or L(-1) applied to each vector coefficient, the log shift (times
@@ -41,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import ceil, floor
+from math import ceil, factorial, floor
 
 from .errors import (InfiniteConvolution, MonomialOverflow,
                      NonMeromorphicVariable)
@@ -391,178 +402,108 @@ class Product(Series):
 # ---------------------------------------------------------------------------
 
 class BinomialKernel(Series):
-    """(x_lead + sign*x_exp)^A expanded in x_exp, optionally scaled.
+    """The binomial expansion (x_lead + sign*x_exp)^q in x_exp, at one
+    exponent or summed against a denominator variable.
 
-    Terms:  scale * C(A, n) * sign^n * x_lead^(A-n) * x_exp^n,  n >= 0.
+    Terms, j >= 0:
+        [e^{pi i q} if minus] * C(q, j) * sign^j
+          * x_lead^(q-j) * x_exp^j * den^(-q-1).
+    Without den, q is A alone and there is no den factor.  With den, q runs
+    over A+Z as far as the box reaches in den: den^{-1} delta((x_lead +
+    sign*x_exp)/den) dressed by ((x_lead + sign*x_exp)/den)^A.  Without exp,
+    only j = 0 is left.
     """
 
-    def __init__(self, vars, A, lead: int, exp: int, sign: int = -1, scale=1):
+    def __init__(self, vars, A, lead: int, exp, sign: int = -1,
+                 minus: bool = False, den=None):
         A = Fraction(A)
         a = lattice(A)
         n = len(vars)
         bounds = [(0, 0)] * n
         cosets = [frozenset((0,))] * n
         # polynomial case: the expansion terminates on its own
-        self.poly = A.denominator == 1 and A >= 0
-        bounds[lead] = (0 if self.poly else None, a)
-        bounds[exp] = (0, a if self.poly else None)
+        self.poly = den is None and A.denominator == 1 and A >= 0
+        bounds[lead] = (0 if self.poly else None, a if den is None else None)
         cosets[lead] = frozenset((a % D,))
+        if exp is not None:
+            bounds[exp] = (0, a if self.poly else None)
+        if den is not None:
+            bounds[den] = (None, None)
+            cosets[den] = frozenset(((-a - D) % D,))
         super().__init__(vars, bounds, cosets, [0] * n)
-        self.A, self.a, self.lead, self.exp, self.sign, self.scale = \
-            A, a, lead, exp, sign, scale
+        self.a, self.lead, self.exp, self.den = a, lead, exp, den
+        self.sign, self.minus = sign, minus
 
     def _terms_in(self, box):
-        A, a = self.A, self.a
-        lo_n = 0
-        hi_n = a if self.poly else None
-        blo, bhi = box.lows[self.exp], box.highs[self.exp]
-        if blo is not None:
-            lo_n = max(lo_n, blo)
-        if bhi is not None:
-            hi_n = bhi if hi_n is None else min(hi_n, bhi)
-        llo = box.lows[self.lead]
-        if llo is not None:
-            cap = a - llo
-            hi_n = cap if hi_n is None else min(hi_n, cap)
-        if hi_n is None:
-            raise InfiniteConvolution("binomial expansion unbounded on %r" % (box,))
+        lead, exp, den = self.lead, self.exp, self.den
+        if den is None:
+            qs = (self.a,)
+        else:
+            dlo, dhi = box.lows[den], box.highs[den]
+            if dlo is None or dhi is None:
+                raise InfiniteConvolution("delta kernel needs a bounded window "
+                                          "on its denominator variable")
+            qs = [-p - D for p in lattice_coset(dlo, dhi, -self.a - D)]
+        llo, lhi = box.lows[lead], box.highs[lead]
+        elo, ehi = (0, 0) if exp is None else (box.lows[exp], box.highs[exp])
         out = {}
-        n = len(self.vars)
-        for p in lattice_coset(lo_n, hi_n, 0):
-            k = p // D
-            powers = [0] * n
-            powers[self.lead] = a - p
-            powers[self.exp] = p
-            m = lattice_mono(powers)
-            if not box.contains(m):
-                continue
-            c = binomial(A, k) * self.sign ** k
-            if c:
-                out[m] = c * self.scale
+        powers = [0] * len(self.vars)
+        for q in qs:
+            # j ranges over lattice ints jp = j*D with x_exp^jp and
+            # x_lead^(q-jp) inside the box; only the single-exponent
+            # polynomial stops at q on its own
+            j_lo = 0 if elo is None else max(0, elo)
+            if lhi is not None:
+                j_lo = max(j_lo, q - lhi)
+            j_hi = ehi
+            if self.poly:
+                j_hi = q if j_hi is None else min(j_hi, q)
+            if llo is not None:
+                j_hi = q - llo if j_hi is None else min(j_hi, q - llo)
+            if j_hi is None:
+                raise InfiniteConvolution("binomial expansion unbounded on %r"
+                                          % (box,))
+            qr = exponent(q)
+            phase = Scalar.e(qr) if self.minus else 1
+            if den is not None:
+                powers[den] = -q - D
+            for jp in lattice_coset(j_lo, j_hi, 0):
+                powers[lead] = q - jp
+                if exp is not None:
+                    powers[exp] = jp
+                m = lattice_mono(powers)
+                if not box.contains(m):
+                    continue
+                j = jp // D
+                c = binomial(qr, j) * self.sign ** j
+                if c:
+                    out[m] = c * phase
         return out
 
 
 def binomial_expand(vars, A, lead: int, exp: int) -> Series:
     """(x_lead - x_exp)^A as a power series in x_exp."""
-    return BinomialKernel(vars, A, lead, exp, sign=-1)
+    return BinomialKernel(vars, A, lead, exp)
 
 
 def minus_convention(vars, A, lead: int, exp: int) -> Series:
     """(-x_exp + x_lead)^A = e^{pi i A} (x_exp - x_lead)^A, expanded in x_lead."""
-    return BinomialKernel(vars, A, exp, lead, sign=-1, scale=Scalar.e(A))
-
-
-class DeltaKernel(Series):
-    """den^{-1} delta((x_a + b_sign*x_b)/den) dressed by an exponent coset.
-
-    Terms over m in offset+Z, j >= 0:
-        C(m, j) * b_sign^j * [e^{pi i m} if minus_phase]
-          * x_a^(m-j) * x_b^j * den^(-m-1).
-    The b-variable is the expansion variable.
-    """
-
-    def __init__(self, vars, den: int, a: int, b: int, b_sign: int = 1,
-                 offset=0, minus_phase: bool = False):
-        r = lattice(offset)
-        n = len(vars)
-        bounds = [(0, 0)] * n
-        cosets = [frozenset((0,))] * n
-        bounds[den] = (None, None)
-        bounds[a] = (None, None)
-        bounds[b] = (0, None)
-        cosets[den] = frozenset(((-r - D) % D,))
-        cosets[a] = frozenset((r % D,))
-        super().__init__(vars, bounds, cosets, [0] * n)
-        self.den, self.va, self.vb = den, a, b
-        self.r, self.b_sign, self.minus_phase = r, b_sign, minus_phase
-
-    def _terms_in(self, box):
-        dlo, dhi = box.lows[self.den], box.highs[self.den]
-        if dlo is None or dhi is None:
-            raise InfiniteConvolution("delta kernel needs a bounded window on its "
-                                      "denominator variable")
-        out = {}
-        nv = len(self.vars)
-        for dm in lattice_coset(dlo, dhi, -self.r - D):
-            m = -dm - D        # in offset+Z
-            mq = exponent(m)
-            phase = Scalar.e(mq) if self.minus_phase else 1
-            j_hi = box.highs[self.vb]
-            alo = box.lows[self.va]
-            if alo is not None:
-                cap = m - alo
-                j_hi = cap if j_hi is None else min(j_hi, cap)
-            if j_hi is None:
-                raise InfiniteConvolution("delta kernel expansion unbounded")
-            j_lo = max(0, box.lows[self.vb] if box.lows[self.vb] is not None else 0)
-            ahi = box.highs[self.va]
-            if ahi is not None:
-                j_lo = max(j_lo, m - ahi)
-            for jp in lattice_coset(j_lo, j_hi, 0):
-                j = jp // D
-                powers = [0] * nv
-                powers[self.den] = dm
-                powers[self.va] = m - jp
-                powers[self.vb] = jp
-                mn = lattice_mono(powers)
-                if not box.contains(mn):
-                    continue
-                c = binomial(mq, j) * self.b_sign ** j
-                if c:
-                    out[mn] = c * phase
-        return out
+    return BinomialKernel(vars, A, exp, lead, minus=True)
 
 
 def delta_prod(vars, x0: int, x1: int, x2: int, offset=0) -> Series:
     """x0^{-1} delta((x1 - x2)/x0), optionally dressed by ((x1-x2)/x0)^offset."""
-    return DeltaKernel(vars, den=x0, a=x1, b=x2, b_sign=-1, offset=offset)
+    return BinomialKernel(vars, offset, x1, x2, den=x0)
 
 
 def delta_prod_rev(vars, x0: int, x1: int, x2: int, offset=0) -> Series:
     """x0^{-1} delta((-x2 + x1)/x0) under the minus convention, dressed."""
-    return DeltaKernel(vars, den=x0, a=x2, b=x1, b_sign=-1, offset=offset,
-                       minus_phase=True)
+    return BinomialKernel(vars, offset, x2, x1, minus=True, den=x0)
 
 
 def delta_iter(vars, x0: int, x1: int, x2: int, offset=0) -> Series:
     """x1^{-1} delta((x2 + x0)/x1), optionally dressed by ((x2+x0)/x1)^offset."""
-    return DeltaKernel(vars, den=x1, a=x2, b=x0, b_sign=1, offset=offset)
-
-
-class DeltaDerivKernel(Series):
-    """(1/k!) den^{-1} (d/dx_num)^k delta(x_num/den) = sum_m C(m,k) x_num^(m-k) den^(-m-1)."""
-
-    def __init__(self, vars, den: int, num: int, k: int):
-        n = len(vars)
-        bounds = [(0, 0)] * n
-        cosets = [frozenset((0,))] * n
-        bounds[den] = (None, None)
-        bounds[num] = (None, None)
-        super().__init__(vars, bounds, cosets, [0] * n)
-        self.den, self.num, self.k = den, num, k
-
-    def _terms_in(self, box):
-        dlo, dhi = box.lows[self.den], box.highs[self.den]
-        if dlo is None or dhi is None:
-            nlo, nhi = box.lows[self.num], box.highs[self.num]
-            if nlo is None or nhi is None:
-                raise InfiniteConvolution("delta derivative needs one bounded axis")
-            ms = [p // D + self.k for p in lattice_coset(nlo, nhi, 0)]
-        else:
-            ms = [-(p // D) - 1 for p in lattice_coset(dlo, dhi, 0)]
-        out = {}
-        nv = len(self.vars)
-        for m in ms:
-            powers = [0] * nv
-            powers[self.den] = (-m - 1) * D
-            powers[self.num] = (m - self.k) * D
-            mn = lattice_mono(powers)
-            if not box.contains(mn):
-                continue
-            c = binomial(m, self.k)
-            if c:
-                out[mn] = c
-        return out
+    return BinomialKernel(vars, offset, x2, x0, sign=1, den=x1)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +620,15 @@ def derivative(s: Series, idx: int) -> Series:
     bounds = _put(s.bounds, idx, (None if lo is None else lo - D,
                                   None if hi is None else hi - D))
     return _TermMap(s, fn, source, (s.vars, bounds, s.cosets, s.logmax))
+
+
+def delta_derivative(vars, den: int, num: int, k: int) -> Series:
+    """(1/k!) den^{-1} (d/dx_num)^k delta(x_num/den)
+    = sum over integers q of C(q, k) x_num^(q-k) den^(-q-1)."""
+    s = BinomialKernel(vars, 0, num, None, den=den)
+    for _ in range(k):
+        s = derivative(s, num)
+    return scaled(s, Fraction(1, factorial(k))) if k > 1 else s
 
 
 def residue(s: Series, idx: int) -> Series:

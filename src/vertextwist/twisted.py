@@ -13,8 +13,10 @@ on explicit windows.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor
 
+from .automorphism import nilpotent_power_coeffs
 from .chains import Space
 from .errors import ExtensionInconsistent, LogBoundExceeded
 from .modes import ModeOracle
@@ -24,6 +26,7 @@ from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
                      _TermMap, branch_shift, coset_range, delta_iter,
                      delta_prod, delta_prod_rev, derivative, log_shift,
                      log_unit, residue, restricted, scaled, window_json)
+from .vosa import weak_commutativity_order
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -163,8 +166,7 @@ class UnipotentViewModule(ModuleBase):
     """
 
     def __init__(self, name, V, g, log_bound=None):
-        from .automorphism import nilpotent_power_coeffs
-        self._npc = lambda vec: nilpotent_power_coeffs(g, vec)
+        self._npc = partial(nilpotent_power_coeffs, g)
         self._u_parts = {}           # u -> [N^k u / k!], read by mode_vec
         if log_bound is None:
             log_bound = max((len(self._npc(Vec.basis(k))) - 1
@@ -224,8 +226,6 @@ def commutativity_order(W, u, v) -> int:
     """M >= 1 with (x1-x2)^M Y(u,x1)Y(v,x2) free of poles in x1-x2 on W: the
     log power k of Y(u,x) carries N^k u/k!, so M is the largest order over
     the nilpotent parts of u and v."""
-    from .automorphism import nilpotent_power_coeffs
-    from .vosa import weak_commutativity_order
     return max([1] + [weak_commutativity_order(W.V, a, b)
                       for a in nilpotent_power_coeffs(W.g, u)
                       for b in nilpotent_power_coeffs(W.g, v)])
@@ -394,7 +394,6 @@ def check_y0_decomposition(W, u, w, halfwidth) -> CheckResult:
 def x_N_dressed(W, side, vec, sign):
     """side(x^{sign N} vec) = sum_k (sign log x)^k side(N^k vec / k!), with
     N on V and side mapping a vector of V to a one-variable series."""
-    from .automorphism import nilpotent_power_coeffs
     return Sum([log_shift(side(part.scale(Fraction(sign ** k))), 0, k)
                 for k, part in enumerate(nilpotent_power_coeffs(W.g, vec))])
 

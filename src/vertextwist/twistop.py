@@ -13,11 +13,12 @@ from fractions import Fraction
 from functools import partial
 from math import ceil, factorial, floor
 
+from .automorphism import nilpotent_power_coeffs
 from .chains import ChainSeries, OpSlot
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
-from .series import (BinomialKernel, Box, DeltaDerivKernel, Product, Series,
-                     Sum, TermSeries, _TermMap, acc_terms, coset_range,
+from .series import (BinomialKernel, Box, Product, Series, Sum, TermSeries,
+                     _TermMap, acc_terms, coset_range, delta_derivative,
                      delta_iter, delta_prod, delta_prod_rev, exponent,
                      minus_convention, mono, mono_parts, residue,
                      restricted, scaled)
@@ -238,7 +239,7 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec,
     # delta-derivative form: sum over k < M of (1/k!) d^k delta kernels, M
     # the twist commutativity order
     M = modes[0][0] + 1 if modes else 1
-    dparts = [Product(DeltaDerivKernel(vars, den=0, num=1, k=k),
+    dparts = [Product(delta_derivative(vars, 0, 1, k),
                       twist_chain(W, vars, [(1, "twist", vecw)], v))
               for k, vecw in modes]
     rhs2 = Sum(dparts) if dparts else TermSeries.zero(vars)
@@ -274,7 +275,6 @@ def _t0_terms(W, w_arg, v) -> Series:
 
 def check_twist_decomposition(W, w_arg: Vec, v: Vec, halfwidth) -> CheckResult:
     """T_0(w,x) := T(w,x) x^{N_g} is log-free and T(w,x) = T_0(w,x) x^{-N_g}."""
-    from .automorphism import nilpotent_power_coeffs
     vars = ("x",)
     hw = Fraction(halfwidth)
     npc = len(nilpotent_power_coeffs(W.g, v))

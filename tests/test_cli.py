@@ -40,6 +40,14 @@ def test_expand_mode_application(capsys):
     assert "x^-2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("expression,written", [
+    ("Ytw(vac,x)vac", "Ytw"), ("Ytw(vac,x)Y(h,y)vac", "Y")])
+def test_space_error_names_the_written_operator(capsys, expression, written):
+    assert main(["expand", "z2boson", expression]) == 2
+    assert capsys.readouterr().err == (
+        "error: operator %r cannot act on a W-space state\n" % written)
+
+
 def test_unknown_suite_exit_2(capsys):
     rc = main(["run", "--model", "fermion", "--suite", "nonsense"])
     assert rc == 2

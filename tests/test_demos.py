@@ -1,4 +1,11 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion and prints what
+tests/demo_stdout/<demo>.txt holds, byte for byte.
+
+After a change meant to alter a demo's output, regenerate its file from the
+repository root:
+
+    PYTHONPATH=src python demos/<demo>.py > tests/demo_stdout/<demo>.txt
+"""
 
 import os
 import subprocess
@@ -9,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+STDOUT = Path(__file__).resolve().parent / "demo_stdout"
 
 
 def test_demos_are_found():
@@ -23,3 +31,4 @@ def test_demo_exits_0(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == (STDOUT / (demo.stem + ".txt")).read_text()

@@ -10,8 +10,8 @@ from vertextwist.scalars import CyclotomicLevelError, Scalar, binomial
 from vertextwist.results import compare
 from vertextwist.series import (D, Box, Product, Series, Sum, TermSeries,
                                 _LIMIT, binomial_expand, branch_shift, c_mul,
-                                delta_iter, delta_prod, delta_prod_rev,
-                                derivative, exp_unit, format_series,
+                                delta_derivative, delta_iter, delta_prod,
+                                delta_prod_rev, derivative, exp_unit, format_series,
                                 lattice_coset, lattice_mono, log_substitute,
                                 log_unit, minus_convention, mono, residue, scaled, series_mismatch,
                                 series_to_json, window_json)
@@ -46,7 +46,7 @@ class PlainDelta(Series):
         for p in lattice_coset(lo, hi, 0):
             powers = [0] * n
             powers[self.idx] = p
-            out[(tuple(powers), (0,) * n)] = 1
+            out[lattice_mono(powers)] = 1
         return out
 
 
@@ -161,6 +161,8 @@ def test_half_power_product():
 
 
 def test_delta_squared_is_infinite():
+    assert PlainDelta(X12, 1).terms_in(window(X12, 1)) == {
+        mono([0, -1]): 1, mono([0, 0]): 1, mono([0, 1]): 1}
     d = PlainDelta(X, 0)
     with pytest.raises(InfiniteConvolution):
         Product(d, d).terms_in(window(X, 1))
@@ -218,8 +220,7 @@ def test_delta_constant_term():
 
 def test_delta_substitution_residue():
     # Res_x1 x1^{-1} d(x2/x1) x1^3 = x2^3
-    from vertextwist.series import DeltaDerivKernel
-    dk = DeltaDerivKernel(X12, den=0, num=1, k=0)
+    dk = delta_derivative(X12, 0, 1, 0)
     cubed = TermSeries.monomial(X12, [3, 0])
     r = residue(Product(dk, cubed), 0)
     assert r.terms_in(Box.cube(1, -5, 5)) == {mono([3]): 1}

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from vertextwist import automorphism, vosa
+from vertextwist import twisted, twistop, vosa
 from vertextwist.automorphism import (check_conjugation, check_derivation,
                                       check_homomorphism,
                                       orthogonal_automorphism,
@@ -157,7 +157,8 @@ def test_L0_grading_W_killed():
 def test_product_polynomiality_killed(monkeypatch):
     W = z2boson()
     # a prefactor (x1 - x2)^1 too low for h, h: the product keeps a pole
-    monkeypatch.setattr(vosa, "weak_commutativity_order", lambda V, u, v: 0)
+    monkeypatch.setattr(twisted, "weak_commutativity_order",
+                        lambda V, u, v: 0)
     h = W.V.gen_vector("h")
     w = Vec.basis(W.basis(0)[0])
     assert_located(check_product_polynomiality(W, [h, h], w, w, 3),
@@ -168,8 +169,9 @@ def test_twist_decomposition_log_free_half_killed(monkeypatch):
     heis3, g = unipotent()
     W = build_unipotent_toy(heis3, g)
     # T_0 without its x^{N_g}: the logs of T(w, x) survive in it
-    monkeypatch.setattr(automorphism, "nilpotent_power_coeffs",
-                        lambda g, vec: [vec])
+    for module in (twisted, twistop):
+        monkeypatch.setattr(module, "nilpotent_power_coeffs",
+                            lambda g, vec: [vec])
     r = check_twist_decomposition(W, heis3.gen_vector("a"),
                                   heis3.gen_vector("b"), 2)
     assert_located(r, "twist-decomposition")
