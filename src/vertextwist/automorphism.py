@@ -22,6 +22,7 @@ from .errors import NonCyclotomicSpectrum, NotIsometry, NotNilpotent
 from .linalg import kernel_basis, mat_eq, mat_identity, mat_mul, solve
 from .results import CheckResult, Modes, first_failure
 from .scalars import Scalar, Vec, cyclotomic_level, exact, lattice, linear
+from .series import D, lattice_coset
 from .vosa import FreeFieldAlgebra
 
 F0 = Fraction(0)
@@ -356,7 +357,8 @@ def _pair_sweep(identity, V, weight_cutoff, halfwidth, sides):
     def check_pair(u, v):
         lhs, rhs, logcap = sides(u, v)
         if logcap not in windows:
-            windows[logcap] = Modes(range(-halfwidth, halfwidth + 1), logcap)
+            windows[logcap] = Modes(
+                lattice_coset(-D * halfwidth, D * halfwidth, 0), logcap)
         return windows[logcap].compare(identity, {"u": str(u), "v": str(v)},
                                        lhs, rhs)
     return first_failure(identity,
@@ -399,7 +401,8 @@ def check_conjugation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckRe
     def sides(u, v):
         nu, nv = N[u], N[v]
         lhs = {n: nilpotent_power_coeffs(g, V.mode_apply(u, n, v))
-               for n in range(-halfwidth - 1, halfwidth)}
+               for n in lattice_coset(-D * (halfwidth + 1),
+                                      D * (halfwidth - 1), 0)}
 
         def rhs(n, k):
             out = zero

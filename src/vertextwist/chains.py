@@ -2,7 +2,10 @@
 
 A chain is <w', O_1(x_1) ... O_r(x_r) w> with one operator slot per variable.
 Slots are applied right to left; each slot maps a coefficient request
-(exponent, log power, incoming vector) to an outgoing vector.  Each slot
+(lattice exponent, log power, incoming vector) to an outgoing vector and
+names the exponent cosets it can carry as residues mod D: indices are the
+lattice ints of `series.py` from the chain's box to the mode oracle, and
+none is converted on the way.  Each slot
 names the graded space it reads and the one it writes, so a chain reads the
 degree of w from its rightmost slot's source and that of w' from its
 leftmost slot's target.  Weight grading makes every requested coefficient a
@@ -19,8 +22,7 @@ from fractions import Fraction
 
 from .errors import InfiniteConvolution
 from .scalars import Vec, homogeneous_value
-from .series import (Series, coset_range, exponent, lattice, lattice_coset,
-                     lattice_mono)
+from .series import D, Series, lattice, lattice_coset, lattice_mono
 
 
 class Space:
@@ -34,12 +36,12 @@ class Space:
     def parity(self, key) -> int:
         raise NotImplementedError
 
-    def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
-        """The log-free mode u_n w, read from the space's mode oracle; zero
-        at every log power k > 0."""
+    def mode_vec(self, uvec: Vec, N: int, k, wvec: Vec) -> Vec:
+        """The log-free mode u_n w at the lattice int N of n, read from the
+        space's mode oracle; zero at every log power k > 0."""
         if k:
             return Vec.zero()
-        return self.oracle.apply_vec(uvec, lattice(n), wvec)
+        return self.oracle.apply_vec(uvec, N, wvec)
 
     def algebra_alpha(self, uvec: Vec) -> Fraction:
         """The one coset alpha of the mode indices of u, read from the
@@ -49,16 +51,24 @@ class Space:
             raise ValueError("vector is not g-homogeneous: cosets %s" % sorted(cs))
         return next(iter(cs))
 
-    def modes(self, uvec: Vec, wvec: Vec, lo):
-        """The nonzero (n, u_n w) over the coset of u, from the top
-        deg w + wt u - 1 that lower truncation allows down to lo; a
-        generator, so a scan for the top nonzero mode stops at it."""
-        top = self.vec_deg(wvec) + self.algebra_weight(uvec) - 1
-        for n in reversed(list(coset_range(lo, top,
-                                           self.algebra_alpha(uvec)))):
-            vn = self.mode_vec(uvec, n, 0, wvec)
+    def modes(self, uvec: Vec, wvec: Vec, lo: int):
+        """The nonzero (N, u_n w), N the lattice int of n, over the coset of
+        u, from the top deg w + wt u - 1 that lower truncation allows down
+        to the lattice int lo; a generator, so a scan for the top nonzero
+        mode stops at it."""
+        top = lattice(self.vec_deg(wvec) + self.algebra_weight(uvec)) - D
+        for N in reversed(lattice_coset(lo, top,
+                                        lattice(self.algebra_alpha(uvec)))):
+            vn = self.mode_vec(uvec, N, 0, wvec)
             if vn:
-                yield n, vn
+                yield N, vn
+
+    def pole_modes(self, uvec: Vec, wvec: Vec):
+        """The nonzero (K, u_(alpha+k) w), K = k*D the lattice int of
+        k >= 0, from the top down: the modes of Y(u, x)w at or above alpha,
+        whose x^(-k-1) are the poles of x^alpha Y(u, x)w."""
+        al = lattice(self.algebra_alpha(uvec))
+        return ((N - al, vn) for N, vn in self.modes(uvec, wvec, al))
 
     def vec_deg(self, vec: Vec) -> Fraction:
         return homogeneous_value(vec, self.deg)
@@ -89,6 +99,14 @@ class Space:
         return self.chain(("x",), [(0, u)], w, wprime)
 
 
+def pole_order(pole_modes) -> int:
+    """The order of the pole of x^alpha Y(u, x)w, read from its
+    `Space.pole_modes`: k + 1 for the top one, 0 when there is none."""
+    for K, _ in pole_modes:
+        return K // D + 1
+    return 0
+
+
 def pair(wprime: Vec, vec: Vec):
     """Pairing against the orthonormal dual of the basis."""
     out = 0
@@ -106,8 +124,9 @@ class OpSlot:
         self.uvec = uvec
         self.wt = module.algebra_weight(uvec)
         self.parity = module.algebra_parity(uvec)
-        al = module.algebra_coset(uvec)
-        self._ecosets = frozenset(((-a - 1) % 1) for a in al)
+        # e = -n - 1 for the modes n of u, as residues mod D
+        self._ecosets = frozenset((-lattice(a) - D) % D
+                                  for a in module.algebra_coset(uvec))
         self.logmax = module.log_bound
 
     def ecosets(self, vec) -> frozenset:
@@ -116,8 +135,8 @@ class OpSlot:
     def ecosets_meta(self) -> frozenset:
         return self._ecosets
 
-    def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
-        return self.module.mode_vec(self.uvec, -e - 1, k, vec)
+    def apply(self, p: int, k: int, vec: Vec) -> Vec:
+        return self.module.mode_vec(self.uvec, -p - D, k, vec)
 
 
 class ChainSeries(Series):
@@ -140,7 +159,7 @@ class ChainSeries(Series):
             if pos == 0 and wprime_deg is not None:
                 hi = lattice(wprime_deg - s.wt)
             bounds[i] = (lo, hi)
-            cosets[i] = frozenset(lattice(c) for c in s.ecosets_meta())
+            cosets[i] = s.ecosets_meta()
             logmax[i] = s.logmax
         super().__init__(vars, bounds, cosets, logmax)
         self.slots = list(slots)
@@ -159,11 +178,7 @@ class ChainSeries(Series):
         out = {}
         # (variable, slot, lattice weight), rightmost slot first
         order = [(i, s, lattice(s.wt)) for i, s in reversed(self.slots)]
-        pinned = self.wprime_deg is not None
-        total = None
-        if pinned:
-            total = lattice(self.wprime_deg - self.w0_deg
-                            - sum(s.wt for _, s in self.slots))
+        wp = None if self.wprime is None else lattice(self.wprime_deg)
 
         nv = len(self.vars)
 
@@ -182,48 +197,37 @@ class ChainSeries(Series):
             if val:
                 out[m] = val
 
-        # exponents, degrees and weights below are lattice ints; a slot is
-        # handed the rational exponent
-        def rec(pos, vec, deg, esum, assign):
+        # exponents, degrees, weights and cosets below are lattice ints, and
+        # a slot is handed its lattice exponent
+        def rec(pos, vec, deg, assign):
             if not vec:
                 return
             idx, slot, wt = order[pos]
             last = pos == len(order) - 1
             caps = min(slot.logmax, box.logcaps[idx])
-            if last and pinned:
-                e = total - esum
-                lo, hi = box.lows[idx], box.highs[idx]
-                if (lo is not None and e < lo) or (hi is not None and e > hi):
-                    return
-                q = exponent(e)
-                if not any((q - ec).denominator == 1
-                           for ec in slot.ecosets(vec)):
-                    return
-                for k in range(caps + 1):
-                    res = slot.apply(q, k, vec)
-                    if res:
-                        emit({**assign, idx: (e, k)}, res)
-                return
-            lo = -deg - wt
+            # below -deg - wt every slot gives zero (lower truncation)
+            lo, hi = -deg - wt, box.highs[idx]
             if box.lows[idx] is not None:
                 lo = max(lo, box.lows[idx])
-            hi = box.highs[idx]
+            if last and wp is not None:
+                # the degree of w' pins the leftmost exponent
+                pin = wp - deg - wt
+                lo, hi = max(lo, pin), pin if hi is None else min(hi, pin)
             if hi is None:
                 raise InfiniteConvolution(
                     "chain enumeration unbounded in %s" % self.vars[idx])
-            for r in sorted(lattice(c) for c in slot.ecosets(vec)):
+            for r in sorted(slot.ecosets(vec)):
                 for e in lattice_coset(lo, hi, r):
-                    q = exponent(e)
                     for k in range(caps + 1):
-                        res = slot.apply(q, k, vec)
+                        res = slot.apply(e, k, vec)
                         if res:
                             if last:
                                 emit({**assign, idx: (e, k)}, res)
                             else:
-                                rec(pos + 1, res, deg + wt + e, esum + e,
+                                rec(pos + 1, res, deg + wt + e,
                                     {**assign, idx: (e, k)})
 
-        rec(0, self.w0, lattice(self.w0_deg), 0, {})
+        rec(0, self.w0, lattice(self.w0_deg), {})
         # rec reaches itself through its closure: break that cycle, so what
         # the closures hold is freed now, not at the next gc collection
         del rec

@@ -17,7 +17,6 @@ from .models import Registry
 from .scalars import CyclotomicLevelError, Vec, lattice, linear
 from .series import Box, format_series, series_to_json
 from .automorphism import jordan_decompose
-from .errors import MonomialOverflow
 from .twistop import twist_chain
 
 
@@ -111,10 +110,7 @@ def _eval_vector(node, V, W):
     if node[0] == "mode":
         _, name, p, inner = node
         space, vec = _eval_vector(inner, V, W)
-        try:
-            gi = next(i for i, g in enumerate(V.gens) if g.name == name)
-        except StopIteration:
-            raise ExprError("unknown generator %r" % name) from None
+        gi = V.gen_named(name)
         try:
             N = lattice(p + V.gens[gi].weight - 1)
         except CyclotomicLevelError:
@@ -190,15 +186,11 @@ def _cutoff(text) -> Fraction:
 
 
 def _cmd_run(args, registry) -> int:
-    try:
-        cfg = SuiteConfig(model=args.model, suite=args.suite,
-                          max_weight=_cutoff(args.max_weight),
-                          halfwidth=args.window, log_bound=args.log_bound,
-                          jobs=args.jobs, basis_order=args.seed_order)
-        report = run_suite(cfg, registry)
-    except (ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    cfg = SuiteConfig(model=args.model, suite=args.suite,
+                      max_weight=_cutoff(args.max_weight),
+                      halfwidth=args.window, log_bound=args.log_bound,
+                      jobs=args.jobs, basis_order=args.seed_order)
+    report = run_suite(cfg, registry)
     text = report.dumps()
     if args.report:
         with open(args.report, "w") as fh:
@@ -219,40 +211,31 @@ def _cmd_run(args, registry) -> int:
 
 
 def _cmd_expand(args, registry) -> int:
-    try:
-        if args.window <= 0:
-            raise ExprError("window must be positive")
-        out = _expand(registry, args.model, args.expression, args.window,
-                      args.json)
-    except (ExprError, KeyError, MonomialOverflow) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    print(out)
+    if args.window <= 0:
+        raise ExprError("window must be positive")
+    print(_expand(registry, args.model, args.expression, args.window,
+                  args.json))
     return 0
 
 
 def _cmd_decompose(args, registry) -> int:
-    try:
-        kind, obj = registry.resolve(args.model)
-        if kind != "algebra":
-            raise KeyError("decompose runs on an algebra model id")
-        g = obj.automorphisms[args.automorphism]
-        jd = jordan_decompose(g, _cutoff(args.max_weight))
-    except (ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    kind, obj = registry.resolve(args.model)
+    if kind != "algebra":
+        raise KeyError("decompose runs on an algebra model id")
+    if args.automorphism not in obj.automorphisms:
+        raise KeyError("unknown automorphism %r of %s (known: %s)"
+                       % (args.automorphism, args.model,
+                          ", ".join(sorted(obj.automorphisms))))
+    jd = jordan_decompose(obj.automorphisms[args.automorphism],
+                          _cutoff(args.max_weight))
     print(json.dumps(jd.to_json(), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_dump_basis(args, registry) -> int:
-    try:
-        kind, obj = registry.resolve(args.model)
-        space = obj.algebra if kind == "algebra" else obj
-        keys = space.basis(_cutoff(args.max_weight), args.seed_order)
-    except (ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    kind, obj = registry.resolve(args.model)
+    space = obj.algebra if kind == "algebra" else obj
+    keys = space.basis(_cutoff(args.max_weight), args.seed_order)
     for i, k in enumerate(keys):
         print("%d\t%s\t%s\t%s" % (i, space.deg(k), space.parity(k), k))
     return 0
@@ -303,9 +286,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command; a configuration or parse error (a ValueError or a
+    KeyError, an ExprError or MonomialOverflow among them) prints one error
+    line, a KeyError by its message rather than its repr, and exits 2."""
     args = build_parser().parse_args(argv)
-    registry = Registry()
-    return args.func(args, registry)
+    try:
+        return args.func(args, Registry())
+    except (ValueError, KeyError) as exc:
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print("error: %s" % (msg,), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,8 +23,9 @@ r <= -2).
 Mode indices are lattice ints: N stands for n = N/D on (1/D)Z, D the
 cyclotomic level, the same lattice the series exponents live on.  Index
 arithmetic, range tests, memo keys and seed calls are int operations; the
-seeds `gen_action` and `gen_apply` take the lattice int too.  Callers
-holding a rational n convert it once with `scalars.lattice`.
+seeds `gen_action` and `gen_apply` take the lattice int too.  So do the
+callers: a chain slot asks for the mode N = -p - D at its lattice exponent
+p, and `Space.modes` and the checkers walk cosets of lattice ints.
 """
 
 from __future__ import annotations

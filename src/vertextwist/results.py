@@ -5,17 +5,17 @@ path every checker ends in.
 of an identity, each a Series, coefficient by coefficient on a box, and a
 failure carries the box as its window and the first differing monomial with
 both coefficients.  `Modes` states an identity mode by mode, as sides
-side(n, k) giving the coefficient of x^{-n-1} log(x)^k.  `first_failure`
-folds the records of a sweep into its first failure, or one pass record for
-the whole sweep.
+side(N, k) giving the coefficient of x^{-n-1} log(x)^k, N the lattice int
+of n.  `first_failure` folds the records of a sweep into its first failure,
+or one pass record for the whole sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .series import (Box, TermSeries, format_monomial, lattice,
-                     lattice_mono, series_mismatch, window_json)
+from .series import (D, Box, TermSeries, format_monomial, lattice_mono,
+                     series_mismatch, window_json)
 
 
 @dataclass
@@ -56,24 +56,23 @@ def compare(identity, inputs, vars, box, lhs, rhs) -> CheckResult:
 
 
 class Modes:
-    """The modes n = -e-1 of Y(u, x) at the exponents e of a sweep, with the
-    log powers k <= logcap: monomials built once from lattice ints, and the
-    box they span, so that no mode is clipped."""
+    """The modes n = -e-1 of Y(u, x) at the exponents e of a sweep, a
+    sequence of lattice ints, with the log powers k <= logcap: rows of the
+    lattice int N of n, k and the monomial, built once, and the box they
+    span, so that no mode is clipped."""
 
     vars = ("x",)
 
     def __init__(self, exponents, logcap=0):
-        ps = [lattice(e) for e in exponents]
-        self.box = Box((min(ps),), (max(ps),), (logcap,))
-        self.rows = [(-e - 1, k, lattice_mono((p,), (k,)))
-                     for e, p in zip(exponents, ps)
-                     for k in range(logcap + 1)]
+        self.box = Box((min(exponents),), (max(exponents),), (logcap,))
+        self.rows = [(-p - D, k, lattice_mono((p,), (k,)))
+                     for p in exponents for k in range(logcap + 1)]
 
     def compare(self, identity, inputs, lhs, rhs) -> CheckResult:
-        """`compare` of the sides lhs(n, k) and rhs(n, k), each giving the
-        coefficient of x^{-n-1} log(x)^k."""
+        """`compare` of the sides lhs(N, k) and rhs(N, k), each giving the
+        coefficient of x^{-n-1} log(x)^k, N the lattice int of n."""
         return compare(identity, inputs, self.vars, self.box, *(
-            TermSeries(self.vars, {m: side(n, k) for n, k, m in self.rows})
+            TermSeries(self.vars, {m: side(N, k) for N, k, m in self.rows})
             for side in (lhs, rhs)))
 
 

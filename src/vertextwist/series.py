@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import ceil, factorial, floor
+from math import factorial
 
 from .errors import (InfiniteConvolution, MonomialOverflow,
                      NonMeromorphicVariable)
@@ -223,15 +223,6 @@ def lattice_coset(lo: int, hi: int, r: int) -> range:
     if lo is None or hi is None:
         raise InfiniteConvolution("unbounded coset enumeration")
     return range(lo + (r - lo) % D, hi + 1, D)
-
-
-def coset_range(lo, hi, offset: Fraction):
-    """Exponents p in offset+Z with lo <= p <= hi (either side may be None):
-    the rational view of `lattice_coset`."""
-    if lo is None or hi is None:
-        raise InfiniteConvolution("unbounded coset enumeration")
-    return map(exponent, lattice_coset(ceil(lo * D), floor(hi * D),
-                                       lattice(offset)))
 
 
 # ---------------------------------------------------------------------------

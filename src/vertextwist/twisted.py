@@ -23,9 +23,10 @@ from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
 from .scalars import Vec, linear, phase_turns
 from .series import (D, BinomialKernel, Box, Product, Sum, TermSeries,
-                     _TermMap, branch_shift, coset_range, delta_iter,
-                     delta_prod, delta_prod_rev, derivative, log_shift,
-                     log_unit, residue, restricted, scaled, window_json)
+                     _TermMap, branch_shift, delta_iter, delta_prod,
+                     delta_prod_rev, derivative, lattice, lattice_coset,
+                     lattice_mono, log_shift, log_unit, residue, restricted,
+                     scaled, window_json)
 from .vosa import weak_commutativity_order
 
 F0 = Fraction(0)
@@ -81,7 +82,7 @@ class ModuleBase(Space):
                       vec, self._L_memo)
 
     def L0(self, vec: Vec) -> Vec:
-        return self.mode_vec(self.V.omega, 1, 0, vec)
+        return self.mode_vec(self.V.omega, D, 0, vec)
 
     def vacuum_weight(self) -> Fraction:
         """L(0)-eigenvalue of the twisted vacuum, produced by the extension."""
@@ -101,7 +102,7 @@ class ModuleBase(Space):
     def check_L0_grading(self, max_deg) -> CheckResult:
         """L(0) = omega_(1) acts on each basis vector by h + its degree."""
         h = self.vacuum_weight()
-        modes = Modes((-2,))
+        modes = Modes((-2 * D,))
         return first_failure("L0-grading-W", {"max_deg": str(max_deg)}, (
             modes.compare("L0-grading-W", {"w": str(key)},
                           lambda n, k: self.L0(Vec.basis(key)),
@@ -191,10 +192,10 @@ class UnipotentViewModule(ModuleBase):
     def module_nilpotent_coeffs(self, wvec: Vec):
         return self._npc(wvec)
 
-    def mode_vec(self, uvec: Vec, n, k, wvec: Vec) -> Vec:
+    def mode_vec(self, uvec: Vec, N: int, k, wvec: Vec) -> Vec:
         if not k:
             # N^0 u / 0! is u itself
-            return self.V.mode_vec(uvec, n, 0, wvec)
+            return self.V.mode_vec(uvec, N, 0, wvec)
         parts = self._u_parts.get(uvec)
         if parts is None:
             parts = self._u_parts[uvec] = self._npc(uvec)
@@ -203,8 +204,7 @@ class UnipotentViewModule(ModuleBase):
         if k > self.log_bound:
             raise LogBoundExceeded("log power %d beyond module bound %d"
                                    % (k, self.log_bound))
-        sgn = Fraction((-1) ** k)
-        return self.V.mode_vec(parts[k].scale(sgn), n, 0, wvec)
+        return self.V.mode_vec(parts[k].scale((-1) ** k), N, 0, wvec)
 
     @property
     def y0_space(self) -> Space:
@@ -254,18 +254,19 @@ def require_semisimple(W, identity):
 
 
 def mode_sum(vars, modes, kernel, chain):
-    """Sum over (n, v_n) in modes of kernel() x0^{-n-1} chain(v_n), x0 being
-    the first variable; kernel() is called once per part, so no two parts
-    share a kernel's term cache."""
-    parts = [Product(Product(kernel(), TermSeries.monomial(
-                 vars, [-n - 1] + [0] * (len(vars) - 1))), chain(vn))
-             for n, vn in modes]
+    """Sum over (N, v_n) in modes, N the lattice int of n, of kernel()
+    x0^{-n-1} chain(v_n), x0 being the first variable; kernel() is called
+    once per part, so no two parts share a kernel's term cache."""
+    parts = [Product(Product(kernel(), TermSeries(vars, {lattice_mono(
+                 [-N - D] + [0] * (len(vars) - 1)): 1})), chain(vn))
+             for N, vn in modes]
     return Sum(parts) if parts else TermSeries.zero(vars)
 
 
 def jacobi_iterate_side(W, u, v, w, vars, r_min):
     """x1^{-1} d((x2+x0)/x1) ((x2+x0)/x1)^alpha Y(Y_V(u,x0)v, x2), split per
-    mode of Y_V(u,x0)v so that each term has integral x0-powers."""
+    mode of Y_V(u,x0)v so that each term has integral x0-powers; the modes
+    run down to the lattice int r_min."""
     al = W.algebra_alpha(u)
     return mode_sum(vars, W.V.modes(u, v, r_min),
                     lambda: delta_iter(vars, 0, 1, 2, offset=al),
@@ -283,7 +284,7 @@ def check_twisted_jacobi(W, u, v, w, halfwidth) -> CheckResult:
                           W.chain(vars, [(2, v), (1, u)], w)), sign)
     lhs = Sum([prod, scaled(revp, -1)])
     # modes below r_min only produce x0-exponents above the window
-    r_min = ceil(-1 - Fraction(halfwidth))
+    r_min = lattice(ceil(-1 - Fraction(halfwidth)))
     iterate = jacobi_iterate_side(W, u, v, w, vars, r_min)
     return compare("twisted-jacobi", _inputs(u=u, v=v, w=w), vars,
                    _cube(W, vars, halfwidth), lhs, iterate)
@@ -326,10 +327,12 @@ def check_g_compatibility(W, u, w: Vec, halfwidth) -> CheckResult:
 
 
 def _exponents_of(W, u, lo, hi) -> list:
-    """Exponents e in [lo, hi] that Y(u, x) can carry: e = -n-1 with each
-    mode n in alpha + Z for an alpha in the g-decomposition of u."""
-    return sorted(e for al in W.g.coset_of(u)
-                  for e in coset_range(lo, hi, -al))
+    """The lattice ints of the exponents e in [lo, hi] that Y(u, x) can
+    carry: e = -n-1 with each mode n in alpha + Z for an alpha in the
+    g-decomposition of u."""
+    return sorted(p for al in W.g.coset_of(u)
+                  for p in lattice_coset(lattice(lo), lattice(hi),
+                                         -lattice(al)))
 
 
 def check_equivariance(W, u, w, halfwidth) -> CheckResult:

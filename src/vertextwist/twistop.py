@@ -11,24 +11,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import ceil, factorial, floor
+from math import factorial, gcd
 
 from .automorphism import nilpotent_power_coeffs
-from .chains import ChainSeries, OpSlot
+from .chains import ChainSeries, OpSlot, pole_order
 from .results import CheckResult, compare
 from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
-from .series import (BinomialKernel, Box, Product, Series, Sum, TermSeries,
-                     _TermMap, acc_terms, coset_range, delta_derivative,
+from .series import (D, BinomialKernel, Box, Product, Series, Sum,
+                     TermSeries, _TermMap, acc_terms, delta_derivative,
                      delta_iter, delta_prod, delta_prod_rev, exponent,
-                     minus_convention, mono, mono_parts, residue,
-                     restricted, scaled)
+                     lattice, lattice_coset, lattice_mono, minus_convention,
+                     mono, mono_parts, residue, restricted, scaled)
 from .series import mono_add  # bench/layertrace.py patches it here by name
 from .twisted import (_cube, _inputs, check_L_minus1_sides,
                       commutativity_order, mode_sum, require_semisimple,
                       x_N_dressed)
 from .vosa import weak_commutativity_order
-
-F0 = Fraction(0)
 
 
 class TwistOpSlot:
@@ -52,30 +50,37 @@ class TwistOpSlot:
         self.logmax = module.log_bound
 
     def ecosets_meta(self) -> frozenset:
-        return frozenset(((-b - 1) % 1) for b in _coset_universe(self.module))
+        # the g-weights of PBW monomials, sums of generator weights, fill
+        # the subgroup of Z/D that those generate; it is its own negative
+        W = self.module
+        return frozenset(range(0, D, gcd(D, *(
+            lattice(W.g.gen_alpha(i)) for i in range(len(W.V.gens))))))
 
     def ecosets(self, vec) -> frozenset:
-        out = frozenset(((-b - 1) % 1) for b in self.module.algebra_coset(vec))
-        return out or frozenset((F0,))
+        out = frozenset((-lattice(b) - D) % D
+                        for b in self.module.algebra_coset(vec))
+        return out or frozenset((0,))
 
-    def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
-        memo = self.module._twist_memo.setdefault((self.w_arg, e, k), {})
-        return linear(partial(self._apply_key, e, k), vec, memo)
+    def apply(self, p: int, k: int, vec: Vec) -> Vec:
+        memo = self.module._twist_memo.setdefault((self.w_arg, p, k), {})
+        return linear(partial(self._apply_key, p, k), vec, memo)
 
-    def _apply_key(self, e, k, vkey) -> Vec:
+    def _apply_key(self, p, k, vkey) -> Vec:
         W = self.module
         V = W.V
         sgn = (-1) ** (V.parity(vkey) * self.parity)
         bases = {}                    # j -> b_j as a {key: scalar} dict
-        n_hi = self.wt + V.weight(vkey) - 1
+        n_hi = lattice(self.wt + V.weight(vkey)) - D
         for beta, piece in W.g.alpha_decompose_key(vkey).items():
-            for n in coset_range(-e - 1, n_hi, beta % 1):
-                j = int(e + n + 1)
+            # the modes N >= -p - D of the coset beta, each lifted by
+            # j = (p + N + D)/D powers of L(-1)
+            for N in lattice_coset(-p - D, n_hi, lattice(beta)):
+                j = (p + N + D) // D
                 for ksrc in range(k, W.log_bound + 1):
-                    base = W.mode_vec(piece, n, ksrc, self.w_arg)
+                    base = W.mode_vec(piece, N, ksrc, self.w_arg)
                     if not base:
                         continue
-                    phase = Scalar.e(-n - 1) * binomial(ksrc, k) \
+                    phase = Scalar.e(exponent(-N - D)) * binomial(ksrc, k) \
                         * (Scalar.pi() ** (ksrc - k))
                     acc_vec(bases.setdefault(j, {}), base, sgn * phase)
         out = Vec.zero()
@@ -84,18 +89,6 @@ class TwistOpSlot:
                 out = W.L_minus1(out).scale(Fraction(1, j + 1))
             out = out + vec_of(bases.get(j, {}))
         return out
-
-
-def _coset_universe(module) -> frozenset:
-    """All g-weights reachable by PBW monomials (closure of generator weights)."""
-    gens = {module.g.gen_alpha(i) for i in range(len(module.V.gens))}
-    out = {F0}
-    frontier = set(out)
-    while frontier:
-        new = {(a + b) % 1 for a in frontier for b in gens} - out
-        out |= new
-        frontier = new
-    return frozenset(out)
 
 
 def twist_chain(W, vars, placed, v: Vec, wprime: Vec = None) -> ChainSeries:
@@ -120,10 +113,7 @@ def twist_matrix_element(W, w_arg: Vec, v: Vec,
 
 def twist_commutativity_order(W, u: Vec, w: Vec) -> int:
     """Minimal M >= 0 with x^(alpha+M) (Y)_0(u,x)w a power series."""
-    al = W.algebra_alpha(u)
-    for n, _ in W.y0_space.modes(u, w, al):
-        return int(n - al) + 1
-    return 0
+    return pole_order(W.y0_space.pole_modes(u, w))
 
 
 def _exp_L_terms(W, w_arg: Vec, vars, var_idx, max_j) -> TermSeries:
@@ -151,9 +141,10 @@ def check_twist_vacuum_identity(W, w_arg: Vec, halfwidth) -> CheckResult:
                    lhs, rhs)
 
 
-def _applied(W, chain: ChainSeries, u: Vec, n) -> Series:
-    """Coefficients of a vector-valued series hit by the fixed mode u_n."""
-    return _TermMap(chain, partial(W.mode_vec, u, n, 0))
+def _applied(W, chain: ChainSeries, u: Vec, N: int) -> Series:
+    """Coefficients of a vector-valued series hit by the fixed mode u_n, N
+    the lattice int of n."""
+    return _TermMap(chain, partial(W.mode_vec, u, N, 0))
 
 
 def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec,
@@ -170,13 +161,15 @@ def check_weak_associativity(W, u: Vec, v: Vec, w_arg: Vec,
     # expanded in x2 and multiplies the twist series hit by (Y)_n(u)
     lo = M - 1 - 2 * hw - W.vec_deg(w_arg) - W.V.algebra_weight(v) \
         - W.V.algebra_weight(u) - 1
-    lhs = Sum([Product(BinomialKernel(vars, M - n - 1, 0, 1, sign=1),
+    lhs = Sum([Product(BinomialKernel(vars, M - exponent(N) - 1, 0, 1,
+                                      sign=1),
                        _applied(W, twist_chain(
-                           W, vars, [(1, "twist", w_arg)], v), u, n))
-               for n in coset_range(lo, M - 1 + hw, al)])
+                           W, vars, [(1, "twist", w_arg)], v), u, N))
+               for N in lattice_coset(lattice(lo), lattice(M - 1 + hw),
+                                      lattice(al))])
 
     # right side, mode by mode in Y(u, x0) w
-    rhs = mode_sum(vars, W.modes(u, w_arg, -hw - M - 1),
+    rhs = mode_sum(vars, W.modes(u, w_arg, lattice(-hw - M - 1)),
                    lambda: BinomialKernel(vars, M, 0, 1, sign=1),
                    lambda vecw: twist_chain(W, vars, [(1, "twist", vecw)], v))
     return compare("weak-associativity", _inputs(u=u, v=v, w=w_arg, M=M),
@@ -201,7 +194,7 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec,
                             v)),
         (-1) ** (pu * pw))
     lhs = Sum([term1, scaled(term2, -1)])
-    rhs = mode_sum(vars, W.modes(u, w_arg, -2 * hw - 2),
+    rhs = mode_sum(vars, W.modes(u, w_arg, lattice(-2 * hw - 2)),
                    lambda: delta_iter(vars, 0, 1, 2),
                    lambda vecw: twist_chain(W, vars, [(2, "twist", vecw)], v))
     return compare("twist-jacobi", _inputs(u=u, v=v, w=w_arg), vars,
@@ -225,8 +218,8 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec,
                                    v)),
                -sign)])
     # both forms of the right side run over the modes (Y)_0(u)_(alpha+k) w,
-    # k >= 0, of the residue form
-    modes = [(int(n - al), vn) for n, vn in W.y0_space.modes(u, w_arg, al)]
+    # k >= 0, of the residue form, as (k*D, vector)
+    modes = list(W.y0_space.pole_modes(u, w_arg))
     vars3 = ("x0", "x1", "x2")
     iterate = mode_sum(vars3, modes, lambda: delta_iter(vars3, 0, 1, 2),
                        lambda vecw: twist_chain(W, vars3, [(2, "twist", vecw)],
@@ -238,10 +231,10 @@ def check_gen_commutator(W, u: Vec, v: Vec, w_arg: Vec,
         return res
     # delta-derivative form: sum over k < M of (1/k!) d^k delta kernels, M
     # the twist commutativity order
-    M = modes[0][0] + 1 if modes else 1
-    dparts = [Product(delta_derivative(vars, 0, 1, k),
+    M = max(pole_order(modes), 1)
+    dparts = [Product(delta_derivative(vars, 0, 1, K // D),
                       twist_chain(W, vars, [(1, "twist", vecw)], v))
-              for k, vecw in modes]
+              for K, vecw in modes]
     rhs2 = Sum(dparts) if dparts else TermSeries.zero(vars)
     return compare("generalized-commutator-delta-form",
                    _inputs(u=u, v=v, w=w_arg, M=M), vars, box, lhs, rhs2)
@@ -322,16 +315,17 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
         # the x-monomial head times the kernel factors, then times e^{xL};
         # each product is read at once and summed into out, so that no
         # emit's nodes outlive it
-        kern = TermSeries.monomial(
-            vars, [(-n_v - 1 if i == x_idx else 0) for i in range(nv)],
-            coeff=Scalar.e(-n_v - 1) * sign)
+        kern = TermSeries(vars, {lattice_mono(
+            [(-n_v - D if i == x_idx else 0) for i in range(nv)]):
+            Scalar.e(exponent(-n_v - D)) * sign})
         for pos, n in enumerate(chosen):
+            q = exponent(-n - D)
             if pos < k_tw:
-                kern = Product(kern, BinomialKernel(vars, -n - 1, v_idx[pos],
+                kern = Product(kern, BinomialKernel(vars, q, v_idx[pos],
                                                     x_idx, sign=-1))
             else:
-                kern = Product(kern, minus_convention(vars, -n - 1,
-                                                      v_idx[pos], x_idx))
+                kern = Product(kern, minus_convention(vars, q, v_idx[pos],
+                                                      x_idx))
         terms = kern.terms_in(kbox)
         if not terms:
             return
@@ -342,11 +336,14 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
         acc_terms(out, Product(_exp_L_terms(W, cur, vars, x_idx, jneed),
                                kern).terms_in(box).items())
 
-    wdeg = W.vec_deg(w_arg)
+    # mode indices, degrees, weights and x-powers below are lattice ints: H
+    # is that of hw, and x // D * D that of floor(x / D)
+    H = lattice(hw)
+    wdeg = lattice(W.vec_deg(w_arg))
     # every coefficient within the window has degree at most this, and modes
     # only matter while the running vector stays below it (L only raises)
-    degmax = wdeg + W.algebra_weight(v) + sum(W.algebra_weight(u) for u in vs) \
-        + nv * hw
+    degmax = wdeg + lattice(W.algebra_weight(v)
+                            + sum(W.algebra_weight(u) for u in vs)) + nv * H
 
     # xlo is the least x-power that the head and the kernel factors chosen
     # so far reach with every x_i in the window: (x_i - x)^{-n-1}, left of
@@ -362,23 +359,23 @@ def _recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
             emit(chosen, n_v, cur)
             return
         u = vs[pos]
-        wt = W.algebra_weight(u)
+        wt = lattice(W.algebra_weight(u))
         # (x_i - x)^{-n-1} expanded in x never reaches the window above
-        n_hi = hw - 1 if pos < k_tw else cur_deg + wt - 1
-        n_lo = wt - 1 + cur_deg - degmax
+        n_hi = H - D if pos < k_tw else cur_deg + wt - D
+        n_lo = wt - D + cur_deg - degmax
         if pos < k_tw:
-            n_lo = max(n_lo, -1 - hw - floor(hw - xlo))
+            n_lo = max(n_lo, -D - H - (H - xlo) // D * D)
         elif pos == k_tw:
-            n_lo = max(n_lo, xlo - 1 - hw - floor(hw))
-        for n in coset_range(n_lo, n_hi, W.algebra_alpha(u)):
-            rec(pos - 1, W.mode_vec(u, n, 0, cur), cur_deg + wt - n - 1,
-                n_v, [n] + chosen, xlo + (max(0, ceil(-n - 1 - hw))
+            n_lo = max(n_lo, xlo - D - H - H // D * D)
+        for n in lattice_coset(n_lo, n_hi, lattice(W.algebra_alpha(u))):
+            rec(pos - 1, W.mode_vec(u, n, 0, cur), cur_deg + wt - n - D,
+                n_v, [n] + chosen, xlo + (max(0, -((n + D + H) // D)) * D
                                           if pos < k_tw
-                                          else -n - 1 - floor(hw)))
+                                          else -n - D - H // D * D))
 
-    wtv = W.algebra_weight(v)
-    for n_v, cur0 in W.modes(v, w_arg, max(-hw - 1, wtv - 1 + wdeg - degmax)):
-        rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [], -n_v - 1)
+    wtv = lattice(W.algebra_weight(v))
+    for n_v, cur0 in W.modes(v, w_arg, max(-H - D, wtv - D + wdeg - degmax)):
+        rec(len(vs) - 1, cur0, wdeg + wtv - n_v - D, n_v, [], -n_v - D)
     del rec         # it reaches itself through its closure: free it now
     return TermSeries(vars, out)
 

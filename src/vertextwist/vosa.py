@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .chains import Space
+from .chains import Space, pole_order
 from .errors import DegenerateForm
 from .linalg import mat_identity, solve
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
 from .scalars import Vec, acc_vec, exact, linear, vec_of
-from .series import D, BinomialKernel, Box, Product, lattice, scaled
+from .series import (D, BinomialKernel, Box, Product, exponent, lattice,
+                     lattice_coset, scaled)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -112,11 +113,17 @@ class FreeFieldAlgebra(Space):
     def parity(self, key) -> int:
         return sum(self.gens[self.gen_index(f)].parity for f in key) % 2
 
-    def gen_vector(self, name) -> Vec:
+    def gen_named(self, name) -> int:
+        """The index of the generator called name; KeyError naming it and
+        the known ones otherwise."""
         for i, g in enumerate(self.gens):
             if g.name == name:
-                return Vec.basis(self.gen_key(i))
-        raise KeyError(name)
+                return i
+        raise KeyError("unknown generator %r (known: %s)"
+                       % (name, ", ".join(g.name for g in self.gens)))
+
+    def gen_vector(self, name) -> Vec:
+        return Vec.basis(self.gen_key(self.gen_named(name)))
 
     def gen_key(self, i):
         raise NotImplementedError
@@ -138,8 +145,9 @@ class FreeFieldAlgebra(Space):
         """Generator i's mode at the lattice int N on one PBW key."""
         raise NotImplementedError
 
-    def mode_apply(self, ukey, n, wkey) -> Vec:
-        return self.oracle.apply(ukey, lattice(n), wkey)
+    def mode_apply(self, ukey, N: int, wkey) -> Vec:
+        """The mode u_n w of one PBW key on another, N the lattice int of n."""
+        return self.oracle.apply(ukey, N, wkey)
 
     # module-protocol views of vectors in the first tensor slot
     algebra_weight = Space.vec_deg
@@ -331,7 +339,8 @@ def check_axioms(V, max_weight, halfwidth=4) -> list:
     results = []
 
     def scan(identity, exponents, lhs, rhs, name="u"):
-        """lhs(key, n) = rhs(key, n) at exponents(key), key over the basis."""
+        """lhs(key, N) = rhs(key, N) at the lattice exponents(key), key over
+        the basis."""
         results.append(first_failure(identity, {"basis": len(basis)}, (
             Modes(exponents(key)).compare(identity, {name: str(key)},
                                           lambda n, k: lhs(key, n),
@@ -339,30 +348,31 @@ def check_axioms(V, max_weight, halfwidth=4) -> list:
             for key in basis)))
 
     def unit(key, n):
-        return Vec.basis(key) if n == -1 else Vec.zero()
+        return Vec.basis(key) if n == -D else Vec.zero()
     # vac_(-1) w = w, vac_(0) w = 0; u_(-1) vac = u, u_(n) vac = 0 for n >= 0
-    scan("vacuum-identity", lambda w: (-1, 0),
+    scan("vacuum-identity", lambda w: (-D, 0),
          lambda w, n: V.mode_apply((), n, w), unit, "w")
-    scan("creation", lambda u: range(-floor(V.weight(u)) - 1, 1),
+    scan("creation",
+         lambda u: lattice_coset(-D * (floor(V.weight(u)) + 1), 0, 0),
          lambda u, n: V.mode_apply(u, n, V.vac), unit)
     if omega is not None:
         # L(0) = omega_(1) acts by the weight, and L(-1) = omega_(0)
-        scan("L0-grading", lambda u: (-2,),
+        scan("L0-grading", lambda u: (-2 * D,),
              lambda u, n: V.mode_vec(omega, n, 0, Vec.basis(u)),
              lambda u, n: Vec.basis(u).scale(Fraction(V.weight(u))))
-        scan("L(-1)-from-omega", lambda u: (-1,),
+        scan("L(-1)-from-omega", lambda u: (-D,),
              lambda u, n: V.mode_vec(omega, n, 0, Vec.basis(u)),
              lambda u, n: V.L_minus1(Vec.basis(u)))
 
     # (L(-1)u)_(n) v = -n u_(n-1) v = [L(-1), u_(n)] v
-    modes = Modes(range(-halfwidth - 1, halfwidth))
+    modes = Modes(lattice_coset(-D * (halfwidth + 1), D * (halfwidth - 1), 0))
     lowered = {key: V.L_minus1(Vec.basis(key)) for key in basis}
 
     def derivative(u, v):
         inputs = {"u": str(u), "v": str(v)}
 
         def want(n, k):
-            return V.mode_apply(u, n - 1, v).scale(Fraction(-n))
+            return V.mode_apply(u, n - D, v).scale(-exponent(n))
         yield modes.compare(
             "L(-1)-derivative", inputs,
             lambda n, k: V.mode_vec(lowered[u], n, 0, Vec.basis(v)), want)
@@ -377,9 +387,7 @@ def check_axioms(V, max_weight, halfwidth=4) -> list:
 
 def weak_commutativity_order(V, u: Vec, v: Vec) -> int:
     """Minimal M >= 0 with x^M Y(u,x)v a power series."""
-    for n, _ in V.modes(u, v, 0):
-        return int(n) + 1
-    return 0
+    return pole_order(V.pole_modes(u, v))
 
 
 def check_weak_commutativity(V, u: Vec, v: Vec, w: Vec,

@@ -17,7 +17,7 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
 from vertextwist.results import first_failure
-from vertextwist.scalars import Scalar, Vec
+from vertextwist.scalars import Scalar, Vec, lattice
 from vertextwist.twisted import (check_commutator_formula, check_equivariance,
                                  check_product_polynomiality,
                                  check_twisted_jacobi,
@@ -233,7 +233,8 @@ def test_a9_decompositions(ramond, z2, toy):
                       for w in ws for v in us))
     V3 = toy.V
     picks = [V3.gen_vector("b"), V3.gen_vector("c"),
-             V3.mode_vec(V3.gen_vector("b"), -2, 0, Vec.basis(V3.vac))]
+             V3.mode_vec(V3.gen_vector("b"), lattice(-2), 0,
+                         Vec.basis(V3.vac))]
     report_sweep("A9 log decompositions, log case (unipotent view)",
                  (check_y0_decomposition(toy, u, w, 2) for u in picks
                   for w in (Vec.basis(V3.vac), V3.gen_vector("a"))))

@@ -9,7 +9,7 @@ from vertextwist.automorphism import (Automorphism, check_conjugation,
                                       orthogonal_automorphism,
                                       parity_automorphism)
 from vertextwist.errors import NonCyclotomicSpectrum, NotIsometry
-from vertextwist.scalars import Scalar, Vec
+from vertextwist.scalars import Scalar, Vec, lattice
 from vertextwist.vosa import FermionAlgebra, HeisenbergAlgebra
 
 F = Fraction
@@ -154,7 +154,7 @@ def test_alpha_decompose(fermion, heis3, unip):
     g = parity_automorphism(fermion)
     psi = fermion.gen_vector("psi")
     assert g.alpha_decompose(psi) == {F(1, 2): psi}
-    two = fermion.mode_vec(psi, -2, 0, psi)  # psi(-3/2)psi, even
+    two = fermion.mode_vec(psi, lattice(-2), 0, psi)  # psi(-3/2)psi, even
     assert list(g.alpha_decompose(two)) == [F(0)]
     mix = heis3.gen_vector("a") + heis3.gen_vector("c") + heis3.gen_vector("b")
     assert list(unip.alpha_decompose(mix)) == [F(0)]

@@ -114,7 +114,7 @@ def test_tracer_counts_twist_slot_lookups_and_computes(monkeypatch):
         try:
             tracer.install()
             for w, e, k, v in sweep:
-                TwistOpSlot(W, w).apply(e, k, v)
+                TwistOpSlot(W, w).apply(lattice(e), k, v)
         finally:
             assert tracer.uninstall() is True
         counts.append(tracer.counts)

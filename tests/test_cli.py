@@ -58,6 +58,19 @@ def test_unknown_model_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--model", "nope", "--suite", "axioms"],
+     "unknown model id 'nope'"),
+    (["decompose", "heis3", "nope"],
+     "unknown automorphism 'nope' of heis3 (known: unipotent)"),
+    (["expand", "fermion", "Y(nope,x) psi"],
+     "unknown generator 'nope' (known: psi)")])
+def test_unknown_name_error_says_what_is_unknown(argv, message, capsys):
+    # the message itself, not the quoted repr str() gives a KeyError
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_run_axioms_exit_0(tmp_path, capsys):
     rc = main(["run", "--model", "fermion", "--suite", "axioms",
                "--max-weight", "2", "--window", "3",

@@ -26,7 +26,7 @@ hkeys = HEIS3.basis(2)
        st.integers(-5, 4))
 @settings(max_examples=60, deadline=None)
 def test_mode_weight_and_parity_conservation(u, v, n):
-    out = FERMION.mode_apply(u, n, v)
+    out = FERMION.mode_apply(u, lattice(n), v)
     want_wt = FERMION.weight(u) + FERMION.weight(v) - n - 1
     want_par = (FERMION.parity(u) + FERMION.parity(v)) % 2
     for key in out.comps:

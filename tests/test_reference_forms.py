@@ -27,7 +27,10 @@ scan the modes of Y(u,x)w with their own loop.  `loop_mono_add`,
 tuples, (lattice exponents, log powers).  `SplitBinomialKernel`,
 `SplitDeltaKernel` and `SplitDeltaDerivKernel` are the binomial, delta and
 delta-derivative kernels as three nodes, each with its own j-range
-arithmetic.  All are kept here only as
+arithmetic.  `loop_coset_range` walks a coset of rational exponents, and
+`FractionOpSlot` and `FractionTwistOpSlot` are the chain slots under the
+rational slot protocol: cosets as rationals in [0, 1), a coefficient
+requested at the rational exponent.  All are kept here only as
 references for the engine's shortcuts (lattice-int mode indices, the vacuum
 collapse, Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
@@ -35,8 +38,8 @@ path, integer numerators over one denominator, int binomials, the
 inverse by Galois conjugates, one term-map node for every term-wise
 series transform, every identity side a series node, and one Fock move,
 one key enumerator and one truncated mode expansion, monomials packed
-into one int, and one binomial kernel node), which must give equal
-results.
+into one int, one binomial kernel node, and lattice ints from the chain
+to the mode oracle), which must give equal results.
 """
 
 from fractions import Fraction
@@ -48,6 +51,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vertextwist.chains import OpSlot
 from vertextwist.automorphism import (NILPOTENCY_CAP,
                                       _generalized_eigenbasis,
                                       check_conjugation, check_derivation,
@@ -69,8 +73,8 @@ from vertextwist.scalars import (HALF_SQRT2, CyclotomicLevelError, Scalar,
                                  scalar_json, terms_of, vec_of)
 from vertextwist.series import (D, BinomialKernel, Box, Series, TermSeries,
                                 _LIMIT, binomial_expand, branch_shift, c_mul,
-                                coset_range, delta_derivative, delta_iter,
-                                delta_prod, delta_prod_rev, derivative,
+                                delta_derivative, delta_iter, delta_prod,
+                                delta_prod_rev, derivative, lattice_coset,
                                 lattice_mono, log_substitute,
                                 minus_convention, mono, mono_add, mono_parts,
                                 residue, scaled)
@@ -165,6 +169,92 @@ class LoopModeOracle:
         return vec_of(acc)
 
 
+def loop_coset_range(lo, hi, offset):
+    """Exponents p in offset+Z with lo <= p <= hi (either side may be None):
+    the rational view of `lattice_coset`."""
+    if lo is None or hi is None:
+        raise InfiniteConvolution("unbounded coset enumeration")
+    return map(exponent, lattice_coset(ceil(lo * D), floor(hi * D),
+                                       lattice(offset)))
+
+
+class FractionOpSlot:
+    """`OpSlot` under the rational slot protocol: exponent cosets as
+    rationals in [0, 1), and apply(e, k, vec) at the rational exponent e,
+    the mode n = -e-1."""
+
+    def __init__(self, module, uvec: Vec):
+        self.module, self.uvec = module, uvec
+        self._ecosets = frozenset(((-a - 1) % 1)
+                                  for a in module.algebra_coset(uvec))
+
+    def ecosets(self, vec) -> frozenset:
+        return self._ecosets
+
+    def ecosets_meta(self) -> frozenset:
+        return self._ecosets
+
+    def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
+        return self.module.mode_vec(self.uvec, lattice(-e - 1), k, vec)
+
+
+def fraction_coset_universe(module) -> frozenset:
+    """All g-weights reachable by PBW monomials, as rationals in [0, 1)."""
+    gens = {module.g.gen_alpha(i) for i in range(len(module.V.gens))}
+    out = {Fraction(0)}
+    frontier = set(out)
+    while frontier:
+        new = {(a + b) % 1 for a in frontier for b in gens} - out
+        out |= new
+        frontier = new
+    return frozenset(out)
+
+
+class FractionTwistOpSlot:
+    """`TwistOpSlot` under the rational slot protocol, each coefficient
+    computed by Horner's rule over a rational mode walk, with no table."""
+
+    def __init__(self, module, w_arg: Vec):
+        self.module, self.w_arg = module, w_arg
+        self.wt = module.vec_deg(w_arg)
+        self.parity = module.vec_parity(w_arg)
+
+    def ecosets_meta(self) -> frozenset:
+        return frozenset(((-b - 1) % 1)
+                         for b in fraction_coset_universe(self.module))
+
+    def ecosets(self, vec) -> frozenset:
+        out = frozenset(((-b - 1) % 1)
+                        for b in self.module.algebra_coset(vec))
+        return out or frozenset((Fraction(0),))
+
+    def apply(self, e: Fraction, k: int, vec: Vec) -> Vec:
+        return linear(partial(self._apply_key, e, k), vec)
+
+    def _apply_key(self, e, k, vkey) -> Vec:
+        W = self.module
+        V = W.V
+        sgn = (-1) ** (V.parity(vkey) * self.parity)
+        bases = {}
+        n_hi = self.wt + V.weight(vkey) - 1
+        for beta, piece in W.g.alpha_decompose_key(vkey).items():
+            for n in loop_coset_range(-e - 1, n_hi, beta % 1):
+                j = int(e + n + 1)
+                for ksrc in range(k, W.log_bound + 1):
+                    base = W.mode_vec(piece, lattice(n), ksrc, self.w_arg)
+                    if not base:
+                        continue
+                    phase = Scalar.e(-n - 1) * binomial(ksrc, k) \
+                        * (Scalar.pi() ** (ksrc - k))
+                    acc_vec(bases.setdefault(j, {}), base, sgn * phase)
+        out = Vec.zero()
+        for j in range(max(bases, default=-1), -1, -1):
+            if out:
+                out = W.L_minus1(out).scale(Fraction(1, j + 1))
+            out = out + vec_of(bases.get(j, {}))
+        return out
+
+
 def loop_apply_key(slot, e, k, vkey) -> Vec:
     """T(w, x)v at x^e log^k x with L(-1)^j applied base by base."""
     W = slot.module
@@ -177,7 +267,7 @@ def loop_apply_key(slot, e, k, vkey) -> Vec:
         while n <= n_hi:
             j = int(e + n + 1)
             for ksrc in range(k, W.log_bound + 1):
-                base = W.mode_vec(piece, n, ksrc, slot.w_arg)
+                base = W.mode_vec(piece, lattice(n), ksrc, slot.w_arg)
                 if not base:
                     continue
                 phase = Scalar.e(-n - 1) * binomial(ksrc, k) \
@@ -366,10 +456,11 @@ def test_twist_slot_matches_repeated_L_minus1(modules, name):
     for wkey in W.basis(1):
         slot = TwistOpSlot(W, Vec.basis(wkey))
         for vkey in W.V.basis(2):
-            for coset in sorted(slot.ecosets(Vec.basis(vkey))):
+            for coset in sorted(exponent(r)
+                                for r in slot.ecosets(Vec.basis(vkey))):
                 for e in (coset + i for i in range(-2, 3)):
                     for k in range(W.log_bound + 1):
-                        got = slot._apply_key(e, k, vkey)
+                        got = slot._apply_key(lattice(e), k, vkey)
                         assert got == loop_apply_key(slot, e, k, vkey), \
                             (wkey, vkey, e, k)
                         compared += bool(got)
@@ -401,17 +492,48 @@ def test_twist_slot_table_matches_loop_form(algebras, name):
     # k runs one past the log bound, where every coefficient is zero
     slots = [TwistOpSlot(W, Vec.basis(wkey)) for wkey in wkeys]
     sweep = [(slot, e, k, vkey) for slot in slots for vkey in W.V.basis(2)
-             for coset in sorted(slot.ecosets(Vec.basis(vkey)))
+             for coset in sorted(exponent(r)
+                                 for r in slot.ecosets(Vec.basis(vkey)))
              for e in (coset + i for i in range(-2, 3))
              for k in range(W.log_bound + 2)]
     for sweep_pass in ("cold", "warm"):
         compared = 0
         for slot, e, k, vkey in sweep:
-            got = slot.apply(e, k, Vec.basis(vkey))
+            got = slot.apply(lattice(e), k, Vec.basis(vkey))
             assert got == loop_apply_key(slot, e, k, vkey), \
                 (sweep_pass, slot.w_arg, vkey, e, k)
             compared += bool(got)
         assert compared
+
+
+@pytest.mark.parametrize("name", ["ramond", "z2boson",
+                                  "heis3-unipotent-view"])
+def test_slot_protocol_matches_fraction_form(modules, name):
+    # every slot kind, Y^g(u, x) on W, Y(u, x) on V and T(w, x) from V to W:
+    # equal cosets, as residues mod D, and equal vectors at every exponent
+    # of the window |e| <= 2 on each coset and every log power
+    W = modules[name]
+    us = [Vec.basis(key) for key in W.V.basis(1)]
+    cases = [(OpSlot(W, u), FractionOpSlot(W, u), W.basis(2)) for u in us] \
+        + [(OpSlot(W.V, u), FractionOpSlot(W.V, u), W.V.basis(2))
+           for u in us] \
+        + [(TwistOpSlot(W, Vec.basis(key)),
+            FractionTwistOpSlot(W, Vec.basis(key)), W.V.basis(2))
+           for key in W.basis(1)]
+    compared = 0
+    for new, ref, keys in cases:
+        assert new.ecosets_meta() == {lattice(c) for c in ref.ecosets_meta()}
+        for key in keys:
+            vec = Vec.basis(key)
+            assert new.ecosets(vec) == {lattice(c) for c in ref.ecosets(vec)}
+            for c in ref.ecosets(vec):
+                for e in loop_coset_range(-2, 2, c):
+                    for k in range(W.log_bound + 1):
+                        got = new.apply(lattice(e), k, vec)
+                        assert got == ref.apply(e, k, vec), \
+                            (type(new).__name__, key, e, k)
+                        compared += bool(got)
+    assert compared
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +548,7 @@ def loop_homomorphism(V, fn, weight_cutoff, halfwidth):
         for v in basis:
             fv = fn(Vec.basis(v))
             for e in range(-halfwidth, halfwidth + 1):
-                n = -e - 1
+                n = lattice(-e - 1)
                 if fn(V.mode_apply(u, n, v)) != V.mode_vec(fu, n, 0, fv):
                     return u, v
 
@@ -438,7 +560,7 @@ def loop_derivation(V, g, weight_cutoff, halfwidth):
         for v in basis:
             Kv = g.K_apply(Vec.basis(v))
             for e in range(-halfwidth, halfwidth + 1):
-                n = -e - 1
+                n = lattice(-e - 1)
                 lhs = g.K_apply(V.mode_apply(u, n, v)) \
                     - V.mode_vec(Vec.basis(u), n, 0, Kv)
                 if lhs != V.mode_vec(Ku, n, 0, Vec.basis(v)):
@@ -452,7 +574,7 @@ def loop_conjugation(V, g, weight_cutoff, halfwidth):
         for v in basis:
             nv = nilpotent_power_coeffs(g, Vec.basis(v))
             for e in range(-halfwidth, halfwidth + 1):
-                n = -e - 1
+                n = lattice(-e - 1)
                 lhs_base = nilpotent_power_coeffs(g, V.mode_apply(u, n, v))
                 kmax = max(len(lhs_base), len(nu) + len(nv)) - 1
                 for k in range(kmax + 1):
@@ -474,10 +596,11 @@ def loop_L_minus1_derivative(V, weight_cutoff, halfwidth):
             vv = Vec.basis(v)
             lv = V.L_minus1(vv)
             for n in range(-halfwidth, halfwidth + 1):
-                want = V.mode_apply(u, n - 1, v).scale(Fraction(-n))
-                got = V.mode_vec(lu, n, 0, vv)
-                comm = V.L_minus1(V.mode_apply(u, n, v)) \
-                    - V.mode_vec(Vec.basis(u), n, 0, lv)
+                N = lattice(n)
+                want = V.mode_apply(u, lattice(n - 1), v).scale(Fraction(-n))
+                got = V.mode_vec(lu, N, 0, vv)
+                comm = V.L_minus1(V.mode_apply(u, N, v)) \
+                    - V.mode_vec(Vec.basis(u), N, 0, lv)
                 if got != want or comm != want:
                     return u, v
 
@@ -989,7 +1112,7 @@ class LoopAppliedSeries(Series):
     def _terms_in(self, box):
         out = {}
         for m, vec in self.inner.terms_in(box).items():
-            res = self.W.mode_vec(self.u, self.n, 0, vec)
+            res = self.W.mode_vec(self.u, lattice(self.n), 0, vec)
             if res:
                 out[m] = res
         return out
@@ -1358,8 +1481,8 @@ def test_applied_mode_matches_loop_form(modules, name):
             for ukey in W.V.basis(1):
                 u = Vec.basis(ukey)
                 al = W.algebra_alpha(u)
-                for n in coset_range(-3, 2, al):
-                    got = _applied(W, chain, u, n).terms_in(box)
+                for n in loop_coset_range(-3, 2, al):
+                    got = _applied(W, chain, u, lattice(n)).terms_in(box)
                     assert got == LoopAppliedSeries(
                         W, chain, u, n).terms_in(box), (wkey, vkey, ukey, n)
                     compared += bool(got)
@@ -1402,20 +1525,21 @@ def loop_y0_of_dressed_terms(W, u, w, box, side):
     """(Y)_0(x^{-N}u, x)w or x^{-N}(Y)_0(u,x)x^{N}w mode by mode over the
     exponents of u in the box, through the modes of y0_space."""
     out = {}
-    exps = sorted(e for al in W.g.coset_of(u) for e in coset_range(
+    exps = sorted(e for al in W.g.coset_of(u) for e in loop_coset_range(
         exponent(box.lows[0]), exponent(box.highs[0]), -al))
     if side == "argument":
         for k, part in enumerate(nilpotent_power_coeffs(W.g, u)):
             sgn = Fraction((-1) ** k)
             for e in exps:
-                vec = W.y0_space.mode_vec(part.scale(sgn), -e - 1, 0, w)
+                vec = W.y0_space.mode_vec(part.scale(sgn), lattice(-e - 1),
+                                          0, w)
                 if vec:
                     m = mono((e,), (k,))
                     out[m] = out.get(m, Vec.zero()) + vec
     else:
         for e in exps:
             for k2, wpart in enumerate(W.module_nilpotent_coeffs(w)):
-                vec = W.y0_space.mode_vec(u, -e - 1, 0, wpart)
+                vec = W.y0_space.mode_vec(u, lattice(-e - 1), 0, wpart)
                 if not vec:
                     continue
                 for k1, res in enumerate(W.module_nilpotent_coeffs(vec)):
@@ -1507,15 +1631,15 @@ def loop_recentered_product(W, vs, w_arg, v, vars, v_idx, x_idx, k_tw, hw):
         u = vs[pos]
         wt = W.algebra_weight(u)
         n_hi = hw - 1 if pos < k_tw else cur_deg + wt - 1
-        for n in coset_range(wt - 1 + cur_deg - degmax, n_hi,
-                             W.algebra_alpha(u)):
-            rec(pos - 1, W.mode_vec(u, n, 0, cur), cur_deg + wt - n - 1,
-                n_v, [n] + chosen)
+        for n in loop_coset_range(wt - 1 + cur_deg - degmax, n_hi,
+                                  W.algebra_alpha(u)):
+            rec(pos - 1, W.mode_vec(u, lattice(n), 0, cur),
+                cur_deg + wt - n - 1, n_v, [n] + chosen)
 
     wtv = W.algebra_weight(v)
-    for n_v in coset_range(max(-hw - 1, wtv - 1 + wdeg - degmax),
-                           wdeg + wtv - 1, W.algebra_alpha(v)):
-        cur0 = W.mode_vec(v, n_v, 0, w_arg)
+    for n_v in loop_coset_range(max(-hw - 1, wtv - 1 + wdeg - degmax),
+                                wdeg + wtv - 1, W.algebra_alpha(v)):
+        cur0 = W.mode_vec(v, lattice(n_v), 0, w_arg)
         if cur0:
             rec(len(vs) - 1, cur0, wdeg + wtv - n_v - 1, n_v, [])
     return out
@@ -1737,7 +1861,7 @@ def loop_boson_twisted_keys(max_deg):
 def loop_weak_commutativity_order(V, u, v) -> int:
     n = floor(V.algebra_weight(u) + V.algebra_weight(v) - 1)
     while n >= 0:
-        if V.mode_vec(u, n, 0, v):
+        if V.mode_vec(u, lattice(n), 0, v):
             return n + 1
         n -= 1
     return 0
@@ -1746,8 +1870,8 @@ def loop_weak_commutativity_order(V, u, v) -> int:
 def loop_twist_commutativity_order(W, u, w) -> int:
     al = W.algebra_alpha(u)
     top = W.vec_deg(w) + W.algebra_weight(u) - 1
-    for n in reversed(list(coset_range(al, top, al))):
-        if W.y0_space.mode_vec(u, n, 0, w):
+    for n in reversed(list(loop_coset_range(al, top, al))):
+        if W.y0_space.mode_vec(u, lattice(n), 0, w):
             return int(n - al) + 1
     return 0
 

@@ -11,7 +11,8 @@ from vertextwist.models import (build_free_fermion, build_heisenberg,
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
 from vertextwist.scalars import HALF_SQRT2, Vec
-from vertextwist.series import Box, TermSeries, lattice, mono, mono_parts
+from vertextwist.series import (D, Box, TermSeries, lattice, mono,
+                                mono_parts)
 from vertextwist.twisted import (check_commutator_formula, check_equivariance,
                                  check_g_compatibility,
                                  check_L_minus1_derivative_W,
@@ -56,8 +57,8 @@ def toy():
 def test_identity_operator(ramond):
     vac = Vec.basis((0, ()))
     one = Vec.basis(ramond.V.vac)
-    assert ramond.mode_vec(one, -1, 0, vac) == vac
-    assert not ramond.mode_vec(one, 0, 0, vac)
+    assert ramond.mode_vec(one, lattice(-1), 0, vac) == vac
+    assert not ramond.mode_vec(one, lattice(0), 0, vac)
 
 
 def test_ramond_two_point(fermion, ramond):
@@ -134,9 +135,9 @@ def test_mode_support_cosets(fermion, ramond):
     psi = fermion.gen_vector("psi")
     vac = Vec.basis((0, ()))
     # modes off the coset alpha + Z vanish identically
-    assert not ramond.mode_vec(psi, 0, 0, vac)
-    assert not ramond.mode_vec(psi, -1, 0, vac)
-    assert ramond.mode_vec(psi, -FH, 0, vac)
+    assert not ramond.mode_vec(psi, lattice(0), 0, vac)
+    assert not ramond.mode_vec(psi, lattice(-1), 0, vac)
+    assert ramond.mode_vec(psi, lattice(-FH), 0, vac)
 
 
 def test_twisted_weak_commutativity(fermion, ramond, boson, z2):
@@ -155,7 +156,7 @@ def test_twisted_jacobi_generators(fermion, ramond, boson, z2):
     r = check_twisted_jacobi(ramond, psi, psi, vac, 4)
     assert r.ok, r.first_mismatch
     h = boson.gen_vector("h")
-    hh = boson.mode_vec(h, -1, 0, h)
+    hh = boson.mode_vec(h, lattice(-1), 0, h)
     r = check_twisted_jacobi(z2, h, hh, Vec.basis(()), 3)
     assert r.ok, r.first_mismatch
 
@@ -197,7 +198,8 @@ def test_L_minus1_derivative(fermion, ramond):
     vac = Vec.basis((0, ()))
     r = check_L_minus1_derivative_W(ramond, psi, vac, 4)
     assert r.ok, r.first_mismatch
-    comp = fermion.mode_vec(psi, -2, 0, Vec.basis(fermion.vac))  # psi(-3/2) vac
+    # psi(-3/2) vac
+    comp = fermion.mode_vec(psi, lattice(-2), 0, Vec.basis(fermion.vac))
     r = check_L_minus1_derivative_W(ramond, comp, vac, 4)
     assert r.ok, r.first_mismatch
 
@@ -223,7 +225,8 @@ def test_y0_decomposition_reads_modes_only_on_the_coset_of_u(
     mode_vec = W.mode_vec
 
     def counted(uvec, n, k, wvec):
-        on_coset.append(any((n - al) % 1 == 0 for al in W.g.coset_of(uvec)))
+        on_coset.append(any((n - lattice(al)) % D == 0
+                            for al in W.g.coset_of(uvec)))
         return mode_vec(uvec, n, k, wvec)
     monkeypatch.setattr(W, "mode_vec", counted)
     for ukey in W.V.basis(F(3, 2)):

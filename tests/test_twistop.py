@@ -13,7 +13,8 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_z2_twisted_boson)
 from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, acc_vec,
                                  binomial, vec_of)
-from vertextwist.series import Box, TermSeries, coset_range, mono
+from vertextwist.series import (D, Box, TermSeries, exponent, lattice,
+                                lattice_coset, mono)
 from vertextwist.twistop import (check_gen_commutator,
                                  check_gen_weak_commutativity,
                                  check_L_minus1_twist, check_mixed_permutation,
@@ -135,7 +136,7 @@ def test_twist_jacobi(fermion, ramond, boson, z2):
     r = check_twist_jacobi(ramond, psi, psi, Vec.basis(VAC), 3)
     assert r.ok, r.first_mismatch
     h = boson.gen_vector("h")
-    hh = boson.mode_vec(h, -1, 0, h)
+    hh = boson.mode_vec(h, lattice(-1), 0, h)
     r = check_twist_jacobi(z2, h, hh, Vec.basis(()), 2)
     assert r.ok, r.first_mismatch
 
@@ -283,23 +284,23 @@ def test_mixed_permutation(fermion, ramond, toy):
 def faulty_apply_key(horner_shift=1, phase=True):
     """TwistOpSlot._apply_key with Horner's divisor 1/(j + horner_shift)
     and, unless phase, the phase e^{-pi i (n+1)} of y^n = e^{pi i n} x^n
-    dropped."""
-    def _apply_key(self, e, k, vkey):
+    dropped; p and N are the lattice ints of e and n."""
+    def _apply_key(self, p, k, vkey):
         W = self.module
         V = W.V
         sgn = (-1) ** (V.parity(vkey) * self.parity)
         bases = {}
-        n_hi = self.wt + V.weight(vkey) - 1
+        n_hi = lattice(self.wt + V.weight(vkey)) - D
         for beta, piece in W.g.alpha_decompose_key(vkey).items():
-            for n in coset_range(-e - 1, n_hi, beta % 1):
-                j = int(e + n + 1)
+            for N in lattice_coset(-p - D, n_hi, lattice(beta)):
+                j = (p + N + D) // D
                 for ksrc in range(k, W.log_bound + 1):
-                    base = W.mode_vec(piece, n, ksrc, self.w_arg)
+                    base = W.mode_vec(piece, N, ksrc, self.w_arg)
                     if not base:
                         continue
                     c = binomial(ksrc, k) * (Scalar.pi() ** (ksrc - k))
                     if phase:
-                        c = Scalar.e(-n - 1) * c
+                        c = Scalar.e(exponent(-N - D)) * c
                     acc_vec(bases.setdefault(j, {}), base, sgn * c)
         out = Vec.zero()
         for j in range(max(bases, default=-1), -1, -1):
@@ -317,8 +318,8 @@ def test_twist_slot_copy_without_faults_is_the_slot(z2):
         slot = twistop.TwistOpSlot(z2, Vec.basis(wkey))
         for vkey in z2.V.basis(1):
             for e in (F(-3, 2), F(-1, 2), F(1, 2), F(3, 2)):
-                got = slot._apply_key(e, 0, vkey)
-                assert clean(slot, e, 0, vkey) == got, (wkey, vkey, e)
+                got = slot._apply_key(lattice(e), 0, vkey)
+                assert clean(slot, lattice(e), 0, vkey) == got, (wkey, vkey, e)
                 compared += bool(got)
     assert compared
 

@@ -30,6 +30,7 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
 from vertextwist.scalars import Vec
+from vertextwist.series import D
 from vertextwist.twisted import (check_g_compatibility,
                                  check_product_polynomiality)
 from vertextwist.twistop import check_twist_decomposition
@@ -92,7 +93,7 @@ def test_creation_killed(monkeypatch):
     apply = V.mode_apply
     # u_(-1) vac = -u for composite u
     monkeypatch.setattr(V, "mode_apply", lambda u, n, w: apply(u, n, w).scale(
-        -1) if len(u) > 1 and n == -1 and w == V.vac else apply(u, n, w))
+        -1) if len(u) > 1 and n == -D and w == V.vac else apply(u, n, w))
     assert_located(axiom(V, "creation"), "creation")
 
 
@@ -255,6 +256,35 @@ def test_mode_oracle_is_fraction_free():
              and isinstance(node.func, (ast.Name, ast.Attribute))
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              == "Fraction"]
+    assert not found, found
+
+
+# the index path from a chain to the mode oracle: (module, class, method,
+# and the function nested in it, if any)
+INDEX_PATH = [("chains.py", "OpSlot", "apply"),
+              ("twistop.py", "TwistOpSlot", "apply"),
+              ("chains.py", "Space", "mode_vec"),
+              ("twisted.py", "UnipotentViewModule", "mode_vec"),
+              ("vosa.py", "FreeFieldAlgebra", "mode_apply"),
+              ("chains.py", "ChainSeries", "_terms_in", "rec")]
+INDEX_CONVERSIONS = {"lattice", "exponent", "Fraction"}
+
+
+def test_index_path_converts_no_index():
+    # a slot is handed a lattice exponent and hands the mode oracle a
+    # lattice mode index, so nothing on the way converts one
+    found = []
+    for module, *names in INDEX_PATH:
+        node = ast.parse((SRC / module).read_text())
+        for name in names:
+            node = next(child for child in node.body
+                        if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                        and child.name == name)
+        found += [(module, *names, call.lineno) for call in ast.walk(node)
+                  if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", getattr(call.func, "attr",
+                                                        None))
+                  in INDEX_CONVERSIONS]
     assert not found, found
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from vertextwist.scalars import Vec
-from vertextwist.series import Box, exponent, mono, mono_parts
+from vertextwist.series import Box, exponent, lattice, mono, mono_parts
 from vertextwist.vosa import (FermionAlgebra, HeisenbergAlgebra, check_axioms,
                               check_weak_commutativity,
                               weak_commutativity_order)
@@ -131,7 +131,7 @@ def test_weak_commutativity_fermion(fermion):
 
 def test_weak_commutativity_boson_composite(boson):
     h = boson.gen_vector("h")
-    hh = boson.mode_vec(h, -1, 0, h)  # h(-1)h
+    hh = boson.mode_vec(h, lattice(-1), 0, h)  # h(-1)h
     r = check_weak_commutativity(boson, h, hh, Vec.basis(boson.vac), 5)
     assert r.ok, r.first_mismatch
 
@@ -168,4 +168,4 @@ def test_mode_oracle_refuses_rational_index():
         V.oracle.apply((1,), FH, (1,))
     with pytest.raises(TypeError, match="lattice int"):
         V.oracle.apply_vec(Vec.basis((1,)), F(-1), Vec.basis(()))
-    assert V.mode_apply((1,), -1, ()) == Vec.basis((1,))
+    assert V.mode_apply((1,), lattice(-1), ()) == Vec.basis((1,))
