@@ -253,11 +253,6 @@ def orthogonal_automorphism(V, matrix, name="g") -> Automorphism:
     return Automorphism(V, images, name=name)
 
 
-def identity_automorphism(V) -> Automorphism:
-    images = {g.name: Vec.basis(V.gen_key(i)) for i, g in enumerate(V.gens)}
-    return Automorphism(V, images, name="id")
-
-
 # ---------------------------------------------------------------------------
 # blockwise Jordan decomposition
 # ---------------------------------------------------------------------------

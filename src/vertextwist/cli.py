@@ -178,11 +178,14 @@ def _expand(registry, model_id, text, halfwidth, as_json):
 
 
 def _cutoff(text) -> Fraction:
-    """A --max-weight value; ValueError when it is no rational number."""
+    """A --max-weight value; ValueError when it is no positive rational."""
     try:
-        return Fraction(text)
+        cutoff = Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
+    if cutoff <= 0:
+        raise ValueError("--max-weight must be positive, got %s" % text)
+    return cutoff
 
 
 def _cmd_run(args, registry) -> int:

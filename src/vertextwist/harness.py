@@ -1,4 +1,11 @@
-"""Batch verification driver: suites, reports, parallel execution."""
+"""Batch verification driver: the identity table, suites, reports.
+
+`ROWS` is the one table of the identities the suites certify, and `sweep`
+the one builder of their sweeps: `_suite_tasks` hands it a suite's rows
+with the role domains its configuration gives, and the acceptance tests
+single rows with their own cutoffs, windows and input lists.  A task
+carries its row's identity, so a check that raises is recorded under it.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +13,14 @@ import inspect
 import json
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import groupby, product
+from operator import attrgetter
+from types import SimpleNamespace
 
 from . import __version__
 from .automorphism import (check_conjugation, check_derivation,
@@ -18,7 +28,7 @@ from .automorphism import (check_conjugation, check_derivation,
 from .results import CheckResult, first_failure
 from .scalars import Vec
 from .series import Box
-from .twisted import (check_commutator_formula, check_equivariance,
+from .twisted import (_inputs, check_commutator_formula, check_equivariance,
                       check_g_compatibility, check_L_minus1_derivative_W,
                       check_permutation_symmetry, check_product_polynomiality,
                       check_twisted_jacobi, check_twisted_weak_commutativity,
@@ -29,8 +39,104 @@ from .twistop import (check_gen_commutator, check_gen_weak_commutativity,
                       check_twist_vacuum_identity, check_weak_associativity)
 from .vosa import check_axioms
 
-SUITES = ("axioms", "jordan", "twisted-jacobi", "weak-comm", "commutator",
-          "equivariance", "polynomiality", "twist-all", "mixed-products")
+
+def _jordan_record(g, cutoff) -> CheckResult:
+    jd = jordan_decompose(g, cutoff)
+    return CheckResult("jordan-decomposition", True,
+                       {"automorphism": g.name,
+                        "spectrum": [str(a) for a in jd.spectrum]})
+
+
+# A row: an identity, its checker, its suite, the roles it sweeps (outermost
+# first), the checker's arguments from a namespace of the context (V, W,
+# cut, hw) and one value per role, by default (W, *role values, hw), and
+# the leading roles whose loops it shares with the adjacent rows that name
+# the same.  Its checker is called through this module's global of its
+# name, read when a sweep is built, so a checker patched here is the one run.
+Row = namedtuple("Row", "identity checker suite roles args shares",
+                 defaults=(None, ()))
+G, UVW, UW, WV = ("g",), ("u", "v", "w"), ("u", "w"), ("w", "v")
+_on_g = attrgetter("V", "g", "cut", "hw")
+ROWS = (
+    Row("axioms", check_axioms, "axioms", (), attrgetter("V", "cut", "hw")),
+    Row("jordan-decomposition", _jordan_record, "jordan", G,
+        attrgetter("g", "cut"), G),
+    Row("automorphism-homomorphism", check_homomorphism, "jordan",
+        ("g", "map"), lambda a: (a.V, getattr(a.g, a.map), a.cut, a.hw), G),
+    Row("nilpotent-derivation", check_derivation, "jordan", G, _on_g, G),
+    Row("nilpotent-conjugation", check_conjugation, "jordan", G, _on_g, G),
+    Row("twisted-jacobi", check_twisted_jacobi, "twisted-jacobi", UVW),
+    Row("twisted-weak-commutativity", check_twisted_weak_commutativity,
+        "weak-comm", UVW),
+    Row("L(-1)-derivative-W", check_L_minus1_derivative_W, "weak-comm", UW),
+    Row("commutator-formula", check_commutator_formula, "commutator", UVW),
+    Row("equivariance", check_equivariance, "equivariance", UW, shares=UW),
+    Row("g-compatibility", check_g_compatibility, "equivariance", UW,
+        shares=UW),
+    # product: (operators, w'); permuted: (operators, w', order)
+    Row("product-polynomiality", check_product_polynomiality,
+        "polynomiality", ("w", "product"),
+        lambda a: (a.W, a.product[0], a.w, a.product[1], a.hw), ("w",)),
+    Row("permutation-symmetry", check_permutation_symmetry, "polynomiality",
+        ("w", "permuted"),
+        lambda a: (a.W, a.permuted[0], a.w, *a.permuted[1:], a.hw), ("w",)),
+    Row("twist-vacuum-identity", check_twist_vacuum_identity, "twist-all",
+        ("w",)),
+    Row("weak-associativity", check_weak_associativity, "twist-all", UVW,
+        shares=UVW),
+    Row("twist-jacobi", check_twist_jacobi, "twist-all", UVW, shares=UVW),
+    Row("generalized-commutator", check_gen_commutator, "twist-all", UVW,
+        shares=UVW),
+    Row("generalized-weak-commutativity", check_gen_weak_commutativity,
+        "twist-all", UVW, shares=UVW),
+    Row("twist-decomposition", check_twist_decomposition, "twist-all", WV,
+        shares=WV),
+    Row("L(-1)-twist", check_L_minus1_twist, "twist-all", WV, shares=WV),
+    Row("log-decomposition", check_y0_decomposition, "twist-all", UW),
+    # mixed: (operators left of the twist slot, operators right of it, v)
+    Row("mixed-product-recentred", check_mixed_product, "mixed-products",
+        ("w", "mixed"), lambda a: (a.W, a.mixed[0], a.w, *a.mixed[1:], a.hw)),
+)
+_ROW = {row.identity: row for row in ROWS}
+SUITES = tuple(dict.fromkeys(row.suite for row in ROWS))
+
+
+def sweep(identities, domains, **context) -> list:
+    """The tasks of the rows of these identities, in report order, each a
+    partial that carries its row's identity."""
+    tasks = []
+    for shared, rows in groupby(map(_ROW.__getitem__, identities),
+                                attrgetter("shares")):
+        rows = list(rows)
+        for head in product(*(domains[r] for r in shared)):
+            for row in rows:
+                check = globals()[row.checker.__name__]
+                for tail in product(*(domains[r]
+                                      for r in row.roles[len(shared):])):
+                    a = SimpleNamespace(**context,
+                                        **dict(zip(row.roles, head + tail)))
+                    tasks.append(partial(check, *(
+                        row.args(a) if row.args else
+                        (a.W, *head, *tail, a.hw))))
+                    tasks[-1].identity = row.identity
+    return tasks
+
+
+def module_roles(W, cutoff, order="weight-lex", alg_cutoff=None) -> dict:
+    """The role domains of the twisted suites on W: u and v over the algebra
+    basis to `alg_cutoff` (default `cutoff`), w over the module basis to
+    `cutoff`, and the operators of the product rows over the generators."""
+    V = W.V
+    us = [Vec.basis(k) for k in V.basis(alg_cutoff or cutoff, order)]
+    ws = [Vec.basis(k) for k in W.basis(cutoff, order)]
+    gens = [V.gen_vector(g.name) for g in V.gens]
+    one = Vec.basis(V.vac)
+    return {"u": us, "v": us, "w": ws,
+            "product": [([u, u], wp) for wp in ws for u in gens]
+            + [([gens[0]] * 3, ws[0])],
+            "permuted": [([gens[0]] * 2, ws[0], [1, 0])],
+            "mixed": [m for u in gens for m in (([u], [], u), ([u], [u], one),
+                                                ([], [], u))]}
 
 
 @dataclass
@@ -99,7 +205,7 @@ def _timed(task):
     try:
         res = task()
     except Exception as exc:   # a crashed check is an error, not a failure
-        res = CheckResult("error", False, _task_inputs(task),
+        res = CheckResult(task.identity, False, _task_inputs(task),
                           first_mismatch={"error": repr(exc)}, errored=True)
     if isinstance(res, list):  # check_axioms: one result per axiom
         res = first_failure("axioms", {"checks": len(res)}, res)
@@ -108,19 +214,15 @@ def _timed(task):
 
 
 def _task_inputs(task: partial) -> dict:
-    """The checker a task calls and its vector, number and text arguments;
-    vectors as repr, the rest as str."""
-    out = {"check": task.func.__name__}
+    """The checker a task calls and its vector, number and text arguments,
+    as a checker states its inputs."""
     try:
         args = inspect.signature(task.func).bind(*task.args, **task.keywords)
     except TypeError:          # the arguments do not fit: the crash says so
-        return out
-    for name, value in args.arguments.items():
-        if isinstance(value, Vec):
-            out[name] = repr(value)
-        elif isinstance(value, (int, Fraction, str, list, tuple)):
-            out[name] = str(value)
-    return out
+        return {"check": task.func.__name__}
+    return {"check": task.func.__name__, **_inputs(**{
+        name: value for name, value in args.arguments.items()
+        if isinstance(value, (Vec, int, Fraction, str, list, tuple))})}
 
 
 def _run_all(tasks, jobs: int):
@@ -131,96 +233,26 @@ def _run_all(tasks, jobs: int):
         return list(pool.map(_timed, tasks))
 
 
-def _algebra_basis_vectors(V, cutoff, order):
-    return [Vec.basis(k) for k in V.basis(cutoff, order)]
-
-
 def _suite_tasks(cfg: SuiteConfig, registry):
     kind, obj = registry.resolve(cfg.model)
-    hw = cfg.halfwidth
-    cut = cfg.max_weight
-    order = cfg.basis_order
-
-    if cfg.suite == "axioms":
-        V = obj.algebra if kind == "algebra" else obj.V
-        return [partial(check_axioms, V, cut, hw)]
-
-    if cfg.suite == "jordan":
-        if kind != "algebra":
-            raise ValueError("jordan suite runs on an algebra model id")
-        V = obj.algebra
-        tasks = []
-        for name, g in sorted(obj.automorphisms.items()):
-            tasks += [partial(_jordan_record, g, name, cut),
-                      partial(check_homomorphism, V, g.apply, cut, hw),
-                      partial(check_homomorphism, V, g.unipotent_exp, cut, hw),
-                      partial(check_homomorphism, V, g.semisimple_exp, cut, hw),
-                      partial(check_derivation, V, g, cut, hw),
-                      partial(check_conjugation, V, g, cut, hw)]
-        return tasks
-
-    if kind != "twisted":
-        raise ValueError("suite %r runs on a twisted module id" % cfg.suite)
-    W = obj
-    if cfg.log_bound is not None and W.log_bound > cfg.log_bound:
+    rows = [row for row in ROWS if row.suite == cfg.suite]
+    if kind == "algebra":
+        V, W, domains = obj.algebra, None, {
+            "g": [obj.automorphisms[n] for n in sorted(obj.automorphisms)],
+            "map": ("apply", "unipotent_exp", "semisimple_exp")}
+    elif cfg.log_bound is not None and obj.log_bound > cfg.log_bound:
         raise ValueError(
             "module carries log powers up to %d, beyond the declared bound %d"
-            % (W.log_bound, cfg.log_bound))
-    V = W.V
-    us = _algebra_basis_vectors(V, cut, order)
-    ws = [Vec.basis(k) for k in W.basis(cut, order)]
-    uvw = list(product(us, us, ws))
-    uw = list(product(us, ws))
-
-    if cfg.suite == "twisted-jacobi":
-        return [partial(check_twisted_jacobi, W, u, v, w, hw)
-                for u, v, w in uvw]
-    if cfg.suite == "weak-comm":
-        return [partial(check_twisted_weak_commutativity, W, u, v, w, hw)
-                for u, v, w in uvw] \
-            + [partial(check_L_minus1_derivative_W, W, u, w, hw)
-               for u, w in uw]
-    if cfg.suite == "commutator":
-        return [partial(check_commutator_formula, W, u, v, w, hw)
-                for u, v, w in uvw]
-    if cfg.suite == "equivariance":
-        return [t for u, w in uw
-                for t in (partial(check_equivariance, W, u, w, hw),
-                          partial(check_g_compatibility, W, u, w, hw))]
-    gens = [V.gen_vector(g.name) for g in V.gens]
-    if cfg.suite == "polynomiality":
-        tasks = []
-        for w in ws:
-            tasks += [partial(check_product_polynomiality, W, [u, u], w, wp,
-                              hw) for wp in ws for u in gens]
-            tasks += [partial(check_product_polynomiality, W, [gens[0]] * 3,
-                              w, ws[0], hw),
-                      partial(check_permutation_symmetry, W,
-                              [gens[0], gens[0]], w, ws[0], [1, 0], hw)]
-        return tasks
-    if cfg.suite == "twist-all":
-        triples = (check_weak_associativity, check_twist_jacobi,
-                   check_gen_commutator, check_gen_weak_commutativity)
-        return [partial(check_twist_vacuum_identity, W, w, hw) for w in ws] \
-            + [partial(check, W, u, v, w, hw) for u, v, w in uvw
-               for check in triples] \
-            + [partial(check, W, w, v, hw) for w in ws for v in us
-               for check in (check_twist_decomposition, check_L_minus1_twist)] \
-            + [partial(check_y0_decomposition, W, u, w, hw)
-               for u, w in uw]
-    if cfg.suite == "mixed-products":
-        one = Vec.basis(V.vac)
-        return [partial(check_mixed_product, W, tw, w, alg, v, hw)
-                for w in ws for u in gens
-                for tw, alg, v in (([u], [], u), ([u], [u], one), ([], [], u))]
-    raise ValueError("unhandled suite %r" % cfg.suite)
-
-
-def _jordan_record(g, name, cutoff) -> CheckResult:
-    jd = jordan_decompose(g, cutoff)
-    return CheckResult("jordan-decomposition", True,
-                       {"automorphism": name,
-                        "spectrum": [str(a) for a in jd.spectrum]})
+            % (obj.log_bound, cfg.log_bound))
+    else:
+        V, W = obj.V, obj
+        domains = module_roles(W, cfg.max_weight, cfg.basis_order)
+    if not {r for row in rows for r in row.roles} <= domains.keys():
+        raise ValueError("suite %r runs on %s" % (cfg.suite, (
+            "a twisted module id" if kind == "algebra"
+            else "an algebra model id")))
+    return sweep([row.identity for row in rows], domains, V=V, W=W,
+                 cut=cfg.max_weight, hw=cfg.halfwidth)
 
 
 def run_suite(cfg: SuiteConfig, registry) -> Report:

@@ -9,26 +9,18 @@ from fractions import Fraction
 import pytest
 
 from vertextwist.automorphism import (Automorphism, check_conjugation,
-                                      check_derivation, check_homomorphism,
-                                      jordan_decompose, parity_automorphism,
+                                      check_derivation, jordan_decompose,
+                                      parity_automorphism,
                                       orthogonal_automorphism)
-from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
+from vertextwist.harness import module_roles, sweep
+from vertextwist.models import (GRAM3, Registry,
                                 build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
 from vertextwist.results import first_failure
-from vertextwist.scalars import Scalar, Vec, lattice
-from vertextwist.twisted import (check_commutator_formula, check_equivariance,
-                                 check_product_polynomiality,
-                                 check_twisted_jacobi,
-                                 check_twisted_weak_commutativity,
-                                 check_y0_decomposition)
-from vertextwist.twistop import (check_gen_commutator,
-                                 check_gen_weak_commutativity,
-                                 check_mixed_product,
-                                 check_twist_decomposition, check_twist_jacobi,
-                                 check_twist_vacuum_identity,
-                                 check_weak_associativity)
+from vertextwist.scalars import Vec, lattice
+from vertextwist.twisted import check_twisted_jacobi
+from vertextwist.twistop import check_twist_jacobi, check_weak_associativity
 from vertextwist.vosa import check_axioms
 
 F = Fraction
@@ -42,10 +34,12 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
-def report_sweep(name, records, with_inputs=False):
-    """Report a sweep by its first failing record; the records, usually a
-    generator, are read no further than that failure."""
-    r = first_failure(name, {}, records)
+def report_sweep(name, tasks, count, with_inputs=False):
+    """Report a sweep of `count` checks, the tasks of `harness.sweep`, by its
+    first failing record; no check after that failure runs."""
+    assert len(tasks) == count, "%s: %d checks, not %d" % (name, len(tasks),
+                                                           count)
+    r = first_failure(name, {}, (task() for task in tasks))
     detail = (r.inputs, r.first_mismatch) if with_inputs else r.first_mismatch
     report(name, r.ok, "" if r.ok else str(detail))
 
@@ -85,14 +79,6 @@ def toy(registry):
     bundle = registry.algebra("heis3")
     return build_unipotent_toy(bundle.algebra,
                                bundle.automorphisms["unipotent"])
-
-
-def algebra_vectors(V, cutoff):
-    return [Vec.basis(k) for k in V.basis(cutoff)]
-
-
-def module_vectors(W, cutoff):
-    return [Vec.basis(k) for k in W.basis(cutoff)]
 
 
 # -- A1 ----------------------------------------------------------------------
@@ -160,108 +146,91 @@ def test_a3_derivation_conjugation(heis3, registry):
 
 # -- A4 / A5 / A6 ------------------------------------------------------------
 
-def _sweep(W, checker, cut_uv, cut_w, hw):
-    us = algebra_vectors(W.V, cut_uv)
-    ws = module_vectors(W, cut_w)
-    return (checker(W, u, v, w, hw) for u in us for v in us for w in ws)
-
-
 def test_a4_twisted_jacobi(ramond, z2):
-    for W in (ramond, z2):
+    for W, count in ((ramond, 96), (z2, 112)):
         report_sweep("A4 twisted Jacobi (%s, u,v,w to weight 2, |exp| <= 4)"
-                     % W.name, _sweep(W, check_twisted_jacobi, 2, 2, 4),
-                     with_inputs=True)
+                     % W.name, sweep(["twisted-jacobi"], module_roles(W, 2),
+                                     W=W, hw=4), count, with_inputs=True)
 
 
 def test_a5_weak_comm_and_commutator(ramond, z2):
-    for W in (ramond, z2):
-        report_sweep("A5 twisted weak commutativity (%s)" % W.name,
-                     _sweep(W, check_twisted_weak_commutativity, 2, 2, 4),
-                     with_inputs=True)
-        report_sweep("A5 commutator formula (%s)" % W.name,
-                     _sweep(W, check_commutator_formula, 2, 2, 4),
-                     with_inputs=True)
+    for W, count in ((ramond, 96), (z2, 112)):
+        for identity in ("twisted-weak-commutativity", "commutator-formula"):
+            report_sweep("A5 %s (%s)" % (identity, W.name),
+                         sweep([identity], module_roles(W, 2), W=W, hw=4),
+                         count, with_inputs=True)
 
 
 def test_a6_equivariance(ramond, z2):
-    for W in (ramond, z2):
-        ws = module_vectors(W, 2)
+    for W, count in ((ramond, 24), (z2, 28)):
         report_sweep("A6 equivariance surrogate (%s)" % W.name,
-                     (check_equivariance(W, u, w, 4)
-                      for u in algebra_vectors(W.V, 2) for w in ws))
+                     sweep(["equivariance"], module_roles(W, 2), W=W, hw=4),
+                     count)
 
 
 # -- A7 ----------------------------------------------------------------------
 
 def test_a7_twist_vacuum_identity(ramond, z2):
-    for W in (ramond, z2):
+    for W, count in ((ramond, 6), (z2, 10)):
         report_sweep("A7 twist vacuum identity (%s, w to weight 5/2)" % W.name,
-                     (check_twist_vacuum_identity(W, w, 4)
-                      for w in module_vectors(W, F(5, 2))))
+                     sweep(["twist-vacuum-identity"],
+                           module_roles(W, F(5, 2)), W=W, hw=4), count)
 
 
 # -- A8 ----------------------------------------------------------------------
 
 def test_a8_twist_identities(ramond, z2):
-    plans = ((ramond, F(3, 2)), (z2, F(1)))
-    for W, cut_uv in plans:
-        us = algebra_vectors(W.V, cut_uv)
-        ws = module_vectors(W, F(3, 2))
-        for name, checker in (
-                ("weak associativity", check_weak_associativity),
-                ("twist Jacobi", check_twist_jacobi),
-                ("generalized commutator", check_gen_commutator),
-                ("generalized weak commutativity",
-                 check_gen_weak_commutativity)):
-            report_sweep("A8 %s (%s, |exp| <= 3)" % (name, W.name),
-                         (checker(W, u, v, w, 3)
-                          for u in us for v in us for w in ws),
+    # u and v to weight 3/2 on ramond and 1 on z2boson, w to weight 3/2
+    for W, cut_uv, count in ((ramond, F(3, 2), 36), (z2, F(1), 20)):
+        roles = module_roles(W, F(3, 2), alg_cutoff=cut_uv)
+        for identity in ("weak-associativity", "twist-jacobi",
+                         "generalized-commutator",
+                         "generalized-weak-commutativity"):
+            report_sweep("A8 %s (%s, |exp| <= 3)" % (identity, W.name),
+                         sweep([identity], roles, W=W, hw=3), count,
                          with_inputs=True)
 
 
 # -- A9 ----------------------------------------------------------------------
 
 def test_a9_decompositions(ramond, z2, toy):
-    for W, cut in ((ramond, F(3, 2)), (z2, F(1))):
-        us = algebra_vectors(W.V, cut)
-        ws = module_vectors(W, 1)
+    for W, cut, count in ((ramond, F(3, 2), 12), (z2, F(1), 6)):
+        roles = module_roles(W, 1, alg_cutoff=cut)
         report_sweep("A9 log decompositions, log-free case (%s)" % W.name,
-                     (check_y0_decomposition(W, u, w, 3)
-                      for u in us for w in ws))
+                     sweep(["log-decomposition"], roles, W=W, hw=3), count)
         report_sweep("A9 twist decomposition, log-free case (%s)" % W.name,
-                     (check_twist_decomposition(W, w, v, 3)
-                      for w in ws for v in us))
+                     sweep(["twist-decomposition"], roles, W=W, hw=3), count)
     V3 = toy.V
-    picks = [V3.gen_vector("b"), V3.gen_vector("c"),
-             V3.mode_vec(V3.gen_vector("b"), lattice(-2), 0,
-                         Vec.basis(V3.vac))]
+    a, b, c = (V3.gen_vector(n) for n in "abc")
+    picks = [b, c, V3.mode_vec(b, lattice(-2), 0, Vec.basis(V3.vac))]
     report_sweep("A9 log decompositions, log case (unipotent view)",
-                 (check_y0_decomposition(toy, u, w, 2) for u in picks
-                  for w in (Vec.basis(V3.vac), V3.gen_vector("a"))))
+                 sweep(["log-decomposition"],
+                       {"u": picks, "w": [Vec.basis(V3.vac), a]}, W=toy, hw=2),
+                 6)
     report_sweep("A9 twist decomposition, log case (unipotent view)",
-                 (check_twist_decomposition(toy, w, v, 2)
-                  for w in (V3.gen_vector("a"), V3.gen_vector("c"))
-                  for v in (V3.gen_vector("b"), V3.gen_vector("c"))))
+                 sweep(["twist-decomposition"], {"w": [a, c], "v": [b, c]},
+                       W=toy, hw=2), 4)
 
 
 # -- A10 ---------------------------------------------------------------------
 
 def test_a10_polynomiality(ramond, z2):
-    for W in (ramond, z2):
+    for W, count in ((ramond, 32), (z2, 18)):
         gen = W.V.gen_vector(W.V.gens[0].name)
-        ws = module_vectors(W, 1)
+        ws = module_roles(W, 1)["w"]
         report_sweep("A10 product polynomiality k <= 3 (%s, half-width 6)"
-                     % W.name,
-                     (check_product_polynomiality(W, [gen] * k, w, wp, 6)
-                      for w in ws for wp in ws for k in (2, 3)))
+                     % W.name, sweep(["product-polynomiality"], {
+                         "w": ws, "product": [([gen] * k, wp) for wp in ws
+                                              for k in (2, 3)]}, W=W, hw=6),
+                     count)
+        # (operators left of the twist slot, right of it, v), on the vacuum
         one = Vec.basis(W.V.vac)
-        vac = ws[0]
-        combos = (([], []), ([gen], []), ([], [gen]), ([gen, gen], []),
-                  ([gen], [gen]))
+        mixed = [([], [], gen), ([gen], [], gen), ([], [gen], one),
+                 ([gen, gen], [], gen), ([gen], [gen], one)]
         report_sweep("A10 mixed products k+l <= 2 (%s, half-width 6)" % W.name,
-                     (check_mixed_product(W, tw, vac, alg,
-                                          gen if not alg else one, 6)
-                      for tw, alg in combos), with_inputs=True)
+                     sweep(["mixed-product-recentred"],
+                           {"w": ws[:1], "mixed": mixed}, W=W, hw=6), 5,
+                     with_inputs=True)
 
 
 # -- A11 ---------------------------------------------------------------------

@@ -4,8 +4,7 @@ import pytest
 
 from vertextwist.automorphism import (Automorphism, check_conjugation,
                                       check_derivation, check_homomorphism,
-                                      identity_automorphism, jordan_decompose,
-                                      nilpotent_power_coeffs,
+                                      jordan_decompose, nilpotent_power_coeffs,
                                       orthogonal_automorphism,
                                       parity_automorphism)
 from vertextwist.errors import NonCyclotomicSpectrum, NotIsometry
@@ -35,7 +34,9 @@ def unip(heis3):
 
 
 def test_identity_jordan(fermion):
-    jd = jordan_decompose(identity_automorphism(fermion), 2)
+    identity = Automorphism(fermion, {g.name: fermion.gen_vector(g.name)
+                                      for g in fermion.gens}, "id")
+    jd = jordan_decompose(identity, 2)
     assert jd.spectrum == [0]
     for blk in jd.blocks.values():
         assert blk.nilpotency_index <= 1

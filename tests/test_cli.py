@@ -129,6 +129,18 @@ def test_bad_max_weight_exit_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--model", "fermion", "--suite", "axioms"],
+    ["decompose", "heis3", "unipotent"], ["dump-basis", "fermion"]])
+@pytest.mark.parametrize("cutoff", ["-1", "0"])
+def test_cutoff_not_positive_exit_2(command, cutoff, capsys):
+    # every command refuses the cutoff before it prints anything
+    assert main(command + ["--max-weight", cutoff]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: --max-weight must be positive, got %s\n" % cutoff
+
+
 def test_run_detects_fault():
     # (fault, suite, max weight, halfwidth, failed, total, L(-1)-twist fails)
     for fault, suite, cut, hw, failed, total, lm1 in (
@@ -161,10 +173,10 @@ def test_crashed_check_is_error_exit_2(monkeypatch, tmp_path, capsys):
                  "--report", str(path)]) == 2
     inputs = {"check": "check_axioms", "max_weight": "1", "halfwidth": "2"}
     assert capsys.readouterr().out.splitlines()[-1] == \
-        "ERROR error %s {'error': \"RuntimeError('boom')\"}" % inputs
+        "ERROR axioms %s {'error': \"RuntimeError('boom')\"}" % inputs
     doc = json.loads(path.read_text())
     assert doc["records"] == [{
-        "identity": "error", "inputs": inputs, "window": {}, "status": "error",
+        "identity": "axioms", "inputs": inputs, "window": {}, "status": "error",
         "first_mismatch": {"error": "RuntimeError('boom')"},
         "timing_ms": doc["records"][0]["timing_ms"]}]
     assert doc["summary"] == {"total": 1, "passed": 0, "failed": 1}

@@ -1,9 +1,12 @@
+import importlib
 import inspect
 import json
+import pkgutil
 import sys
 
 import pytest
 
+import vertextwist
 from vertextwist import harness, twisted, twistop, vosa
 from vertextwist.harness import SUITES, SuiteConfig, run_suite
 from vertextwist.models import Registry
@@ -32,10 +35,58 @@ PLANS = {
 def test_all_suites_execute(registry):
     assert set(PLANS) == set(SUITES)
     for suite, (model, cut, hw) in PLANS.items():
-        rep = run_suite(SuiteConfig(model=model, suite=suite, max_weight=cut,
-                                    halfwidth=hw), registry)
+        cfg = SuiteConfig(model=model, suite=suite, max_weight=cut,
+                          halfwidth=hw)
+        rep = run_suite(cfg, registry)
         assert rep.ok, (suite, [r.to_json() for r in rep.records if not r.ok][:1])
         assert rep.records
+        # a task is named, before it runs, by the identity its record names
+        # (the generalized commutator's passing record names its second,
+        # delta-derivative form)
+        tasks = harness._suite_tasks(cfg, registry)
+        assert [r.identity.startswith(t.identity)
+                for t, r in zip(tasks, rep.records)] == [True] * len(tasks)
+
+
+# checkers no suite row runs, each run by its own unit tests
+UNIT_TEST_ONLY = {
+    # commutativity for products of more than two operators with a twist
+    # operator; a suite row would be a new scenario for the stored verdicts
+    "twistop.check_mixed_permutation",
+    "vosa.check_weak_commutativity",    # untwisted; A1 runs the axioms
+    "twisted.ModuleBase.check_L0_grading",   # A11 runs it
+    # the shared second half of two row checkers
+    "twisted.check_L_minus1_sides",
+}
+
+
+def test_every_checker_is_a_row_or_unit_test_only():
+    found = set()
+    for info in pkgutil.iter_modules(vertextwist.__path__):
+        module = importlib.import_module("vertextwist." + info.name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) and name.startswith("check_"):
+                found.add("%s.%s" % (info.name, name))
+            elif inspect.isclass(obj):
+                found |= {"%s.%s.%s" % (info.name, name, attr)
+                          for attr in vars(obj) if attr.startswith("check_")}
+    rows = {"%s.%s" % (row.checker.__module__.rsplit(".", 1)[1],
+                       row.checker.__qualname__) for row in harness.ROWS}
+    assert not rows & UNIT_TEST_ONLY
+    assert found == {r for r in rows if ".check_" in r} | UNIT_TEST_ONLY
+
+
+def test_identity_table_is_well_formed():
+    identities = [row.identity for row in harness.ROWS]
+    assert len(set(identities)) == len(identities)
+    for row in harness.ROWS:
+        assert row.roles[:len(row.shares)] == row.shares, row.identity
+    for before, row in zip(harness.ROWS, harness.ROWS[1:]):
+        # rows share loops only with the adjacent rows of their suite
+        if row.shares and row.shares == before.shares:
+            assert row.suite == before.suite, row.identity
 
 
 def test_tasks_pass_no_placeholder_arguments(registry):
@@ -131,7 +182,9 @@ def test_errored_record_names_check_and_vectors(monkeypatch, registry):
     monkeypatch.setattr(harness, "check_twisted_jacobi", check_twisted_jacobi)
     rep = run_suite(SuiteConfig("ramond", "twisted-jacobi", 1, 3), registry)
     first = rep.records[0]
-    assert first.errored and first.identity == "error"
+    # the record names the identity whose check raised, with status error
+    assert first.errored and first.identity == "twisted-jacobi"
+    assert first.to_json()["status"] == "error"
     # the module object is left out
     assert first.inputs == {"check": "check_twisted_jacobi",
                             "u": "(1)*|()>", "v": "(1)*|()>",
