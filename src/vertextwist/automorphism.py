@@ -150,8 +150,7 @@ class Automorphism:
             n = self.V.factor_weight(head)
             out = {}
             for al, comp in self.generator_parts()[gi]:
-                gens = Vec({self.V.gen_key(j): c for j, c in enumerate(comp)
-                            if c})
+                gens = Vec({self.V.gen_key(j): c for j, c in enumerate(comp)})
                 for be, wvec in self.alpha_decompose_key(rest).items():
                     made = self._create_from(gens, n, wvec)
                     if made:
@@ -247,8 +246,7 @@ def orthogonal_automorphism(V, matrix, name="g") -> Automorphism:
     # exact isometry check: M^T G M = G
     if not mat_eq(mat_mul(mat_mul(mt, V.gram), m), V.gram):
         raise NotIsometry("matrix does not preserve the Gram form")
-    images = {V.gens[j].name: Vec({V.gen_key(i): c for i, c in enumerate(mt[j])
-                                   if c})
+    images = {V.gens[j].name: Vec({V.gen_key(i): c for i, c in enumerate(mt[j])})
               for j in range(r)}
     return Automorphism(V, images, name=name)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InfiniteConvolution
-from .scalars import Vec, homogeneous_value
+from .scalars import Vec, homogeneous_value, pair
 from .series import D, Series, lattice, lattice_coset, lattice_mono
 
 
@@ -105,14 +105,6 @@ def pole_order(pole_modes) -> int:
     for K, _ in pole_modes:
         return K // D + 1
     return 0
-
-
-def pair(wprime: Vec, vec: Vec):
-    """Pairing against the orthonormal dual of the basis."""
-    out = 0
-    for key, c in wprime.items():
-        out = out + c * vec.coeff(key)
-    return out
 
 
 class OpSlot:

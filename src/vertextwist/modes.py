@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import ExtensionInconsistent
-from .scalars import Vec, acc_vec, binomial, exponent, lattice, linear, vec_of
+from .scalars import Vec, VecSum, binomial, exponent, lattice, linear
 from .series import D           # mode index N stands for N/D
 
 
@@ -89,13 +89,8 @@ class ModeOracle:
         return hit
 
     def apply_vec(self, uvec: Vec, N: int, wvec: Vec) -> Vec:
-        acc = {}
-        for ukey, cu in uvec.items():
-            for wkey, cw in wvec.items():
-                r = self.apply(ukey, N, wkey)
-                if r:
-                    acc_vec(acc, r, cu * cw)
-        return vec_of(acc)
+        return linear(lambda ukey: linear(partial(self.apply, ukey, N), wvec),
+                      uvec)
 
     def _compute(self, ukey, N, wkey) -> Vec:
         if not ukey:
@@ -108,7 +103,7 @@ class ModeOracle:
         q = self.alpha(gidx) + self.shift     # the coset offset, rational
         Q = lattice(q)
 
-        acc = {}
+        acc = VecSum()
         m_hi = self._lattice_deg(wkey) + lattice(alg.gen_weight(gidx)) - D
         if not rest:
             # u' is the vacuum, whose only nonzero mode is (Y)_(-1)(1) = 1:
@@ -121,7 +116,7 @@ class ModeOracle:
                 c -= binomial(t, (m - Q) // D)
             if c:
                 c *= -1 if (Q + T - m) // D % 2 else 1
-                acc_vec(acc, self.gen_action(gidx, m, wkey), c)
+                acc.add(self.gen_action(gidx, m, wkey), c)
         else:
             sgn = -1 if (alg.gen_parity(gidx) and alg.parity(rest)) else 1
             # products: (Y)_m(a) acting after (Y)_(n+t-m)(u')
@@ -133,7 +128,7 @@ class ModeOracle:
                     j = (Q + T - m) // D
                     c = binomial(t, j) * (-1 if j % 2 else 1)
                     if c:
-                        acc_vec(acc, linear(
+                        acc.add(linear(
                             partial(self.gen_action, gidx, m), inner), c)
                 m -= D
             # reversed products: (Y)_m(a) acting first
@@ -144,9 +139,9 @@ class ModeOracle:
                     j = (m - Q) // D
                     c = binomial(t, j) * (-1 if (t - j) % 2 else 1) * sgn
                     if c:
-                        part = self.apply_vec(Vec.basis(rest), N + T - m, gw)
+                        part = linear(partial(self.apply, rest, N + T - m), gw)
                         if part:
-                            acc_vec(acc, part, -c)
+                            acc.add(part, -c)
                 m += D
         # corrections from lower-weight composites a_(r)u'
         r = T + D
@@ -158,9 +153,9 @@ class ModeOracle:
                 if c:
                     part = self.apply_vec(comp, N + T - r, Vec.basis(wkey))
                     if part:
-                        acc_vec(acc, part, -c)
+                        acc.add(part, -c)
             r += D
-        return vec_of(acc)
+        return acc.vec()
 
     # -- construction-time consistency ----------------------------------------
 

@@ -20,15 +20,30 @@ e(q+1) = -e(q) folds the upper half of the lattice into the sign of the
 numerator.  Keys and numerators are ints, so the innermost loops do int
 arithmetic and reduce by a gcd once per result, not once per term.
 
-This module alone knows that form: `inverse` inverts through the Galois
+A vector (`Vec`) is a formal linear combination of basis keys stored the
+same way, as FLINT's fmpq_mat keeps one denominator per matrix: int
+numerators keyed by (basis key, pi power, phase numerator) over one int
+den, with gcd(den, *numerators) == 1.  The rational terms, the only ones
+while every coefficient is rational, are keyed by the bare basis key.  So
+scaling a vector by a rational is one int multiply per entry and one gcd
+per result, scaling by a phase permutes phase keys, and a sum is int
+addition over the lcm of the denominators; `VecSum` builds a sum in place,
+`linear` extends a map on basis keys linearly and `pair` is the dot
+product.  Both forms share one gcd reduction, `_cancel`.
+
+This module alone knows these forms: `inverse` inverts through the Galois
 conjugates sigma_a, which permute the keys, and `phase_turns` reads a root
-of unity off its one key.
+of unity off its one key.  Every other module reads a vector through
+`items`, `keys`, `coeff` and the read-only `comps` view, one entry per
+basis key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, gcd, prod
+from types import MappingProxyType
 
 
 class CyclotomicLevelError(ValueError):
@@ -37,6 +52,8 @@ class CyclotomicLevelError(ValueError):
 
 _LEVEL = 16                 # fixed: stored scalars are keyed against it
 _RKEY = (0, 0)
+_NONE = {}                  # the phased entries of a vector that has none;
+                            # a stored map is never written to
 
 
 def cyclotomic_level() -> int:
@@ -69,16 +86,24 @@ def exact(c):
     raise TypeError("not an exact scalar: %r" % (c,))
 
 
+def _cancel(den: int, a: dict, b: dict = _NONE):
+    """(den, a, b) for int numerator maps a and b over den, each divided,
+    with den, by gcd(den, *numerators): the one canonical form of a Scalar
+    (whose terms are a) and of a Vec.  A zero value comes out over 1."""
+    if den != 1:
+        g = gcd(den, *a.values(), *b.values())
+        if g != 1:
+            return (den // g, {k: c // g for k, c in a.items()},
+                    b and {k: c // g for k, c in b.items()})
+    return den, a, b
+
+
 def _fold(terms: dict, den: int = 1):
     """The canonical value of int numerators over den: 0, the number of a
     lone (0, 0) term, or a Scalar reduced by gcd(den, *numerators)."""
     if not terms:
         return 0
-    if den != 1:
-        g = gcd(den, *terms.values())
-        if g != 1:
-            den //= g
-            terms = {k: c // g for k, c in terms.items()}
+    den, terms, _ = _cancel(den, terms)
     if len(terms) == 1 and _RKEY in terms:
         c = terms[_RKEY]
         return c if den == 1 else Fraction(c, den)
@@ -196,22 +221,8 @@ class Scalar:
                          self.den * other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
-        L = _LEVEL
-        terms = {}
-        for (p1, k1), c1 in self.terms.items():
-            for (p2, k2), c2 in other.terms.items():
-                k = k1 + k2
-                c = c1 * c2
-                if k >= L:
-                    k -= L
-                    c = -c
-                key = (p1 + p2, k)
-                s = terms.get(key, 0) + c
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-        return _fold(terms, self.den * other.den)
+        return _fold(_mul_into({}, self.terms, other.terms),
+                     self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -263,6 +274,25 @@ class Scalar:
                 factors.append("e(%s)" % q)
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+def _mul_into(terms: dict, t1: dict, t2: dict) -> dict:
+    """Add the product of the numerator maps t1 and t2 into terms."""
+    L = _LEVEL
+    for (p1, k1), c1 in t1.items():
+        for (p2, k2), c2 in t2.items():
+            k = k1 + k2
+            c = c1 * c2
+            if k >= L:
+                k -= L
+                c = -c
+            key = (p1 + p2, k)
+            s = terms.get(key, 0) + c
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms
 
 
 # 2^{-1/2} = (e^{pi i/4} - e^{3 pi i/4}) / 2, available at cyclotomic level >= 4
@@ -326,117 +356,301 @@ def binomial(a, k):
     return c.numerator if c.denominator == 1 else c
 
 
-class Vec:
-    """Formal linear combination of basis keys with nonzero coefficients
-    in canonical form."""
+_new = object.__new__
 
-    __slots__ = ("comps",)
+
+def _newvec(rat, phased, den):
+    v = _new(Vec)
+    v._rat = rat
+    v._phased = phased
+    v._den = den
+    return v
+
+
+class Vec:
+    """Formal linear combination of basis keys with exact coefficients:
+    int numerators in `_rat` (basis key -> numerator of the rational part)
+    and `_phased` ((basis key, pi power, phase numerator) -> numerator of
+    the other terms) over the int `_den` >= 1, with gcd(den, *numerators)
+    == 1, so the form is unique and a zero vector is over 1.  `Vec(comps)`
+    builds one from {key: scalar}, dropping zero coefficients."""
+
+    __slots__ = ("_rat", "_phased", "_den")
 
     def __init__(self, comps=None):
-        self.comps = comps or {}
+        acc = VecSum()
+        for key, c in (comps or {}).items():
+            acc.add(Vec.basis(key), c)
+        v = acc.vec()
+        self._rat, self._phased, self._den = v._rat, v._phased, v._den
 
     @staticmethod
     def basis(key) -> "Vec":
-        return Vec({key: 1})
+        # _newvec inline: the constructor the mode recursion calls most
+        v = _new(Vec)
+        v._rat = {key: 1}
+        v._phased = _NONE
+        v._den = 1
+        return v
 
     @staticmethod
     def zero() -> "Vec":
-        return Vec({})
+        return _ZERO
 
     def __add__(self, other):
         if not isinstance(other, Vec):
             return NotImplemented
-        if not self.comps:
-            return other
-        if not other.comps:
-            return self
-        comps = dict(self.comps)
-        acc_vec(comps, other)
-        return Vec(comps)
-
-    def __neg__(self):
-        return Vec({k: -c for k, c in self.comps.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Vec):
+            return NotImplemented
+        return self._plus(other, -1)
+
+    def _plus(self, other, x):
+        if not (other._rat or other._phased):
+            return self
+        if not (self._rat or self._phased):
+            return other if x == 1 else -other
+        acc = _new(VecSum)
+        acc._rat, acc._den = dict(self._rat), self._den
+        acc._phased = dict(self._phased) if self._phased else _NONE
+        acc._add(other, x)
+        return acc.vec()
+
+    def __neg__(self):
+        return _newvec({k: -n for k, n in self._rat.items()},
+                       {e: -n for e, n in self._phased.items()}
+                       if self._phased else _NONE, self._den)
 
     def scale(self, c) -> "Vec":
-        c = exact(c)
-        if not c:
-            return Vec.zero()
-        if c == 1:
+        if type(c) is not int:
+            if isinstance(c, Scalar):
+                acc = VecSum()
+                acc.add(self, c)
+                return acc.vec()
+            c = exact(c)
+        if not (self._rat or self._phased):
             return self
-        return Vec({key: x * c for key, x in self.comps.items()})
+        if type(c) is int:
+            if c == 1:
+                return self
+            if not c:
+                return _ZERO
+            # the numerators stay coprime to den / gcd(c, den)
+            den = self._den
+            g = gcd(c, den)
+            if g != 1:
+                c //= g
+                den //= g
+            return _newvec({k: n * c for k, n in self._rat.items()},
+                           {e: n * c for e, n in self._phased.items()}
+                           if self._phased else _NONE, den)
+        # c = a/b: gcd(a, den) leaves den, gcd(b, *numerators) leaves b
+        a, b = c.numerator, c.denominator
+        g = gcd(a, self._den)
+        a, den = a // g, self._den // g
+        g = gcd(b, *self._rat.values(), *self._phased.values())
+        return _newvec({k: n // g * a for k, n in self._rat.items()},
+                       {e: n // g * a for e, n in self._phased.items()}
+                       if self._phased else _NONE, den * (b // g))
 
     def __eq__(self, other):
         if not isinstance(other, Vec):
             return NotImplemented
-        return self.comps == other.comps
+        return (self._den == other._den and self._rat == other._rat
+                and self._phased == other._phased)
 
     def __hash__(self):
-        return hash(frozenset((k, c) for k, c in self.comps.items()))
+        return hash((self._den, frozenset(self._rat.items()),
+                     frozenset(self._phased.items())))
 
     def __bool__(self):
-        return bool(self.comps)
+        return True if self._rat or self._phased else False
+
+    def _by_key(self) -> dict:
+        """{basis key: {(pi power, phase numerator): numerator}}."""
+        out = {key: {_RKEY: n} for key, n in self._rat.items()}
+        for (key, p, k), n in self._phased.items():
+            t = out.get(key)
+            if t is None:
+                out[key] = {(p, k): n}
+            else:
+                t[(p, k)] = n
+        return out
 
     def items(self):
-        return self.comps.items()
+        """(basis key, coefficient in canonical form), one per basis key."""
+        d = self._den
+        if not self._phased:
+            if d == 1:
+                return self._rat.items()
+            return [(k, exact(Fraction(n, d))) for k, n in self._rat.items()]
+        return [(k, _fold(t, d)) for k, t in self._by_key().items()]
+
+    def keys(self):
+        """The basis keys with a nonzero coefficient."""
+        if not self._phased:
+            return self._rat.keys()
+        return dict.fromkeys(chain(self._rat,
+                                   (e[0] for e in self._phased))).keys()
+
+    @property
+    def comps(self):
+        """A read-only {basis key: coefficient} view."""
+        return MappingProxyType(dict(self.items()))
 
     def coeff(self, key):
-        return self.comps.get(key, 0)
+        return dict(self.items()).get(key, 0)
 
     def __repr__(self):
-        if not self.comps:
+        if not self:
             return "0"
         return " + ".join("(%s)*|%s>" % (c, k) for k, c in sorted(
-            self.comps.items(), key=lambda kv: repr(kv[0])))
+            self.items(), key=lambda kv: repr(kv[0])))
 
 
-def acc_vec(acc: dict, vec: Vec, c=1) -> None:
-    """Accumulate c * vec into a mutable {key: coefficient} dict."""
-    c = exact(c)
-    if not c:
-        return
-    scale = c != 1
-    for key, x in vec.comps.items():
-        if scale:
-            x = x * c
-        s = acc.get(key)
-        if s is None:
-            acc[key] = x
-            continue
-        s = s + x
-        if s:
-            acc[key] = s
+_ZERO = _newvec({}, _NONE, 1)
+
+
+class VecSum:
+    """A sum of scaled vectors built in place: int numerators over one
+    running denominator, raised to the lcm when an added term needs it and
+    cancelled once, when `vec` reads the sum off.  Nothing is added after
+    that."""
+
+    __slots__ = ("_rat", "_phased", "_den")
+
+    def __init__(self):
+        self._rat, self._phased, self._den = {}, _NONE, 1
+
+    def add(self, vec: Vec, c=1) -> None:
+        """Add c * vec."""
+        if type(c) is int:
+            if c:
+                self._add(vec, c)
+        elif isinstance(c, Scalar):
+            for (p, k), x in c.terms.items():
+                self._add(vec, x, c.den, p, k)
         else:
-            del acc[key]
+            c = exact(c)
+            if c:
+                self._add(vec, c.numerator, c.denominator)
 
+    def _add(self, vec, x, b=1, p=0, k=0):
+        """Add x/b * PI^p e(k/M) * vec, for a nonzero int x and an int
+        b >= 1."""
+        d = vec._den * b
+        den = self._den
+        if d != den:
+            # over lcm(den, d) = den * up, where vec's numerators gain den/g
+            g = gcd(den, d)
+            up = d // g
+            if up != 1:
+                self._rat = {e: n * up for e, n in self._rat.items()}
+                if self._phased:
+                    self._phased = {e: n * up
+                                    for e, n in self._phased.items()}
+                self._den = den * up
+            x *= den // g
+        rat = self._rat
+        if not (p or k):
+            for key, n in vec._rat.items():
+                s = rat.get(key, 0) + n * x
+                if s:
+                    rat[key] = s
+                else:
+                    del rat[key]
+            if not vec._phased:
+                return
+        ph = self._phased
+        if ph is _NONE:
+            ph = self._phased = {}
+        if p or k:
+            for key, n in vec._rat.items():
+                e = (key, p, k)
+                s = ph.get(e, 0) + n * x
+                if s:
+                    ph[e] = s
+                else:
+                    del ph[e]
+        L = _LEVEL
+        for (key, p1, k1), n in vec._phased.items():
+            q, j, c = p1 + p, k1 + k, n * x
+            # e(q+1) = -e(q) folds the upper half of the lattice
+            if j >= L:
+                j -= L
+                c = -c
+            if q or j:
+                out, e = ph, (key, q, j)
+            else:
+                out, e = rat, key
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
 
-def vec_of(acc: dict) -> Vec:
-    return Vec({k: c for k, c in acc.items() if c})
+    def vec(self) -> Vec:
+        den, rat, ph = self._den, self._rat, self._phased
+        if den != 1:
+            den, rat, ph = _cancel(den, rat, ph)
+        return _newvec(rat, ph or _NONE, den)
 
 
 def linear(fn, vec: Vec, memo: dict = None) -> Vec:
     """The linear extension of fn: the sum of c * fn(key) over the terms of
-    vec, accumulated in place; fn's value at each key is kept in memo when
-    one is given."""
-    acc = {}
-    for key, c in vec.comps.items():
+    vec, accumulated in place; fn runs once per basis key, and its value at
+    each key is kept in memo when one is given."""
+    rat, ph = vec._rat, vec._phased
+    if memo is None and ph:
+        memo = {}               # a key can carry several phased terms
+    acc = VecSum()
+    add = acc._add
+    one = len(rat) == 1 and not ph and vec._den == 1
+    for key, n in rat.items():
         if memo is None:
             r = fn(key)
         else:
             r = memo.get(key)
             if r is None:
                 r = memo[key] = fn(key)
+        if one and n == 1:
+            return r            # a basis vector goes to its image
         if r:
-            acc_vec(acc, r, c)
-    return vec_of(acc)
+            add(r, n)
+    for (key, p, k), n in ph.items():
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = fn(key)
+        if r:
+            add(r, n, 1, p, k)
+    # the terms of vec were summed as numerators over its den
+    acc._den *= vec._den
+    return acc.vec()
+
+
+def pair(wprime: Vec, vec: Vec):
+    """Pairing against the orthonormal dual of the basis: the sum of the
+    products of the two vectors' coefficients at each basis key."""
+    den = wprime._den * vec._den
+    if not (wprime._phased or vec._phased):
+        get = vec._rat.get
+        s = sum(n * get(k, 0) for k, n in wprime._rat.items())
+        return _fold({_RKEY: s}, den) if s else 0
+    terms = {}
+    other = vec._by_key()
+    for key, t in wprime._by_key().items():
+        u = other.get(key)
+        if u:
+            _mul_into(terms, t, u)
+    return _fold(terms, den)
 
 
 def homogeneous_value(vec: Vec, key_fn):
     """The one value of key_fn over the basis keys of vec, 0 for the zero
     vector; ValueError when the keys disagree."""
-    vals = {key_fn(k) for k in vec.comps}
+    vals = {key_fn(k) for k in vec.keys()}
     if len(vals) > 1:
         raise ValueError("inhomogeneous vector: values %s"
                          % ", ".join(map(str, sorted(vals))))

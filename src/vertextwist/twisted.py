@@ -310,7 +310,7 @@ def check_g_compatibility(W, u, w: Vec, halfwidth) -> CheckResult:
     gu = W.g.apply(u)
     gw = W.g_apply(w)
     pu = W.algebra_parity(u)
-    wparities = {W.parity(key) for key in w.comps}
+    wparities = {W.parity(key) for key in w.keys()}
     modes = Modes(_exponents_of(W, u, -halfwidth, halfwidth), W.log_bound)
     Y = {(n, k): W.mode_vec(u, n, k, w) for n, k, _ in modes.rows}
     inputs = _inputs(u=u, w=w)

@@ -9,6 +9,7 @@ here are genuine statements about the twisted module data.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import partial
 from math import factorial, gcd
@@ -16,7 +17,7 @@ from math import factorial, gcd
 from .automorphism import nilpotent_power_coeffs
 from .chains import ChainSeries, OpSlot, pole_order
 from .results import CheckResult, compare
-from .scalars import Scalar, Vec, acc_vec, binomial, linear, vec_of
+from .scalars import Scalar, Vec, VecSum, binomial, linear
 from .series import (D, BinomialKernel, Box, Product, Series, Sum,
                      TermSeries, _TermMap, acc_terms, delta_derivative,
                      delta_iter, delta_prod, delta_prod_rev, exponent,
@@ -69,7 +70,7 @@ class TwistOpSlot:
         W = self.module
         V = W.V
         sgn = (-1) ** (V.parity(vkey) * self.parity)
-        bases = {}                    # j -> b_j as a {key: scalar} dict
+        bases = defaultdict(VecSum)   # j -> b_j, summed in place
         n_hi = lattice(self.wt + V.weight(vkey)) - D
         for beta, piece in W.g.alpha_decompose_key(vkey).items():
             # the modes N >= -p - D of the coset beta, each lifted by
@@ -82,12 +83,12 @@ class TwistOpSlot:
                         continue
                     phase = Scalar.e(exponent(-N - D)) * binomial(ksrc, k) \
                         * (Scalar.pi() ** (ksrc - k))
-                    acc_vec(bases.setdefault(j, {}), base, sgn * phase)
+                    bases[j].add(base, sgn * phase)
         out = Vec.zero()
         for j in range(max(bases, default=-1), -1, -1):
             if out:
                 out = W.L_minus1(out).scale(Fraction(1, j + 1))
-            out = out + vec_of(bases.get(j, {}))
+            out = out + bases[j].vec()
         return out
 
 
@@ -399,7 +400,7 @@ def check_mixed_product(W, tw_vs, w_arg: Vec, alg_vs, v: Vec,
     if l > 1:
         raise ValueError("at most one algebra operator right of the twist "
                          "slot admits an exact re-centered comparison")
-    if l and any(key != W.V.vac for key in v.comps):
+    if l and any(key != W.V.vac for key in v.keys()):
         raise ValueError("an algebra operator right of the twist slot admits "
                          "an exact re-centered comparison only with v the "
                          "vacuum")

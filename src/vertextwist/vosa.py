@@ -26,7 +26,7 @@ from .errors import DegenerateForm
 from .linalg import mat_identity, solve
 from .modes import ModeOracle
 from .results import CheckResult, Modes, compare, first_failure
-from .scalars import Vec, acc_vec, exact, linear, vec_of
+from .scalars import Vec, VecSum, exact, linear
 from .series import (D, BinomialKernel, Box, Product, exponent, lattice,
                      lattice_coset, scaled)
 
@@ -168,15 +168,14 @@ class FreeFieldAlgebra(Space):
         """L(-1) on one PBW key, as a derivation: a factor of weight n of a
         generator of weight h goes to n - h + 1 times the factor one weight
         up."""
-        acc = {}
+        acc = VecSum()
         for f in dict.fromkeys(key):
             gi = self.gen_index(f)
             rest, c = fock_move(key, f, False, self.gens[gi].parity)
-            acc_vec(acc, self.gen_apply(gi,
-                                        lattice(self.spec_mode(self._bump(f))),
-                                        rest),
+            acc.add(self.gen_apply(gi, lattice(self.spec_mode(self._bump(f))),
+                                   rest),
                     (self.factor_weight(f) - self.gen_weight(gi) + 1) * c)
-        return vec_of(acc)
+        return acc.vec()
 
     def _bump(self, factor):
         raise NotImplementedError
@@ -318,7 +317,7 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
                     continue
                 key = tuple(sorted([(1, i), (1, j)], reverse=True))
                 comps[key] = comps.get(key, F0) + c
-        return Vec({k: c for k, c in comps.items() if c})
+        return Vec(comps)
 
 
 # ---------------------------------------------------------------------------

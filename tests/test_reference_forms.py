@@ -30,7 +30,9 @@ delta-derivative kernels as three nodes, each with its own j-range
 arithmetic.  `loop_coset_range` walks a coset of rational exponents, and
 `FractionOpSlot` and `FractionTwistOpSlot` are the chain slots under the
 rational slot protocol: cosets as rationals in [0, 1), a coefficient
-requested at the rational exponent.  All are kept here only as
+requested at the rational exponent.  `RefVec` is a vector as a dict of
+canonical coefficients, summed by `ref_acc_vec` one coefficient at a time,
+with `ref_linear` and `ref_pair` over it.  All are kept here only as
 references for the engine's shortcuts (lattice-int mode indices, the vacuum
 collapse, Horner's rule, the Jordan parts
 split once on the generator block, with K a derivation, the one verdict
@@ -38,8 +40,9 @@ path, integer numerators over one denominator, int binomials, the
 inverse by Galois conjugates, one term-map node for every term-wise
 series transform, every identity side a series node, and one Fock move,
 one key enumerator and one truncated mode expansion, monomials packed
-into one int, one binomial kernel node, and lattice ints from the chain
-to the mode oracle), which must give equal results.
+into one int, one binomial kernel node, lattice ints from the chain
+to the mode oracle, and vectors as int numerators over one denominator),
+which must give equal results.
 """
 
 from fractions import Fraction
@@ -68,9 +71,9 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import (HALF_SQRT2, CyclotomicLevelError, Scalar,
-                                 Vec, acc_vec, binomial, cyclotomic_level,
+                                 Vec, VecSum, binomial, cyclotomic_level,
                                  exact, exponent, inverse, lattice, linear,
-                                 scalar_json, terms_of, vec_of)
+                                 pair, scalar_json, terms_of)
 from vertextwist.series import (D, BinomialKernel, Box, Series, TermSeries,
                                 _LIMIT, binomial_expand, branch_shift, c_mul,
                                 delta_derivative, delta_iter, delta_prod,
@@ -114,11 +117,11 @@ class LoopModeOracle:
         return self._memo[key]
 
     def apply_vec(self, uvec: Vec, n, wvec: Vec) -> Vec:
-        acc = {}
+        acc = VecSum()
         for ukey, cu in uvec.items():
             for wkey, cw in wvec.items():
-                acc_vec(acc, self.apply(ukey, n, wkey), cu * cw)
-        return vec_of(acc)
+                acc.add(self.apply(ukey, n, wkey), cu * cw)
+        return acc.vec()
 
     def _compute(self, ukey, n, wkey) -> Vec:
         if not ukey:
@@ -130,7 +133,7 @@ class LoopModeOracle:
         q = self.alpha(gidx) + self.shift
         sgn = -1 if (alg.gen_parity(gidx) and alg.parity(rest)) else 1
 
-        acc = {}
+        acc = VecSum()
         m_lo = n + t - (self.deg(wkey) + alg.weight(rest) - 1)
         m = q + t
         while m >= m_lo:
@@ -139,7 +142,7 @@ class LoopModeOracle:
                 j = q + t - m
                 c = binomial(t, j) * (1 if int(j) % 2 == 0 else -1)
                 if c:
-                    acc_vec(acc, linear(
+                    acc.add(linear(
                         lambda k: self.gen_action(gidx, lattice(m), k),
                         inner), c)
             m -= 1
@@ -153,7 +156,7 @@ class LoopModeOracle:
                 if c:
                     part = self.apply_vec(Vec.basis(rest), n + t - m, gw)
                     if part:
-                        acc_vec(acc, part, -c)
+                        acc.add(part, -c)
             m += 1
         r = t + 1
         r_hi = alg.weight(rest) + alg.gen_weight(gidx) - 1
@@ -164,9 +167,9 @@ class LoopModeOracle:
                 if c:
                     part = self.apply_vec(comp, n + t - r, Vec.basis(wkey))
                     if part:
-                        acc_vec(acc, part, -c)
+                        acc.add(part, -c)
             r += 1
-        return vec_of(acc)
+        return acc.vec()
 
 
 def loop_coset_range(lo, hi, offset):
@@ -246,12 +249,12 @@ class FractionTwistOpSlot:
                         continue
                     phase = Scalar.e(-n - 1) * binomial(ksrc, k) \
                         * (Scalar.pi() ** (ksrc - k))
-                    acc_vec(bases.setdefault(j, {}), base, sgn * phase)
+                    bases.setdefault(j, VecSum()).add(base, sgn * phase)
         out = Vec.zero()
         for j in range(max(bases, default=-1), -1, -1):
             if out:
                 out = W.L_minus1(out).scale(Fraction(1, j + 1))
-            out = out + vec_of(bases.get(j, {}))
+            out = out + bases.get(j, VecSum()).vec()
         return out
 
 
@@ -260,7 +263,7 @@ def loop_apply_key(slot, e, k, vkey) -> Vec:
     W = slot.module
     V = W.V
     sgn = (-1) ** (V.parity(vkey) * slot.parity)
-    acc = {}
+    acc = VecSum()
     for beta, piece in W.g.alpha_decompose_key(vkey).items():
         n = beta % 1 + ceil(-e - 1 - beta % 1)
         n_hi = slot.wt + V.weight(vkey) - 1
@@ -276,9 +279,9 @@ def loop_apply_key(slot, e, k, vkey) -> Vec:
                 for _ in range(j):
                     out = W.L_minus1(out)
                 if out:
-                    acc_vec(acc, out, sgn * phase * Fraction(1, factorial(j)))
+                    acc.add(out, sgn * phase * Fraction(1, factorial(j)))
             n += 1
-    return vec_of(acc)
+    return acc.vec()
 
 
 def log_series_K(g, key) -> Vec:
@@ -1954,3 +1957,173 @@ def test_pole_order_scans_match_loop_scans(algebras, modules):
                 orders.add(M)
     # the scans stop at more than one order
     assert len(orders) > 2
+
+
+# ---------------------------------------------------------------------------
+# vectors as dicts of canonical coefficients
+# ---------------------------------------------------------------------------
+
+class RefVec:
+    """A vector as {basis key: nonzero coefficient in canonical form}, every
+    operation a loop of ring operations on single coefficients."""
+
+    def __init__(self, comps=None):
+        self.comps = comps or {}
+
+    def __add__(self, other):
+        comps = dict(self.comps)
+        ref_acc_vec(comps, other)
+        return ref_vec_of(comps)
+
+    def __neg__(self):
+        return RefVec({k: -c for k, c in self.comps.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = exact(c)
+        if not c:
+            return RefVec()
+        return RefVec({key: x * c for key, x in self.comps.items()})
+
+    def __eq__(self, other):
+        return self.comps == other.comps
+
+    def __hash__(self):
+        return hash(frozenset(self.comps.items()))
+
+    def __bool__(self):
+        return bool(self.comps)
+
+    def coeff(self, key):
+        return self.comps.get(key, 0)
+
+    def __repr__(self):
+        if not self.comps:
+            return "0"
+        return " + ".join("(%s)*|%s>" % (c, k) for k, c in sorted(
+            self.comps.items(), key=lambda kv: repr(kv[0])))
+
+
+def ref_acc_vec(acc: dict, vec: RefVec, c=1) -> None:
+    c = exact(c)
+    if not c:
+        return
+    for key, x in vec.comps.items():
+        s = acc.get(key, 0) + x * c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+def ref_vec_of(acc: dict) -> RefVec:
+    return RefVec({k: c for k, c in acc.items() if c})
+
+
+def ref_linear(fn, vec: RefVec, memo: dict = None) -> RefVec:
+    acc = {}
+    for key, c in vec.comps.items():
+        if memo is None:
+            r = fn(key)
+        else:
+            r = memo.get(key)
+            if r is None:
+                r = memo[key] = fn(key)
+        ref_acc_vec(acc, r, c)
+    return ref_vec_of(acc)
+
+
+def ref_pair(wprime: RefVec, vec: RefVec):
+    out = 0
+    for key, c in wprime.comps.items():
+        out = out + c * vec.coeff(key)
+    return out
+
+
+def as_ref(v: Vec) -> RefVec:
+    return RefVec(dict(v.items()))
+
+
+def assert_same_vec(got: Vec, want: RefVec):
+    """got is want in every form a report or a caller reads, and its own
+    form is canonical: numerators with no common factor with the
+    denominator, and the zero vector over 1."""
+    assert repr(got) == repr(want)
+    assert dict(got.items()) == want.comps == dict(got.comps)
+    assert all(got.coeff(k) == c for k, c in want.comps.items())
+    assert list(got.keys()) == list(dict(got.items()))
+    assert bool(got) == bool(want)
+    nums = list(got._rat.values()) + list(got._phased.values())
+    assert all(type(n) is int and n for n in nums)
+    assert gcd(got._den, *nums) == 1
+    assert all((p, k) != (0, 0) and 0 <= k < cyclotomic_level()
+               for _, p, k in got._phased)
+
+
+vec_coeffs = st.builds(evaluate, ring_exprs, st.just(Scalar))
+vec_comps = st.dictionaries(st.integers(0, 5), vec_coeffs, max_size=4)
+vec_scales = st.one_of(st.integers(-4, 4), nonzero_rationals,
+                       ring_exprs.map(lambda e: evaluate(e, Scalar)))
+
+
+@given(vec_comps, vec_comps, vec_scales, vec_scales,
+       st.dictionaries(st.integers(0, 5), vec_comps, min_size=6))
+@settings(max_examples=100, deadline=None)
+def test_vec_form_matches_dict_reference(a, b, c, d, table):
+    va, vb = Vec(a), Vec(b)
+    ra, rb = RefVec({k: x for k, x in a.items() if x}), \
+        RefVec({k: x for k, x in b.items() if x})
+    assert_same_vec(va, ra)
+    assert_same_vec(vb, rb)
+    for got, want in ((va + vb, ra + rb), (va - vb, ra - rb), (-va, -ra),
+                      (va.scale(c), ra.scale(c)), (vb.scale(d), rb.scale(d)),
+                      (va.scale(c) + vb.scale(d),
+                       ra.scale(c) + rb.scale(d))):
+        assert_same_vec(got, want)
+    assert (va == vb) == (ra == rb)
+    assert va - vb == (va + vb.scale(-1)) and hash(va - vb) == hash(
+        va + vb.scale(-1))
+    assert pair(va, vb) == ref_pair(ra, rb)
+    # a sum built in place
+    acc, ref = VecSum(), {}
+    for v, r, x in ((va, ra, c), (vb, rb, d), (va, ra, d), (vb, rb, -1)):
+        acc.add(v, x)
+        ref_acc_vec(ref, r, x)
+    assert_same_vec(acc.vec(), ref_vec_of(ref))
+    # the linear extension of a table, with and without a memo
+    vtable = {k: Vec(t) for k, t in table.items()}
+    rtable = {k: RefVec({j: x for j, x in t.items() if x})
+              for k, t in table.items()}
+    for v, r in ((va, ra), (va.scale(c) - vb, ra.scale(c) - rb)):
+        calls = []
+
+        def fn(k):
+            calls.append(k)
+            return vtable[k]
+        memo = {}
+        assert_same_vec(linear(fn, v), ref_linear(rtable.__getitem__, r))
+        assert_same_vec(linear(fn, v, memo), ref_linear(rtable.get, r, {}))
+        # fn runs once per basis key, not once per term of a coefficient
+        assert sorted(calls) == sorted(list(v.keys()) * 2)
+        assert memo == {k: vtable[k] for k in v.keys()}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_vec_matches_double_loop(modules, data):
+    W = modules["ramond"]
+    oracle = W.oracle
+    ukeys, wkeys = W.V.basis(2), W.basis(2)
+    u = Vec(data.draw(st.dictionaries(st.sampled_from(ukeys), vec_coeffs,
+                                      max_size=3)))
+    w = Vec(data.draw(st.dictionaries(st.sampled_from(wkeys), vec_coeffs,
+                                      max_size=3)))
+    # the half-integer lattice ints, where a third of the modes is nonzero
+    N = data.draw(st.integers(-8, 4)) * (D // 2)
+    acc = {}
+    for ukey, cu in u.items():
+        for wkey, cw in w.items():
+            ref_acc_vec(acc, as_ref(oracle.apply(ukey, N, wkey)), cu * cw)
+    assert_same_vec(oracle.apply_vec(u, N, w), ref_vec_of(acc))

@@ -87,6 +87,21 @@ def test_vec_arithmetic():
     assert v.coeff("a") == 1
 
 
+def test_vec_construction_is_canonical():
+    # a zero coefficient is dropped, a float refused, and every zero vector
+    # is the one zero: falsy, printed 0, over the denominator 1
+    z = Vec({1: 0})
+    assert not z and z == Vec.zero() and hash(z) == hash(Vec.zero())
+    assert repr(z) == "0"
+    assert Vec({1: F(2), 2: 0}) == Vec.basis(1).scale(2)
+    with pytest.raises(TypeError):
+        Vec({1: 2.0})
+    half = Vec({1: F(1, 2), 2: Scalar.e(F(1, 4)) / 3})
+    for zero in (half - half, half + half.scale(-1), half.scale(0),
+                 Vec({1: Scalar.e(1) + 1})):
+        assert zero == Vec.zero() and zero._den == 1 and not zero
+
+
 def test_hash_agrees_with_eq():
     # a Scalar that reduces to its rational part folds to that number, so
     # == and hash are the number's own

@@ -11,8 +11,8 @@ from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_unipotent_toy,
                                 build_z2_twisted_boson)
-from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, acc_vec,
-                                 binomial, vec_of)
+from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, VecSum,
+                                 binomial)
 from vertextwist.series import (D, Box, TermSeries, exponent, lattice,
                                 lattice_coset, mono)
 from vertextwist.twistop import (check_gen_commutator,
@@ -301,12 +301,12 @@ def faulty_apply_key(horner_shift=1, phase=True):
                     c = binomial(ksrc, k) * (Scalar.pi() ** (ksrc - k))
                     if phase:
                         c = Scalar.e(exponent(-N - D)) * c
-                    acc_vec(bases.setdefault(j, {}), base, sgn * c)
+                    bases.setdefault(j, VecSum()).add(base, sgn * c)
         out = Vec.zero()
         for j in range(max(bases, default=-1), -1, -1):
             if out:
                 out = W.L_minus1(out).scale(F(1, j + horner_shift))
-            out = out + vec_of(bases.get(j, {}))
+            out = out + bases.get(j, VecSum()).vec()
         return out
     return _apply_key
 

@@ -288,13 +288,17 @@ def test_index_path_converts_no_index():
     assert not found, found
 
 
-# the helpers and constants that read a Scalar's stored form
-SCALAR_FORM = {"terms_of", "iter_terms", "_fold", "_RKEY", "_LEVEL"}
+# the helpers and constants that read a Scalar's stored form, and the
+# stored names and helpers of a Vec's
+SCALAR_FORM = {"terms_of", "iter_terms", "_fold", "_RKEY", "_LEVEL",
+               "_cancel", "_mul_into", "_rat", "_phased", "_den", "_newvec",
+               "_new", "_NONE", "_ZERO", "_by_key", "_add"}
 
 
 def test_scalar_form_stays_in_scalars():
-    # only scalars.py knows how a Scalar is stored; every other module goes
-    # through the ring's operations, `inverse` and `phase_turns`
+    # only scalars.py knows how a Scalar or a Vec is stored; every other
+    # module goes through the ring's and the vectors' operations, `linear`,
+    # `pair`, `inverse` and `phase_turns`
     found = sorted(
         (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
         if path.name != "scalars.py"
