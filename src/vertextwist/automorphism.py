@@ -233,7 +233,7 @@ class Automorphism:
 
 
 def parity_automorphism(V) -> Automorphism:
-    images = {g.name: Vec.basis(V.gen_key(i)).scale((-1) ** g.parity)
+    images = {g.name: Vec.basis(V.gen_key(i), (-1) ** g.parity)
               for i, g in enumerate(V.gens)}
     return Automorphism(V, images, name="parity")
 

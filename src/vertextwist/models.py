@@ -63,13 +63,12 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
             moved = fock_move(occ, abs(p), p < 0, True)
             if moved is None:
                 return Vec.zero()
-            return Vec.basis((sector, moved[0])).scale(moved[1] * sgn)
+            return Vec.basis((sector, moved[0]), moved[1] * sgn)
         # zero mode: anticommute through occ, then flip the vacuum pair
         z = zscale
         if fault == "zero-mode-sector-sign" and sector == 1:
             z = -zscale   # breaks psi_0^2 = 1/2
-        flip = Vec.basis((1 - sector, occ)).scale(z)
-        return flip.scale((-1) ** len(occ))
+        return Vec.basis((1 - sector, occ), -z if len(occ) % 2 else z)
 
     deg = lambda key: sum(key[1])
     par = lambda key: (key[0] + len(key[1])) % 2
@@ -109,7 +108,7 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
         k = Fraction(o, 2)
         if fault == "twisted-bracket-sign":
             k = -k
-        return Vec.basis(moved[0]).scale(k * moved[1])
+        return Vec.basis(moved[0], k * moved[1])
 
     deg = lambda key: Fraction(sum(key), 2)
     par = lambda key: 0

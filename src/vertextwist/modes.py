@@ -18,7 +18,10 @@ automorphism acts semisimply on the module (no log terms are generated).
 When u' is the vacuum its only nonzero mode is (Y)_(-1)(1) = 1, so each of
 the first two sums collapses to its one term m = n+t+1, kept when m lies in
 that sum's range; the corrections from a_(r)u' stay (a_(r)1 is nonzero for
-r <= -2).
+r <= -2).  For u = a_(-1)1 (t = -1) that term is m = n with coefficient 1
+on both sides of the coset, n <= q - 1 and q <= n <= m_hi, and there is no
+correction, as a_(r)1 = 0 for r >= 0: Y(a_(-1)1, x) = Y(a, x), so such a
+key returns the seed (Y)_n(a) w before q is formed.
 
 Mode indices are lattice ints: N stands for n = N/D on (1/D)Z, D the
 cyclotomic level, the same lattice the series exponents live on.  Index
@@ -99,6 +102,9 @@ class ModeOracle:
         head, rest = ukey[0], ukey[1:]
         gidx = alg.gen_index(head)
         t = alg.spec_mode(head)
+        if t == -1 and not rest:
+            # a_(-1)1 = a: the seed itself (see the module docstring)
+            return self.gen_action(gidx, N, wkey)
         T = t * D
         q = self.alpha(gidx) + self.shift     # the coset offset, rational
         Q = lattice(q)

@@ -385,13 +385,22 @@ class Vec:
         self._rat, self._phased, self._den = v._rat, v._phased, v._den
 
     @staticmethod
-    def basis(key) -> "Vec":
-        # _newvec inline: the constructor the mode recursion calls most
-        v = _new(Vec)
-        v._rat = {key: 1}
-        v._phased = _NONE
-        v._den = 1
-        return v
+    def basis(key, c=1) -> "Vec":
+        """The basis vector of key times the exact scalar c, in one step:
+        the form of Vec.basis(key).scale(c)."""
+        if type(c) is int and c:
+            # _newvec inline: the constructor the mode recursion calls most
+            v = _new(Vec)
+            v._rat = {key: c}
+            v._phased = _NONE
+            v._den = 1
+            return v
+        c = exact(c)
+        if isinstance(c, Scalar):
+            return Vec.basis(key).scale(c)
+        if not c:
+            return _ZERO
+        return _newvec({key: c.numerator}, _NONE, c.denominator)
 
     @staticmethod
     def zero() -> "Vec":

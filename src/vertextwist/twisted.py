@@ -91,7 +91,7 @@ class ModuleBase(Space):
             for key in self.basis(F0):
                 got = self.L0(Vec.basis(key))
                 c = got.coeff(key)
-                if got != Vec.basis(key).scale(c):
+                if got != Vec.basis(key, c):
                     raise ExtensionInconsistent("L(0) is not diagonal on degree 0")
                 vals.add(c)
             if len(vals) != 1:
@@ -106,8 +106,8 @@ class ModuleBase(Space):
         return first_failure("L0-grading-W", {"max_deg": str(max_deg)}, (
             modes.compare("L0-grading-W", {"w": str(key)},
                           lambda n, k: self.L0(Vec.basis(key)),
-                          lambda n, k: Vec.basis(key).scale(
-                              Fraction(h + self.deg(key))))
+                          lambda n, k: Vec.basis(
+                              key, Fraction(h + self.deg(key))))
             for key in self.basis(max_deg)))
 
     def spectrum(self, max_deg) -> list:
@@ -147,7 +147,7 @@ class TwistedModule(ModuleBase):
         return self._parity(key)
 
     def g_apply(self, vec: Vec) -> Vec:
-        return linear(lambda key: Vec.basis(key).scale(self._g_scale(key)),
+        return linear(lambda key: Vec.basis(key, self._g_scale(key)),
                       vec)
 
     def alpha_of_key(self, key) -> Fraction:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 
 from .chains import Space, pole_order
@@ -182,6 +183,7 @@ class FreeFieldAlgebra(Space):
 
     @property
     def omega(self) -> Vec:
+        """The conformal vector; a subclass builds it once per algebra."""
         raise NotImplementedError
 
 
@@ -230,9 +232,9 @@ class FermionAlgebra(FreeFieldAlgebra):
             sgn = -1 if self.fault == "clifford-sign" else 1
         else:
             sgn = -1 if self.fault == "creation-sign" and -o >= 5 else 1
-        return Vec.basis(moved[0]).scale(moved[1] * sgn)
+        return Vec.basis(moved[0], moved[1] * sgn)
 
-    @property
+    @cached_property
     def omega(self) -> Vec:
         c = FH
         if self.fault == "omega-scale":
@@ -300,10 +302,10 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
             g = self.bracket(i, f[1])
             if g:
                 rest, count = fock_move(key, f, False, False)
-                out = out + Vec.basis(rest).scale(p * g * count)
+                out = out + Vec.basis(rest, p * g * count)
         return out
 
-    @property
+    @cached_property
     def omega(self) -> Vec:
         if self.degenerate:
             raise DegenerateForm("Gram matrix is singular; no conformal vector")
@@ -358,7 +360,7 @@ def check_axioms(V, max_weight, halfwidth=4) -> list:
         # L(0) = omega_(1) acts by the weight, and L(-1) = omega_(0)
         scan("L0-grading", lambda u: (-2 * D,),
              lambda u, n: V.mode_vec(omega, n, 0, Vec.basis(u)),
-             lambda u, n: Vec.basis(u).scale(Fraction(V.weight(u))))
+             lambda u, n: Vec.basis(u, Fraction(V.weight(u))))
         scan("L(-1)-from-omega", lambda u: (-D,),
              lambda u, n: V.mode_vec(omega, n, 0, Vec.basis(u)),
              lambda u, n: V.L_minus1(Vec.basis(u)))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from vertextwist.series import _LIMIT, D
 # the least window half-width and log bound beyond the packed field range
 WIDE_WINDOW = str(_LIMIT // D)
 WIDE_LOGS = str(_LIMIT)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_expand_fermion_two_point(capsys):
@@ -246,3 +251,21 @@ def test_expand_mode_off_the_lattice_is_zero(capsys):
     # psi(1/3) has no mode on the (1/16)Z lattice, so it acts as zero
     assert main(["expand", "fermion", "Y(psi(1/3) 1,x) psi"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def _python_m(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "vertextwist", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_python_m_runs_the_cli():
+    run = ["run", "--model", "z2boson", "--suite", "twist-all",
+           "--window", "1", "--max-weight"]
+    ok = _python_m(*run, "1/2")
+    assert ok.returncode == 0, ok.stderr
+    bad = _python_m(*run, "-1")
+    assert bad.returncode == 2
+    assert [line for line in bad.stderr.splitlines()
+            if line.startswith("error:")] == [bad.stderr.strip()]

@@ -2,7 +2,9 @@
 
 `LoopModeOracle` indexes modes by rational n, not lattice ints, and its
 `_compute` walks both coset sums of the mode recursion in full, also when
-the tail u' is the vacuum; `loop_apply_key` applies L(-1)
+the tail u' is the vacuum, and `vacuum_branch_generator_mode` evaluates
+a generator a = a_(-1)1 through the recursion's vacuum branch, where the
+engine reads the seed; `loop_apply_key` applies L(-1)
 j times to every base vector separately.  The `loop_*` verdicts judge an
 identity basis pair by basis pair and mode by mode with their own loop, as
 the checkers did before they stated two sides for `results.compare`.
@@ -41,7 +43,8 @@ inverse by Galois conjugates, one term-map node for every term-wise
 series transform, every identity side a series node, and one Fock move,
 one key enumerator and one truncated mode expansion, monomials packed
 into one int, one binomial kernel node, lattice ints from the chain
-to the mode oracle, and vectors as int numerators over one denominator),
+to the mode oracle, vectors as int numerators over one denominator, and
+a generator's modes read from its seed),
 which must give equal results.
 """
 
@@ -419,6 +422,53 @@ def test_mode_recursion_matches_loop_form(algebras, modules, shift):
                     got = new.apply(ukey, lattice(n), wkey)
                     assert got == ref.apply(ukey, n, wkey), \
                         (name, ukey, n, wkey)
+                    compared += bool(got)
+    assert compared
+
+
+def vacuum_branch_generator_mode(oracle, gidx, N, wkey) -> Vec:
+    """(Y)_N(a_(-1)1) w, a generator gidx, by the vacuum branch of the mode
+    recursion: the one term m = N + T + D of each coset sum, kept under that
+    sum's range, and the corrections from a_(r)1."""
+    alg = oracle.algebra
+    t, T = -1, -D
+    q = oracle.alpha(gidx) + oracle.shift
+    Q = lattice(q)
+    m_hi = lattice(oracle.deg(wkey)) + lattice(alg.gen_weight(gidx)) - D
+    acc = VecSum()
+    m = N + T + D
+    c = 0
+    if m <= Q + T:
+        c += binomial(t, (Q + T - m) // D)
+    if Q <= m <= m_hi:
+        c -= binomial(t, (m - Q) // D)
+    if c:
+        acc.add(oracle.gen_action(gidx, m, wkey),
+                c * (-1 if (Q + T - m) // D % 2 else 1))
+    for r in range(T + D, lattice(alg.gen_weight(gidx)), D):
+        comp = alg.gen_apply(gidx, r, ())
+        c = binomial(q, (r - T) // D)
+        if comp and c:
+            acc.add(oracle.apply_vec(comp, N + T - r, Vec.basis(wkey)), -c)
+    return acc.vec()
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_generator_modes_match_vacuum_branch(algebras, modules, shift):
+    # every module key to degree 2, every N of the generator's coset from
+    # the top index down 8 steps, on a cold oracle
+    compared = 0
+    for name, o, _, wkeys in _oracle_cases(algebras, modules):
+        new = ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha, shift)
+        for gidx in range(len(o.algebra.gens)):
+            a = o.algebra.gen_key(gidx)
+            for wkey in wkeys:
+                top = new.max_index(a, wkey)
+                top -= (top - new.coset(a)) % D
+                for N in range(top, top - 9 * D, -D):
+                    got = new.apply(a, N, wkey)
+                    assert got == vacuum_branch_generator_mode(
+                        new, gidx, N, wkey), (name, shift, a, N, wkey)
                     compared += bool(got)
     assert compared
 
@@ -2085,6 +2135,13 @@ def test_vec_form_matches_dict_reference(a, b, c, d, table):
     assert (va == vb) == (ra == rb)
     assert va - vb == (va + vb.scale(-1)) and hash(va - vb) == hash(
         va + vb.scale(-1))
+    # a scaled basis vector built in one step, c = 0 among the draws
+    for x in (c, d, 0):
+        got, two = Vec.basis(4, x), Vec.basis(4).scale(x)
+        assert_same_vec(got, RefVec({4: 1}).scale(x))
+        assert (got._rat, got._phased, got._den) == \
+            (two._rat, two._phased, two._den)
+        assert got == two and hash(got) == hash(two)
     assert pair(va, vb) == ref_pair(ra, rb)
     # a sum built in place
     acc, ref = VecSum(), {}

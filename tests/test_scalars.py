@@ -102,6 +102,25 @@ def test_vec_construction_is_canonical():
         assert zero == Vec.zero() and zero._den == 1 and not zero
 
 
+@pytest.mark.parametrize("c", [3, -2, F(-3, 4), F(6, 3),
+                               HALF_SQRT2, Scalar.e(F(1, 4)) / 3, True])
+def test_scaled_basis_in_one_step(c):
+    # the stored form, ==, hash and repr of Vec.basis(key).scale(c)
+    got, two = Vec.basis((2, 1), c), Vec.basis((2, 1)).scale(c)
+    assert (got._rat, got._phased, got._den) == \
+        (two._rat, two._phased, two._den)
+    assert got == two and hash(got) == hash(two) and repr(got) == repr(two)
+    assert got.coeff((2, 1)) == c and list(got.keys()) == [(2, 1)]
+
+
+def test_scaled_basis_zero_and_float():
+    for zero in (Vec.basis(1, 0), Vec.basis(1, F(0)), Vec.basis(1, False)):
+        assert not zero and zero == Vec.zero() and zero._den == 1
+        assert hash(zero) == hash(Vec.zero()) and repr(zero) == "0"
+    with pytest.raises(TypeError):
+        Vec.basis(1, 0.5)
+
+
 def test_hash_agrees_with_eq():
     # a Scalar that reduces to its rational part folds to that number, so
     # == and hash are the number's own

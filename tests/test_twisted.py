@@ -5,9 +5,11 @@ import pytest
 
 from vertextwist import twisted
 from vertextwist.errors import ExtensionInconsistent
-from vertextwist.models import (build_free_fermion, build_heisenberg,
-                                build_ramond_module, build_unipotent_toy,
-                                build_z2_twisted_boson, GRAM3, UNIPOTENT3)
+from vertextwist.models import (Registry, build_free_fermion,
+                                build_heisenberg, build_ramond_module,
+                                build_unipotent_toy, build_z2_twisted_boson,
+                                GRAM3, UNIPOTENT3)
+from vertextwist.modes import ModeOracle
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
 from vertextwist.scalars import HALF_SQRT2, Vec
@@ -325,3 +327,18 @@ def test_fault_breaks_jacobi(fermion):
     psi = fermion.gen_vector("psi")
     r = check_twisted_jacobi(broken, psi, psi, Vec.basis((0, ())), 3)
     assert not r.ok and r.first_mismatch
+
+
+@pytest.mark.parametrize("fault", [None, "twisted-bracket-sign"])
+def test_crosscheck_refutes_a_bad_seed_at_weight_2(fault):
+    # the construction rows (the vacuum and h(-1)1) have shift-free modes,
+    # so the faulty module builds; at u = h(-1)h(-1)1 the two residue
+    # shifts disagree under the fault
+    W = Registry(fault=fault).twisted("z2boson")
+    o = W.oracle
+    cold = ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha)
+    if fault is None:
+        cold.crosscheck([((1, 0), (1, 0))], W.basis(1))
+    else:
+        with pytest.raises(ExtensionInconsistent):
+            cold.crosscheck([((1, 0), (1, 0))], W.basis(1))
