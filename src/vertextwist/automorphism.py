@@ -16,12 +16,12 @@ contributing PI^{-1} factors that the scalar ring carries exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .errors import NonCyclotomicSpectrum, NotIsometry, NotNilpotent
 from .linalg import kernel_basis, mat_eq, mat_identity, mat_mul, solve
 from .results import CheckResult, Modes, first_failure
-from .scalars import Scalar, Vec, cyclotomic_level, exact, lattice, linear
+from .scalars import (Scalar, Vec, bilinear, cyclotomic_level, exact, lattice,
+                      linear)
 from .series import D, lattice_coset
 from .vosa import FreeFieldAlgebra
 
@@ -65,15 +65,16 @@ class Automorphism:
         self._apply_memo[key] = out
         return out
 
-    def _create(self, gidx, magnitude, vec: Vec) -> Vec:
-        spec = -magnitude + self.V.gen_weight(gidx) - 1
-        return linear(partial(self.V.gen_apply, gidx, lattice(spec)), vec)
-
     def _create_from(self, gens: Vec, magnitude, vec: Vec) -> Vec:
-        """_create extended linearly in the generator, gens being a vector
-        of generator keys."""
-        return linear(lambda gkey: self._create(self.V.gen_index(gkey[0]),
-                                                magnitude, vec), gens)
+        """A leading factor of weight magnitude created on vec, bilinear in
+        the generator (gens being a vector of generator keys) and in vec."""
+        V = self.V
+        modes = {}
+        for gkey in gens.keys():
+            gi = V.gen_index(gkey[0])
+            modes[gkey] = (gi, lattice(-magnitude + V.gen_weight(gi) - 1))
+        return bilinear(lambda gkey, key: V.gen_apply(*modes[gkey], key),
+                        gens, vec)
 
     def apply(self, vec: Vec) -> Vec:
         return linear(self.apply_key, vec)
@@ -195,7 +196,8 @@ class Automorphism:
         n = self.V.factor_weight(head)
         rest_vec = Vec.basis(rest)
         return self._create_from(self.gen_K(gi), n, rest_vec) \
-            + self._create(gi, n, self.K_apply(rest_vec))
+            + self._create_from(Vec.basis(self.V.gen_key(gi)), n,
+                                self.K_apply(rest_vec))
 
     def gen_K(self, gidx) -> Vec:
         """K on one generator: the log series of e^{-2 pi i S} g there."""
@@ -378,10 +380,15 @@ def check_derivation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckRes
                       lambda n, k: V.mode_vec(K[u], n, 0, Vec.basis(v)), 0))
 
 
+# (PI^-1 / 2)^k, N = K/(2 PI), for every k an exp_terms list can reach
+_N_POWERS = [1]
+while len(_N_POWERS) <= NILPOTENCY_CAP:
+    _N_POWERS.append(_N_POWERS[-1] * Scalar.pi(-1) / 2)
+
+
 def nilpotent_power_coeffs(g: Automorphism, vec: Vec):
     """[N^k v / k!] for k = 0,1,... until zero; the (log x)^k coefficients of x^N v."""
-    half = Scalar.pi(-1) * Fraction(1, 2)   # N = K/(2 PI)
-    return [t.scale(half ** k) for k, t in enumerate(g.exp_terms(vec))]
+    return [t.scale(_N_POWERS[k]) for k, t in enumerate(g.exp_terms(vec))]
 
 
 def check_conjugation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckResult:

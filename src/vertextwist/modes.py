@@ -29,6 +29,10 @@ arithmetic, range tests, memo keys and seed calls are int operations; the
 seeds `gen_action` and `gen_apply` take the lattice int too.  So do the
 callers: a chain slot asks for the mode N = -p - D at its lattice exponent
 p, and `Space.modes` and the checkers walk cosets of lattice ints.
+
+A mode of vectors, `apply_vec`, is one bilinear pass over the key pairs
+of u and w (`scalars.bilinear`): `apply` runs once per (u key, w key)
+pair and the products c_u c_w are summed into one vector.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import ExtensionInconsistent
-from .scalars import Vec, VecSum, binomial, exponent, lattice, linear
+from .scalars import (Vec, VecSum, bilinear, binomial, exponent, lattice,
+                      linear)
 from .series import D           # mode index N stands for N/D
 
 
@@ -92,8 +97,9 @@ class ModeOracle:
         return hit
 
     def apply_vec(self, uvec: Vec, N: int, wvec: Vec) -> Vec:
-        return linear(lambda ukey: linear(partial(self.apply, ukey, N), wvec),
-                      uvec)
+        """(Y)_n(u) w, bilinear in u and w: one `apply` per key pair."""
+        return bilinear(lambda ukey, wkey: self.apply(ukey, N, wkey),
+                        uvec, wvec)
 
     def _compute(self, ukey, N, wkey) -> Vec:
         if not ukey:

@@ -131,8 +131,10 @@ def test_leibniz_rule_without_its_rest_term_is_refused(heis3):
         n = heis3.factor_weight(key[0])
         out = Vec.zero()
         for gkey, c in g.gen_K(heis3.gen_index(key[0])).items():
-            out = out + g._create(heis3.gen_index(gkey[0]), n,
-                                  Vec.basis(key[1:])).scale(c)
+            # (K a)_(-n) on the rest: the creation mode of each generator
+            gi = heis3.gen_index(gkey[0])
+            N = lattice(-n + heis3.gen_weight(gi) - 1)
+            out = out + heis3.gen_apply(gi, N, key[1:]).scale(c)
         return out
     g._K_key = head_term_only
     jordan_decompose(g, 1)   # one factor per key: the rest term is K(vacuum)

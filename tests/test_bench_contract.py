@@ -8,7 +8,8 @@ from `Product._terms_in`, so inlining either one would silently zero them;
 a small product pins both counts.  The mode counters count calls of
 `ModeOracle.apply` and the memo keys they find, so a recursion that went
 around `apply`, or a memo keyed another way, would move them; a small
-oracle sweep pins both.  The twist-slot counters count calls of
+oracle sweep pins both, and `apply_vec` of a 2-key u on a 2-key w pins
+one `apply` per key pair.  The twist-slot counters count calls of
 `TwistOpSlot.apply`, the basis keys they look up and the coefficients
 `_apply_key` computes, so a slot table keyed without w_arg, e or k, or an
 `apply` that went around the table, would move them; a small slot sweep pins
@@ -88,6 +89,30 @@ def test_tracer_counts_mode_oracle_calls_and_memo_hits(monkeypatch):
     assert counts[1]["modes.apply_calls"] == 176
     assert counts[1]["modes.memo_hits"] == 68
     assert "modes.computes" not in counts[1]
+
+
+def test_tracer_counts_one_apply_per_key_pair_of_apply_vec(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+    V = build_heisenberg([[1]])
+    keys = V.basis(2)
+    u = Vec.basis(keys[1]) + Vec.basis(keys[2], Fraction(1, 2))
+    w = Vec.basis(keys[2]) - Vec.basis(keys[3])
+    assert len(u.keys()) == len(w.keys()) == 2
+    N = lattice(Fraction(-1))
+    oracle = V.oracle
+    want = oracle.apply_vec(u, N, w)       # warm: no call recurses below
+    assert want
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        got = oracle.apply_vec(u, N, w)
+    finally:
+        assert tracer.uninstall() is True
+    assert got == want
+    # one `apply` per (u key, w key) pair, as the nested linear form called
+    # it, so the traced mode counters compare across the two forms
+    assert tracer.counts["modes.apply_calls"] == 4
 
 
 def test_tracer_counts_twist_slot_lookups_and_computes(monkeypatch):

@@ -14,8 +14,11 @@ key of V, and
 generalized eigenbasis C: S = C diag(e^{2 pi i alpha}) C^{-1}, K = log(S^{-1}
 g), certified by S e^K = g.  `FractionScalar` is the scalar ring with one
 int or Fraction coefficient per term.  `loop_binomial` forms C(a, k) as a
-falling product over Fractions.  `euclid_inverse` inverts a cyclotomic
-number by extended Euclid on its coefficient list mod x^M + 1.  The
+falling product over Fractions.  `nested_apply_vec` is the mode of
+vectors as a `linear` nested in a `linear`, and
+`per_call_nilpotent_powers` builds (PI^-1 / 2)^k anew for every term.
+`euclid_inverse` inverts a cyclotomic number by extended Euclid on its
+coefficient list mod x^M + 1.  The
 `Loop*` series nodes (scaling, the phase shift behind the branch shift and
 y -> -x, d/dx, the residue and a fixed mode on each vector coefficient)
 each run their own term loop.  `loop_t0_terms`, `loop_twist_recon`,
@@ -43,8 +46,9 @@ inverse by Galois conjugates, one term-map node for every term-wise
 series transform, every identity side a series node, and one Fock move,
 one key enumerator and one truncated mode expansion, monomials packed
 into one int, one binomial kernel node, lattice ints from the chain
-to the mode oracle, vectors as int numerators over one denominator, and
-a generator's modes read from its seed),
+to the mode oracle, vectors as int numerators over one denominator,
+a generator's modes read from its seed, the mode of vectors in one
+bilinear pass, and the powers of N's scalar built once),
 which must give equal results.
 """
 
@@ -55,7 +59,7 @@ from math import ceil, factorial, floor, gcd
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vertextwist.chains import OpSlot
 from vertextwist.automorphism import (NILPOTENCY_CAP,
@@ -2009,6 +2013,30 @@ def test_pole_order_scans_match_loop_scans(algebras, modules):
     assert len(orders) > 2
 
 
+def per_call_nilpotent_powers(g, vec) -> list:
+    """[N^k v / k!] with the scalar (PI^-1 / 2)^k built anew for every call
+    and every term."""
+    half = Scalar.pi(-1) * Fraction(1, 2)   # N = K/(2 PI)
+    return [t.scale(half ** k) for k, t in enumerate(g.exp_terms(vec))]
+
+
+def test_nilpotent_powers_match_per_call_powers(modules):
+    g = modules["heis3-unipotent-view"].g
+    V = g.V
+    vecs = [Vec.basis(key) for key in V.basis(3)]
+    # the vectors u_n v of the conjugation sweep at weight 2, halfwidth 6
+    basis = V.basis(2)
+    vecs += [V.mode_apply(u, n, v) for u in basis for v in basis
+             for n in lattice_coset(-D * 7, D * 5, 0)]
+    longest = 0
+    for v in vecs:
+        got = nilpotent_power_coeffs(g, v)
+        assert got == per_call_nilpotent_powers(g, v), v
+        longest = max(longest, len(got))
+    # N reaches past its first power, so PI^-k / 2^k with k >= 2 is compared
+    assert longest > 2
+
+
 # ---------------------------------------------------------------------------
 # vectors as dicts of canonical coefficients
 # ---------------------------------------------------------------------------
@@ -2167,20 +2195,112 @@ def test_vec_form_matches_dict_reference(a, b, c, d, table):
         assert memo == {k: vtable[k] for k in v.keys()}
 
 
+def nested_apply_vec(oracle, uvec: Vec, N: int, wvec: Vec) -> Vec:
+    """(Y)_N(u) w as a `linear` in u of `linear`s in w: a closure, a
+    partial and a reduced sum for every u key."""
+    return linear(lambda ukey: linear(partial(oracle.apply, ukey, N), wvec),
+                  uvec)
+
+
+def outer_apply_calls(oracle) -> list:
+    """The (u key, w key) of every call of `oracle.apply` made from outside
+    its own recursion, recorded from now on."""
+    calls, inner, depth = [], oracle.apply, [0]
+
+    def apply(ukey, N, wkey):
+        if not depth[0]:
+            calls.append((ukey, wkey))
+        depth[0] += 1
+        try:
+            return inner(ukey, N, wkey)
+        finally:
+            depth[0] -= 1
+    oracle.apply = apply
+    return calls
+
+
+def _phased_vec(data, keys) -> Vec:
+    """A drawn vector over keys plus c e(j/16) at one of them, so that at
+    least one coefficient carries a phase."""
+    v = Vec(data.draw(st.dictionaries(st.sampled_from(keys), vec_coeffs,
+                                      max_size=3)))
+    c = data.draw(nonzero_rationals) * Scalar.e(
+        Fraction(data.draw(st.integers(1, 15)), 16))
+    return v + Vec.basis(data.draw(st.sampled_from(keys)), c)
+
+
+def _unipotent_image(data, g, keys) -> Vec:
+    """g applied to a drawn rational vector of two or three keys."""
+    return g.apply(Vec(data.draw(st.dictionaries(
+        st.sampled_from(keys), nonzero_rationals, min_size=2, max_size=3))))
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_apply_vec_matches_double_loop(modules, data):
     W = modules["ramond"]
-    oracle = W.oracle
+    g = modules["heis3-unipotent-view"].g
+    hkeys = g.V.basis(2)
     ukeys, wkeys = W.V.basis(2), W.basis(2)
-    u = Vec(data.draw(st.dictionaries(st.sampled_from(ukeys), vec_coeffs,
-                                      max_size=3)))
-    w = Vec(data.draw(st.dictionaries(st.sampled_from(wkeys), vec_coeffs,
-                                      max_size=3)))
     # the half-integer lattice ints, where a third of the modes is nonzero
-    N = data.draw(st.integers(-8, 4)) * (D // 2)
+    half_ints = st.integers(-8, 4).map(lambda n: n * (D // 2))
+    cases = [
+        # any ramond vectors: rational or phased on either side, a single
+        # unit basis key, denominator 1, or zero
+        (W.oracle,
+         Vec(data.draw(st.dictionaries(st.sampled_from(ukeys), vec_coeffs,
+                                       max_size=3))),
+         Vec(data.draw(st.dictionaries(st.sampled_from(wkeys), vec_coeffs,
+                                       max_size=3))),
+         data.draw(half_ints)),
+        # ramond vectors with phase terms on both u and w
+        (W.oracle, _phased_vec(data, ukeys), _phased_vec(data, wkeys),
+         data.draw(half_ints)),
+        # heis3 vectors under the unipotent g: several keys, and the -1/2
+        # of its matrix in the denominators
+        (g.V.oracle, _unipotent_image(data, g, hkeys),
+         _unipotent_image(data, g, hkeys), data.draw(st.integers(-6, 3)) * D)]
+    for i, (oracle, u, w, N) in enumerate(cases):
+        if i == 1:
+            assume(u._phased and w._phased)
+        elif i == 2:
+            assume(len(u.keys()) > 1 and len(w.keys()) > 1
+                   and u._den > 1 and w._den > 1)
+        assert_apply_vec_matches_nested(oracle, u, N, w)
+
+
+def assert_apply_vec_matches_nested(oracle, u, N, w):
     acc = {}
     for ukey, cu in u.items():
         for wkey, cw in w.items():
             ref_acc_vec(acc, as_ref(oracle.apply(ukey, N, wkey)), cu * cw)
-    assert_same_vec(oracle.apply_vec(u, N, w), ref_vec_of(acc))
+    want = nested_apply_vec(oracle, u, N, w)
+    assert_same_vec(want, ref_vec_of(acc))
+    # a cold oracle, so that a pair that skipped `apply` would not be
+    # covered by the memo
+    cold = ModeOracle(oracle.algebra, oracle.gen_action, oracle.deg,
+                      oracle.alpha)
+    calls = outer_apply_calls(cold)
+    assert_same_vec(cold.apply_vec(u, N, w), as_ref(want))
+    # apply runs exactly once per (u key, w key) pair, u's keys outermost
+    assert calls == [(a, b) for a in u.keys() for b in w.keys()]
+
+
+def test_apply_vec_matches_nested_on_each_branch(modules):
+    W = modules["ramond"]
+    (u1, u2), (w1, w2) = W.V.basis(2)[1:3], W.basis(2)[1:3]
+    rat_u = Vec.basis(u1, 2) - Vec.basis(u2)            # denominator 1
+    rat_w = Vec.basis(w1, Fraction(1, 3)) + Vec.basis(w2, 5)
+    ph_u = Vec.basis(u1, Scalar.e(Fraction(3, 16))) + Vec.basis(u2, 1)
+    ph_w = Vec.basis(w2, Fraction(-1, 2) * Scalar.e(Fraction(15, 16)))
+    pairs = [(ph_u, rat_w), (rat_u, ph_w), (ph_u, ph_w), (rat_u, rat_w),
+             (Vec.basis(u1), Vec.basis(w1)),    # the unit basis pair
+             (Vec.basis(u1, 2), Vec.basis(w1)),
+             (Vec.basis(u1), Vec.basis(w1, Fraction(1, 3))),
+             (Vec.zero(), rat_w), (rat_u, Vec.zero()), (ph_u, Vec.zero())]
+    for u, w in pairs:
+        for N in (-3 * (D // 2), -D, -(D // 2)):
+            assert_apply_vec_matches_nested(W.oracle, u, N, w)
+        # at a half-integer mode every pair of nonzero vectors here has a
+        # nonzero image, so no branch is compared on zeros alone
+        assert bool(W.oracle.apply_vec(u, -(D // 2), w)) == bool(u and w)
