@@ -1,4 +1,4 @@
-"""Concrete algebras, automorphisms and twisted modules, plus model files.
+"""Concrete algebras, automorphisms and twisted modules; the shipped models.
 
 Shipped models: the free fermion with its parity automorphism and its
 zero-mode-carrying twisted module; the rank-1 Heisenberg algebra with the
@@ -14,13 +14,11 @@ for h(-k), k in Z + 1/2.
 
 from __future__ import annotations
 
-import configparser
-import importlib.resources
 from fractions import Fraction
 
 from .automorphism import Automorphism, orthogonal_automorphism, \
     parity_automorphism
-from .scalars import HALF_SQRT2, CyclotomicLevelError, Vec, cyclotomic_level
+from .scalars import HALF_SQRT2, Vec
 from .series import D
 from .twisted import TwistedModule, UnipotentViewModule
 from .vosa import FermionAlgebra, HeisenbergAlgebra, fock_keys, fock_move
@@ -124,20 +122,16 @@ def build_unipotent_toy(heis3: HeisenbergAlgebra, unip: Automorphism):
 
 
 # ---------------------------------------------------------------------------
-# model files
+# the shipped models
 # ---------------------------------------------------------------------------
 
 GRAM3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
 UNIPOTENT3 = [[1, Fraction(-1, 2), 1], [0, 1, 0], [0, -1, 1]]
 
 
-def _parse_matrix(text):
-    return [[Fraction(x.strip()) for x in row.split(",")]
-            for row in text.split(";")]
-
-
 class ModelBundle:
-    """Everything one model file defines: algebra, automorphisms, twisted modules."""
+    """One shipped model: its algebra, and its automorphisms and twisted
+    modules by name."""
 
     def __init__(self, model_id, algebra, automorphisms, twisted):
         self.id = model_id
@@ -146,72 +140,28 @@ class ModelBundle:
         self.twisted = twisted
 
 
-def load_model_file(path_or_text, fault=None) -> ModelBundle:
-    cp = configparser.ConfigParser()
-    if "\n" in str(path_or_text):
-        cp.read_string(path_or_text)
-    else:
-        with open(path_or_text) as fh:
-            cp.read_string(fh.read())
-    m = cp["model"]
-    level = int(m.get("level", cyclotomic_level()))
-    if level != cyclotomic_level():
-        raise CyclotomicLevelError(
-            "model requires cyclotomic level %d but the engine works at "
-            "level %d" % (level, cyclotomic_level()))
-    kind = m["kind"]
-    if kind == "fermion":
-        algebra = build_free_fermion(fault=fault)
-    elif kind == "heisenberg":
-        gram = _parse_matrix(m["gram"])
-        names = [s.strip() for s in m["names"].split(",")] if "names" in m else None
-        algebra = build_heisenberg(gram, names=names, fault=fault)
-    else:
-        raise ValueError("unknown algebra kind %r" % kind)
-
-    autos = {}
-    twisted = {}
-    for section in cp.sections():
-        if section.startswith("automorphism "):
-            name = section.split(" ", 1)[1]
-            body = cp[section]
-            if body.get("kind") == "parity":
-                autos[name] = parity_automorphism(algebra)
-                autos[name].name = name
-            else:
-                autos[name] = orthogonal_automorphism(
-                    algebra, _parse_matrix(body["matrix"]), name=name)
-    for section in cp.sections():
-        if section.startswith("twisted "):
-            name = section.split(" ", 1)[1]
-            body = cp[section]
-            g = autos[body["automorphism"]]
-            cons = body["construction"]
-            if cons == "clifford-zero-mode":
-                mod = build_ramond_module(
-                    algebra, g, zero_mode_sign=int(body.get("zero-mode-sign", 1)),
-                    fault=fault)
-            elif cons == "half-integer-modes":
-                mod = build_z2_twisted_boson(algebra, g, fault=fault)
-            elif cons == "unipotent-view":
-                mod = build_unipotent_toy(algebra, g)
-            else:
-                raise ValueError("unknown twisted construction %r" % cons)
-            mod.name = name
-            twisted[name] = mod
-    return ModelBundle(m["id"], algebra, autos, twisted)
-
-
-def shipped_model_text(filename: str) -> str:
-    ref = importlib.resources.files("vertextwist") / "modelfiles" / filename
-    return ref.read_text()
-
-
-SHIPPED_FILES = ("fermion.model", "boson1.model", "heis3-unipotent.model")
+def shipped_models(fault=None) -> list:
+    """The fermion with its parity and Ramond module, the rank-1 boson with
+    its sign flip and Z2-twisted module, and heis3 (Gram form GRAM3) with
+    its unipotent isometry UNIPOTENT3: g a = a, g c = c + a,
+    g b = b - c - a/2.  Each algebra and module is built with `fault`."""
+    fermion = build_free_fermion(fault=fault)
+    parity = parity_automorphism(fermion)
+    bundles = [ModelBundle("fermion", fermion, {"parity": parity}, {
+        "ramond": build_ramond_module(fermion, parity, fault=fault)})]
+    boson = build_heisenberg([[1]], fault=fault)
+    minus1 = orthogonal_automorphism(boson, [[-1]], name="minus1")
+    bundles.append(ModelBundle("boson1", boson, {"minus1": minus1}, {
+        "z2boson": build_z2_twisted_boson(boson, minus1, fault=fault)}))
+    heis3 = build_heisenberg(GRAM3, fault=fault)
+    bundles.append(ModelBundle("heis3", heis3, {
+        "unipotent": orthogonal_automorphism(heis3, UNIPOTENT3,
+                                             name="unipotent")}, {}))
+    return bundles
 
 
 class Registry:
-    """Lazily built id -> object map over the shipped model files."""
+    """Lazily built id -> object map over the shipped models."""
 
     def __init__(self, fault=None):
         self.fault = fault
@@ -219,8 +169,7 @@ class Registry:
 
     def bundles(self):
         if self._bundles is None:
-            self._bundles = [load_model_file(shipped_model_text(f), self.fault)
-                             for f in SHIPPED_FILES]
+            self._bundles = shipped_models(self.fault)
         return self._bundles
 
     def algebra(self, model_id):

@@ -95,9 +95,10 @@ class FreeFieldAlgebra(Space):
         raise NotImplementedError
 
     def spec_mode(self, factor) -> Fraction:
-        """Mode index of the leading creation factor in the x^{-n-1} convention."""
-        g = self.gens[self.gen_index(factor)]
-        return -self.factor_weight(factor) + g.weight - 1
+        """Mode index of the leading creation factor in the x^{-n-1}
+        convention: -factor_weight(factor) + h - 1 for a generator of
+        weight h."""
+        raise NotImplementedError
 
     def gen_weight(self, i) -> Fraction:
         return self.gens[i].weight
@@ -168,18 +169,14 @@ class FreeFieldAlgebra(Space):
     def _L_minus1_key(self, key) -> Vec:
         """L(-1) on one PBW key, as a derivation: a factor of weight n of a
         generator of weight h goes to n - h + 1 times the factor one weight
-        up."""
+        up, made by the creation mode one below the factor's own."""
         acc = VecSum()
         for f in dict.fromkeys(key):
             gi = self.gen_index(f)
             rest, c = fock_move(key, f, False, self.gens[gi].parity)
-            acc.add(self.gen_apply(gi, lattice(self.spec_mode(self._bump(f))),
-                                   rest),
+            acc.add(self.gen_apply(gi, lattice(self.spec_mode(f)) - D, rest),
                     (self.factor_weight(f) - self.gen_weight(gi) + 1) * c)
         return acc.vec()
-
-    def _bump(self, factor):
-        raise NotImplementedError
 
     @property
     def omega(self) -> Vec:
@@ -210,9 +207,6 @@ class FermionAlgebra(FreeFieldAlgebra):
 
     def gen_key(self, i):
         return (1,)
-
-    def _bump(self, factor):
-        return factor + 2
 
     def _enumerate(self, max_weight):
         top = int(2 * Fraction(max_weight))
@@ -273,9 +267,6 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
 
     def gen_key(self, i):
         return ((1, i),)
-
-    def _bump(self, factor):
-        return (factor[0] + 1, factor[1])
 
     def _enumerate(self, max_weight):
         max_weight = Fraction(max_weight)

@@ -8,14 +8,11 @@ from vertextwist.automorphism import (Automorphism, check_conjugation,
                                       orthogonal_automorphism,
                                       parity_automorphism)
 from vertextwist.errors import NonCyclotomicSpectrum, NotIsometry
+from vertextwist.models import GRAM3, UNIPOTENT3
 from vertextwist.scalars import Scalar, Vec, lattice
 from vertextwist.vosa import FermionAlgebra, HeisenbergAlgebra
 
 F = Fraction
-
-GRAM3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-# a -> a, c -> c + a, b -> b - c - a/2, columns in basis order (a, b, c)
-UNIP = [[1, F(-1, 2), 1], [0, 1, 0], [0, -1, 1]]
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +27,7 @@ def heis3():
 
 @pytest.fixture(scope="module")
 def unip(heis3):
-    return orthogonal_automorphism(heis3, UNIP, name="unipotent")
+    return orthogonal_automorphism(heis3, UNIPOTENT3, name="unipotent")
 
 
 def test_identity_jordan(fermion):
@@ -115,7 +112,7 @@ def test_blockwise_matches_pointwise(unip, heis3):
 
 
 def test_doubled_K_on_generators_is_refused(heis3):
-    g = orthogonal_automorphism(heis3, UNIP, name="unipotent")
+    g = orthogonal_automorphism(heis3, UNIPOTENT3, name="unipotent")
     gen_K = g.gen_K
     g.gen_K = lambda gidx: gen_K(gidx).scale(2)
     with pytest.raises(NonCyclotomicSpectrum):
@@ -123,7 +120,7 @@ def test_doubled_K_on_generators_is_refused(heis3):
 
 
 def test_leibniz_rule_without_its_rest_term_is_refused(heis3):
-    g = orthogonal_automorphism(heis3, UNIP, name="unipotent")
+    g = orthogonal_automorphism(heis3, UNIPOTENT3, name="unipotent")
 
     def head_term_only(key):
         if not key:
@@ -144,7 +141,7 @@ def test_leibniz_rule_without_its_rest_term_is_refused(heis3):
 
 def test_non_skew_K_on_generators_fails_the_derivation_check(heis3):
     # K b = -c, K c = 0 is nilpotent but not skew for the Gram form
-    g = orthogonal_automorphism(heis3, UNIP, name="unipotent")
+    g = orthogonal_automorphism(heis3, UNIPOTENT3, name="unipotent")
     b_index = [gen.name for gen in heis3.gens].index("b")
     g.gen_K = lambda gidx: -heis3.gen_vector("c") if gidx == b_index \
         else Vec.zero()

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from vertextwist.errors import NotIsometry
-from vertextwist.models import (Registry, load_model_file, shipped_model_text,
-                                SHIPPED_FILES)
-from vertextwist.scalars import Vec
+from vertextwist.automorphism import orthogonal_automorphism
+from vertextwist.models import GRAM3, UNIPOTENT3, Registry
+from vertextwist.vosa import HeisenbergAlgebra
 
 F = Fraction
 
@@ -52,19 +51,28 @@ def test_spectra_from_files(registry):
     assert registry.twisted("z2boson").spectrum(2) == [0, F(1, 2)]
 
 
-def test_bad_isometry_in_text():
-    text = shipped_model_text("heis3-unipotent.model").replace(
-        "1,-1/2,1; 0,1,0; 0,-1,1", "1,0,0; 0,1,0; 0,1,1")
-    with pytest.raises(NotIsometry):
-        load_model_file(text)
+def test_table_names_match_their_keys(registry):
+    # a jordan record prints g.name, and a report names its module by id
+    for b in registry.bundles():
+        for name, g in b.automorphisms.items():
+            assert g.name == name and g.V is b.algebra
+        for name, mod in b.twisted.items():
+            assert mod.name == name and mod.V is b.algebra
+            assert mod.g in b.automorphisms.values()
+    assert [b.id for b in registry.bundles()] == ["fermion", "boson1", "heis3"]
 
 
-def test_level_mismatch_rejected():
-    text = shipped_model_text("fermion.model").replace("level = 16",
-                                                       "level = 32")
-    from vertextwist.scalars import CyclotomicLevelError
-    with pytest.raises(CyclotomicLevelError):
-        load_model_file(text)
+@pytest.mark.parametrize("fault", [None, "bracket-sign", "omega-scale"])
+def test_registry_hands_its_fault_to_every_algebra(fault):
+    assert [b.algebra.fault for b in Registry(fault=fault).bundles()] \
+        == [fault] * 3
+
+
+def test_heis3_is_gram3_with_unipotent3(registry):
+    b = registry.algebra("heis3")
+    assert b.algebra.gram == HeisenbergAlgebra(GRAM3).gram
+    ref = orthogonal_automorphism(HeisenbergAlgebra(GRAM3), UNIPOTENT3)
+    assert b.automorphisms["unipotent"].images == ref.images
 
 
 def test_basis_orders_differ_but_cover(registry):
