@@ -16,7 +16,7 @@ from vertextwist.models import Registry
 reg = Registry()
 
 cfg = SuiteConfig(model="ramond", suite="equivariance", max_weight=1,
-                  halfwidth=3, jobs=2)
+                  halfwidth=3)
 report = run_suite(cfg, reg)
 doc = report.to_json(with_timing=False)
 print("suite:", doc["config"]["suite"], "on", doc["config"]["model"])

@@ -303,10 +303,12 @@ class BlockJordan:
             for kk, c in Kv.items():
                 self.K[index[kk]][j] = c
             alphas |= g.coset_of(v)
-            self.nilpotency_index = max(self.nilpotency_index,
-                                        len(g.exp_terms(v)))
+            terms = g.exp_terms(v)
+            self.nilpotency_index = max(self.nilpotency_index, len(terms))
             Sv = g.semisimple_exp(v)
-            if g.unipotent_exp(Sv) != g.apply_key(key) \
+            # e^K S v, from the terms of v when S leaves v as it is
+            eKSv = sum(terms, Vec.zero()) if Sv is v else g.unipotent_exp(Sv)
+            if eKSv != g.apply_key(key) \
                     or g.semisimple_exp(Kv) != g.K_apply(Sv):
                 raise NonCyclotomicSpectrum(
                     "exp(2 pi i (S+N)) failed to reproduce g")

@@ -192,7 +192,7 @@ def _cmd_run(args, registry) -> int:
     cfg = SuiteConfig(model=args.model, suite=args.suite,
                       max_weight=_cutoff(args.max_weight),
                       halfwidth=args.window, log_bound=args.log_bound,
-                      jobs=args.jobs, basis_order=args.seed_order)
+                      basis_order=args.seed_order)
     report = run_suite(cfg, registry)
     text = report.dumps()
     if args.report:
@@ -259,7 +259,6 @@ def build_parser():
     run.add_argument("--window", type=int, default=4,
                      help="exponent window half-width")
     run.add_argument("--log-bound", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--report", default=None, help="write JSON report here")
     run.add_argument("--seed-order", default="weight-lex",
                      choices=("weight-lex", "weight-revlex"))

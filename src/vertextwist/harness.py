@@ -9,13 +9,9 @@ carries its row's identity, so a check that raises is recorded under it.
 
 from __future__ import annotations
 
-import inspect
 import json
-import os
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import groupby, product
@@ -139,15 +135,22 @@ def module_roles(W, cutoff, order="weight-lex", alg_cutoff=None) -> dict:
                                                 ([], [], u))]}
 
 
-@dataclass
 class SuiteConfig:
-    model: str
-    suite: str
-    max_weight: Fraction = Fraction(2)
-    halfwidth: int = 4
-    log_bound: int = None
-    jobs: int = 1
-    basis_order: str = "weight-lex"
+    """One suite run.  Checks run in one thread: `jobs` is accepted only as
+    1, the value a report states."""
+
+    def __init__(self, model: str, suite: str, max_weight=Fraction(2),
+                 halfwidth: int = 4, log_bound: int = None, jobs: int = 1,
+                 basis_order: str = "weight-lex"):
+        if jobs != 1:
+            raise ValueError("checks run in one thread; jobs must be 1, "
+                             "got %r" % (jobs,))
+        self.model = model
+        self.suite = suite
+        self.max_weight = max_weight
+        self.halfwidth = halfwidth
+        self.log_bound = log_bound
+        self.basis_order = basis_order
 
     def validate(self):
         if self.suite not in SUITES:
@@ -158,8 +161,6 @@ class SuiteConfig:
         # the window and the log bound must fit a packed monomial's fields:
         # MonomialOverflow, a ValueError, when they do not
         Box.cube(1, -self.halfwidth, self.halfwidth, self.log_bound or 0)
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1, got %d" % self.jobs)
         if self.basis_order not in ("weight-lex", "weight-revlex"):
             raise ValueError("unknown basis order %r" % self.basis_order)
 
@@ -167,14 +168,14 @@ class SuiteConfig:
         return {"model": self.model, "suite": self.suite,
                 "max_weight": str(self.max_weight),
                 "window_halfwidth": self.halfwidth,
-                "log_bound": self.log_bound, "jobs": self.jobs,
+                "log_bound": self.log_bound, "jobs": 1,
                 "basis_order": self.basis_order}
 
 
-@dataclass
 class Report:
-    config: SuiteConfig
-    records: list = field(default_factory=list)
+    def __init__(self, config: SuiteConfig, records: list):
+        self.config = config
+        self.records = records
 
     @property
     def ok(self) -> bool:
@@ -215,22 +216,15 @@ def _timed(task):
 
 def _task_inputs(task: partial) -> dict:
     """The checker a task calls and its vector, number and text arguments,
-    as a checker states its inputs."""
-    try:
-        args = inspect.signature(task.func).bind(*task.args, **task.keywords)
-    except TypeError:          # the arguments do not fit: the crash says so
-        return {"check": task.func.__name__}
+    named as the checker's code names its positional parameters."""
+    code = task.func.__code__
+    names = code.co_varnames[:code.co_argcount]
+    required = len(names) - len(task.func.__defaults__ or ())
+    if not required <= len(task.args) <= len(names):
+        return {"check": task.func.__name__}   # the crash says so
     return {"check": task.func.__name__, **_inputs(**{
-        name: value for name, value in args.arguments.items()
+        name: value for name, value in zip(names, task.args)
         if isinstance(value, (Vec, int, Fraction, str, list, tuple))})}
-
-
-def _run_all(tasks, jobs: int):
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return [_timed(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_timed, tasks))
 
 
 def _suite_tasks(cfg: SuiteConfig, registry):
@@ -258,5 +252,4 @@ def _suite_tasks(cfg: SuiteConfig, registry):
 def run_suite(cfg: SuiteConfig, registry) -> Report:
     cfg.validate()
     tasks = _suite_tasks(cfg, registry)
-    records = _run_all(tasks, cfg.jobs)
-    return Report(cfg, records)
+    return Report(cfg, [_timed(t) for t in tasks])

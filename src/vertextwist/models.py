@@ -3,8 +3,8 @@
 Shipped models: the free fermion with its parity automorphism and its
 zero-mode-carrying twisted module; the rank-1 Heisenberg algebra with the
 sign flip and its half-integer-moded twisted module; the rank-3 Heisenberg
-algebra with a unipotent Gram isometry (used for Jordan/derivation checks
-and, viewed as a module over itself, for the log-decomposition checks).
+algebra with a unipotent Gram isometry, for the Jordan and derivation
+checks (`twisted.UnipotentViewModule` views it as a module over itself).
 
 Module basis keys are integer tuples: the fermion-type twisted module uses
 (sector, occ) with occ strictly decreasing positive ints (psi_{-k}); the
@@ -20,7 +20,7 @@ from .automorphism import Automorphism, orthogonal_automorphism, \
     parity_automorphism
 from .scalars import HALF_SQRT2, Vec
 from .series import D
-from .twisted import TwistedModule, UnipotentViewModule
+from .twisted import TwistedModule
 from .vosa import FermionAlgebra, HeisenbergAlgebra, fock_keys, fock_move
 
 
@@ -116,11 +116,6 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
                          crosscheck=crosscheck)
 
 
-def build_unipotent_toy(heis3: HeisenbergAlgebra, unip: Automorphism):
-    """The rank-3 algebra viewed as a module twisted by its unipotent isometry."""
-    return UnipotentViewModule("heis3-unipotent-view", heis3, unip)
-
-
 # ---------------------------------------------------------------------------
 # the shipped models
 # ---------------------------------------------------------------------------
@@ -172,7 +167,7 @@ class Registry:
             self._bundles = shipped_models(self.fault)
         return self._bundles
 
-    def algebra(self, model_id):
+    def bundle(self, model_id):
         for b in self.bundles():
             if b.id == model_id:
                 return b

@@ -12,21 +12,23 @@ or one pass record for the whole sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .series import (D, Box, TermSeries, format_monomial, lattice_mono,
                      series_mismatch, window_json)
 
 
-@dataclass
 class CheckResult:
-    identity: str
-    ok: bool
-    inputs: dict = field(default_factory=dict)
-    window: dict = field(default_factory=dict)
-    first_mismatch: dict = None
-    time_ms: float = None
-    errored: bool = False     # the check raised instead of reaching a verdict
+    """The outcome of one check; `errored` when the check raised instead of
+    reaching a verdict."""
+
+    def __init__(self, identity: str, ok: bool, inputs=None, window=None,
+                 first_mismatch: dict = None, errored: bool = False):
+        self.identity = identity
+        self.ok = ok
+        self.inputs = {} if inputs is None else inputs
+        self.window = {} if window is None else window
+        self.first_mismatch = first_mismatch
+        self.time_ms = None
+        self.errored = errored
 
     def to_json(self):
         status = "error" if self.errored else "pass" if self.ok else "fail"

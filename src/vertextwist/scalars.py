@@ -315,9 +315,10 @@ def _conjugate(s: Scalar, a: int) -> Scalar:
 
 
 def inverse(c):
-    """1/c in canonical form.  A rational inverts exactly; a Scalar s as the
-    product of its conjugates sigma_a(s), odd a in [3, 2M), over the norm
-    s * conj, which is rational (Cohen, A Course in Computational Algebraic
+    """1/c in canonical form.  A rational inverts exactly; a Scalar s as
+    the product of the conjugates that walk its norm down the tower Q(zeta_32)
+    > Q(zeta_16) > Q(zeta_8) > Q(i) > Q, norm * sigma_a(norm) for a = 17, 9,
+    5, 3, over the rational norm (Cohen, A Course in Computational Algebraic
     Number Theory, 4.3).  ZeroDivisionError for 0, ValueError for a value
     that carries PI and so lies outside the cyclotomic field."""
     if not isinstance(c, Scalar):
@@ -326,8 +327,13 @@ def inverse(c):
         return exact(Fraction(1, c))
     if any(p for p, _ in c.terms):
         raise ValueError("scalar involves PI, not a cyclotomic number: %r" % c)
-    conj = prod(_conjugate(c, a) for a in range(3, 2 * _LEVEL, 2))
-    return conj / (c * conj)
+    conj, norm = 1, c
+    for a in (17, 9, 5, 3):     # at the fixed level M = 16
+        if not isinstance(norm, Scalar):
+            break
+        step = _conjugate(norm, a)
+        conj, norm = conj * step, norm * step
+    return conj / norm
 
 
 def phase_turns(c) -> Fraction:

@@ -17,7 +17,6 @@ enumerates the keys of every such Fock basis up to a weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor
@@ -64,11 +63,11 @@ def fock_keys(parts, budget, weight, distinct):
                 yield (p,) + rest
 
 
-@dataclass(frozen=True)
 class Gen:
-    name: str
-    weight: Fraction
-    parity: int
+    """A generator: its name, conformal weight and parity."""
+
+    def __init__(self, name: str, weight: Fraction, parity: int):
+        self.name, self.weight, self.parity = name, weight, parity
 
 
 class FreeFieldAlgebra(Space):

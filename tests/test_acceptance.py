@@ -15,13 +15,14 @@ from vertextwist.automorphism import (Automorphism, check_conjugation,
 from vertextwist.harness import module_roles, sweep
 from vertextwist.models import (GRAM3, Registry,
                                 build_free_fermion, build_heisenberg,
-                                build_ramond_module, build_unipotent_toy,
-                                build_z2_twisted_boson)
+                                build_ramond_module, build_z2_twisted_boson)
 from vertextwist.results import first_failure
 from vertextwist.scalars import Vec, lattice
 from vertextwist.twisted import check_twisted_jacobi
 from vertextwist.twistop import check_twist_jacobi, check_weak_associativity
 from vertextwist.vosa import check_axioms
+
+from unipotent_toy import build_unipotent_toy
 
 F = Fraction
 FH = F(1, 2)
@@ -51,17 +52,17 @@ def registry():
 
 @pytest.fixture(scope="module")
 def fermion(registry):
-    return registry.algebra("fermion").algebra
+    return registry.bundle("fermion").algebra
 
 
 @pytest.fixture(scope="module")
 def boson(registry):
-    return registry.algebra("boson1").algebra
+    return registry.bundle("boson1").algebra
 
 
 @pytest.fixture(scope="module")
 def heis3(registry):
-    return registry.algebra("heis3").algebra
+    return registry.bundle("heis3").algebra
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def z2(registry):
 
 @pytest.fixture(scope="module")
 def toy(registry):
-    bundle = registry.algebra("heis3")
+    bundle = registry.bundle("heis3")
     return build_unipotent_toy(bundle.algebra,
                                bundle.automorphisms["unipotent"])
 
@@ -97,7 +98,7 @@ def test_a1_axioms(fermion, boson, heis3):
 # -- A2 ----------------------------------------------------------------------
 
 def test_a2_jordan(fermion, heis3, registry):
-    parity = registry.algebra("fermion").automorphisms["parity"]
+    parity = registry.bundle("fermion").automorphisms["parity"]
     jd = jordan_decompose(parity, F(9, 2))
     ok = jd.spectrum == [0, FH] and all(
         not any(x for row in b.K for x in row) for b in jd.blocks.values())
@@ -107,7 +108,7 @@ def test_a2_jordan(fermion, heis3, registry):
             parity.apply(Vec.basis(key))
     report("A2 parity decomposition (S reproduces g, N = 0, P_V = {0, 1/2})", ok)
 
-    unip = registry.algebra("heis3").automorphisms["unipotent"]
+    unip = registry.bundle("heis3").automorphisms["unipotent"]
     # jordan_decompose certifies e^{2 pi i (S+N)} = g on every basis vector
     jd = jordan_decompose(unip, 3)
     blk = jd.blocks[F(1)]
@@ -135,7 +136,7 @@ def test_a2_jordan(fermion, heis3, registry):
 # -- A3 ----------------------------------------------------------------------
 
 def test_a3_derivation_conjugation(heis3, registry):
-    unip = registry.algebra("heis3").automorphisms["unipotent"]
+    unip = registry.bundle("heis3").automorphisms["unipotent"]
     r = check_derivation(heis3, unip, 3, halfwidth=6)
     report("A3 nilpotent derivation (weight <= 3, |exp| <= 6)", r.ok,
            str(r.first_mismatch) if not r.ok else "")

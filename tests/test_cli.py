@@ -88,7 +88,7 @@ def test_run_axioms_exit_0(tmp_path, capsys):
 
 def test_run_equivariance_twisted(capsys):
     rc = main(["run", "--model", "ramond", "--suite", "equivariance",
-               "--max-weight", "1", "--window", "3", "--jobs", "2"])
+               "--max-weight", "1", "--window", "3"])
     assert rc == 0
 
 
@@ -159,12 +159,6 @@ def test_run_detects_fault():
         assert (len(bad), len(rep.records)) == (failed, total), fault
         assert all(r.first_mismatch["monomial"] for r in bad), fault
         assert sum(r.identity == "L(-1)-twist" for r in bad) == lm1, fault
-
-
-def test_jobs_below_one_exit_2(capsys):
-    assert main(["run", "--model", "fermion", "--suite", "axioms",
-                 "--max-weight", "1", "--jobs", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_crashed_check_is_error_exit_2(monkeypatch, tmp_path, capsys):

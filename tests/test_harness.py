@@ -1,8 +1,13 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
 import sys
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,7 @@ import vertextwist
 from vertextwist import harness, twisted, twistop, vosa
 from vertextwist.harness import SUITES, SuiteConfig, run_suite
 from vertextwist.models import Registry
-from vertextwist.results import CheckResult
+from vertextwist.scalars import Vec
 
 
 @pytest.fixture(scope="module")
@@ -144,36 +149,13 @@ def test_suite_validation(registry):
         run_suite(SuiteConfig(model="ramond", suite="jordan"), registry)
 
 
-def test_parallel_matches_serial(registry):
-    a = run_suite(SuiteConfig("ramond", "commutator", 1, 3, jobs=1),
-                  registry).to_json(with_timing=False)
-    b = run_suite(SuiteConfig("ramond", "commutator", 1, 3, jobs=4),
-                  registry).to_json(with_timing=False)
-    assert a["records"] == b["records"] and a["summary"] == b["summary"]
-
-
-def test_parallel_matches_serial_on_cold_modules():
-    # each side builds its own modules, so the threads of the parallel side
-    # fill the shared memo and twist-slot tables from cold; a short switch
-    # interval interleaves them often
-    a = run_suite(SuiteConfig("z2boson", "twist-all", 1, 2, jobs=1),
-                  Registry()).to_json(with_timing=False)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        b = run_suite(SuiteConfig("z2boson", "twist-all", 1, 2, jobs=2),
-                      Registry()).to_json(with_timing=False)
-    finally:
-        sys.setswitchinterval(interval)
-    assert a["records"] == b["records"] and a["summary"] == b["summary"]
-
-
 def test_report_schema(registry):
     rep = run_suite(SuiteConfig("ramond", "weak-comm", 1, 3), registry)
     doc = json.loads(rep.dumps())
     assert {"engine_version", "config", "records", "summary"} <= set(doc)
     for rec in doc["records"]:
         assert {"identity", "inputs", "window", "status"} <= set(rec)
+
 
 def test_errored_record_names_check_and_vectors(monkeypatch, registry):
     def check_twisted_jacobi(W, u, v, w, halfwidth):
@@ -191,28 +173,56 @@ def test_errored_record_names_check_and_vectors(monkeypatch, registry):
                             "w": "(1)*|(0, ())>", "halfwidth": "3"}
 
 
-def test_jobs_capped_at_cpu_count(monkeypatch):
-    pools = []
+def signature_inputs(task):
+    """The inputs of a task as `inspect.signature(...).bind` names them: the
+    reference for `harness._task_inputs`."""
+    try:
+        args = inspect.signature(task.func).bind(*task.args, **task.keywords)
+    except TypeError:
+        return {"check": task.func.__name__}
+    return {"check": task.func.__name__, **twisted._inputs(**{
+        name: value for name, value in args.arguments.items()
+        if isinstance(value, (Vec, int, Fraction, str, list, tuple))})}
 
-    class Recorder:
-        """Stands in for the pool: records its size, starts no thread."""
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+def test_task_inputs_match_signature_binding(registry):
+    first = {}
+    for suite, (model, cut, hw) in PLANS.items():
+        cfg = SuiteConfig(model=model, suite=suite, max_weight=cut,
+                          halfwidth=hw)
+        for task in harness._suite_tasks(cfg, registry):
+            first.setdefault(task.func, task)
+    assert set(first) == {getattr(harness, row.checker.__name__)
+                          for row in harness.ROWS}
+    for task in first.values():
+        assert harness._task_inputs(task) == signature_inputs(task), \
+            task.func.__name__
+    # arguments that do not fit the checker: too few, too many
+    task = first[harness.check_axioms]
+    for args in (task.args[:1], task.args + (1, 2)):
+        bad = partial(task.func, *args)
+        assert harness._task_inputs(bad) == signature_inputs(bad) \
+            == {"check": "check_axioms"}
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_suite_config_runs_one_thread():
+    assert SuiteConfig("fermion", "axioms", jobs=1).to_json()["jobs"] == 1
+    for jobs in (0, 2):
+        with pytest.raises(ValueError):
+            SuiteConfig("fermion", "axioms", jobs=jobs)
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
-    tasks = [lambda: CheckResult("x", True)] * 3
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-    assert [r.ok for r in harness._run_all(tasks, 10 ** 6)] == [True] * 3
-    assert harness._run_all(tasks, 2) and pools == [3, 2]
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
-    assert len(harness._run_all(tasks, 10 ** 6)) == 3 and pools == [3, 2]
+def test_engine_import_loads_no_pool_dataclasses_or_inspect():
+    # every command starts a fresh process, so the engine's import path
+    # carries only what the engine runs
+    code = ("import sys; before = set(sys.modules); "
+            "import vertextwist.cli, vertextwist.harness, "
+            "vertextwist.automorphism, vertextwist.models; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    new = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert "vertextwist.harness" in new
+    assert not {"concurrent.futures", "dataclasses", "inspect"} & set(new)

@@ -6,6 +6,8 @@ from vertextwist.automorphism import orthogonal_automorphism
 from vertextwist.models import GRAM3, UNIPOTENT3, Registry
 from vertextwist.vosa import HeisenbergAlgebra
 
+from unipotent_toy import build_unipotent_toy
+
 F = Fraction
 
 
@@ -17,10 +19,10 @@ def registry():
 def test_shipped_files_load(registry):
     ids = {b.id for b in registry.bundles()}
     assert ids == {"fermion", "boson1", "heis3"}
-    assert set(registry.algebra("fermion").twisted) == {"ramond"}
-    assert set(registry.algebra("boson1").twisted) == {"z2boson"}
+    assert set(registry.bundle("fermion").twisted) == {"ramond"}
+    assert set(registry.bundle("boson1").twisted) == {"z2boson"}
     # the log-carrying view is test scaffolding, deliberately not shipped
-    assert set(registry.algebra("heis3").twisted) == set()
+    assert set(registry.bundle("heis3").twisted) == set()
 
 
 def test_registry_resolve(registry):
@@ -38,7 +40,7 @@ def test_z2_vacuum_weight_from_file(registry):
 
 
 def test_heis3_gram_and_automorphism(registry):
-    b = registry.algebra("heis3")
+    b = registry.bundle("heis3")
     heis3 = b.algebra
     assert heis3.gram[0][1] == 1 and heis3.gram[2][2] == 1
     g = b.automorphisms["unipotent"]
@@ -69,14 +71,14 @@ def test_registry_hands_its_fault_to_every_algebra(fault):
 
 
 def test_heis3_is_gram3_with_unipotent3(registry):
-    b = registry.algebra("heis3")
+    b = registry.bundle("heis3")
     assert b.algebra.gram == HeisenbergAlgebra(GRAM3).gram
     ref = orthogonal_automorphism(HeisenbergAlgebra(GRAM3), UNIPOTENT3)
     assert b.automorphisms["unipotent"].images == ref.images
 
 
 def test_basis_orders_differ_but_cover(registry):
-    V = registry.algebra("heis3").algebra
+    V = registry.bundle("heis3").algebra
     a = V.basis(2, "weight-lex")
     b = V.basis(2, "weight-revlex")
     assert set(a) == set(b)
@@ -84,8 +86,7 @@ def test_basis_orders_differ_but_cover(registry):
 
 
 def test_basis_below_zero_is_empty(registry):
-    from vertextwist.models import build_unipotent_toy
-    heis3 = registry.algebra("heis3")
+    heis3 = registry.bundle("heis3")
     spaces = [b.algebra for b in registry.bundles()] \
         + [registry.twisted(t) for t in ("ramond", "z2boson")] \
         + [build_unipotent_toy(heis3.algebra, heis3.automorphisms["unipotent"])]

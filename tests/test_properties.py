@@ -12,10 +12,10 @@ from vertextwist.series import (Box, Product, Sum, TermSeries, exponent,
 F = Fraction
 
 reg = Registry()
-FERMION = reg.algebra("fermion").algebra
+FERMION = reg.bundle("fermion").algebra
 RAMOND = reg.twisted("ramond")
-HEIS3 = reg.algebra("heis3").algebra
-UNIP = reg.algebra("heis3").automorphisms["unipotent"]
+HEIS3 = reg.bundle("heis3").algebra
+UNIP = reg.bundle("heis3").automorphisms["unipotent"]
 
 fkeys = FERMION.basis(3)
 rkeys = RAMOND.basis(2)

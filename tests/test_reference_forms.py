@@ -74,8 +74,7 @@ from vertextwist.linalg import mat_eq, mat_identity, mat_mul, solve
 from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 _boson_twisted_keys, _fermion_twisted_keys,
                                 build_free_fermion, build_heisenberg,
-                                build_ramond_module, build_unipotent_toy,
-                                build_z2_twisted_boson)
+                                build_ramond_module, build_z2_twisted_boson)
 from vertextwist.modes import ModeOracle
 from vertextwist.scalars import (HALF_SQRT2, CyclotomicLevelError, Scalar,
                                  Vec, VecSum, binomial, cyclotomic_level,
@@ -97,6 +96,7 @@ from vertextwist.twistop import (TwistOpSlot, _applied, _recentered_product,
 from vertextwist.vosa import check_axioms, weak_commutativity_order
 
 from test_verdicts import non_skew
+from unipotent_toy import build_unipotent_toy
 
 
 class LoopModeOracle:
@@ -366,7 +366,7 @@ def registry():
 
 @pytest.mark.parametrize("model,gname,cut", JORDAN_CASES)
 def test_leibniz_K_matches_log_series(registry, model, gname, cut):
-    g = registry.algebra(model).automorphisms[gname]
+    g = registry.bundle(model).automorphisms[gname]
     for key in g.V.basis(cut):
         assert g.K_apply(Vec.basis(key)) == log_series_K(g, key), key
 
@@ -374,7 +374,7 @@ def test_leibniz_K_matches_log_series(registry, model, gname, cut):
 @pytest.mark.parametrize("model,gname,cut", JORDAN_CASES)
 def test_jordan_blocks_match_blockwise_matrix_path(registry, model, gname,
                                                    cut):
-    g = registry.algebra(model).automorphisms[gname]
+    g = registry.bundle(model).automorphisms[gname]
     for w, blk in jordan_decompose(g, cut).blocks.items():
         alphas, K, nil = blockwise_reference(g, blk.basis)
         assert blk.alphas == alphas, w

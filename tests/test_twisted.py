@@ -7,8 +7,7 @@ from vertextwist import twisted
 from vertextwist.errors import ExtensionInconsistent
 from vertextwist.models import (Registry, build_free_fermion,
                                 build_heisenberg, build_ramond_module,
-                                build_unipotent_toy, build_z2_twisted_boson,
-                                GRAM3, UNIPOTENT3)
+                                build_z2_twisted_boson, GRAM3, UNIPOTENT3)
 from vertextwist.modes import ModeOracle
 from vertextwist.automorphism import orthogonal_automorphism, \
     parity_automorphism
@@ -23,6 +22,8 @@ from vertextwist.twisted import (check_commutator_formula, check_equivariance,
                                  check_twisted_jacobi,
                                  check_twisted_weak_commutativity,
                                  check_y0_decomposition)
+
+from unipotent_toy import build_unipotent_toy
 
 F = Fraction
 FH = F(1, 2)

@@ -9,8 +9,7 @@ from vertextwist.automorphism import orthogonal_automorphism, \
 from vertextwist.harness import SuiteConfig, run_suite
 from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_free_fermion, build_heisenberg,
-                                build_ramond_module, build_unipotent_toy,
-                                build_z2_twisted_boson)
+                                build_ramond_module, build_z2_twisted_boson)
 from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, VecSum,
                                  binomial)
 from vertextwist.series import (D, Box, TermSeries, exponent, lattice,
@@ -26,6 +25,7 @@ from vertextwist.twistop import (check_gen_commutator,
                                  twist_matrix_element)
 
 from test_verdicts import assert_located
+from unipotent_toy import build_unipotent_toy
 
 F = Fraction
 FH = F(1, 2)

@@ -27,13 +27,14 @@ from vertextwist.automorphism import (check_conjugation, check_derivation,
                                       parity_automorphism)
 from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
                                 build_free_fermion, build_heisenberg,
-                                build_ramond_module, build_unipotent_toy,
-                                build_z2_twisted_boson)
+                                build_ramond_module, build_z2_twisted_boson)
 from vertextwist.scalars import Vec
 from vertextwist.series import D
 from vertextwist.twisted import (check_g_compatibility,
                                  check_product_polynomiality)
 from vertextwist.twistop import check_twist_decomposition
+
+from unipotent_toy import build_unipotent_toy
 
 _VAR = r"[a-z]\w*"
 _FACTOR = r"(%s\^-?\d+(/\d+)?|log\(%s\)(\^\d+)?)" % (_VAR, _VAR)
