@@ -94,9 +94,13 @@ class _Parser:
 
 
 def _eval_vector(node, V, W):
-    """Evaluate a vector-valued atom, in V ('1', generators, modes) or W ('vac')."""
+    """Evaluate a vector-valued atom, in V ('1', generators, modes) or W
+    ('vac'); on an algebra id 'vac' is V's vacuum, and 'vac+' and 'vac-'
+    are refused."""
     if node[0] == "vac":
         name = node[1]
+        if W is None and name in ("vac+", "vac-"):
+            raise ExprError("%s needs a twisted module id" % name)
         if name == "1" or W is None:
             return "V", Vec.basis(V.vac)
         vacs = W.basis(0)

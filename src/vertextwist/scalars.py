@@ -12,29 +12,28 @@ operation folds a result that reduces to its rational part back to that
 number, so rational arithmetic never pays for the box and a Scalar never
 equals a number.
 
-Internally a Scalar is integer numerators over one common denominator, as
-FLINT's fmpq_poly stores a rational polynomial: `terms` maps (p, k), with
-k = q*M an integer in [0, M), to an int numerator, and `den` is an int >= 1
-with gcd(den, *numerators) == 1, so the form is unique.  The identity
-e(q+1) = -e(q) folds the upper half of the lattice into the sign of the
-numerator.  Keys and numerators are ints, so the innermost loops do int
-arithmetic and reduce by a gcd once per result, not once per term.
+A vector (`Vec`) is a formal linear combination of basis keys stored as
+FLINT keeps an fmpq_mat, over one denominator: int numerators keyed by
+(basis key, pi power, phase numerator k) over one int den, with
+gcd(den, *numerators) == 1 so the form is unique; k = q*M is an int in
+[0, M), and the identity e(q+1) = -e(q) folds the upper half of the lattice
+into the sign of the numerator.  The rational terms, the only ones while
+every coefficient is rational, are keyed by the bare basis key.  So scaling
+a vector by a rational is one int multiply per entry and one gcd per result,
+scaling by a phase permutes phase keys, and a sum is int addition over the
+lcm of the denominators; `VecSum` builds a sum in place, `linear` extends a
+map on basis keys linearly, `bilinear` a map on pairs of basis keys
+bilinearly, and `pair` is the dot product.
 
-A vector (`Vec`) is a formal linear combination of basis keys stored the
-same way, as FLINT's fmpq_mat keeps one denominator per matrix: int
-numerators keyed by (basis key, pi power, phase numerator) over one int
-den, with gcd(den, *numerators) == 1.  The rational terms, the only ones
-while every coefficient is rational, are keyed by the bare basis key.  So
-scaling a vector by a rational is one int multiply per entry and one gcd
-per result, scaling by a phase permutes phase keys, and a sum is int
-addition over the lcm of the denominators; `VecSum` builds a sum in place,
-`linear` extends a map on basis keys linearly, `bilinear` a map on pairs
-of basis keys bilinearly, and `pair` is the dot product.  Both forms
-share one gcd reduction, `_cancel`.
+A Scalar is stored in that one form, as a vector on the one basis key
+_UNIT, and its ring operations are the vectors': a sum is `Vec._plus`, a
+negation `Vec.__neg__`, a product `Vec.scale`, and `==` compares stored
+forms; a result whose phased terms cancel folds back to its rational part.
 
-This module alone knows these forms: `inverse` inverts through the Galois
-conjugates sigma_a, which permute the keys, and `phase_turns` reads a root
-of unity off its one key.  Every other module reads a vector through
+This module alone knows these forms: `terms_of` is the one reader of a
+value's (pi power, phase numerator) terms, for `repr`, `scalar_json`,
+`phase_turns` and the read-only `Scalar.terms` view, and `inverse` inverts
+through the Galois conjugates sigma_a, which permute the phase keys.  Every other module reads a vector through
 `items`, `keys`, `coeff` and the read-only `comps` view, one entry per
 basis key.
 """
@@ -52,9 +51,10 @@ class CyclotomicLevelError(ValueError):
 
 
 _LEVEL = 16                 # fixed: stored scalars are keyed against it
-_RKEY = (0, 0)
-_NONE = {}                  # the phased entries of a vector that has none;
-                            # a stored map is never written to
+_RKEY = (0, 0)              # the (pi power, phase) of a rational term
+_UNIT = None                # the one basis key of a Scalar's form
+_NONE = {}                  # the entries of a map that has none; a stored
+                            # map is never written to
 
 
 def cyclotomic_level() -> int:
@@ -87,63 +87,81 @@ def exact(c):
     raise TypeError("not an exact scalar: %r" % (c,))
 
 
-def _cancel(den: int, a: dict, b: dict = _NONE):
-    """(den, a, b) for int numerator maps a and b over den, each divided,
-    with den, by gcd(den, *numerators): the one canonical form of a Scalar
-    (whose terms are a) and of a Vec.  A zero value comes out over 1."""
+_new = object.__new__
+
+
+def _newvec(rat, phased, den):
+    v = _new(Vec)
+    v._rat = rat
+    v._phased = phased
+    v._den = den
+    return v
+
+
+def _cancel(rat: dict, phased: dict, den: int):
+    """(rat, phased, den) for the int numerator maps rat and phased over
+    den, each divided, with den, by gcd(den, *numerators): the one
+    canonical form of a Vec and of a Scalar.  A zero value comes out over
+    1."""
     if den != 1:
-        g = gcd(den, *a.values(), *b.values())
+        g = gcd(den, *rat.values(), *phased.values())
         if g != 1:
-            return (den // g, {k: c // g for k, c in a.items()},
-                    b and {k: c // g for k, c in b.items()})
-    return den, a, b
+            return ({k: c // g for k, c in rat.items()},
+                    phased and {k: c // g for k, c in phased.items()},
+                    den // g)
+    return rat, phased, den
 
 
-def _fold(terms: dict, den: int = 1):
-    """The canonical value of int numerators over den: 0, the number of a
-    lone (0, 0) term, or a Scalar reduced by gcd(den, *numerators)."""
-    if not terms:
-        return 0
-    den, terms, _ = _cancel(den, terms)
-    if len(terms) == 1 and _RKEY in terms:
-        c = terms[_RKEY]
-        return c if den == 1 else Fraction(c, den)
-    return Scalar(terms, den)
+def _same(a, b):
+    """a == b for two values of one stored form."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return a._den == b._den and a._rat == b._rat and a._phased == b._phased
+
+
+def _fold(v):
+    """The canonical value of v, a canonical form on the key _UNIT: its
+    rational part as a number (0 when it has none) when no phased term is
+    left, else the Scalar of that form."""
+    if not v._phased:
+        n = v._rat.get(_UNIT, 0)
+        return n if v._den == 1 else Fraction(n, v._den)
+    s = _new(Scalar)
+    s._rat, s._phased, s._den = v._rat, v._phased, v._den
+    return s
+
+
+def _unit(p: int, k: int, n: int):
+    """n * PI^p e(k/M) for 0 <= k < M, in canonical form."""
+    if not (p or k):
+        return n
+    s = _new(Scalar)
+    s._rat, s._phased, s._den = _NONE, {(_UNIT, p, k): n}, 1
+    return s
 
 
 def terms_of(c) -> dict:
     """The {(pi_power, phase numerator): rational} terms of any value."""
-    if isinstance(c, Scalar):
-        d = c.den
-        if d == 1:
-            return c.terms
-        return {k: Fraction(x, d) for k, x in c.terms.items()}
-    return {_RKEY: c} if c else {}
-
-
-def iter_terms(c):
-    """Yield ((pi_power, phase as Fraction in [0,1)), coeff) of any value."""
-    for (p, k), x in terms_of(c).items():
-        yield (p, Fraction(k, _LEVEL)), x
+    if not isinstance(c, Scalar):
+        return {_RKEY: c} if c else {}
+    d = c._den
+    terms = {_RKEY: n for n in c._rat.values()}
+    terms.update(((p, k), n) for (_, p, k), n in c._phased.items())
+    return terms if d == 1 else {t: Fraction(n, d) for t, n in terms.items()}
 
 
 def scalar_json(c):
     """Terms of any value in a sorted, JSON-serializable list."""
-    return [{"pi_power": p, "phase": str(q), "coeff": str(x)}
-            for (p, q), x in sorted(iter_terms(c))]
+    return [{"pi_power": p, "phase": str(exponent(k)), "coeff": str(x)}
+            for (p, k), x in sorted(terms_of(c).items())]
 
 
 class Scalar:
     """Element of Q(zeta_2M)[PI, PI^-1] that is not rational, kept in
-    canonical form; built only by `e`, `pi` and the ring operations."""
+    canonical form as a vector on the one key _UNIT; built only by `e`,
+    `pi` and the ring operations, which are the vectors' own."""
 
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms, den):
-        # terms: {(pi_power, phase_numerator): int}, over the int den >= 1,
-        # canonical; internal only
-        self.terms = terms
-        self.den = den
+    __slots__ = ("_rat", "_phased", "_den")
 
     # -- constructors -------------------------------------------------------
 
@@ -156,46 +174,30 @@ class Scalar:
                 "phase %s not on the (1/%d)Z lattice" % (q / _LEVEL, _LEVEL))
         k = int(q) % (2 * _LEVEL)
         if k >= _LEVEL:
-            return _fold({(0, k - _LEVEL): -1})
-        return _fold({(0, k): 1})
+            return _unit(0, k - _LEVEL, -1)
+        return _unit(0, k, 1)
 
     @staticmethod
     def pi(power: int = 1):
         """PI^power, PI standing for pi*i."""
-        return _fold({(int(power), 0): 1})
+        return _unit(int(power), 0, 1)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            ot, od = other.terms, other.den
-        elif isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return self
-            ot, od = {_RKEY: other.numerator}, other.denominator
-        else:
+            other = _newvec({_UNIT: other.numerator}, _NONE,
+                            other.denominator)
+        elif not isinstance(other, Scalar):
             return NotImplemented
-        d = self.den
-        if d == od:
-            terms = dict(self.terms)
-            a = b = 1
-        else:
-            # over lcm(d, od) = d * a = od * b
-            g = gcd(d, od)
-            a, b = od // g, d // g
-            terms = {k: c * a for k, c in self.terms.items()}
-        for key, c in ot.items():
-            s = terms.get(key, 0) + c * b
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        return _fold(terms, d * a)
+        return _fold(Vec._plus(self, other, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self.terms.items()}, self.den)
+        return _fold(Vec.__neg__(self))
 
     def __sub__(self, other):
         return self + -other
@@ -204,26 +206,9 @@ class Scalar:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return 0
-            # the numerators stay coprime to den / gcd(other, den)
-            d = self.den
-            g = gcd(other, d)
-            if g != 1:
-                other //= g
-                d //= g
-            return Scalar({k: c * other for k, c in self.terms.items()}, d)
-        if isinstance(other, Fraction):
-            if not other:
-                return 0
-            a = other.numerator
-            return _fold({k: c * a for k, c in self.terms.items()},
-                         self.den * other.denominator)
-        if not isinstance(other, Scalar):
+        if not isinstance(other, (int, Fraction, Scalar)):
             return NotImplemented
-        return _fold(_mul_into({}, self.terms, other.terms),
-                     self.den * other.den)
+        return _fold(Vec.scale(self, other))
 
     __rmul__ = __mul__
 
@@ -246,72 +231,47 @@ class Scalar:
 
     # -- queries ------------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.den == other.den and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return False        # a canonical Scalar is never rational
-        return NotImplemented
+    __eq__ = _same              # a canonical Scalar never equals a number
 
     def __hash__(self):
         return hash(frozenset(terms_of(self).items()))
+
+    @property
+    def terms(self):
+        """A read-only {(pi_power, phase numerator): rational} view, the
+        form bench/layertrace.py reads."""
+        return MappingProxyType(terms_of(self))
 
     # -- display ------------------------------------------------------------
 
     def __repr__(self):
         parts = []
-        for (p, q), c in sorted(iter_terms(self)):
+        for (p, k), c in sorted(terms_of(self).items()):
             factors = []
-            if c != 1 or (p == 0 and q == 0):
+            if c != 1 or not (p or k):
                 factors.append(str(c))
             if p == 1:
                 factors.append("PI")
             elif p:
                 factors.append("PI^%d" % p)
-            if q:
-                factors.append("e(%s)" % q)
+            if k:
+                factors.append("e(%s)" % exponent(k))
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def _mul_into(terms: dict, t1: dict, t2: dict) -> dict:
-    """Add the product of the numerator maps t1 and t2 into terms."""
-    L = _LEVEL
-    for (p1, k1), c1 in t1.items():
-        for (p2, k2), c2 in t2.items():
-            k = k1 + k2
-            c = c1 * c2
-            if k >= L:
-                k -= L
-                c = -c
-            key = (p1 + p2, k)
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return terms
-
-
-# 2^{-1/2} = (e^{pi i/4} - e^{3 pi i/4}) / 2, available at cyclotomic level >= 4
-HALF_SQRT2 = (Scalar.e(Fraction(1, 4)) - Scalar.e(Fraction(3, 4))) / 2
 
 
 def _conjugate(s: Scalar, a: int) -> Scalar:
     """The Galois conjugate sigma_a: e(k/M) -> e(a k/M), a odd, of a PI-free
     Scalar; a permutes the folded keys, so the form stays canonical."""
     L = _LEVEL
-    terms = {}
-    for (p, k), x in s.terms.items():
+    phased = {}
+    for (u, p, k), x in s._phased.items():
         k = a * k % (2 * L)
         if k >= L:
             k -= L
             x = -x
-        terms[(p, k)] = x
-    return Scalar(terms, s.den)
+        phased[(u, p, k)] = x
+    return _fold(_newvec(s._rat, phased, s._den))
 
 
 def inverse(c):
@@ -325,7 +285,7 @@ def inverse(c):
         if not c:
             raise ZeroDivisionError("inverse of zero")
         return exact(Fraction(1, c))
-    if any(p for p, _ in c.terms):
+    if any(p for _, p, _ in c._phased):
         raise ValueError("scalar involves PI, not a cyclotomic number: %r" % c)
     conj, norm = 1, c
     for a in (17, 9, 5, 3):     # at the fixed level M = 16
@@ -339,8 +299,8 @@ def inverse(c):
 def phase_turns(c) -> Fraction:
     """The alpha in [0, 1) with c = e^{2 pi i alpha}; ValueError when c is
     not a root of unity."""
-    terms, den = (c.terms, c.den) if isinstance(c, Scalar) else ({_RKEY: c}, 1)
-    if den == 1 and len(terms) == 1:
+    terms = terms_of(c)
+    if len(terms) == 1:
         ((p, k), x), = terms.items()
         if p == 0 and x in (1, -1):
             # e(q+1) = -e(q): a negative numerator is half a turn more
@@ -363,17 +323,6 @@ def binomial(a, k):
     p, q = a.numerator, a.denominator
     c = Fraction(prod(p - j * q for j in range(k)), q ** k * factorial(k))
     return c.numerator if c.denominator == 1 else c
-
-
-_new = object.__new__
-
-
-def _newvec(rat, phased, den):
-    v = _new(Vec)
-    v._rat = rat
-    v._phased = phased
-    v._den = den
-    return v
 
 
 class Vec:
@@ -473,11 +422,7 @@ class Vec:
                        {e: n // g * a for e, n in self._phased.items()}
                        if self._phased else _NONE, den * (b // g))
 
-    def __eq__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return (self._den == other._den and self._rat == other._rat
-                and self._phased == other._phased)
+    __eq__ = _same
 
     def __hash__(self):
         return hash((self._den, frozenset(self._rat.items()),
@@ -487,14 +432,14 @@ class Vec:
         return True if self._rat or self._phased else False
 
     def _by_key(self) -> dict:
-        """{basis key: {(pi power, phase numerator): numerator}}."""
-        out = {key: {_RKEY: n} for key, n in self._rat.items()}
+        """{basis key: [(pi power, phase numerator, numerator), ...]}."""
+        out = {key: [(0, 0, n)] for key, n in self._rat.items()}
         for (key, p, k), n in self._phased.items():
             t = out.get(key)
             if t is None:
-                out[key] = {(p, k): n}
+                out[key] = [(p, k, n)]
             else:
-                t[(p, k)] = n
+                t.append((p, k, n))
         return out
 
     def items(self):
@@ -504,7 +449,8 @@ class Vec:
             if d == 1:
                 return self._rat.items()
             return [(k, exact(Fraction(n, d))) for k, n in self._rat.items()]
-        return [(k, _fold(t, d)) for k, t in self._by_key().items()]
+        return [(key, _fold(_terms_sum(t, d)))
+                for key, t in self._by_key().items()]
 
     def keys(self):
         """The basis keys with a nonzero coefficient."""
@@ -529,6 +475,7 @@ class Vec:
 
 
 _ZERO = _newvec({}, _NONE, 1)
+_ONE = _newvec({_UNIT: 1}, _NONE, 1)
 
 
 class VecSum:
@@ -548,8 +495,11 @@ class VecSum:
             if c:
                 self._add(vec, c)
         elif isinstance(c, Scalar):
-            for (p, k), x in c.terms.items():
-                self._add(vec, x, c.den, p, k)
+            b = c._den
+            for x in c._rat.values():
+                self._add(vec, x, b)
+            for (_, p, k), x in c._phased.items():
+                self._add(vec, x, b, p, k)
         else:
             c = exact(c)
             if c:
@@ -612,8 +562,12 @@ class VecSum:
     def vec(self) -> Vec:
         den, rat, ph = self._den, self._rat, self._phased
         if den != 1:
-            den, rat, ph = _cancel(den, rat, ph)
+            rat, ph, den = _cancel(rat, ph, den)
         return _newvec(rat, ph or _NONE, den)
+
+
+# 2^{-1/2} = (e^{pi i/4} - e^{3 pi i/4}) / 2, available at cyclotomic level >= 4
+HALF_SQRT2 = (Scalar.e(Fraction(1, 4)) - Scalar.e(Fraction(3, 4))) / 2
 
 
 def linear(fn, vec: Vec, memo: dict = None) -> Vec:
@@ -648,6 +602,30 @@ def linear(fn, vec: Vec, memo: dict = None) -> Vec:
     return acc.vec()
 
 
+def _terms_sum(terms, den: int) -> Vec:
+    """The form on _UNIT of the (pi power, phase numerator, numerator)
+    terms over den."""
+    acc = VecSum()
+    for p, k, n in terms:
+        acc._add(_ONE, n, 1, p, k)
+    acc._den = den
+    return acc.vec()
+
+
+def _add_products(add, r, tu, tw):
+    """add(r, c, 1, p, k) for each term c PI^p e(k/M) of the product of the
+    term lists tu and tw, with e(q+1) = -e(q) folded as `VecSum._add` folds
+    it."""
+    L = _LEVEL
+    for p1, k1, a in tu:
+        for p2, k2, b in tw:
+            k, c = k1 + k2, a * b
+            if k >= L:
+                k -= L
+                c = -c
+            add(r, c, 1, p1 + p2, k)
+
+
 def bilinear(fn, u: Vec, w: Vec) -> Vec:
     """The bilinear extension of fn: the sum of c_u * c_w * fn(u key, w key)
     over the key pairs of u and w, accumulated in place; fn runs once per
@@ -670,20 +648,12 @@ def bilinear(fn, u: Vec, w: Vec) -> Vec:
                 if r:
                     add(r, a * b)
     else:
-        L = _LEVEL
         wterms = w._by_key().items()
         for ukey, tu in u._by_key().items():
             for wkey, tw in wterms:
                 r = fn(ukey, wkey)
-                if not r:
-                    continue
-                for (p1, k1), a in tu.items():
-                    for (p2, k2), b in tw.items():
-                        k, c = k1 + k2, a * b
-                        if k >= L:
-                            k -= L
-                            c = -c
-                        add(r, c, 1, p1 + p2, k)
+                if r:
+                    _add_products(add, r, tu, tw)
     # the terms of u and w were summed as numerators over their dens
     acc._den *= u._den * w._den
     return acc.vec()
@@ -696,14 +666,15 @@ def pair(wprime: Vec, vec: Vec):
     if not (wprime._phased or vec._phased):
         get = vec._rat.get
         s = sum(n * get(k, 0) for k, n in wprime._rat.items())
-        return _fold({_RKEY: s}, den) if s else 0
-    terms = {}
+        return s if den == 1 else exact(Fraction(s, den))
+    acc = VecSum()
     other = vec._by_key()
     for key, t in wprime._by_key().items():
         u = other.get(key)
         if u:
-            _mul_into(terms, t, u)
-    return _fold(terms, den)
+            _add_products(acc._add, _ONE, t, u)
+    acc._den *= den
+    return _fold(acc.vec())
 
 
 def homogeneous_value(vec: Vec, key_fn):

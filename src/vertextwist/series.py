@@ -545,7 +545,7 @@ def _phase_shift(s: Series, idx: int, h, rename: str = None) -> Series:
         k = logs[idx]
         # (log x + h*PI)^k expands over lower log powers
         for j in range(k + 1):
-            fac = binomial(k, k - j) * (Scalar.pi() ** (k - j)) * (h ** (k - j))
+            fac = binomial(k, k - j) * Scalar.pi(k - j) * (h ** (k - j))
             yield m + (j - k) * unit, c_mul(phase * fac, c)
 
     vars = s.vars if rename is None else _put(s.vars, idx, rename)

@@ -82,7 +82,7 @@ class TwistOpSlot:
                     if not base:
                         continue
                     phase = Scalar.e(exponent(-N - D)) * binomial(ksrc, k) \
-                        * (Scalar.pi() ** (ksrc - k))
+                        * Scalar.pi(ksrc - k)
                     bases[j].add(base, sgn * phase)
         out = Vec.zero()
         for j in range(max(bases, default=-1), -1, -1):

@@ -13,7 +13,9 @@ one `apply` per key pair.  The twist-slot counters count calls of
 `TwistOpSlot.apply`, the basis keys they look up and the coefficients
 `_apply_key` computes, so a slot table keyed without w_arg, e or k, or an
 `apply` that went around the table, would move them; a small slot sweep pins
-all three.
+all three.  The scalar counters count the ring operations entered from
+outside the ring, and a product of two rationals, which the tracer tells by
+reading a `Scalar`'s `terms` view; a few ring operations pin all three.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from vertextwist.models import (build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_z2_twisted_boson,
                                 orthogonal_automorphism)
 from vertextwist.modes import ModeOracle
-from vertextwist.scalars import Vec
+from vertextwist.scalars import Scalar, Vec
 from vertextwist.series import Box, Product, TermSeries, lattice, mono
 from vertextwist.twistop import TwistOpSlot
 
@@ -153,3 +155,39 @@ def test_tracer_counts_twist_slot_lookups_and_computes(monkeypatch):
     assert (counts[1]["twistop.slot_applies"],
             counts[1]["twistop.slot_lookups"]) == (140, 224)
     assert "twistop.slot_computes" not in counts[1]
+
+
+def test_tracer_counts_scalar_ring_operations(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+    a, b = Scalar.e(Fraction(1, 4)), Scalar.pi(-1)
+    ops = {
+        "Scalar*Scalar": (lambda: a * b, (1, 0)),
+        "Scalar*int": (lambda: a * 3, (1, 0)),
+        "Fraction*Scalar": (lambda: Fraction(2, 3) * a, (1, 0)),
+        "Scalar+Fraction": (lambda: b + Fraction(1, 2), (0, 1)),
+        # int - Scalar is -Scalar + int: one addition, entered from outside
+        "int-Scalar": (lambda: 1 - b, (0, 1)),
+    }
+    for name, (op, (muls, adds)) in ops.items():
+        want = op()
+        tracer = layertrace.Tracer()
+        try:
+            tracer.install()
+            got = op()
+        finally:
+            assert tracer.uninstall() is True
+        assert got == want and isinstance(got, Scalar), name
+        counts = tracer.counts
+        assert (counts.get("scalars.mul_calls", 0),
+                counts.get("scalars.add_calls", 0)) == (muls, adds), name
+        # a Scalar is never rational, so no product counts as rational
+        assert counts.get("scalars.mul_rational", 0) == 0, name
+    # a product of the two rationals never reaches the ring
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        assert Fraction(1, 2) * 3 == Fraction(3, 2)
+    finally:
+        assert tracer.uninstall() is True
+    assert not tracer.counts

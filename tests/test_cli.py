@@ -241,6 +241,27 @@ def test_window_at_packed_range_edge_is_valid():
             cfg.validate()
 
 
+@pytest.mark.parametrize("expression", ["Y(psi,x) vac+", "Y(psi,x) vac-",
+                                        "Y(vac-,x) psi"])
+def test_module_vacuum_on_an_algebra_id_exit_2(expression, capsys):
+    # vac+ and vac- are the vacua of a twisted module; an algebra has one
+    assert main(["expand", "fermion", expression]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "twisted module id" in captured.err
+
+
+def test_algebra_vacuum_names_on_an_algebra_id(capsys):
+    # 1 and vac both name the algebra's vacuum on an algebra id
+    outs = []
+    for vacuum in ("1", "vac"):
+        assert main(["expand", "fermion", "Y(psi,x) " + vacuum]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0] != "0\n"
+
+
 def test_expand_mode_off_the_lattice_is_zero(capsys):
     # psi(1/3) has no mode on the (1/16)Z lattice, so it acts as zero
     assert main(["expand", "fermion", "Y(psi(1/3) 1,x) psi"]) == 0

@@ -1,8 +1,10 @@
+import hashlib
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -226,3 +228,32 @@ def test_engine_import_loads_no_pool_dataclasses_or_inspect():
                          check=True).stdout.split()
     assert "vertextwist.harness" in new
     assert not {"concurrent.futures", "dataclasses", "inspect"} & set(new)
+
+
+def test_report_digest_grid_and_one_cell(monkeypatch, registry, capsys):
+    # tools/report_digest.py hashes every report without its timing; its
+    # sizes are the plans above, its faults every one the engine reads,
+    # and a suite cell is the report `run_suite` dumps
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    import report_digest
+    assert report_digest.SIZES == {
+        suite: (cut, hw) for suite, (_, cut, hw) in PLANS.items()}
+    read = {m.group(1) for path in (root / "src" / "vertextwist").glob("*.py")
+            for m in re.finditer(r'fault == "([^"]+)"', path.read_text())}
+    assert set(report_digest.FAULTS) == {None} | read and len(read) == 8
+    cells = dict(report_digest.cells())
+    assert len(cells) == len(list(report_digest.cells()))    # names unique
+    name = "clean run jordan heis3 weight-lex"
+    text = report_digest.cell_text(cells[name])
+    cfg = SuiteConfig(model="heis3", suite="jordan", max_weight=1,
+                      halfwidth=2)
+    assert text == run_suite(cfg, registry).dumps(with_timing=False)
+    assert "timing_ms" not in text and json.loads(text)["summary"]["total"]
+    # one line per cell, then the digest of the cell digests
+    monkeypatch.setattr(report_digest, "cells", lambda: [(name, cells[name])])
+    assert report_digest.main() == 0
+    line, total = capsys.readouterr().out.splitlines()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert line == "%s %s" % (digest, name)
+    assert total == hashlib.sha256(digest.encode()).hexdigest() + " total"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vertextwist.models import Registry
-from vertextwist.scalars import Scalar, Vec, linear
+from vertextwist.scalars import Scalar, Vec, linear, _UNIT
 from vertextwist.series import (Box, Product, Sum, TermSeries, exponent,
                                 lattice, lattice_mono, mono, mono_add,
                                 mono_parts, series_mismatch)
@@ -161,9 +161,11 @@ nonzero_rationals = st.fractions(min_value=-3, max_value=3,
 
 def is_canonical(x) -> bool:
     """A number while rational, never a float, never a Scalar that holds
-    only its rational (0, 0) term."""
+    only its rational part: a Scalar is a vector on the one key _UNIT with
+    at least one phased term."""
     if isinstance(x, Scalar):
-        return bool(x.terms) and set(x.terms) != {(0, 0)}
+        return (set(x._rat) <= {_UNIT} and bool(x._phased)
+                and all(u is _UNIT and (p or k) for u, p, k in x._phased))
     return type(x) in (int, Fraction)
 
 

@@ -79,7 +79,7 @@ from vertextwist.modes import ModeOracle
 from vertextwist.scalars import (HALF_SQRT2, CyclotomicLevelError, Scalar,
                                  Vec, VecSum, binomial, cyclotomic_level,
                                  exact, exponent, inverse, lattice, linear,
-                                 pair, scalar_json, terms_of)
+                                 pair, scalar_json, terms_of, _UNIT)
 from vertextwist.series import (D, BinomialKernel, Box, Series, TermSeries,
                                 _LIMIT, binomial_expand, branch_shift, c_mul,
                                 delta_derivative, delta_iter, delta_prod,
@@ -900,13 +900,18 @@ def assert_same_value(got, want, boxed):
     assert str(got) == str(want) and scalar_json(got) == ref_scalar_json(want)
     assert hash(got) == hash(want)
     if isinstance(got, Scalar):
-        # canonical: numerators over one denominator with no common factor,
-        # never the rational (0, 0) term alone
-        nums = list(got.terms.values())
+        # canonical: a vector on the one key _UNIT, numerators over one
+        # denominator with no common factor, its rational part at the bare
+        # key and folded phases in the phased map, never the rational part
+        # alone
+        rat, phased, den = got._rat, got._phased, got._den
+        assert set(rat) <= {_UNIT} and phased
+        assert all(u is _UNIT and (p or k) and 0 <= k < cyclotomic_level()
+                   for u, p, k in phased)
+        nums = [*rat.values(), *phased.values()]
         assert all(type(x) is int and x for x in nums)
-        assert type(got.den) is int and got.den >= 1
-        assert gcd(got.den, *nums) == 1
-        assert set(got.terms) != {(0, 0)}
+        assert type(den) is int and den >= 1
+        assert gcd(den, *nums) == 1
     elif boxed:
         # a Scalar folds back to an int, or to a Fraction that is not one
         assert type(got) is int or (type(got) is Fraction

@@ -171,3 +171,12 @@ def test_floats_are_refused():
         scaled(TermSeries.monomial(("x",), [0]), 0.5)
     with pytest.raises(TypeError):
         Scalar.e(F(1, 2)) * 0.5
+
+
+def test_scalar_is_stored_as_a_vector_on_one_key():
+    # the ring's operations are the vectors' own, reading the same slots;
+    # a Scalar is no Vec, since series and the harness tell a coefficient
+    # from a vector by isinstance(x, Vec)
+    assert Scalar.__slots__ == Vec.__slots__
+    assert not issubclass(Scalar, Vec)
+    assert not isinstance(HALF_SQRT2, Vec)

@@ -293,7 +293,9 @@ def test_index_path_converts_no_index():
 # stored names and helpers of a Vec's
 SCALAR_FORM = {"terms_of", "iter_terms", "_fold", "_RKEY", "_LEVEL",
                "_cancel", "_mul_into", "_rat", "_phased", "_den", "_newvec",
-               "_new", "_NONE", "_ZERO", "_by_key", "_add"}
+               "_new", "_NONE", "_ZERO", "_by_key", "_add", "_UNIT", "_ONE",
+               "_same", "_unit", "_plus", "_conjugate", "_terms_sum",
+               "_add_products"}
 
 
 def test_scalar_form_stays_in_scalars():
