@@ -26,6 +26,8 @@ class ExprError(ValueError):
 
 _TOKEN = re.compile(
     r"\s*(Ytw|Yg|Y|-?\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*[+-]?|\(|\)|,)")
+# the names the grammar gives a meaning, which no variable may take
+_RESERVED = ("vac", "vac+", "vac-", "Y", "Yg", "Ytw")
 
 
 class _Parser:
@@ -33,6 +35,7 @@ class _Parser:
 
     expr   := opapp* atom
     opapp  := ('Y' | 'Yg' | 'Ytw') '(' expr ',' var ')'
+    var    := an identifier not reserved above, each used once
     atom   := 'vac' | 'vac+' | 'vac-' | '1' | gen | gen '(' rational ')' atom
     """
 
@@ -68,6 +71,10 @@ class _Parser:
             arg = self.parse_atom()
             self.take(",")
             var = self.take()
+            if not var.isidentifier() or var in _RESERVED:
+                raise ExprError("%r is not a variable name" % var)
+            if any(var == op[2] for op in ops):
+                raise ExprError("variable %r is used twice" % var)
             self.take(")")
             ops.append((kind, arg, var))
         atom = self.parse_atom()

@@ -43,8 +43,7 @@ def _fermion_twisted_keys(max_deg):
 
 
 def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
-                        zero_mode_sign: int = 1, fault=None,
-                        crosscheck=True) -> TwistedModule:
+                        zero_mode_sign: int = 1, fault=None) -> TwistedModule:
     """Integer-moded twisted fermion module with psi_0^2 = 1/2 on a parity pair."""
     zscale = HALF_SQRT2 * zero_mode_sign
     if fault == "zero-mode-scale":
@@ -74,8 +73,7 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
     # weight-revlex reads the occupation numbers reversed, then the sector
     revlex = lambda key: (tuple(reversed(key[1])), key[0])
     return TwistedModule("ramond", fermion, parity, gen_action,
-                         _fermion_twisted_keys, deg, par, gsc,
-                         crosscheck=crosscheck, revlex=revlex)
+                         _fermion_twisted_keys, deg, par, gsc, revlex=revlex)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +86,7 @@ def _boson_twisted_keys(max_deg):
 
 
 def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
-                           fault=None, crosscheck=True) -> TwistedModule:
+                           fault=None) -> TwistedModule:
     """Half-integer-moded twisted module of the rank-1 Heisenberg algebra."""
     if len(boson.gens) != 1:
         raise ValueError("half-integer moding is built for rank 1")
@@ -112,8 +110,7 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
     par = lambda key: 0
     gsc = lambda key: (-1) ** len(key)
     return TwistedModule("z2boson", boson, minus1, gen_action,
-                         _boson_twisted_keys, deg, par, gsc,
-                         crosscheck=crosscheck)
+                         _boson_twisted_keys, deg, par, gsc)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ class TwistedModule(ModuleBase):
     extending recursively; requires the automorphism to act semisimply."""
 
     def __init__(self, name, V, g, gen_action, keys_fn, deg_fn, parity_fn,
-                 g_scale_fn, crosscheck=True, revlex=None):
+                 g_scale_fn, revlex=None):
         super().__init__(name, V, g, 0)   # semisimple case: no log terms
         self.gen_seed = gen_action
         self._keys_fn = keys_fn        # max_deg -> the keys up to it, any order
@@ -132,8 +132,7 @@ class TwistedModule(ModuleBase):
         self._g_scale = g_scale_fn     # module_key -> scalar, the action of g
         self.oracle = ModeOracle(V, gen_action, deg_fn,
                                  lambda gi: g.gen_alpha(gi))
-        if crosscheck:
-            self.oracle.crosscheck(V.basis(Fraction(3, 2)), self.basis(F1))
+        self.oracle.crosscheck(V.basis(Fraction(3, 2)), self.basis(F1))
 
     def basis(self, max_deg, order="weight-lex"):
         max_deg = Fraction(max_deg)

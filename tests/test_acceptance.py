@@ -6,15 +6,12 @@ criterion.  Module cutoffs count degrees above the twisted vacuum.
 
 from fractions import Fraction
 
-import pytest
-
 from vertextwist.automorphism import (Automorphism, check_conjugation,
                                       check_derivation, jordan_decompose,
                                       parity_automorphism,
                                       orthogonal_automorphism)
 from vertextwist.harness import module_roles, sweep
-from vertextwist.models import (GRAM3, Registry,
-                                build_free_fermion, build_heisenberg,
+from vertextwist.models import (GRAM3, build_free_fermion, build_heisenberg,
                                 build_ramond_module, build_z2_twisted_boson)
 from vertextwist.results import first_failure
 from vertextwist.scalars import Vec, lattice
@@ -22,7 +19,7 @@ from vertextwist.twisted import check_twisted_jacobi
 from vertextwist.twistop import check_twist_jacobi, check_weak_associativity
 from vertextwist.vosa import check_axioms
 
-from unipotent_toy import build_unipotent_toy
+from helpers import without_crosscheck
 
 F = Fraction
 FH = F(1, 2)
@@ -45,43 +42,6 @@ def report_sweep(name, tasks, count, with_inputs=False):
     report(name, r.ok, "" if r.ok else str(detail))
 
 
-@pytest.fixture(scope="module")
-def registry():
-    return Registry()
-
-
-@pytest.fixture(scope="module")
-def fermion(registry):
-    return registry.bundle("fermion").algebra
-
-
-@pytest.fixture(scope="module")
-def boson(registry):
-    return registry.bundle("boson1").algebra
-
-
-@pytest.fixture(scope="module")
-def heis3(registry):
-    return registry.bundle("heis3").algebra
-
-
-@pytest.fixture(scope="module")
-def ramond(registry):
-    return registry.twisted("ramond")
-
-
-@pytest.fixture(scope="module")
-def z2(registry):
-    return registry.twisted("z2boson")
-
-
-@pytest.fixture(scope="module")
-def toy(registry):
-    bundle = registry.bundle("heis3")
-    return build_unipotent_toy(bundle.algebra,
-                               bundle.automorphisms["unipotent"])
-
-
 # -- A1 ----------------------------------------------------------------------
 
 def test_a1_axioms(fermion, boson, heis3):
@@ -97,8 +57,8 @@ def test_a1_axioms(fermion, boson, heis3):
 
 # -- A2 ----------------------------------------------------------------------
 
-def test_a2_jordan(fermion, heis3, registry):
-    parity = registry.bundle("fermion").automorphisms["parity"]
+def test_a2_jordan(fermion, heis3, unip):
+    parity = parity_automorphism(fermion)
     jd = jordan_decompose(parity, F(9, 2))
     ok = jd.spectrum == [0, FH] and all(
         not any(x for row in b.K for x in row) for b in jd.blocks.values())
@@ -108,7 +68,6 @@ def test_a2_jordan(fermion, heis3, registry):
             parity.apply(Vec.basis(key))
     report("A2 parity decomposition (S reproduces g, N = 0, P_V = {0, 1/2})", ok)
 
-    unip = registry.bundle("heis3").automorphisms["unipotent"]
     # jordan_decompose certifies e^{2 pi i (S+N)} = g on every basis vector
     jd = jordan_decompose(unip, 3)
     blk = jd.blocks[F(1)]
@@ -135,8 +94,7 @@ def test_a2_jordan(fermion, heis3, registry):
 
 # -- A3 ----------------------------------------------------------------------
 
-def test_a3_derivation_conjugation(heis3, registry):
-    unip = registry.bundle("heis3").automorphisms["unipotent"]
+def test_a3_derivation_conjugation(heis3, unip):
     r = check_derivation(heis3, unip, 3, halfwidth=6)
     report("A3 nilpotent derivation (weight <= 3, |exp| <= 6)", r.ok,
            str(r.first_mismatch) if not r.ok else "")
@@ -260,16 +218,18 @@ FAULTS = (
     ("rank-3 bracket sign", "A1", lambda f: _axioms_fail(
         build_heisenberg(GRAM3, fault="bracket-sign"), 2)),
     ("twisted zero-mode scale", "A4", lambda f: _jacobi_fail(
-        build_ramond_module(f, parity_automorphism(f),
-                            fault="zero-mode-scale", crosscheck=False))),
+        _faulty_ramond(f, "zero-mode-scale"))),
     ("twisted seed sign", "A4", lambda f: _jacobi_fail(
-        build_ramond_module(f, parity_automorphism(f),
-                            fault="twisted-seed-sign", crosscheck=False))),
+        _faulty_ramond(f, "twisted-seed-sign"))),
     ("zero-mode sector sign", "A8", lambda f: _twistop_fail(
-        build_ramond_module(f, parity_automorphism(f),
-                            fault="zero-mode-sector-sign", crosscheck=False))),
+        _faulty_ramond(f, "zero-mode-sector-sign"))),
     ("twisted bracket sign", "A4", lambda f: _z2_jacobi_fail()),
 )
+
+
+def _faulty_ramond(fermion, fault):
+    return without_crosscheck(build_ramond_module, fermion,
+                              parity_automorphism(fermion), fault=fault)
 
 
 def _axioms_fail(V, cut):
@@ -285,9 +245,9 @@ def _jacobi_fail(W):
 
 def _z2_jacobi_fail():
     boson = build_heisenberg([[1]])
-    W = build_z2_twisted_boson(boson, orthogonal_automorphism(
-        boson, [[-1]], "minus1"), fault="twisted-bracket-sign",
-        crosscheck=False)
+    W = without_crosscheck(build_z2_twisted_boson, boson,
+                           orthogonal_automorphism(boson, [[-1]], "minus1"),
+                           fault="twisted-bracket-sign")
     return _jacobi_fail(W)
 
 

@@ -8,26 +8,11 @@ from vertextwist.automorphism import (Automorphism, check_conjugation,
                                       orthogonal_automorphism,
                                       parity_automorphism)
 from vertextwist.errors import NonCyclotomicSpectrum, NotIsometry
-from vertextwist.models import GRAM3, UNIPOTENT3
+from vertextwist.models import UNIPOTENT3
 from vertextwist.scalars import Scalar, Vec, lattice
-from vertextwist.vosa import FermionAlgebra, HeisenbergAlgebra
+from vertextwist.vosa import HeisenbergAlgebra
 
 F = Fraction
-
-
-@pytest.fixture(scope="module")
-def fermion():
-    return FermionAlgebra()
-
-
-@pytest.fixture(scope="module")
-def heis3():
-    return HeisenbergAlgebra(GRAM3)
-
-
-@pytest.fixture(scope="module")
-def unip(heis3):
-    return orthogonal_automorphism(heis3, UNIPOTENT3, name="unipotent")
 
 
 def test_identity_jordan(fermion):

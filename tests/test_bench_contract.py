@@ -30,6 +30,8 @@ from vertextwist.scalars import Scalar, Vec
 from vertextwist.series import Box, Product, TermSeries, lattice, mono
 from vertextwist.twistop import TwistOpSlot
 
+from helpers import without_crosscheck
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -63,7 +65,7 @@ def test_tracer_counts_mode_oracle_calls_and_memo_hits(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import layertrace
     V = build_free_fermion()
-    W = build_ramond_module(V, parity_automorphism(V), crosscheck=False)
+    W = without_crosscheck(build_ramond_module, V, parity_automorphism(V))
     o = W.oracle
     oracle = ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha)   # cold
     # u of weight 0, 1/2, 3/2 and 2; w of degree 0, 0, 1 and 1; n from -3
@@ -121,9 +123,8 @@ def test_tracer_counts_twist_slot_lookups_and_computes(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import layertrace
     boson = build_heisenberg([[1]])
-    W = build_z2_twisted_boson(                                      # cold
-        boson, orthogonal_automorphism(boson, [[-1]], "minus1"),
-        crosscheck=False)
+    W = without_crosscheck(build_z2_twisted_boson, boson,           # cold
+                           orthogonal_automorphism(boson, [[-1]], "minus1"))
     # two w_args of degree 3/2; v the four basis vectors of weight <= 2 and
     # their sum; e from -2 to 1 in steps of 1/2; k = 0 and, past the
     # module's log bound of 0, k = 1

@@ -10,7 +10,7 @@ import pytest
 from vertextwist import harness
 from vertextwist.cli import main
 from vertextwist.errors import MonomialOverflow
-from vertextwist.harness import Report, SuiteConfig, run_suite
+from vertextwist.harness import SuiteConfig, run_suite
 from vertextwist.models import Registry
 from vertextwist.series import _LIMIT, D
 
@@ -205,6 +205,19 @@ def test_unparsed_input_exit_2(expression, capsys):
     assert main(["expand", "fermion", expression]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unexpected"), err
+
+
+@pytest.mark.parametrize("expression", ["Y(psi,,) 1", "Y(psi,1) 1",
+                                        "Y(psi,vac) 1",
+                                        "Y(psi,x) Y(psi,x) 1"])
+def test_bad_variable_exit_2(expression, capsys):
+    # a variable is a plain identifier the grammar does not reserve, and
+    # names one operator's variable only
+    assert main(["expand", "fermion", expression]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("window", ["0", "-1"])

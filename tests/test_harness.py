@@ -16,13 +16,7 @@ import pytest
 import vertextwist
 from vertextwist import harness, twisted, twistop, vosa
 from vertextwist.harness import SUITES, SuiteConfig, run_suite
-from vertextwist.models import Registry
 from vertextwist.scalars import Vec
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return Registry()
 
 
 # smallest meaningful configs; twist-all and mixed-products included

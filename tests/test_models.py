@@ -6,14 +6,9 @@ from vertextwist.automorphism import orthogonal_automorphism
 from vertextwist.models import GRAM3, UNIPOTENT3, Registry
 from vertextwist.vosa import HeisenbergAlgebra
 
-from unipotent_toy import build_unipotent_toy
+from helpers import build_unipotent_toy
 
 F = Fraction
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return Registry()
 
 
 def test_shipped_files_load(registry):

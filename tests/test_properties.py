@@ -1,13 +1,14 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from vertextwist.models import Registry
-from vertextwist.scalars import Scalar, Vec, linear, _UNIT
+from vertextwist.scalars import Scalar, Vec, linear
 from vertextwist.series import (Box, Product, Sum, TermSeries, exponent,
                                 lattice, lattice_mono, mono, mono_add,
                                 mono_parts, series_mismatch)
+
+from helpers import assert_canonical
 
 F = Fraction
 
@@ -159,24 +160,14 @@ nonzero_rationals = st.fractions(min_value=-3, max_value=3,
                                  max_denominator=6).filter(bool)
 
 
-def is_canonical(x) -> bool:
-    """A number while rational, never a float, never a Scalar that holds
-    only its rational part: a Scalar is a vector on the one key _UNIT with
-    at least one phased term."""
-    if isinstance(x, Scalar):
-        return (set(x._rat) <= {_UNIT} and bool(x._phased)
-                and all(u is _UNIT and (p or k) for u, p, k in x._phased))
-    return type(x) in (int, Fraction)
-
-
 @given(ring_values, ring_values, st.integers(0, 3), nonzero_rationals)
 @settings(max_examples=150, deadline=None)
 def test_ring_results_are_canonical(a, b, n, d):
-    assert is_canonical(a) and is_canonical(b)
-    for x in (a + b, a - b, a * b, -a, a ** n, a / d):
-        assert is_canonical(x), x
-    # a phase and its inverse cancel back to the value, in canonical form
-    assert is_canonical(a * Scalar.e(F(1, 2)) * Scalar.e(F(-1, 2)))
+    # the drawn values, the ring's results, and a value times a phase and
+    # its inverse, which cancel back to the value
+    for x in (a, b, a + b, a - b, a * b, -a, a ** n, a / d,
+              a * Scalar.e(F(1, 2)) * Scalar.e(F(-1, 2))):
+        assert_canonical(x)
 
 
 @given(ring_values, ring_values, phases)
@@ -203,7 +194,9 @@ def test_vec_equality_does_not_depend_on_form(comps, q):
             c * Scalar.e(q)).scale(Scalar.e(-q))
     assert boxed == plain and hash(boxed) == hash(plain)
     assert not boxed - plain
-    assert all(is_canonical(c) for _, c in boxed.items())
+    for _, c in boxed.items():
+        assert_canonical(c, boxed=True)
+    assert_canonical(boxed)
 
 
 vectors = st.dictionaries(st.integers(0, 5), ring_values, max_size=4).map(

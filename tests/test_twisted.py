@@ -6,11 +6,9 @@ import pytest
 from vertextwist import twisted
 from vertextwist.errors import ExtensionInconsistent
 from vertextwist.models import (Registry, build_free_fermion,
-                                build_heisenberg, build_ramond_module,
-                                build_z2_twisted_boson, GRAM3, UNIPOTENT3)
+                                build_ramond_module)
 from vertextwist.modes import ModeOracle
-from vertextwist.automorphism import orthogonal_automorphism, \
-    parity_automorphism
+from vertextwist.automorphism import parity_automorphism
 from vertextwist.scalars import HALF_SQRT2, Vec
 from vertextwist.series import (D, Box, TermSeries, lattice, mono,
                                 mono_parts)
@@ -23,38 +21,10 @@ from vertextwist.twisted import (check_commutator_formula, check_equivariance,
                                  check_twisted_weak_commutativity,
                                  check_y0_decomposition)
 
-from unipotent_toy import build_unipotent_toy
+from helpers import without_crosscheck
 
 F = Fraction
 FH = F(1, 2)
-
-
-@pytest.fixture(scope="module")
-def fermion():
-    return build_free_fermion()
-
-
-@pytest.fixture(scope="module")
-def ramond(fermion):
-    return build_ramond_module(fermion, parity_automorphism(fermion))
-
-
-@pytest.fixture(scope="module")
-def boson():
-    return build_heisenberg([[1]])
-
-
-@pytest.fixture(scope="module")
-def z2(boson):
-    return build_z2_twisted_boson(boson, orthogonal_automorphism(boson, [[-1]],
-                                                                 "minus1"))
-
-
-@pytest.fixture(scope="module")
-def toy():
-    heis3 = build_heisenberg(GRAM3)
-    unip = orthogonal_automorphism(heis3, UNIPOTENT3, "unipotent")
-    return build_unipotent_toy(heis3, unip)
 
 
 def test_identity_operator(ramond):
@@ -323,8 +293,9 @@ def test_fault_breaks_jacobi(fermion):
     bad = build_ramond_module(build_free_fermion(),
                               parity_automorphism(build_free_fermion()))
     # build against mismatched algebras should still work; real fault below
-    broken = build_ramond_module(fermion, parity_automorphism(fermion),
-                                 fault="zero-mode-scale", crosscheck=False)
+    broken = without_crosscheck(build_ramond_module, fermion,
+                                parity_automorphism(fermion),
+                                fault="zero-mode-scale")
     psi = fermion.gen_vector("psi")
     r = check_twisted_jacobi(broken, psi, psi, Vec.basis((0, ())), 3)
     assert not r.ok and r.first_mismatch

@@ -1,19 +1,14 @@
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
 from vertextwist import harness, twistop
-from vertextwist.automorphism import orthogonal_automorphism, \
-    parity_automorphism
 from vertextwist.harness import SuiteConfig, run_suite
-from vertextwist.models import (GRAM3, UNIPOTENT3, Registry,
-                                build_free_fermion, build_heisenberg,
-                                build_ramond_module, build_z2_twisted_boson)
-from vertextwist.scalars import (HALF_SQRT2, Scalar, Vec, VecSum,
-                                 binomial)
-from vertextwist.series import (D, Box, TermSeries, exponent, lattice,
-                                lattice_coset, mono)
+from vertextwist.models import Registry
+from vertextwist.scalars import HALF_SQRT2, Scalar, Vec
+from vertextwist.series import Box, TermSeries, exponent, lattice, mono
 from vertextwist.twistop import (check_gen_commutator,
                                  check_gen_weak_commutativity,
                                  check_L_minus1_twist, check_mixed_permutation,
@@ -24,39 +19,10 @@ from vertextwist.twistop import (check_gen_commutator,
                                  twist_commutativity_order,
                                  twist_matrix_element)
 
-from test_verdicts import assert_located
-from unipotent_toy import build_unipotent_toy
+from helpers import FractionTwistOpSlot, assert_located
 
 F = Fraction
 FH = F(1, 2)
-
-
-@pytest.fixture(scope="module")
-def fermion():
-    return build_free_fermion()
-
-
-@pytest.fixture(scope="module")
-def ramond(fermion):
-    return build_ramond_module(fermion, parity_automorphism(fermion))
-
-
-@pytest.fixture(scope="module")
-def boson():
-    return build_heisenberg([[1]])
-
-
-@pytest.fixture(scope="module")
-def z2(boson):
-    return build_z2_twisted_boson(boson, orthogonal_automorphism(boson, [[-1]],
-                                                                 "minus1"))
-
-
-@pytest.fixture(scope="module")
-def toy():
-    heis3 = build_heisenberg(GRAM3)
-    unip = orthogonal_automorphism(heis3, UNIPOTENT3, "unipotent")
-    return build_unipotent_toy(heis3, unip)
 
 
 VAC = (0, ())
@@ -281,53 +247,15 @@ def test_mixed_permutation(fermion, ramond, toy):
         assert r.ok, r.to_json()
 
 
-def faulty_apply_key(horner_shift=1, phase=True):
-    """TwistOpSlot._apply_key with Horner's divisor 1/(j + horner_shift)
-    and, unless phase, the phase e^{-pi i (n+1)} of y^n = e^{pi i n} x^n
-    dropped; p and N are the lattice ints of e and n."""
-    def _apply_key(self, p, k, vkey):
-        W = self.module
-        V = W.V
-        sgn = (-1) ** (V.parity(vkey) * self.parity)
-        bases = {}
-        n_hi = lattice(self.wt + V.weight(vkey)) - D
-        for beta, piece in W.g.alpha_decompose_key(vkey).items():
-            for N in lattice_coset(-p - D, n_hi, lattice(beta)):
-                j = (p + N + D) // D
-                for ksrc in range(k, W.log_bound + 1):
-                    base = W.mode_vec(piece, N, ksrc, self.w_arg)
-                    if not base:
-                        continue
-                    c = binomial(ksrc, k) * (Scalar.pi() ** (ksrc - k))
-                    if phase:
-                        c = Scalar.e(exponent(-N - D)) * c
-                    bases.setdefault(j, VecSum()).add(base, sgn * c)
-        out = Vec.zero()
-        for j in range(max(bases, default=-1), -1, -1):
-            if out:
-                out = W.L_minus1(out).scale(F(1, j + horner_shift))
-            out = out + bases.get(j, VecSum()).vec()
-        return out
-    return _apply_key
-
-
-def test_twist_slot_copy_without_faults_is_the_slot(z2):
-    clean = faulty_apply_key()
-    compared = 0
-    for wkey in z2.basis(1):
-        slot = twistop.TwistOpSlot(z2, Vec.basis(wkey))
-        for vkey in z2.V.basis(1):
-            for e in (F(-3, 2), F(-1, 2), F(1, 2), F(3, 2)):
-                got = slot._apply_key(lattice(e), 0, vkey)
-                assert clean(slot, lattice(e), 0, vkey) == got, (wkey, vkey, e)
-                compared += bool(got)
-    assert compared
-
-
-@pytest.mark.parametrize("fault", [{"horner_shift": 2}, {"phase": False}])
+# a wrong divisor, (j+1)! for j!, and the phase of y^n = e^{pi i n} x^n
+# dropped, each planted in the twist slot's reference
+@pytest.mark.parametrize("fault", [{"divisor": lambda j: factorial(j + 1)},
+                                   {"phase": False}])
 def test_twist_slot_faults_are_located(monkeypatch, fault):
-    monkeypatch.setattr(twistop.TwistOpSlot, "_apply_key",
-                        faulty_apply_key(**fault))
+    monkeypatch.setattr(
+        twistop.TwistOpSlot, "_apply_key", lambda slot, p, k, vkey:
+        FractionTwistOpSlot(slot.module, slot.w_arg, **fault).apply_key(
+            exponent(p), k, vkey))
     rep = run_suite(SuiteConfig("z2boson", "twist-all", 1, 2), Registry())
     bad = [r for r in rep.records if not r.ok]
     assert bad, fault

@@ -34,21 +34,7 @@ from vertextwist.twisted import (check_g_compatibility,
                                  check_product_polynomiality)
 from vertextwist.twistop import check_twist_decomposition
 
-from unipotent_toy import build_unipotent_toy
-
-_VAR = r"[a-z]\w*"
-_FACTOR = r"(%s\^-?\d+(/\d+)?|log\(%s\)(\^\d+)?)" % (_VAR, _VAR)
-MONOMIAL = re.compile(r"1|%s(\*%s)*" % (_FACTOR, _FACTOR))
-
-
-def assert_located(r, identity):
-    """r fails `identity` on a window, at a monomial over its variables."""
-    assert not r.ok and r.identity == identity, r.to_json()
-    assert r.window, r.to_json()
-    m = r.first_mismatch["monomial"]
-    assert MONOMIAL.fullmatch(m), m
-    assert set(re.findall(_VAR + r"(?=\^|\))", m)) <= set(r.window), m
-    assert {"lhs", "rhs"} <= set(r.first_mismatch)
+from helpers import assert_located, build_unipotent_toy, non_skew
 
 
 def axiom(V, identity, cut=2):
@@ -59,14 +45,6 @@ def axiom(V, identity, cut=2):
 def unipotent():
     heis3 = build_heisenberg(GRAM3)
     return heis3, orthogonal_automorphism(heis3, UNIPOTENT3, "unipotent")
-
-
-def non_skew(heis3, g):
-    # K b = -c, K c = 0: nilpotent, but not skew for the Gram form
-    b_index = [gen.name for gen in heis3.gens].index("b")
-    g.gen_K = lambda gidx: -heis3.gen_vector("c") if gidx == b_index \
-        else Vec.zero()
-    return g
 
 
 def ramond():

@@ -12,21 +12,6 @@ F = Fraction
 FH = F(1, 2)
 
 
-@pytest.fixture(scope="module")
-def fermion():
-    return FermionAlgebra()
-
-
-@pytest.fixture(scope="module")
-def boson():
-    return HeisenbergAlgebra([[1]])
-
-
-@pytest.fixture(scope="module")
-def heis3():
-    return HeisenbergAlgebra([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-
-
 def weights(V, w):
     return sorted(V.weight(k) for k in V.basis(w))
 
