@@ -34,9 +34,12 @@ class _Parser:
     """Minimal expression grammar for inspection:
 
     expr   := opapp* atom
-    opapp  := ('Y' | 'Yg' | 'Ytw') '(' expr ',' var ')'
+    opapp  := ('Y' | 'Yg' | 'Ytw') '(' atom ',' var ')'
     var    := an identifier not reserved above, each used once
     atom   := 'vac' | 'vac+' | 'vac-' | '1' | gen | gen '(' rational ')' atom
+
+    An operator's argument is an atom, a state: an operator inside an atom
+    is a nested operator, and is refused.
     """
 
     def __init__(self, text):
@@ -88,6 +91,9 @@ class _Parser:
             raise ExprError("unexpected %r" % tok)
         if tok in ("vac", "vac+", "vac-", "1"):
             return ("vac", tok, None)
+        if tok in ("Y", "Yg", "Ytw"):
+            raise ExprError("nested operator %r: nesting is not supported"
+                            % tok)
         if self.peek() == "(":
             self.take("(")
             num = self.take()

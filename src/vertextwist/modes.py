@@ -32,7 +32,11 @@ p, and `Space.modes` and the checkers walk cosets of lattice ints.
 
 A mode of vectors, `apply_vec`, is one bilinear pass over the key pairs
 of u and w (`scalars.bilinear`): `apply` runs once per (u key, w key)
-pair and the products c_u c_w are summed into one vector.
+pair and the products c_u c_w are summed into one vector.  A computed mode
+is summed in place the same way: each term of the products, reversed
+products and corrections above is a linear extension over a vector, and
+`scalars.linear` adds it, times its coefficient, straight into the mode's
+one `VecSum`, with no vector built per term.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ class ModeOracle:
         self._memo = {}
         self._alpha_memo = {}
         self._deg_memo = {}
+        self._wt_memo = {}
 
     # -- coset bookkeeping ---------------------------------------------------
 
@@ -76,9 +81,16 @@ class ModeOracle:
             d = self._deg_memo[wkey] = lattice(self.deg(wkey))
         return d
 
+    def _lattice_wt(self, ukey) -> int:
+        """The weight of a PBW key as a lattice int."""
+        w = self._wt_memo.get(ukey)
+        if w is None:
+            w = self._wt_memo[ukey] = lattice(self.algebra.weight(ukey))
+        return w
+
     def max_index(self, ukey, wkey) -> int:
         """Largest N with (Y)_N(u) w possibly nonzero, from lower-boundedness."""
-        return self._lattice_deg(wkey) + lattice(self.algebra.weight(ukey)) - D
+        return self._lattice_deg(wkey) + self._lattice_wt(ukey) - D
 
     # -- mode action -----------------------------------------------------------
 
@@ -140,8 +152,8 @@ class ModeOracle:
                     j = (Q + T - m) // D
                     c = binomial(t, j) * (-1 if j % 2 else 1)
                     if c:
-                        acc.add(linear(
-                            partial(self.gen_action, gidx, m), inner), c)
+                        linear(partial(self.gen_action, gidx, m), inner,
+                               into=acc, c=c)
                 m -= D
             # reversed products: (Y)_m(a) acting first
             m = Q
@@ -151,21 +163,20 @@ class ModeOracle:
                     j = (m - Q) // D
                     c = binomial(t, j) * (-1 if (t - j) % 2 else 1) * sgn
                     if c:
-                        part = linear(partial(self.apply, rest, N + T - m), gw)
-                        if part:
-                            acc.add(part, -c)
+                        linear(partial(self.apply, rest, N + T - m), gw,
+                               into=acc, c=-c)
                 m += D
         # corrections from lower-weight composites a_(r)u'
         r = T + D
-        r_hi = lattice(alg.weight(rest)) + lattice(alg.gen_weight(gidx)) - D
+        r_hi = self._lattice_wt(rest) + lattice(alg.gen_weight(gidx)) - D
         while r <= r_hi:
             comp = alg.gen_apply(gidx, r, rest)
             if comp:
                 c = binomial(q, (r - T) // D)
                 if c:
-                    part = self.apply_vec(comp, N + T - r, Vec.basis(wkey))
-                    if part:
-                        acc.add(part, -c)
+                    Nr = N + T - r
+                    linear(lambda ukey: self.apply(ukey, Nr, wkey), comp,
+                           into=acc, c=-c)
             r += D
         return acc.vec()
 

@@ -22,7 +22,8 @@ every coefficient is rational, are keyed by the bare basis key.  So scaling
 a vector by a rational is one int multiply per entry and one gcd per result,
 scaling by a phase permutes phase keys, and a sum is int addition over the
 lcm of the denominators; `VecSum` builds a sum in place, `linear` extends a
-map on basis keys linearly, `bilinear` a map on pairs of basis keys
+map on basis keys linearly, into a fresh sum or, scaled by a rational,
+into a caller's `VecSum`, `bilinear` a map on pairs of basis keys
 bilinearly, and `pair` is the dot product.
 
 A Scalar is stored in that one form, as a vector on the one basis key
@@ -570,16 +571,20 @@ class VecSum:
 HALF_SQRT2 = (Scalar.e(Fraction(1, 4)) - Scalar.e(Fraction(3, 4))) / 2
 
 
-def linear(fn, vec: Vec, memo: dict = None) -> Vec:
-    """The linear extension of fn: the sum of c * fn(key) over the terms of
-    vec, accumulated in place; fn runs once per basis key, and its value at
-    each key is kept in memo when one is given."""
+def linear(fn, vec: Vec, memo: dict = None, into: VecSum = None, c=1):
+    """c times the linear extension of fn: the sum of c * c_k * fn(k) over
+    the terms c_k k of vec, for c a nonzero int or Fraction; fn runs once
+    per basis key, and its value at each key is kept in memo when one is
+    given.  The images are added in place, as numerators over vec's
+    denominator times c's: into the caller's sum `into` when one is given,
+    returning None, else into a fresh sum, returned as a Vec."""
     rat, ph = vec._rat, vec._phased
     if memo is None and ph:
         memo = {}               # a key can carry several phased terms
-    acc = VecSum()
+    acc = VecSum() if into is None else into
     add = acc._add
-    one = len(rat) == 1 and not ph and vec._den == 1
+    x, b = c.numerator, c.denominator * vec._den
+    one = into is None and len(rat) == 1 and not ph and b == 1 == x
     for key, n in rat.items():
         if memo is None:
             r = fn(key)
@@ -590,16 +595,15 @@ def linear(fn, vec: Vec, memo: dict = None) -> Vec:
         if one and n == 1:
             return r            # a basis vector goes to its image
         if r:
-            add(r, n)
+            add(r, n * x, b)
     for (key, p, k), n in ph.items():
         r = memo.get(key)
         if r is None:
             r = memo[key] = fn(key)
         if r:
-            add(r, n, 1, p, k)
-    # the terms of vec were summed as numerators over its den
-    acc._den *= vec._den
-    return acc.vec()
+            add(r, n * x, b, p, k)
+    if into is None:
+        return acc.vec()
 
 
 def _terms_sum(terms, den: int) -> Vec:

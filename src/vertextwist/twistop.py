@@ -87,8 +87,8 @@ class TwistOpSlot:
         out = Vec.zero()
         for j in range(max(bases, default=-1), -1, -1):
             if out:
-                out = W.L_minus1(out).scale(Fraction(1, j + 1))
-            out = out + bases[j].vec()
+                bases[j].add(W.L_minus1(out), Fraction(1, j + 1))
+            out = bases[j].vec()
         return out
 
 
@@ -195,7 +195,9 @@ def check_twist_jacobi(W, u: Vec, v: Vec, w_arg: Vec,
                             v)),
         (-1) ** (pu * pw))
     lhs = Sum([term1, scaled(term2, -1)])
-    rhs = mode_sum(vars, W.modes(u, w_arg, lattice(-2 * hw - 2)),
+    # the iterate's x0 exponents are j - n - 1 with j >= 0, so modes below
+    # -hw - 1 only produce x0-exponents above the window
+    rhs = mode_sum(vars, W.modes(u, w_arg, lattice(-hw - 1)),
                    lambda: delta_iter(vars, 0, 1, 2),
                    lambda vecw: twist_chain(W, vars, [(2, "twist", vecw)], v))
     return compare("twist-jacobi", _inputs(u=u, v=v, w=w_arg), vars,

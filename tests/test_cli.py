@@ -220,6 +220,18 @@ def test_bad_variable_exit_2(expression, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("expression", ["Y(Y(psi,y) psi, x) 1",
+                                        "Y(psi(-1/2) Y(psi,y) 1, x) 1"])
+def test_nested_operator_exit_2(expression, capsys):
+    # an operator's argument is a state, so an operator inside it is
+    # refused as nesting, not as a misplaced comma
+    assert main(["expand", "fermion", expression]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: nested operator 'Y': nesting is not supported\n"
+
+
 @pytest.mark.parametrize("window", ["0", "-1"])
 def test_expand_window_not_positive_exit_2(window, capsys):
     assert main(["expand", "fermion", "Y(psi,x) psi", "--window", window]) \

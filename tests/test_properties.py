@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from vertextwist.models import Registry
-from vertextwist.scalars import Scalar, Vec, linear
+from vertextwist.scalars import Scalar, Vec, VecSum, linear
 from vertextwist.series import (Box, Product, Sum, TermSeries, exponent,
                                 lattice, lattice_mono, mono, mono_add,
                                 mono_parts, series_mismatch)
@@ -218,3 +218,27 @@ def test_linear_is_the_sum_of_scaled_images(v, table):
         assert linear(fn, w, memo) == linear(table.__getitem__, w)
     assert sorted(calls) == sorted(set(v.comps) | {0})
     assert memo == {k: table[k] for k in calls}
+
+
+@given(vectors, st.dictionaries(st.integers(0, 5), vectors, min_size=6),
+       vectors, st.one_of(st.integers(-4, 4).filter(bool), nonzero_rationals),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_linear_into_a_sum_adds_the_scaled_images(v, table, start, c, memo):
+    # c times the images, added over v's denominator (the drawn vectors
+    # carry denominators above 1 and phased terms) into a sum that already
+    # holds a vector; the sum of scaled images is the reference
+    want = start + sum((table[k].scale(ck * c) for k, ck in v.items()),
+                       Vec.zero())
+    acc = VecSum()
+    acc.add(start)
+    assert linear(table.__getitem__, v, {} if memo else None,
+                  into=acc, c=c) is None
+    got = acc.vec()
+    assert got == want
+    assert_canonical(got)
+    # the same as adding the returned extension
+    ref = VecSum()
+    ref.add(start)
+    ref.add(linear(table.__getitem__, v), c)
+    assert ref.vec() == got

@@ -11,7 +11,9 @@ test's reference seconds are its wall seconds (setup, call and teardown)
 scaled by REFERENCE_KERNEL_S over the kernel's mean time in the samples
 just before and just after it, so that two runs on a host whose speed
 drifts give comparable numbers.  The samples see the speed between tests
-only, so a speed change inside a long test is not corrected.  Writes each
+only, so a speed change inside a long test is not corrected.  Hypothesis
+draws from the fixed seed HYPOTHESIS_SEED, so two runs time the same
+examples.  Writes each
 test's reference and wall seconds, and their totals, to
 `.bench_out/tier1.json`, prints the ten heaviest tests, and exits with
 pytest's exit code.
@@ -30,6 +32,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".bench_out" / "tier1.json"
 SAMPLES = 10     # kernel runs per speed sample; their mean time is the sample
+HYPOTHESIS_SEED = 0
 
 # bench/speed.py is read, and no bytecode of it is written under bench/
 sys.path.insert(0, str(ROOT / "bench"))
@@ -71,7 +74,8 @@ class ReferenceTimer:
 def main() -> int:
     os.chdir(ROOT)
     timer = ReferenceTimer()
-    code = pytest.main(["-q", "--continue-on-collection-errors"],
+    code = pytest.main(["-q", "--continue-on-collection-errors",
+                        "--hypothesis-seed=%d" % HYPOTHESIS_SEED],
                        plugins=[timer])
     total = sum(timer.seconds.values())
     OUT.parent.mkdir(exist_ok=True)
