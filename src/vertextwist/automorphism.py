@@ -20,8 +20,8 @@ from fractions import Fraction
 from .errors import NonCyclotomicSpectrum, NotIsometry, NotNilpotent
 from .linalg import kernel_basis, mat_eq, mat_identity, mat_mul, solve
 from .results import CheckResult, Modes, first_failure
-from .scalars import (Scalar, Vec, bilinear, cyclotomic_level, exact, lattice,
-                      linear)
+from .scalars import (Scalar, Vec, VecSum, bilinear, cyclotomic_level, exact,
+                      lattice, linear)
 from .series import D, lattice_coset
 from .vosa import FreeFieldAlgebra
 
@@ -407,10 +407,14 @@ def check_conjugation(V, g: Automorphism, weight_cutoff, halfwidth=6) -> CheckRe
                                       D * (halfwidth - 1), 0)}
 
         def rhs(n, k):
-            out = zero
-            for k1 in range(max(0, k - len(nv) + 1), min(k, len(nu) - 1) + 1):
-                out = out + V.mode_vec(nu[k1], n, 0, nv[k - k1])
-            return out
+            lo, hi = max(0, k - len(nv) + 1), min(k, len(nu) - 1)
+            if lo == hi:
+                # one term: the memoized mode itself, not a copy of it
+                return V.mode_vec(nu[lo], n, 0, nv[k - lo])
+            acc = VecSum()
+            for k1 in range(lo, hi + 1):
+                acc.add(V.mode_vec(nu[k1], n, 0, nv[k - k1]))
+            return acc.vec()
         return (lambda n, k: lhs[n][k] if k < len(lhs[n]) else zero, rhs,
                 max(len(nu) + len(nv) - 2, max(map(len, lhs.values())) - 1))
     return _pair_sweep("nilpotent-conjugation", V, weight_cutoff, halfwidth,

@@ -67,12 +67,16 @@ def build_ramond_module(fermion: FermionAlgebra, parity: Automorphism,
             z = -zscale   # breaks psi_0^2 = 1/2
         return Vec.basis((1 - sector, occ), -z if len(occ) % 2 else z)
 
+    def acting(gidx, key):
+        # psi_p removes the factor p > 0, at N = p D - D / 2
+        return [p * D - D // 2 for p in key[1]]
+
     deg = lambda key: sum(key[1])
     par = lambda key: (key[0] + len(key[1])) % 2
     gsc = lambda key: (-1) ** par(key)
     # weight-revlex reads the occupation numbers reversed, then the sector
     revlex = lambda key: (tuple(reversed(key[1])), key[0])
-    return TwistedModule("ramond", fermion, parity, gen_action,
+    return TwistedModule("ramond", fermion, parity, gen_action, acting,
                          _fermion_twisted_keys, deg, par, gsc, revlex=revlex)
 
 
@@ -106,10 +110,14 @@ def build_z2_twisted_boson(boson: HeisenbergAlgebra, minus1: Automorphism,
             k = -k
         return Vec.basis(moved[0], k * moved[1])
 
+    def acting(gidx, key):
+        # h(o/2) removes a factor o, at N = o D / 2, once per distinct o
+        return dict.fromkeys(o * D // 2 for o in key)
+
     deg = lambda key: Fraction(sum(key), 2)
     par = lambda key: 0
     gsc = lambda key: (-1) ** len(key)
-    return TwistedModule("z2boson", boson, minus1, gen_action,
+    return TwistedModule("z2boson", boson, minus1, gen_action, acting,
                          _boson_twisted_keys, deg, par, gsc)
 
 

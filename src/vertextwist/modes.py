@@ -23,6 +23,17 @@ on both sides of the coset, n <= q - 1 and q <= n <= m_hi, and there is no
 correction, as a_(r)1 = 0 for r >= 0: Y(a_(-1)1, x) = Y(a, x), so such a
 key returns the seed (Y)_n(a) w before q is formed.
 
+Only the annihilation modes that meet a factor of a Fock state act on it
+(Wick's theorem), so each seed names them: `acting(gen_idx, wkey)` gives
+the distinct N >= 0 at which the seed can be nonzero on wkey.  The
+reversed products, whose m runs from q >= 0 up, visit only those m.  When
+u' = b_(-1)1 is a generator, the products visit every inner index K < 0
+and the acting K >= 0 only, and the modes of u' in both sums are seed
+reads from one memo keyed (gen_idx, N, wkey), not trips through `apply`.
+A generator key's own mode is read from that memo too, so `apply` and the
+recursion share one vector.  The outer seed calls (Y)_m(a) are not
+memoized.
+
 Mode indices are lattice ints: N stands for n = N/D on (1/D)Z, D the
 cyclotomic level, the same lattice the series exponents live on.  Index
 arithmetic, range tests, memo keys and seed calls are int operations; the
@@ -52,16 +63,26 @@ from .series import D           # mode index N stands for N/D
 class ModeOracle:
     """Memoized mode action (Y)_n(u) w for PBW keys u over a module Fock basis."""
 
-    def __init__(self, algebra, gen_action, deg, alpha, shift=0):
+    def __init__(self, algebra, gen_action, acting, deg, alpha, shift=0):
         self.algebra = algebra
         self.gen_action = gen_action          # (gen_idx, N, module_key) -> Vec
+        # (gen_idx, module_key) -> the distinct N >= 0 at which the seed can
+        # be nonzero on the key
+        self.acting = acting
         self.deg = deg                        # module_key -> Fraction >= 0
         self.alpha = alpha                    # gen_idx -> Fraction in [0,1)
         self.shift = shift
         self._memo = {}
+        self._seed_memo = {}                  # (gen_idx, N, module_key) -> Vec
         self._alpha_memo = {}
         self._deg_memo = {}
         self._wt_memo = {}
+
+    def sizes(self) -> dict:
+        """The entry count of each memo."""
+        return {"modes": len(self._memo), "seeds": len(self._seed_memo),
+                "cosets": len(self._alpha_memo), "degs": len(self._deg_memo),
+                "weights": len(self._wt_memo)}
 
     # -- coset bookkeeping ---------------------------------------------------
 
@@ -91,6 +112,25 @@ class ModeOracle:
     def max_index(self, ukey, wkey) -> int:
         """Largest N with (Y)_N(u) w possibly nonzero, from lower-boundedness."""
         return self._lattice_deg(wkey) + self._lattice_wt(ukey) - D
+
+    def _walk(self, gidx, wkey, lo, hi) -> list:
+        """The N in [lo, hi] on lo's coset at which generator gidx's seed
+        can be nonzero on wkey, ascending: every N < 0, then the acting
+        ones."""
+        out = [N for N in self.acting(gidx, wkey)
+               if lo <= N <= hi and not (N - lo) % D]
+        out.sort()
+        if lo < 0:
+            return [*range(lo, min(hi + 1, 0), D), *out]
+        return out
+
+    def _seed(self, gidx, N, wkey) -> Vec:
+        """The memoized seed (Y)_N(a) w of generator gidx."""
+        key = (gidx, N, wkey)
+        hit = self._seed_memo.get(key)
+        if hit is None:
+            hit = self._seed_memo[key] = self.gen_action(gidx, N, wkey)
+        return hit
 
     # -- mode action -----------------------------------------------------------
 
@@ -122,7 +162,7 @@ class ModeOracle:
         t = alg.spec_mode(head)
         if t == -1 and not rest:
             # a_(-1)1 = a: the seed itself (see the module docstring)
-            return self.gen_action(gidx, N, wkey)
+            return self._seed(gidx, N, wkey)
         T = t * D
         q = self.alpha(gidx) + self.shift     # the coset offset, rational
         Q = lattice(q)
@@ -143,29 +183,32 @@ class ModeOracle:
                 acc.add(self.gen_action(gidx, m, wkey), c)
         else:
             sgn = -1 if (alg.gen_parity(gidx) and alg.parity(rest)) else 1
-            # products: (Y)_m(a) acting after (Y)_(n+t-m)(u')
-            m_lo = N + T - self.max_index(rest, wkey)
-            m = Q + T
-            while m >= m_lo:
-                inner = self.apply(rest, N + T - m, wkey)
+            # products: (Y)_m(a) acting after (Y)_K(u'), K = n+t-m from
+            # n-q up; when u' = b_(-1)1 its modes are seed reads
+            K_hi = self.max_index(rest, wkey)
+            if len(rest) == 1 and alg.spec_mode(rest[0]) == -1:
+                b = alg.gen_index(rest[0])
+                mode = partial(self._seed, b)
+                Ks = self._walk(b, wkey, N - Q, K_hi)
+            else:
+                mode = partial(self.apply, rest)
+                Ks = range(N - Q, K_hi + 1, D)
+            for K in Ks:
+                inner = mode(K, wkey)
                 if inner:
-                    j = (Q + T - m) // D
+                    j = (K - N + Q) // D
                     c = binomial(t, j) * (-1 if j % 2 else 1)
                     if c:
-                        linear(partial(self.gen_action, gidx, m), inner,
-                               into=acc, c=c)
-                m -= D
-            # reversed products: (Y)_m(a) acting first
-            m = Q
-            while m <= m_hi:
+                        linear(partial(self.gen_action, gidx, N + T - K),
+                               inner, into=acc, c=c)
+            # reversed products: (Y)_m(a) acting first, m >= q >= 0
+            for m in self._walk(gidx, wkey, Q, m_hi):
                 gw = self.gen_action(gidx, m, wkey)
                 if gw:
                     j = (m - Q) // D
                     c = binomial(t, j) * (-1 if (t - j) % 2 else 1) * sgn
                     if c:
-                        linear(partial(self.apply, rest, N + T - m), gw,
-                               into=acc, c=-c)
-                m += D
+                        linear(partial(mode, N + T - m), gw, into=acc, c=-c)
         # corrections from lower-weight composites a_(r)u'
         r = T + D
         r_hi = self._lattice_wt(rest) + lattice(alg.gen_weight(gidx)) - D
@@ -185,8 +228,8 @@ class ModeOracle:
     def crosscheck(self, basis_keys, module_keys):
         """Re-derive the four top modes of every (u, w) pair at a different
         shift; a mismatch means the seed is bad."""
-        other = ModeOracle(self.algebra, self.gen_action, self.deg, self.alpha,
-                           shift=self.shift + 1)
+        other = ModeOracle(self.algebra, self.gen_action, self.acting,
+                           self.deg, self.alpha, shift=self.shift + 1)
         for ukey in basis_keys:
             for wkey in module_keys:
                 top = self.max_index(ukey, wkey)

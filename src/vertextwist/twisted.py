@@ -121,8 +121,8 @@ class TwistedModule(ModuleBase):
     """Generalized g-twisted module built by seeding generator modes and
     extending recursively; requires the automorphism to act semisimply."""
 
-    def __init__(self, name, V, g, gen_action, keys_fn, deg_fn, parity_fn,
-                 g_scale_fn, revlex=None):
+    def __init__(self, name, V, g, gen_action, acting, keys_fn, deg_fn,
+                 parity_fn, g_scale_fn, revlex=None):
         super().__init__(name, V, g, 0)   # semisimple case: no log terms
         self.gen_seed = gen_action
         self._keys_fn = keys_fn        # max_deg -> the keys up to it, any order
@@ -130,7 +130,7 @@ class TwistedModule(ModuleBase):
         self._deg = deg_fn
         self._parity = parity_fn
         self._g_scale = g_scale_fn     # module_key -> scalar, the action of g
-        self.oracle = ModeOracle(V, gen_action, deg_fn,
+        self.oracle = ModeOracle(V, gen_action, acting, deg_fn,
                                  lambda gi: g.gen_alpha(gi))
         self.oracle.crosscheck(V.basis(Fraction(3, 2)), self.basis(F1))
 

@@ -11,7 +11,8 @@ Every generator seed, here and for the twisted modules of `models.py`, is
 one Fock rule, `fock_move`: a creation mode inserts its part into the
 decreasing key, an annihilation mode removes it.  A fermion moves past
 the parts before it with sign (-1)^(their number) and is Pauli-excluded;
-a boson removed from a key carries its multiplicity.  `fock_keys`
+a boson removed from a key carries its multiplicity.  Each seed's `acting`
+names the annihilation modes that meet a key, once each.  `fock_keys`
 enumerates the keys of every such Fock basis up to a weight.
 """
 
@@ -80,8 +81,8 @@ class FreeFieldAlgebra(Space):
         self.fault = fault
         self._weights = {}                    # PBW key -> its weight
         self.vac = ()
-        self.oracle = ModeOracle(self, self.gen_apply, self.weight,
-                                 lambda g: 0)
+        self.oracle = ModeOracle(self, self.gen_apply, self.acting,
+                                 self.weight, lambda g: 0)
         self.log_bound = 0
         self._basis_cache = {}
 
@@ -144,6 +145,11 @@ class FreeFieldAlgebra(Space):
 
     def gen_apply(self, i, N, key) -> Vec:
         """Generator i's mode at the lattice int N on one PBW key."""
+        raise NotImplementedError
+
+    def acting(self, i, key):
+        """The distinct N >= 0 at which gen_apply(i, N, key) can be
+        nonzero: the annihilation modes that meet a factor of key."""
         raise NotImplementedError
 
     def mode_apply(self, ukey, N: int, wkey) -> Vec:
@@ -227,6 +233,10 @@ class FermionAlgebra(FreeFieldAlgebra):
             sgn = -1 if self.fault == "creation-sign" and -o >= 5 else 1
         return Vec.basis(moved[0], moved[1] * sgn)
 
+    def acting(self, i, key):
+        # psi_{o/2} removes the factor o, at N = (o - 1) D / 2
+        return [(o - 1) * D // 2 for o in key]
+
     @cached_property
     def omega(self) -> Vec:
         c = FH
@@ -294,6 +304,10 @@ class HeisenbergAlgebra(FreeFieldAlgebra):
                 rest, count = fock_move(key, f, False, False)
                 out = out + Vec.basis(rest, p * g * count)
         return out
+
+    def acting(self, i, key):
+        # a_i(p) meets the factors of weight p, once per distinct weight
+        return dict.fromkeys(f[0] * D for f in key)
 
     @cached_property
     def omega(self) -> Vec:

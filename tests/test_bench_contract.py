@@ -7,9 +7,10 @@ The convolution counters count calls of `mono_add` and `Box.contains` made
 from `Product._terms_in`, so inlining either one would silently zero them;
 a small product pins both counts.  The mode counters count calls of
 `ModeOracle.apply` and the memo keys they find, so a recursion that went
-around `apply`, or a memo keyed another way, would move them; a small
-oracle sweep pins both, and `apply_vec` of a 2-key u on a 2-key w pins
-one `apply` per key pair.  The twist-slot counters count calls of
+around `apply` where it calls it, or a memo keyed another way, would move
+them; a small oracle sweep pins both, the memo's reported size matches
+the computes, and `apply_vec` of a 2-key u on a 2-key w pins one `apply`
+per key pair.  The twist-slot counters count calls of
 `TwistOpSlot.apply`, the basis keys they look up and the coefficients
 `_apply_key` computes, so a slot table keyed without w_arg, e or k, or an
 `apply` that went around the table, would move them; a small slot sweep pins
@@ -67,7 +68,8 @@ def test_tracer_counts_mode_oracle_calls_and_memo_hits(monkeypatch):
     V = build_free_fermion()
     W = without_crosscheck(build_ramond_module, V, parity_automorphism(V))
     o = W.oracle
-    oracle = ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha)   # cold
+    oracle = ModeOracle(o.algebra, o.gen_action, o.acting, o.deg,
+                        o.alpha)                            # cold
     # u of weight 0, 1/2, 3/2 and 2; w of degree 0, 0, 1 and 1; n from -3
     # to 2 in steps of 1/2
     sweep = [(u, Fraction(t, 2), w) for u in V.basis(2) for w in W.basis(1)
@@ -83,16 +85,44 @@ def test_tracer_counts_mode_oracle_calls_and_memo_hits(monkeypatch):
         finally:
             assert tracer.uninstall() is True
         counts.append(tracer.counts)
-    # cold: the sweep's 176 calls recurse into 102 more; 84 modes are
-    # computed and stored, and 86 calls find theirs in the memo
+    # cold: the sweep's 176 calls compute the 68 modes that the warm pass
+    # below hits.  Only the corrections recurse through `apply`: one call
+    # per compute of psi_-3/2 (18, into psi_-1/2 at n - 1) and of
+    # psi_-3/2 psi_-1/2 (22, into the vacuum at n - 2), and 14 + 14 of
+    # these 40 land on modes the sweep stored; the generator u' = psi_-1/2
+    # of the products is read from the seed memo.  So 216 calls, 28 hits
+    # and 68 + 12 = 80 computes, each stored
     assert (counts[0]["modes.apply_calls"], counts[0]["modes.memo_hits"],
-            counts[0]["modes.computes"]) == (278, 86, 84)
+            counts[0]["modes.computes"]) == (216, 28, 80)
     # warm: no call recurses, and a hit is every call on the coset of u
     # below the top index deg(w) + wt(u) - 1, for u = (), psi_-1/2,
     # psi_-3/2 and psi_-3/2 psi_-1/2: 14 + 14 + 18 + 22
     assert counts[1]["modes.apply_calls"] == 176
     assert counts[1]["modes.memo_hits"] == 68
     assert "modes.computes" not in counts[1]
+
+
+def test_oracle_sizes_count_one_memo_entry_per_traced_compute(monkeypatch):
+    # a cold z2boson oracle: L(-1) = omega_(0) on every key to degree 2
+    # reads the generator h = h(-1)1 from the seed memo
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+    V = build_heisenberg([[1]])
+    W = without_crosscheck(build_z2_twisted_boson, V,
+                           orthogonal_automorphism(V, [[-1]], "minus1"))
+    o = W.oracle
+    oracle = ModeOracle(o.algebra, o.gen_action, o.acting, o.deg, o.alpha)
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        for u in V.omega.keys():
+            for w in W.basis(2):
+                oracle.apply(u, 0, w)
+    finally:
+        assert tracer.uninstall() is True
+    sizes = oracle.sizes()
+    assert sizes["modes"] == tracer.counts["modes.computes"] > 0
+    assert sizes["seeds"] > 0
 
 
 def test_tracer_counts_one_apply_per_key_pair_of_apply_vec(monkeypatch):

@@ -17,7 +17,8 @@ modes: `LoopModeOracle` -> mode_recursion_*, random_modes_match_loop_form
 chain slots: `FractionOpSlot` -> slot_protocol_matches_fraction_form;
     `helpers.FractionTwistOpSlot` -> twist_slot_matches_repeated_L_minus1,
     twist_slot_table_matches_loop_form
-seeds: the `loop_*_gen_*` seeds -> fock_seeds_match_loop_seeds
+seeds: the `loop_*_gen_*` seeds -> fock_seeds_match_loop_seeds,
+    seed_acting_sets_cover_the_loop_seeds
 enumerators: the `loop_*_keys` -> fock_keys_match_loop_enumerators
 pole orders: the `loop_*_order` scans -> pole_order_scans_match_loop_scans
 Jordan data: `blockwise_reference` -> jordan_blocks_match_blockwise_*
@@ -308,7 +309,8 @@ def test_mode_recursion_matches_loop_form(algebras, modules, shift):
     # from its seed, down 9 steps of its coset; a cold oracle per case
     compared = 0
     for name, o, ukeys, wkeys in _oracle_cases(algebras, modules):
-        new = ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha, shift)
+        new = ModeOracle(o.algebra, o.gen_action, o.acting, o.deg, o.alpha,
+                         shift)
         ref = LoopModeOracle(o.algebra, o.gen_action, o.deg, o.alpha, shift)
         gens = {o.algebra.gen_key(i) for i in range(len(o.algebra.gens))}
         for ukey in ukeys:
@@ -334,7 +336,8 @@ def oracle_pairs(algebras, modules):
         for shift in (0, 1):
             out.append((
                 (name, shift),
-                ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha, shift),
+                ModeOracle(o.algebra, o.gen_action, o.acting, o.deg, o.alpha,
+                           shift),
                 LoopModeOracle(o.algebra, o.gen_action, o.deg, o.alpha,
                                shift), ukeys, wkeys))
     return out
@@ -1776,40 +1779,60 @@ SEED_MODES = [lattice(Fraction(h, 2)) for h in range(-12, 13)] \
 
 
 def _seed_cases(fault):
-    """(name, engine seed, loop seed, generator count, keys) per space."""
+    """(name, oracle, loop seed, generator count, keys) per space: the
+    oracle's `gen_action` is the engine seed, and its `acting` and `deg`
+    are read too; the keys run to degree 4."""
     fermion = build_free_fermion(fault=fault)
     boson = build_heisenberg([[1]], fault=fault)
     heis3 = build_heisenberg(GRAM3, fault=fault)
     for V in (boson, heis3):
-        yield ("heisenberg rank %d" % len(V.gens), V.gen_apply, partial(loop_heisenberg_gen_apply, V),
-               len(V.gens), V.basis(3))
-    yield ("fermion", fermion.gen_apply,
-           partial(loop_fermion_gen_apply, fault), 1, fermion.basis(4))
+        yield ("heisenberg rank %d" % len(V.gens), V.oracle,
+               partial(loop_heisenberg_gen_apply, V), len(V.gens), V.basis(4))
+    yield ("fermion", fermion.oracle, partial(loop_fermion_gen_apply, fault),
+           1, fermion.basis(4))
     for sign in (1, -1):
         W = without_crosscheck(build_ramond_module, fermion,
                                parity_automorphism(fermion),
                                zero_mode_sign=sign, fault=fault)
-        yield ("ramond", W.gen_seed,
+        yield ("ramond", W.oracle,
                partial(loop_ramond_gen_action, fault, sign), 1, W.basis(4))
     W = without_crosscheck(
         build_z2_twisted_boson, boson,
         orthogonal_automorphism(boson, [[-1]], "minus1"), fault=fault)
-    yield ("z2boson", W.gen_seed, partial(loop_z2boson_gen_action, fault), 1,
-           W.basis(3))
+    yield ("z2boson", W.oracle, partial(loop_z2boson_gen_action, fault), 1,
+           W.basis(4))
 
 
 @pytest.mark.parametrize("fault", SEED_FAULTS)
 def test_fock_seeds_match_loop_seeds(fault):
     # every key up to the cutoff, every mode index, every generator
     moved = 0
-    for name, seed, loop, ngens, keys in _seed_cases(fault):
+    for name, o, loop, ngens, keys in _seed_cases(fault):
         for key in keys:
             for i in range(ngens):
                 for N in SEED_MODES:
-                    got = seed(i, N, key)
+                    got = o.gen_action(i, N, key)
                     assert got == loop(i, N, key), (name, fault, i, N, key)
                     moved += bool(got)
     assert moved
+
+
+def test_seed_acting_sets_cover_the_loop_seeds():
+    # the mode recursion walks only the N >= 0 a seed names in `acting`:
+    # every lattice int from 0 to deg + 2 where the loop seed is nonzero
+    # must be named, once, and no negative N may be
+    named = 0
+    for name, o, loop, ngens, keys in _seed_cases(None):
+        for key in keys:
+            for i in range(ngens):
+                acting = list(o.acting(i, key))
+                assert len(set(acting)) == len(acting), (name, i, key)
+                assert all(N >= 0 for N in acting), (name, i, key)
+                for N in range(lattice(o.deg(key)) + 2 * D + 1):
+                    if loop(i, N, key):
+                        assert N in acting, (name, i, N, key)
+                        named += 1
+    assert named
 
 
 @pytest.mark.parametrize("cut", [Fraction(h, 2) for h in range(-1, 13)])
@@ -2083,8 +2106,8 @@ def assert_apply_vec_matches_double_loop(oracle, u, N, w):
             want.add(RefVec(oracle.apply(ukey, N, wkey).items()), cu * cw)
     # a cold oracle, so that a pair that skipped `apply` would not be
     # covered by the memo
-    cold = ModeOracle(oracle.algebra, oracle.gen_action, oracle.deg,
-                      oracle.alpha)
+    cold = ModeOracle(oracle.algebra, oracle.gen_action, oracle.acting,
+                      oracle.deg, oracle.alpha)
     calls = outer_apply_calls(cold)
     assert_same_vec(cold.apply_vec(u, N, w), want)
     # apply runs exactly once per (u key, w key) pair, u's keys outermost

@@ -304,7 +304,7 @@ def test_crosscheck_refutes_a_bad_seed_at_weight_2(fault):
     # shifts disagree under the fault
     W = Registry(fault=fault).twisted("z2boson")
     o = W.oracle
-    cold = ModeOracle(o.algebra, o.gen_action, o.deg, o.alpha)
+    cold = ModeOracle(o.algebra, o.gen_action, o.acting, o.deg, o.alpha)
     if fault is None:
         cold.crosscheck([((1, 0), (1, 0))], W.basis(1))
     else:
